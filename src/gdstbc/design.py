@@ -214,6 +214,36 @@ def verify_group_decodable(d: LinearDesign, grp: Grouping, return_witness: bool 
     return (True, None) if return_witness else True
 
 
+def verify_doubling_blocks(d: LinearDesign) -> bool:
+    """Exact check of the structure behind the block-determinant bound.
+
+    True iff every weight has the layout [[A, -B^H], [B, A^H]] and its
+    top-left and bottom-left blocks, over all weights, are normal and
+    commute pairwise, in Gaussian-integer arithmetic.  Commuting normal
+    matrices are unitarily diagonalisable together, so every real
+    difference dS = [[dA, -dB^H], [dB, dA^H]] then has
+    det dS = det(dA dA^H + dB^H dB) = prod_j (|a_j|^2 + |b_j|^2) over the
+    shared eigenvalues, and det(dS^H dS) >= max(|det dA|^2, |det dB|^2)^2.
+    """
+    if d.n % 2:
+        return False
+    h = d.n // 2
+
+    def block(w: GxMat, rows: slice, cols: slice) -> GxMat:
+        return GxMat(w.re[rows, cols], w.im[rows, cols])
+
+    top, bottom = slice(0, h), slice(h, d.n)
+    blocks = set()
+    for w in d.weights:
+        a, b = block(w, top, top), block(w, bottom, top)
+        if block(w, top, bottom) != -b.herm() or block(w, bottom, bottom) != a.herm():
+            return False
+        blocks.update(m for m in (a, b) if not m.is_zero())
+    if any(m @ m.herm() != m.herm() @ m for m in blocks):
+        return False
+    return all(x @ y == y @ x for x, y in combinations(blocks, 2))
+
+
 def _entry_str(m: int, s: int, c: int) -> str:
     if m == 0:
         return "0"

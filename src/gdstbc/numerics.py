@@ -1,85 +1,26 @@
-"""Small dense complex-matrix kernel shared by every other module.
+"""Exact Gaussian-integer matrix algebra, plus the rank-rule threshold.
 
-Two arithmetic paths live here.  Floating work (codeword evaluation,
-determinants, singular values, decoder metrics) runs on complex128
-ndarrays through the thin wrappers below.  Algebraic identities that must
-hold with zero tolerance (the cross-group anticommutation check on weight
-matrices) go through :class:`GxMat`, which stores real and imaginary
-parts as int64 arrays so that products and Hermitian transposes never
-round.
+Floating work (codeword evaluation, determinants, singular values,
+decoder metrics) runs on complex128 ndarrays directly.  Algebraic
+identities that must hold with zero tolerance (the cross-group
+anticommutation and block-structure checks on weight matrices) go
+through :class:`GxMat`, which stores real and imaginary parts as int64
+arrays so that products and Hermitian transposes never round.
 
-Everything here is sized for matrices up to 64x64; none of it aims to be
-a general BLAS replacement.  No function mutates its inputs.
+Everything here is sized for matrices up to 64x64.  No function mutates
+its inputs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Absolute tolerance for algebra whose exact value is representable
-# (entries built from 0, +-1, +-i and short products of those).
-EXACT_ATOL = 1e-12
-# Absolute tolerance for everything else.
-FLOAT_ATOL = 1e-9
-# Relative threshold of the full-rank decision rule.
+#: Relative threshold of the full-rank decision rule: a matrix is full
+#: rank iff its smallest singular value exceeds RANK_RTOL * max(1, largest).
+#: Matrices judged by it are either exactly singular or well conditioned at
+#: the scales this package works at, so a single relative threshold is
+#: enough.
 RANK_RTOL = 1e-9
-
-
-def as_cmatrix(a) -> np.ndarray:
-    """Coerce to a 2-D complex128 array (copies only when needed)."""
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-    return m
-
-
-def matmul(a, b) -> np.ndarray:
-    a = as_cmatrix(a)
-    b = as_cmatrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def herm(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_cmatrix(a).conj().T
-
-
-def fro_norm_sq(a) -> float:
-    """Squared Frobenius norm, i.e. the sum of squared entry magnitudes."""
-    a = np.asarray(a, dtype=np.complex128)
-    return float(np.vdot(a, a).real)
-
-
-def det(a) -> complex:
-    """Determinant of a square matrix (partially pivoted elimination)."""
-    a = as_cmatrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"determinant needs a square matrix, got {a.shape}")
-    return complex(np.linalg.det(a))
-
-
-def singular_values(a) -> np.ndarray:
-    return np.linalg.svd(as_cmatrix(a), compute_uv=False)
-
-
-def min_singular_value(a) -> float:
-    a = as_cmatrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got {a.shape}")
-    return float(singular_values(a)[-1])
-
-
-def is_full_rank(a, rtol: float = RANK_RTOL) -> bool:
-    """Full-rank rule: smallest singular value > rtol * max(1, largest).
-
-    Matrices fed through this are either exactly singular or well
-    conditioned at the scales this package works at, so a single relative
-    threshold is enough.
-    """
-    s = singular_values(a)
-    return bool(s[-1] > rtol * max(1.0, float(s[0])))
 
 
 class GxMat:

@@ -33,12 +33,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._kernels import BACKEND, metric_scan
-from .codebook import Codebook, NotGroupDecodableError, average_scale
+from .codebook import Codebook, NotGroupDecodableError
 from .design import construct_design
 from .signalset import (
     PRESETS,
     construct_signal_set,
     default_radii,
+    fourth_root_points,
     hyperbola_signal_set,
     preset_signal_set,
 )
@@ -82,6 +83,8 @@ class SimConfig:
             raise ValueError(f"unknown preset {self.preset!r}")
         if not self.snr_db:
             raise ValueError("need at least one SNR point")
+        if any(math.isnan(v) or v == -math.inf for v in self.snr_db):
+            raise ValueError("SNR values must be finite or +inf (noiseless)")
         if self.frames < 1:
             raise ValueError("frames must be >= 1")
         if self.target_errors is not None and self.target_errors < 1:
@@ -181,19 +184,13 @@ def build_codebook(cfg: SimConfig) -> Codebook:
             raise ValueError(f"preset {cfg.preset!r} implies M={expected_m}, got M={cfg.m}")
         sset = preset_signal_set(cfg.preset)
     elif cfg.family == "hyperbola":
-        p = _fourth_root(cfg.m)
+        p = fourth_root_points(cfg.m)
         radii = cfg.radii if cfg.radii is not None else default_radii(p // 2)
         c = cfg.c if cfg.c is not None else float(radii[0]) ** 2 / 4.0
         sset = hyperbola_signal_set(radii, c)
     else:
         sset = construct_signal_set(cfg.lam, cfg.m, radii=cfg.radii)
     return Codebook(design, sset)
-
-
-def _fourth_root(m: int) -> int:
-    from .signalset import fourth_root_points
-
-    return fourth_root_points(m)
 
 
 # ---------------------------------------------------------------------------
@@ -374,15 +371,3 @@ def run_sim(cfg: SimConfig) -> SimResult:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
     return SimResult(config=cfg, points=tuple(points))
-
-
-def codebook_summary(cfg: SimConfig) -> dict:
-    """Static facts about the configured codebook (used by the CLI)."""
-    cb = build_codebook(cfg)
-    return {
-        "n": cb.n,
-        "M": cb.M,
-        "rate_bits_per_use": cb.rate_bits_per_use,
-        "avg_scale": average_scale(cb),
-        "group_decodable": cb.group_decodable,
-    }

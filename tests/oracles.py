@@ -1,11 +1,13 @@
 """Independent reference implementations used as test oracles.
 
 Deliberately naive: cofactor determinants, straight-line metric scans,
-explicitly assembled unitaries.  Nothing here shares code with the paths
-under test.
+explicitly assembled unitaries, codeword-pair scans.  Nothing here shares
+code with the paths under test beyond the full-rank threshold RANK_RTOL.
 """
 
 import numpy as np
+
+from gdstbc.numerics import RANK_RTOL
 
 
 def cofactor_det(a):
@@ -79,3 +81,39 @@ def random_window(cb, rng, snr_db_range=(0.0, 20.0)):
     r_prev = x_prev @ h + w[:, 0]
     r_t = x_t @ h + w[:, 1]
     return r_t, r_prev, a_prev_sq, cb.unravel_index(lin)
+
+
+def pair_scan(cb):
+    """Reference verifier verdicts from the full codeword stack.
+
+    Brute force over all M(M-1)/2 codeword pairs and all M codewords: the
+    count of rank-deficient differences (same full-rank rule as the
+    package), min |det dS|, the coding gain min det(dS^H dS)^(1/n), the
+    smallest relative margin of the block bound
+    det(dS^H dS) >= max(|det dA|^2, |det dB|^2)^2, and the largest
+    ||S^H S - scale_sq I||_inf.
+    """
+    mats = cb.matrices
+    n = cb.n
+    half = n // 2
+    out = {"pairs": 0, "num_rank_deficient": 0, "min_abs_det": np.inf,
+           "coding_gain": np.inf, "min_rel_bound_margin": np.inf}
+    for i in range(cb.M - 1):
+        d = mats[i + 1:] - mats[i]
+        out["pairs"] += d.shape[0]
+        svals = np.linalg.svd(d, compute_uv=False)
+        out["num_rank_deficient"] += int(np.sum(
+            svals[:, -1] <= RANK_RTOL * np.maximum(1.0, svals[:, 0])))
+        out["min_abs_det"] = min(out["min_abs_det"], float(np.abs(np.linalg.det(d)).min()))
+        gram_det = np.linalg.det(np.einsum("mji,mjk->mik", d.conj(), d)).real
+        out["coding_gain"] = min(out["coding_gain"],
+                                 float((np.maximum(gram_det, 0.0) ** (1.0 / n)).min()))
+        det_a = np.abs(np.linalg.det(d[:, :half, :half])) ** 2
+        det_b = np.abs(np.linalg.det(d[:, half:, :half])) ** 2
+        bound = np.maximum(det_a, det_b) ** 2
+        rel = (gram_det - bound) / np.maximum(1.0, gram_det)
+        out["min_rel_bound_margin"] = min(out["min_rel_bound_margin"], float(rel.min()))
+    gram = np.einsum("mji,mjk->mik", mats.conj(), mats)
+    out["max_unitarity_residual"] = float(np.max(np.abs(gram - cb.scales[:, None, None]
+                                                        * np.eye(n))))
+    return out

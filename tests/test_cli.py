@@ -76,18 +76,23 @@ class TestCodebookCommand:
         assert report["rate_bits_per_use"] == pytest.approx(1.0)
         assert report["mode"] == "exhaustive"
 
-    def test_sampled_mode(self, capsys):
-        code, out, _ = run_cli(capsys, "codebook", "verify", "--lambda", "2",
-                               "--points", "16", "--mode", "sampled:200", "--seed", "4")
+    def test_large_codebook_is_exhaustive(self, capsys):
+        code, out, _ = run_cli(capsys, "codebook", "verify", "--lambda", "3",
+                               "--points", str(16**4), "--preset", "paper-8ant-rate2",
+                               "--seed", "4")
         assert code == 0
         report = json.loads(out)
-        assert report["mode"] == "sampled:200"
-        assert "sampled" in report["full_diversity"]
+        assert report["full_diversity"] == "full diversity verified (exhaustive)"
+        assert report["mode"] == "exhaustive" and report["seed"] == 4
+        assert report["pairs_checked"] == 16**4 * (16**4 - 1) // 2
+        assert report["coding_gain"] == pytest.approx(0.17195253132676616, rel=1e-9)
 
     def test_bad_mode(self, capsys):
-        code, _, err = run_cli(capsys, "codebook", "verify", "--lambda", "2",
-                               "--points", "16", "--mode", "quantum")
-        assert code == 2 and "configuration error" in err
+        # every verdict is exhaustive, so codebook verify takes no --mode
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["codebook", "verify", "--lambda", "2", "--points", "16",
+                      "--mode", "sampled:200"])
+        assert exc.value.code == 2
 
 
 class TestSimulateCommand:
@@ -120,6 +125,14 @@ class TestSimulateCommand:
             cli._parse_snr_list("0:10")
         with pytest.raises(ValueError):
             cli._parse_snr_list("0:10:0")
+        with pytest.raises(ValueError):
+            cli._parse_snr_list("0:inf:1")
+
+    @pytest.mark.parametrize("snr", ["nan", "-inf", "0,nan,10"])
+    def test_non_finite_snr_is_config_error(self, capsys, snr):
+        code, out, err = run_cli(capsys, "simulate", "--lambda", "2", "--points", "16",
+                                 f"--snr-db={snr}", "--frames", "10")
+        assert code == 2 and "configuration error" in err and out == ""
 
     def test_group_decode_failure_maps_to_exit_3(self, capsys, monkeypatch):
         def boom(cfg):

@@ -2,25 +2,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gdstbc.codebook import (
     Codebook,
     Codeword,
+    NotGroupDecodableError,
     average_scale,
     check_scaled_unitary,
     coding_gain,
     verify_full_diversity,
 )
-from gdstbc.design import construct_design, evaluate
+from gdstbc.design import Grouping, construct_design, evaluate
 from gdstbc.signalset import (
     GroupSignalSet,
     SignalSet,
     construct_signal_set,
     hyperbola_signal_set,
+    normalize_radii,
     preset_signal_set,
+    verify_scaled_unitarity,
 )
 
-from oracles import assemble_real_vector
+from oracles import assemble_real_vector, pair_scan
 
 
 @pytest.fixture(scope="module")
@@ -127,15 +132,41 @@ class TestFullDiversity:
         assert rep.min_abs_det == pytest.approx(0.0, abs=1e-9)
         assert "rank-deficient" in rep.claim
 
-    def test_sampled_mode_claim(self, cb16):
-        rep = verify_full_diversity(cb16, mode="sampled", count=500, seed=3)
-        assert rep.all_full_rank
-        assert rep.claim == "no counterexample found (sampled)"
+    def test_deficient_count_is_single_group_lower_bound(self):
+        # counts the pairs that differ in one group by a singular
+        # difference: 4 singular point pairs x 64 other-group choices x 4
+        # groups; the pair scan also finds multi-group deficient pairs
+        cb = Codebook(construct_design(2), hyperbola_signal_set([1.0], 0.25, branch="AB"))
+        rep = verify_full_diversity(cb)
+        assert rep.num_rank_deficient == 1024
+        assert pair_scan(cb)["num_rank_deficient"] == 3840
+        assert rep.claim == "at least 1024 rank-deficient pair(s) found (exhaustive)"
+        i, j = rep.first_deficient_pair
+        assert sum(a != b for a, b in zip(i, j)) == 1
+        d = cb.codeword_at(j).matrix - cb.codeword_at(i).matrix
+        assert abs(np.linalg.det(d)) < 1e-12
 
-    def test_exhaustive_cap(self):
+    def test_no_size_cap(self):
         cb = Codebook(construct_design(2), construct_signal_set(2, 10000))
-        with pytest.raises(ValueError):
-            verify_full_diversity(cb, mode="exhaustive")
+        rep = verify_full_diversity(cb)
+        assert rep.all_full_rank and rep.claim == "full diversity verified (exhaustive)"
+        assert rep.pairs_checked == 10000 * 9999 // 2
+        assert "matrices" not in cb.__dict__  # the full stack is never built
+
+    def test_non_decodable_grouping_refused(self):
+        bad = Grouping(g=4, groups=((0, 3), (1, 2), (4, 6), (5, 7)))
+        cb = Codebook(construct_design(2), construct_signal_set(2, 16), grouping=bad)
+        for verifier in (verify_full_diversity, coding_gain):
+            with pytest.raises(NotGroupDecodableError):
+                verifier(cb)
+        with pytest.raises(NotGroupDecodableError):
+            cb.max_unitarity_residual()
+
+    def test_unchecked_codebook_is_checked_on_demand(self):
+        cb = Codebook(construct_design(2), construct_signal_set(2, 16), check_decodable=False)
+        assert cb.group_decodable is None
+        assert verify_full_diversity(cb).all_full_rank
+        assert cb.group_decodable is True
 
 
 class TestCodingGain:
@@ -182,7 +213,8 @@ class TestAverageScale:
         assert average_scale(cb) == pytest.approx(4.0, abs=1e-9)
 
     def test_closed_form_path(self, cb16):
-        assert average_scale(cb16, exhaustive_limit=1) == pytest.approx(4.0, abs=1e-12)
+        # the group-marginal sum equals the mean over every codeword's scale
+        assert average_scale(cb16) == pytest.approx(float(np.mean(cb16.scales)), abs=1e-12)
 
     def test_single_unitary_codeword(self):
         half = math.sqrt(0.5)
@@ -228,3 +260,66 @@ class TestCodebookInvariants:
     def test_linear_index_roundtrip(self, cb16):
         for lin in range(cb16.M):
             assert cb16.linear_index(cb16.unravel_index(lin)) == lin
+
+
+def _assert_matches_pair_scan(cb):
+    """The per-group verdicts agree with the brute-force pair scan."""
+    ref = pair_scan(cb)
+    rep = verify_full_diversity(cb)
+    assert rep.pairs_checked == ref["pairs"]
+    assert rep.all_full_rank == (ref["num_rank_deficient"] == 0)
+    assert rep.num_rank_deficient <= ref["num_rank_deficient"]
+    assert rep.min_abs_det == pytest.approx(ref["min_abs_det"], rel=1e-9, abs=1e-12)
+    assert coding_gain(cb) == pytest.approx(ref["coding_gain"], rel=1e-9, abs=1e-12)
+    assert rep.bound_holds == (ref["min_rel_bound_margin"] >= -1e-9)
+    resid = cb.max_unitarity_residual()
+    assert (resid <= 1e-9) == (ref["max_unitarity_residual"] <= 1e-9)
+    assert resid >= ref["max_unitarity_residual"] - 1e-12
+    return rep
+
+
+class TestPairScanOracle:
+    @pytest.mark.parametrize("lam,m", [(1, 16), (1, 256), (2, 16), (2, 256),
+                                       (3, 16), (3, 256), (4, 16)])
+    def test_axis_family(self, lam, m):
+        rep = _assert_matches_pair_scan(Codebook(construct_design(lam),
+                                                 construct_signal_set(lam, m)))
+        assert rep.all_full_rank and rep.bound_holds and rep.min_bound_margin == 0.0
+
+    def test_negative_controls(self):
+        same_sign = GroupSignalSet(dim=2, points=np.array([[1.0, 1.0], [-1.0, -1.0]]),
+                                   radii=(math.sqrt(2.0),), family="custom")
+        repeated = GroupSignalSet(dim=2, points=np.array([[1.0, 0.0], [1.0, 0.0]]),
+                                  radii=(1.0,), family="custom")
+        d = construct_design(2)
+        ab = Codebook(d, hyperbola_signal_set([1.0], 0.25, branch="AB"))
+        rep = _assert_matches_pair_scan(ab)
+        assert not rep.all_full_rank and rep.min_abs_det == pytest.approx(0.0, abs=1e-12)
+        _assert_matches_pair_scan(Codebook(d, SignalSet(groups=(same_sign,) * 4)))
+        assert verify_scaled_unitarity(SignalSet(groups=(same_sign,) * 4), 2) is False
+        cb = Codebook(d, SignalSet(groups=(repeated,) * 4))
+        _assert_matches_pair_scan(cb)
+        assert coding_gain(cb) == 0.0
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(lam=st.integers(1, 3),
+           raw=st.lists(st.floats(0.2, 3.0), min_size=1, max_size=2, unique=True))
+    def test_random_axis_radii(self, lam, raw):
+        raw = sorted(raw)
+        if len(raw) == 2 and raw[1] - raw[0] < 0.05:
+            raw = [raw[0], raw[0] + 0.05]
+        m = (2 * len(raw)) ** 4
+        _assert_matches_pair_scan(Codebook(construct_design(lam),
+                                           construct_signal_set(lam, m, radii=raw)))
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(raw=st.lists(st.floats(0.2, 3.0), min_size=1, max_size=2, unique=True),
+           frac=st.floats(0.05, 0.95), branch=st.sampled_from(("A", "B", "AB")))
+    def test_random_hyperbola(self, raw, frac, branch):
+        raw = sorted(raw)[:1] if branch == "AB" else sorted(raw)  # keep M <= 256
+        if len(raw) == 2 and raw[1] - raw[0] < 0.05:
+            raw = [raw[0], raw[0] + 0.05]
+        radii = normalize_radii(raw, len(raw))
+        c = frac * radii[0] ** 2 / 2
+        _assert_matches_pair_scan(Codebook(construct_design(2),
+                                           hyperbola_signal_set(radii, c, branch=branch)))

@@ -12,6 +12,7 @@ from gdstbc.design import (
     render,
     render_text,
     scalar_design,
+    verify_doubling_blocks,
     verify_group_decodable,
 )
 from gdstbc.numerics import anticommutator
@@ -193,3 +194,33 @@ class TestGroupDecodability:
         grp = Grouping(g=2, groups=((0, 1), (2,)))
         with pytest.raises(ValueError):
             verify_group_decodable(d, grp)
+
+
+class TestDoublingBlocks:
+    @pytest.mark.parametrize("lam", [1, 2, 3, 4, 5])
+    def test_constructed_designs_pass(self, lam):
+        assert verify_doubling_blocks(construct_design(lam)) is True
+
+    def test_non_doubling_designs_fail(self):
+        # abba layout [[A, B], [B, A]] is not [[A, -B^H], [B, A^H]]
+        assert verify_doubling_blocks(abba(c1_design())) is False
+        assert verify_doubling_blocks(c1_design()) is False
+        assert verify_doubling_blocks(scalar_design()) is False
+
+    def test_non_commuting_blocks_fail(self):
+        # doubling the Alamouti design keeps the layout, but its blocks
+        # (the Alamouti weights) anticommute instead of commuting
+        assert verify_doubling_blocks(doubling(doubling(scalar_design()))) is False
+
+    def test_determinant_identity_on_random_differences(self):
+        d = construct_design(3)
+        h = d.n // 2
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            ds = evaluate(d, rng.standard_normal(d.K))
+            da, db = ds[:h, :h], ds[h:, :h]
+            det_s = np.linalg.det(ds)
+            assert det_s == pytest.approx(np.linalg.det(da @ da.conj().T + db.conj().T @ db),
+                                          rel=1e-9)
+            bound = max(abs(np.linalg.det(da)) ** 2, abs(np.linalg.det(db)) ** 2) ** 2
+            assert abs(det_s) ** 2 >= bound * (1 - 1e-9)

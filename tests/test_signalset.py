@@ -241,9 +241,10 @@ class TestScaledUnitarity:
         ss = SignalSet(groups=(g, g, g, g))
         assert verify_scaled_unitarity(ss, 2) is False
 
-    def test_sampled_path(self):
-        ss = construct_signal_set(3, 16**4)
-        assert verify_scaled_unitarity(ss, 3, exhaustive_limit=4096, samples=64) is True
+    def test_large_codebook(self):
+        # exact at M = 16^4 from the per-group excesses
+        assert verify_scaled_unitarity(construct_signal_set(3, 16**4), 3) is True
+        assert verify_scaled_unitarity(preset_signal_set("paper-8ant-rate2"), 3) is True
 
 
 class TestSignalSetValidation:
