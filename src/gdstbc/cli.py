@@ -33,6 +33,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 
+#: Most points an A:B:STEP range may expand to; a larger sweep is a typo,
+#: and building its tuple could exhaust memory before any check ran.
+MAX_SNR_POINTS = 10_000
+
 
 def _parse_snr_list(text: str):
     """Accept 'A:B:STEP' (inclusive), a comma list, or a single value; 'inf' allowed."""
@@ -50,6 +54,8 @@ def _parse_snr_list(text: str):
         if step <= 0:
             raise ValueError("STEP must be positive")
         count = int(math.floor((b - a) / step + 1e-9)) + 1
+        if count > MAX_SNR_POINTS:
+            raise ValueError(f"range gives {count} SNR points; at most {MAX_SNR_POINTS}")
         return tuple(a + i * step for i in range(max(count, 0)))
     return tuple(one(v) for v in text.split(","))
 

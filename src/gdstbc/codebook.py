@@ -64,8 +64,10 @@ class Codebook:
 
     ``group_stacks[k][p]`` holds S_k(p), the contribution of group k's
     point p to the codeword matrix; a full codeword is the sum of the
-    four chosen partials.  The full (M, n, n) stack is materialised
-    lazily since M can reach 65536.
+    four chosen partials.  ``partials`` is one contiguous stack of all
+    four groups' partials, group 0 first, so that the group decoder can
+    scan them in one pass; ``group_stacks`` are views into it.  The full
+    (M, n, n) stack is materialised lazily since M can reach 65536.
     """
 
     def __init__(self, design: LinearDesign, sset: SignalSet,
@@ -86,13 +88,14 @@ class Codebook:
         self.sset = sset
         self.grouping = grouping
         self.sizes = sset.sizes
-        self.group_stacks = []
-        self.group_norms = []
-        for k, gset in enumerate(sset.groups):
-            widx = np.asarray(grouping.groups[k], dtype=np.intp)
-            stack = np.tensordot(gset.points, design.weight_stack[widx], axes=(1, 0))
-            self.group_stacks.append(np.ascontiguousarray(stack))
-            self.group_norms.append(gset.norms_sq())
+        self.partials = np.concatenate([
+            np.tensordot(gset.points,
+                         design.weight_stack[np.asarray(grouping.groups[k], dtype=np.intp)],
+                         axes=(1, 0))
+            for k, gset in enumerate(sset.groups)
+        ])
+        self.group_stacks = np.split(self.partials, np.cumsum(self.sizes)[:-1])
+        self.group_norms = [gset.norms_sq() for gset in sset.groups]
         self.group_decodable = (
             verify_group_decodable(design, grouping) if check_decodable else None
         )

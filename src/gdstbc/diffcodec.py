@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import metric_scan
-from .codebook import Codebook, Codeword, NotGroupDecodableError
+from ._kernels_py import metric_values
+from .codebook import Codebook, Codeword
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,30 +122,32 @@ def decode_exhaustive(cb: Codebook, r_t, r_prev, a_prev_sq: float) -> DecodeResu
 
 
 def decode_group(cb: Codebook, r_t, r_prev, a_prev_sq: float) -> DecodeResult:
-    """Per-group metric minimisation; needs a verified group-decodable codebook.
+    """Per-group metric minimisation; needs a group-decodable codebook.
 
-    Each group's winner is found independently against that group's
-    partial-codeword stack; the reported metric is the full differential
-    metric re-evaluated at the assembled decision, so it is directly
-    comparable with the exhaustive decoder's.
+    A codebook built with ``check_decodable=False`` is checked here on
+    demand, as the verifiers do; a failing grouping raises
+    NotGroupDecodableError.  Each group's winner is found independently
+    against that group's partial codewords, first index on ties.  All four
+    groups' metrics come from one NumPy pass over ``cb.partials``: four
+    separate scans of a few partials each would cost more in per-call
+    overhead than in arithmetic.  The reported metric is the full
+    differential metric re-evaluated at the assembled decision, so it is
+    directly comparable with the exhaustive decoder's.
     """
-    if cb.group_decodable is not True:
-        raise NotGroupDecodableError(
-            "group decoding refused: codebook's grouping failed (or skipped) the "
-            "cross-group anticommutation check"
-        )
+    cb.require_group_decodable()
     r_t = _as_receive(r_t, cb.n)
     r_prev = _as_receive(r_prev, cb.n)
     inv_a = 1.0 / math.sqrt(a_prev_sq)
-    idx = []
-    evals = 0
-    for stack in cb.group_stacks:
-        best, _ = metric_scan(stack, r_prev, r_t, inv_a)
-        idx.append(best)
-        evals += stack.shape[0]
-    u = sum(cb.group_stacks[k][idx[k]] for k in range(4))
-    metric = float(np.linalg.norm(r_t - inv_a * (u @ r_prev)) ** 2)
-    return DecodeResult(index=tuple(idx), metric=metric, evaluations=evals)
+    metrics = metric_values(cb.partials, r_prev, r_t, inv_a)
+    idx, lo = [], 0
+    for size in cb.sizes:
+        idx.append(int(metrics[lo:lo + size].argmin()))
+        lo += size
+    i0, i1, i2, i3 = idx
+    s0, s1, s2, s3 = cb.group_stacks
+    diff = r_t - inv_a * ((s0[i0] + s1[i1] + s2[i2] + s3[i3]) @ r_prev)
+    return DecodeResult(index=tuple(idx), metric=float(np.vdot(diff, diff).real),
+                        evaluations=len(metrics))
 
 
 def group_metrics(cb: Codebook, r_t, r_prev, a_prev_sq: float, idx) -> list[float]:

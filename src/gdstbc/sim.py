@@ -33,6 +33,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._kernels import BACKEND, metric_scan
+from ._kernels_py import set_blas_threads
 from .codebook import Codebook, NotGroupDecodableError
 from .design import construct_design
 from .signalset import (
@@ -195,7 +196,9 @@ def build_codebook(cfg: SimConfig) -> Codebook:
 
 # ---------------------------------------------------------------------------
 # Per-process state for worker tasks.  Codebook construction is pure, so a
-# cache keyed by the defining fields keeps fork/spawn workers cheap.
+# cache keyed by the defining fields keeps fork/spawn workers cheap.  The
+# full (M, n, n) codeword stack is built only once an exhaustive decoder
+# needs it; encoding sums the four group partials instead.
 
 _CB_CACHE: dict = {}
 
@@ -217,16 +220,7 @@ def _cached_chain(cfg_dict):
                 widths = None
         except ValueError:
             widths = None
-        entry = {
-            "matrices": cb.matrices,
-            "scales": cb.scales,
-            "group_stacks": cb.group_stacks,
-            "sizes": sizes,
-            "strides": strides,
-            "widths": widths,
-            "n": cb.n,
-            "group_decodable": cb.group_decodable,
-        }
+        entry = {"codebook": cb, "sizes": sizes, "strides": strides, "widths": widths}
         _CB_CACHE[key] = entry
     return entry
 
@@ -234,15 +228,16 @@ def _cached_chain(cfg_dict):
 def _run_blocks(entry, decoders, noise_var, n_r, seed, snr_idx, block_lo, block_hi,
                 frames_per_block, total_frames):
     """Simulate blocks [block_lo, block_hi); returns integer counts."""
-    mats = entry["matrices"]
-    scales = entry["scales"]
-    stacks = entry["group_stacks"]
+    cb = entry["codebook"]
+    mats = cb.matrices if "exhaustive" in decoders else None
+    scales = cb.scales
+    stacks = cb.group_stacks
+    s0, s1, s2, s3 = stacks
     sizes = entry["sizes"]
     strides = entry["strides"]
     widths = entry["widths"]
-    n = entry["n"]
-    group_sizes = [s.shape[0] for s in stacks]
-    evals_per_frame = {"exhaustive": mats.shape[0], "group": sum(group_sizes)}
+    n = cb.n
+    evals_per_frame = {"exhaustive": cb.M, "group": sum(cb.sizes)}
     bits_per_frame = sum(widths) if widths is not None else 0
     sigma = math.sqrt(noise_var / 2.0) if noise_var > 0 else 0.0
 
@@ -270,7 +265,9 @@ def _run_blocks(entry, decoders, noise_var, n_r, seed, snr_idx, block_lo, block_
         for t in range(nf):
             tx = idx_draw[:, t]
             lin = int(tx @ strides)
-            x_t = (mats[lin] @ x_prev) / math.sqrt(a_enc)
+            # same left-to-right sum as Codebook.matrices, so X_t is bit-identical
+            u = s0[tx[0]] + s1[tx[1]] + s2[tx[2]] + s3[tx[3]]
+            x_t = (u @ x_prev) / math.sqrt(a_enc)
             a_enc = float(scales[lin])
             r_t = np.ascontiguousarray(x_t @ h + noise[t + 1])
             for d in decoders:
@@ -311,6 +308,17 @@ def _chunk_worker(payload):
                        snr_idx, lo, hi, fpb, total)
 
 
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    """Process pool whose workers run BLAS single-threaded.
+
+    Each worker's scans are already one of ``workers`` concurrent streams;
+    letting OpenBLAS thread them too would put several spinning threads on
+    every core.  The calling process keeps its BLAS threads.
+    """
+    return ProcessPoolExecutor(max_workers=workers, initializer=set_blas_threads,
+                               initargs=(1,))
+
+
 def run_sim(cfg: SimConfig) -> SimResult:
     """Run the configured sweep and return exact integer counts per point.
 
@@ -322,7 +330,8 @@ def run_sim(cfg: SimConfig) -> SimResult:
     cfg_dict = asdict(cfg)
     entry = _cached_chain(cfg_dict)
     decoders = cfg.decoders()
-    if any(d == "group" for d in decoders) and entry["group_decodable"] is not True:
+    cb = entry["codebook"]
+    if any(d == "group" for d in decoders) and cb.group_decodable is not True:
         raise NotGroupDecodableError(
             "group decoding requested on a codebook that failed the decodability check"
         )
@@ -336,10 +345,10 @@ def run_sim(cfg: SimConfig) -> SimResult:
     ]
 
     points = []
-    pool = ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
+    pool = _worker_pool(cfg.workers) if cfg.workers > 1 else None
     try:
         for snr_idx, snr in enumerate(cfg.snr_db):
-            nv = noise_var_for_snr(snr, entry["n"])
+            nv = noise_var_for_snr(snr, cb.n)
             t0 = time.perf_counter()
             totals = {d: {"frames": 0, "frame_errors": 0, "bits": 0, "bit_errors": 0,
                           "metric_evals": 0} for d in decoders}

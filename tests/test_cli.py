@@ -128,6 +128,19 @@ class TestSimulateCommand:
         with pytest.raises(ValueError):
             cli._parse_snr_list("0:inf:1")
 
+    def test_snr_range_point_cap(self):
+        assert len(cli._parse_snr_list(f"1:{cli.MAX_SNR_POINTS}:1")) == cli.MAX_SNR_POINTS
+        with pytest.raises(ValueError, match="SNR points"):
+            cli._parse_snr_list(f"0:{cli.MAX_SNR_POINTS}:1")
+
+    def test_huge_snr_range_is_config_error(self, capsys):
+        # 10^12 points: refused from the count, before any tuple is built
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--lambda", "2", "--points", "16",
+                      "--snr-db", "0:1e6:1e-6", "--frames", "10"])
+        assert exc.value.code == 2
+        assert "--snr-db" in capsys.readouterr().err
+
     @pytest.mark.parametrize("snr", ["nan", "-inf", "0,nan,10"])
     def test_non_finite_snr_is_config_error(self, capsys, snr):
         code, out, err = run_cli(capsys, "simulate", "--lambda", "2", "--points", "16",

@@ -66,6 +66,13 @@ class TestCodewordAssembly:
             assert np.array_equal(cb16.matrices[lin], cb16.codeword_at(idx).matrix)
             assert cb16.scales[lin] == pytest.approx(cb16.codeword_at(idx).scale_sq)
 
+    def test_partials_hold_every_group_in_order(self, cb16):
+        assert cb16.partials.shape == (sum(cb16.sizes), cb16.n, cb16.n)
+        assert np.array_equal(cb16.partials, np.concatenate(cb16.group_stacks))
+        for stack, size in zip(cb16.group_stacks, cb16.sizes):
+            assert stack.shape[0] == size and stack.flags.c_contiguous
+            assert np.shares_memory(stack, cb16.partials)
+
     def test_no_zero_codeword(self, cb16):
         assert float(cb16.scales.min()) > 0
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gdstbc._kernels import metric_scan
 from gdstbc.codebook import Codebook, Codeword, NotGroupDecodableError
 from gdstbc.design import Grouping, construct_design
 from gdstbc.diffcodec import (
@@ -189,6 +190,16 @@ class TestGroupDecoder:
             assert decode_exhaustive(cb, r_t, r_prev, a_sq).index == \
                 decode_group(cb, r_t, r_prev, a_sq).index
 
+    def test_one_pass_matches_per_group_scans(self):
+        # the simulator decodes with one metric_scan per group stack
+        cb = Codebook(construct_design(3), construct_signal_set(3, 256))
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            r_t, r_prev, a_sq, _ = random_window(cb, rng)
+            inv_a = 1.0 / math.sqrt(a_sq)
+            per_group = tuple(metric_scan(s, r_prev, r_t, inv_a)[0] for s in cb.group_stacks)
+            assert decode_group(cb, r_t, r_prev, a_sq).index == per_group
+
     def test_refuses_non_decodable_codebook(self):
         d = construct_design(2)
         bad = Grouping(g=4, groups=((0, 3), (1, 2), (4, 6), (5, 7)))
@@ -200,12 +211,25 @@ class TestGroupDecoder:
         # the exhaustive decoder does not care about the grouping
         assert decode_exhaustive(cb, z, z, 1.0).index == (0, 0, 0, 0)
 
-    def test_refuses_unchecked_codebook(self, cb16):
+    def test_unchecked_codebook_is_checked_on_demand(self):
         cb = Codebook(construct_design(2), construct_signal_set(2, 16),
+                      check_decodable=False)
+        assert cb.group_decodable is None
+        rng = np.random.default_rng(10)
+        for _ in range(200):
+            r_t, r_prev, a_sq, _ = random_window(cb, rng)
+            assert decode_group(cb, r_t, r_prev, a_sq).index == \
+                decode_exhaustive(cb, r_t, r_prev, a_sq).index
+        assert cb.group_decodable is True
+
+    def test_unchecked_failing_grouping_refused(self):
+        bad = Grouping(g=4, groups=((0, 3), (1, 2), (4, 6), (5, 7)))
+        cb = Codebook(construct_design(2), construct_signal_set(2, 16), grouping=bad,
                       check_decodable=False)
         z = np.zeros((4, 1), dtype=complex)
         with pytest.raises(NotGroupDecodableError):
             decode_group(cb, z, z, 1.0)
+        assert cb.group_decodable is False
 
 
 class TestMetricDecomposition:

@@ -57,6 +57,61 @@ class TestFallbackKernel:
         assert metric == pytest.approx(min(metrics), rel=1e-12)
 
 
+def _naive(stack, r_prev, r_t, inv_a):
+    metrics = [float(np.sum(np.abs(r_t - inv_a * (stack[m] @ r_prev)) ** 2))
+               for m in range(stack.shape[0])]
+    return int(np.argmin(metrics)), min(metrics)
+
+
+class TestGemvKernel:
+    """The one-GEMV scan against a per-candidate loop."""
+
+    @pytest.mark.parametrize("nr", [1, 2, 3])
+    @pytest.mark.parametrize("inv_a", [1.0, 0.37])
+    def test_matches_naive_loop_per_receive_count(self, nr, inv_a):
+        rng = np.random.default_rng(10 + nr)
+        stack, r_prev, r_t = _random_problem(rng, m=64, n=8, nr=nr)
+        idx, metric = py_metric_scan(stack, r_prev, r_t, inv_a)
+        ref_idx, ref_metric = _naive(stack, r_prev, r_t, inv_a)
+        assert idx == ref_idx
+        assert metric == pytest.approx(ref_metric, rel=1e-12)
+
+    @pytest.mark.parametrize("layout", ["fortran", "sliced", "transposed"])
+    def test_non_contiguous_operands(self, layout):
+        rng = np.random.default_rng(20)
+        stack, r_prev, r_t = _random_problem(rng, m=80, n=4, nr=2)
+        view = {"fortran": np.asfortranarray(stack), "sliced": stack[1::3],
+                "transposed": stack.transpose(0, 2, 1)}[layout]
+        assert not view.flags.c_contiguous
+        idx, metric = py_metric_scan(view, np.asfortranarray(r_prev), r_t[:, ::-1], 0.8)
+        ref_idx, ref_metric = _naive(view, r_prev, r_t[:, ::-1], 0.8)
+        assert idx == ref_idx
+        assert metric == pytest.approx(ref_metric, rel=1e-12)
+
+    def test_large_random_stack(self):
+        rng = np.random.default_rng(21)
+        stack, r_prev, r_t = _random_problem(rng, m=4096, n=8, nr=1)
+        idx, metric = py_metric_scan(stack, r_prev, r_t, 0.6)
+        ref_idx, ref_metric = _naive(stack, r_prev, r_t, 0.6)
+        assert idx == ref_idx
+        assert metric == pytest.approx(ref_metric, rel=1e-12)
+
+    def test_first_minimum_wins_on_large_stack(self):
+        # integer-valued operands make every metric exact, so the ties are exact
+        rng = np.random.default_rng(22)
+        stack = (rng.integers(-2, 3, (4096, 8, 8))
+                 + 1j * rng.integers(-2, 3, (4096, 8, 8))).astype(np.complex128)
+        r_prev = np.ascontiguousarray(rng.integers(-2, 3, (8, 1)) + 0j)
+        for k in (3001, 1234, 4095):
+            stack[k] = stack[777]
+        r_t = 0.5 * (stack[777] @ r_prev)
+        idx, metric = py_metric_scan(np.ascontiguousarray(stack), r_prev, r_t, 0.5)
+        assert (idx, metric) == (777, 0.0)
+        stack[777] += 1  # the earliest remaining copy now wins
+        idx, metric = py_metric_scan(np.ascontiguousarray(stack), r_prev, r_t, 0.5)
+        assert (idx, metric) == (1234, 0.0)
+
+
 @needs_compiled
 class TestCompiledKernel:
     def test_agrees_with_fallback(self):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from gdstbc import sim
+from gdstbc._kernels_py import blas_threads
 from gdstbc.sim import (
     CSV_HEADER,
     SimConfig,
@@ -17,6 +19,10 @@ def _cfg(**kw):
     base = dict(lam=2, m=16, snr_db=(6.0,), frames=400, coherence=5, seed=11)
     base.update(kw)
     return SimConfig(**base)
+
+
+def _worker_blas_threads(_):
+    return blas_threads()
 
 
 class TestBitMapping:
@@ -60,6 +66,27 @@ class TestRunSim:
         a = run_sim(_cfg(frames=600))
         b = run_sim(_cfg(frames=600, workers=2))
         assert a.to_csv() == b.to_csv()
+
+    def test_worker_count_invariant_with_exhaustive_decoder(self):
+        cfg = SimConfig(lam=3, m=256, snr_db=(8.0, 14.0), frames=300, coherence=10,
+                        decoder="both", seed=5)
+        a = run_sim(cfg)
+        b = run_sim(SimConfig(**{**cfg.__dict__, "workers": 2}))
+        assert a.to_csv() == b.to_csv()
+
+    def test_pool_workers_run_blas_single_threaded(self):
+        if blas_threads() is None:
+            pytest.skip("no loaded OpenBLAS with a thread-count entry point")
+        with sim._worker_pool(2) as pool:
+            assert list(pool.map(_worker_blas_threads, range(4), timeout=60)) == [1] * 4
+
+    def test_group_only_run_builds_no_codeword_stack(self, monkeypatch):
+        monkeypatch.setattr(sim, "_CB_CACHE", {})
+        run_sim(_cfg(frames=50))
+        (entry,) = sim._CB_CACHE.values()
+        assert "matrices" not in entry["codebook"].__dict__
+        run_sim(_cfg(frames=50, decoder="exhaustive"))
+        assert "matrices" in entry["codebook"].__dict__
 
     def test_decoders_agree_frame_by_frame(self):
         res = run_sim(_cfg(snr_db=(0.0, 8.0), frames=800, decoder="both"))
