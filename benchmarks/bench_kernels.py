@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled metric kernel against the NumPy fallback.
+"""Benchmark the metric scan kernels.
 
 Times one differential decode metric scan (the hot loop of both decoders
 and of the Monte Carlo simulator) over codebook stacks of increasing
-size, plus the per-frame cost of the two decoders through the public
-API on the largest codebook.
+size: the NumPy direct scan, the NumPy scaled-unitary scan the
+simulator's exhaustive decoder uses (``scales`` given) and, if built, the
+compiled scan.  Then the per-frame cost of the two decoders through the
+public API on the largest codebook.
 
 Run from the repository root:
 
@@ -44,38 +46,39 @@ def main():
     ap.add_argument("--repeats", type=int, default=9)
     args = ap.parse_args()
 
-    backends = [("numpy", _kernels_py.metric_scan)]
+    backends = [
+        ("direct", lambda cb, *a: _kernels_py.metric_scan(cb.matrices, *a)),
+        ("scaled", lambda cb, *a: _kernels_py.metric_scan(cb.matrices, *a, cb.scales)),
+    ]
     if compiled_available():
         from gdstbc import _ckernels
 
-        backends.append(("compiled", _ckernels.metric_scan))
+        backends.append(("compiled", lambda cb, *a: _ckernels.metric_scan(cb.matrices, *a)))
     else:
-        print("note: compiled kernel not built; benchmarking the fallback only\n")
+        print("note: compiled kernel not built; benchmarking the NumPy scans only\n")
 
     rng = np.random.default_rng(0)
     cases = [(1, 16), (2, 256), (3, 4096), (3, 16**4)]
 
     print(f"{'case':>16} {'M':>6}", *(f"{name:>12}" for name, _ in backends),
-          f"{'speedup':>9}" if len(backends) == 2 else "")
+          f"{'direct/scaled':>14}")
     for lam, m in cases:
         cb = Codebook(construct_design(lam), construct_signal_set(lam, m),
                       check_decodable=False)
         n = cb.n
-        stack = cb.matrices
+        cb.matrices  # noqa: B018  (built before timing)
         r_prev = np.ascontiguousarray(
             rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1)))
         r_t = np.ascontiguousarray(
             rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1)))
-        times = [time_call(fn, (stack, r_prev, r_t, 1.0), args.repeats)
+        times = [time_call(fn, (cb, r_prev, r_t, 1.0), args.repeats)
                  for _, fn in backends]
-        for (_, fn), t in zip(backends, times):
-            a = fn(stack, r_prev, r_t, 1.0)
-            b = backends[0][1](stack, r_prev, r_t, 1.0)
-            assert a[0] == b[0], "backends disagree on the argmin"
+        want = backends[0][1](cb, r_prev, r_t, 1.0)[0]
+        for _, fn in backends:
+            assert fn(cb, r_prev, r_t, 1.0)[0] == want, "scans disagree on the argmin"
         row = [f"{f'lam={lam} n={n}':>16} {m:>6}"]
         row += [f"{t * 1e6:>10.1f}us" for t in times]
-        if len(times) == 2:
-            row.append(f"{times[0] / times[1]:>8.1f}x")
+        row.append(f"{times[0] / times[1]:>13.2f}x")
         print(" ".join(row))
 
     print("\nfull decoder paths on lam=3, M=16^4 (selected backend):")

@@ -55,6 +55,10 @@ SNR_CONVENTION = (
 #: Row order when decoder="both".
 DECODER_ORDER = ("group", "exhaustive")
 
+#: Largest unitarity residual for which the exhaustive decoder's
+#: scaled-unitary metric expansion is used.
+UNITARITY_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -214,13 +218,11 @@ def _cached_chain(cfg_dict):
         strides = np.ones(4, dtype=np.int64)
         for k in range(2, -1, -1):
             strides[k] = strides[k + 1] * sizes[k + 1]
-        try:
-            widths = [int(s).bit_length() - 1 for s in sizes]
-            if any((1 << w) != s for w, s in zip(widths, sizes)):
-                widths = None
-        except ValueError:
-            widths = None
-        entry = {"codebook": cb, "sizes": sizes, "strides": strides, "widths": widths}
+        # BER needs power-of-two group sizes (see bit_mapping); 0 means BLER only
+        pow2 = all(s & (s - 1) == 0 for s in cb.sizes)
+        bits_per_frame = cb.M.bit_length() - 1 if pow2 else 0
+        entry = {"codebook": cb, "sizes": sizes, "strides": strides,
+                 "bits_per_frame": bits_per_frame}
         _CB_CACHE[key] = entry
     return entry
 
@@ -235,10 +237,9 @@ def _run_blocks(entry, decoders, noise_var, n_r, seed, snr_idx, block_lo, block_
     s0, s1, s2, s3 = stacks
     sizes = entry["sizes"]
     strides = entry["strides"]
-    widths = entry["widths"]
     n = cb.n
     evals_per_frame = {"exhaustive": cb.M, "group": sum(cb.sizes)}
-    bits_per_frame = sum(widths) if widths is not None else 0
+    bits_per_frame = entry["bits_per_frame"]
     sigma = math.sqrt(noise_var / 2.0) if noise_var > 0 else 0.0
 
     counts = {d: {"frames": 0, "frame_errors": 0, "bits": 0, "bit_errors": 0,
@@ -273,8 +274,7 @@ def _run_blocks(entry, decoders, noise_var, n_r, seed, snr_idx, block_lo, block_
             for d in decoders:
                 inv_a = 1.0 / math.sqrt(a_dec[d])
                 if d == "exhaustive":
-                    lin_hat, _ = metric_scan(mats, r_prev, r_t, inv_a)
-                    lin_hat = int(lin_hat)
+                    lin_hat, _ = metric_scan(mats, r_prev, r_t, inv_a, scales)
                 else:
                     acc = 0
                     for k in range(4):
@@ -285,20 +285,34 @@ def _run_blocks(entry, decoders, noise_var, n_r, seed, snr_idx, block_lo, block_
                 c = counts[d]
                 c["frames"] += 1
                 c["metric_evals"] += evals_per_frame[d]
+                c["bits"] += bits_per_frame
                 if lin_hat != lin:
                     c["frame_errors"] += 1
-                if widths is not None:
-                    c["bits"] += bits_per_frame
-                    if lin_hat != lin:
-                        rem_tx, rem_rx = lin, lin_hat
-                        for k in range(3, -1, -1):
-                            s = int(sizes[k])
-                            c["bit_errors"] += ((rem_tx % s) ^ (rem_rx % s)).bit_count()
-                            rem_tx //= s
-                            rem_rx //= s
+                    if bits_per_frame:
+                        # power-of-two group sizes: lin's binary digits are the
+                        # concatenated group-index bits of bit_mapping
+                        c["bit_errors"] += (lin ^ lin_hat).bit_count()
             r_prev = r_t
             x_prev = x_t
     return counts
+
+
+def _require_scaled_unitary(entry):
+    """Refuse a codebook whose codewords are not all scaled unitary.
+
+    The exhaustive decoder scores candidates with the scaled-unitary
+    expansion of the metric (``_kernels_py.metric_scan`` with ``scales``),
+    which is exact only when S^H S = a(S) I for every codeword.  The exact
+    residual bound is computed once per cached codebook.
+    """
+    if "unitarity_residual" not in entry:
+        entry["unitarity_residual"] = entry["codebook"].max_unitarity_residual()
+    residual = entry["unitarity_residual"]
+    if not residual <= UNITARITY_TOL:
+        raise ValueError(
+            f"exhaustive decoding needs scaled-unitary codewords, but the codebook's "
+            f"unitarity residual is {residual:.3g} (tolerance {UNITARITY_TOL:g})"
+        )
 
 
 def _chunk_worker(payload):
@@ -335,6 +349,8 @@ def run_sim(cfg: SimConfig) -> SimResult:
         raise NotGroupDecodableError(
             "group decoding requested on a codebook that failed the decodability check"
         )
+    if "exhaustive" in decoders:
+        _require_scaled_unitary(entry)
     frames_per_block = cfg.frames if cfg.coherence is None else cfg.coherence - 1
     n_blocks = math.ceil(cfg.frames / frames_per_block)
     chunk = max(1, math.ceil(n_blocks / 256))
@@ -364,6 +380,7 @@ def run_sim(cfg: SimConfig) -> SimResult:
                 if cfg.target_errors is not None and all(
                     totals[d]["frame_errors"] >= cfg.target_errors for d in decoders
                 ):
+                    results.close()  # cancels this point's chunks not yet started
                     break
             wall = time.perf_counter() - t0
             for d in decoders:

@@ -83,6 +83,24 @@ def random_window(cb, rng, snr_db_range=(0.0, 20.0)):
     return r_t, r_prev, a_prev_sq, cb.unravel_index(lin)
 
 
+def noisy_window(cb, rng, sigma, n_r=1):
+    """One two-frame differential window over n_r receive antennas.
+
+    Random previous and current codewords, unit-variance Rayleigh channel,
+    complex noise of standard deviation sigma per real dimension (sigma = 0:
+    noiseless).  Returns (r_t, r_prev, a_prev_sq).
+    """
+    n = cb.n
+    lin_prev, lin = (int(v) for v in rng.integers(0, cb.M, 2))
+    x_prev = cb.matrices[lin_prev]
+    a_prev_sq = float(cb.scales[lin_prev])
+    h = (rng.standard_normal((n, n_r)) + 1j * rng.standard_normal((n, n_r))) / np.sqrt(2)
+    w = sigma * (rng.standard_normal((2, n, n_r)) + 1j * rng.standard_normal((2, n, n_r)))
+    r_prev = x_prev @ h + w[0]
+    r_t = (cb.matrices[lin] @ x_prev) @ h / np.sqrt(a_prev_sq) + w[1]
+    return r_t, r_prev, a_prev_sq
+
+
 def pair_scan(cb):
     """Reference verifier verdicts from the full codeword stack.
 

@@ -18,8 +18,9 @@ from gdstbc.diffcodec import (
     group_metrics,
 )
 from gdstbc.signalset import construct_signal_set
+from gdstbc.sim import SimConfig, build_codebook
 
-from oracles import brute_force_decode, random_window
+from oracles import brute_force_decode, noisy_window, random_window
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +155,33 @@ class TestExhaustiveDecoder:
         res = decode_exhaustive(cb16, z, z, 1.0)
         assert res.index == (0, 0, 0, 0)
         assert res.metric == 0.0
+
+
+class TestScaledUnitaryExhaustiveScan:
+    """The simulator's exhaustive scan (``metric_scan`` with ``scales``)
+    against ``decode_exhaustive``, the literal stack scan."""
+
+    #: name: (codebook config, windows); 10 800 windows in all
+    CODEBOOKS = {
+        "lam1-M16": (dict(lam=1, m=16), 3000),
+        "lam2-M256": (dict(lam=2, m=256), 3000),
+        "lam3-M256": (dict(lam=3, m=256), 3000),
+        "lam3-M4096": (dict(lam=3, m=4096), 800),
+        "hyperbola": (dict(lam=2, m=256, family="hyperbola"), 1000),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CODEBOOKS))
+    def test_decisions_equal_decode_exhaustive(self, name):
+        config, windows = self.CODEBOOKS[name]
+        cb = build_codebook(SimConfig(**config))
+        rng = np.random.default_rng([config["lam"], config["m"]])
+        for w in range(windows):
+            # every SNR meets every receive-antenna count (5 and 3 are coprime)
+            snr_db = (math.inf, 40.0, 20.0, 10.0, 0.0)[w % 5]
+            sigma = math.sqrt(cb.n / 10 ** (snr_db / 10) / 2)  # the simulator's convention
+            r_t, r_prev, a_sq = noisy_window(cb, rng, sigma, 1 + w % 3)
+            best, _ = metric_scan(cb.matrices, r_prev, r_t, 1.0 / math.sqrt(a_sq), cb.scales)
+            assert cb.unravel_index(best) == decode_exhaustive(cb, r_t, r_prev, a_sq).index
 
 
 class TestGroupDecoder:

@@ -1,12 +1,22 @@
+import importlib
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
-from gdstbc import _kernels
+import gdstbc
+from gdstbc import _kernels, _kernels_py
 from gdstbc._kernels_py import metric_scan as py_metric_scan
+from gdstbc._kernels_py import metric_values
+from gdstbc.codebook import Codebook
+from gdstbc.design import construct_design
+from gdstbc.signalset import construct_signal_set
+from gdstbc.sim import SimConfig, build_codebook
+
+from oracles import noisy_window
 
 try:
     from gdstbc._ckernels import metric_scan as c_metric_scan
@@ -112,6 +122,69 @@ class TestGemvKernel:
         assert (idx, metric) == (1234, 0.0)
 
 
+#: Codebooks the simulator can build: lam 1-4, the preset and the hyperbola family.
+SCALED_CONFIGS = {
+    "lam1-M256": dict(lam=1, m=256),
+    "lam2-M256": dict(lam=2, m=256),
+    "lam3-M4096": dict(lam=3, m=4096),
+    "lam4-M16": dict(lam=4, m=16),
+    "preset": dict(lam=3, m=16**4, preset="paper-8ant-rate2"),
+    "hyperbola": dict(lam=2, m=256, family="hyperbola"),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SCALED_CONFIGS))
+def scaled_cb(request):
+    cb = build_codebook(SimConfig(**SCALED_CONFIGS[request.param]))
+    assert cb.max_unitarity_residual() <= 1e-9
+    return cb
+
+
+class TestScaledUnitaryScan:
+    """metric_scan with ``scales`` against the direct metric on codebook stacks."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-3, 1.0])
+    @pytest.mark.parametrize("inv_a", [1.0, 0.37])
+    @pytest.mark.parametrize("nr", [1, 2, 3])
+    def test_matches_metric_values(self, scaled_cb, nr, inv_a, sigma):
+        cb = scaled_cb
+        rng = np.random.default_rng([nr, int(inv_a * 100), int(sigma * 1e3)])
+        for _ in range(3):
+            r_t, r_prev, _ = noisy_window(cb, rng, sigma, nr)
+            ref = metric_values(cb.matrices, r_prev, r_t, inv_a)
+            idx, metric = py_metric_scan(cb.matrices, r_prev, r_t, inv_a, cb.scales)
+            size = (np.vdot(r_t, r_t).real
+                    + inv_a ** 2 * cb.scales.max() * np.vdot(r_prev, r_prev).real)
+            assert idx == int(ref.argmin())
+            assert abs(metric - ref.min()) <= 1e-12 * size
+
+    def test_zero_previous_frame_ties_to_first_index(self, scaled_cb):
+        cb = scaled_cb
+        r_prev = np.zeros((cb.n, 2), dtype=np.complex128)
+        r_t = np.ones((cb.n, 2), dtype=np.complex128)
+        idx, metric = py_metric_scan(cb.matrices, r_prev, r_t, 0.8, cb.scales)
+        assert idx == 0
+        assert metric == 2.0 * cb.n
+
+    def test_non_contiguous_frames(self):
+        cb = Codebook(construct_design(2), construct_signal_set(2, 256))
+        rng = np.random.default_rng(30)
+        r_t, r_prev, _ = noisy_window(cb, rng, 0.1, 3)
+        views = (np.asfortranarray(r_prev), r_t[:, ::-1])
+        assert not views[0].flags.c_contiguous and not views[1].flags.c_contiguous
+        idx, metric = py_metric_scan(cb.matrices, *views, 0.6, cb.scales)
+        ref = metric_values(cb.matrices, r_prev, r_t[:, ::-1], 0.6)
+        assert idx == int(ref.argmin())
+        assert metric == pytest.approx(ref.min(), rel=1e-12)
+
+    def test_without_scales_is_the_direct_scan(self):
+        rng = np.random.default_rng(31)
+        stack, r_prev, r_t = _random_problem(rng, m=64, n=4, nr=2)
+        metrics = metric_values(stack, r_prev, r_t, 0.9)
+        best = int(metrics.argmin())
+        assert py_metric_scan(stack, r_prev, r_t, 0.9) == (best, float(metrics[best]))
+
+
 @needs_compiled
 class TestCompiledKernel:
     def test_agrees_with_fallback(self):
@@ -161,3 +234,34 @@ class TestBackendSelection:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "python"
+
+    def test_scales_route_to_numpy_under_compiled_backend(self, monkeypatch):
+        calls = []
+
+        def stub_scan(stack, r_prev, r_t, inv_a):
+            calls.append(inv_a)
+            return 0, 0.0
+
+        stub = types.ModuleType("gdstbc._ckernels")
+        stub.metric_scan = stub_scan
+        monkeypatch.delenv("GDSTBC_PURE_PYTHON", raising=False)
+        monkeypatch.setitem(sys.modules, "gdstbc._ckernels", stub)
+        monkeypatch.setattr(gdstbc, "_ckernels", stub, raising=False)
+        try:
+            importlib.reload(_kernels)
+            assert _kernels.BACKEND == "compiled"
+            cb = Codebook(construct_design(2), construct_signal_set(2, 256))
+            r_t, r_prev, _ = noisy_window(cb, np.random.default_rng(32), 0.1)
+            assert _kernels.metric_scan(cb.matrices, r_prev, r_t, 0.5) == (0, 0.0)
+            assert calls == [0.5]
+            got = _kernels.metric_scan(cb.matrices, r_prev, r_t, 0.5, cb.scales)
+            assert got == py_metric_scan(cb.matrices, r_prev, r_t, 0.5, cb.scales)
+            assert calls == [0.5]
+        finally:
+            monkeypatch.undo()
+            importlib.reload(_kernels)
+
+    def test_numpy_backend_has_no_wrapper(self):
+        if _kernels.BACKEND != "python":
+            pytest.skip("compiled backend active")
+        assert _kernels.metric_scan is _kernels_py.metric_scan

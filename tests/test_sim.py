@@ -40,6 +40,16 @@ class TestBitMapping:
         with pytest.raises(ValueError):
             bit_mapping((0, 0, 0, 0), (6, 6, 6, 6))
 
+    @pytest.mark.parametrize("sizes", [(2, 2, 2, 2), (16, 16, 16, 16), (2, 4, 8, 16)])
+    def test_xor_of_linear_indices_counts_bit_errors(self, sizes):
+        # the simulator counts bit errors as (lin ^ lin_hat).bit_count()
+        rng = np.random.default_rng(sum(sizes))
+        for _ in range(500):
+            tx, rx = (tuple(int(rng.integers(0, s)) for s in sizes) for _ in range(2))
+            lin, lin_hat = (int(np.ravel_multi_index(i, sizes)) for i in (tx, rx))
+            hamming = sum(a != b for a, b in zip(bit_mapping(tx, sizes), bit_mapping(rx, sizes)))
+            assert (lin ^ lin_hat).bit_count() == hamming
+
 
 class TestNoiseVar:
     def test_snr_convention(self):
@@ -87,6 +97,56 @@ class TestRunSim:
         assert "matrices" not in entry["codebook"].__dict__
         run_sim(_cfg(frames=50, decoder="exhaustive"))
         assert "matrices" in entry["codebook"].__dict__
+
+    def test_exhaustive_decoder_refuses_non_scaled_unitary_codebook(self, monkeypatch):
+        monkeypatch.setattr(sim, "_CB_CACHE", {})
+        monkeypatch.setattr(sim.Codebook, "max_unitarity_residual", lambda self: 1e-3)
+        with pytest.raises(ValueError, match="scaled-unitary"):
+            run_sim(_cfg(frames=20, decoder="exhaustive"))
+        with pytest.raises(ValueError, match="scaled-unitary"):
+            run_sim(_cfg(frames=20, decoder="both"))
+        assert run_sim(_cfg(frames=20)).points[0].frames == 20
+
+    def test_bit_errors_follow_bit_mapping(self, monkeypatch):
+        # noiseless, constant-scale codebook: the exhaustive decision is the sent
+        # index, so flipping it by a fixed pattern fixes every frame's bit errors
+        scan = sim.metric_scan
+        flip = 0b1011
+
+        def flipped(stack, r_prev, r_t, inv_a, scales=None):
+            if scales is None:  # group scans
+                return scan(stack, r_prev, r_t, inv_a)
+            best, metric = scan(stack, r_prev, r_t, inv_a, scales)
+            return best ^ flip, metric
+
+        monkeypatch.setattr(sim, "metric_scan", flipped)
+        res = run_sim(_cfg(snr_db=(math.inf,), frames=200, decoder="both"))
+        group, exhaustive = res.points
+        sizes = (2, 2, 2, 2)
+        tx = (1, 0, 1, 1)
+        rx = np.unravel_index(np.ravel_multi_index(tx, sizes) ^ flip, sizes)
+        per_frame = sum(a != b for a, b in zip(bit_mapping(tx, sizes), bit_mapping(rx, sizes)))
+        assert (group.frame_errors, group.bit_errors) == (0, 0)
+        assert exhaustive.frame_errors == 200
+        assert exhaustive.bit_errors == 200 * per_frame == 600
+
+    def test_unitarity_checked_once_per_cached_codebook(self, monkeypatch):
+        monkeypatch.setattr(sim, "_CB_CACHE", {})
+        calls = []
+        residual = sim.Codebook.max_unitarity_residual
+
+        def counted(self):
+            calls.append(1)
+            return residual(self)
+
+        monkeypatch.setattr(sim.Codebook, "max_unitarity_residual", counted)
+        run_sim(_cfg(frames=20))
+        assert calls == []
+        for _ in range(3):
+            run_sim(_cfg(frames=20, decoder="both"))
+        assert calls == [1]
+        (entry,) = sim._CB_CACHE.values()
+        assert entry["unitarity_residual"] <= sim.UNITARITY_TOL
 
     def test_decoders_agree_frame_by_frame(self):
         res = run_sim(_cfg(snr_db=(0.0, 8.0), frames=800, decoder="both"))
