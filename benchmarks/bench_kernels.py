@@ -3,9 +3,8 @@
 
 Times one differential decode metric scan (the hot loop of both decoders
 and of the Monte Carlo simulator) over codebook stacks of increasing
-size: the NumPy direct scan, the NumPy scaled-unitary scan the
-simulator's exhaustive decoder uses (``scales`` given) and, if built, the
-compiled scan.  Then the per-frame cost of the two decoders through the
+size: the direct scan and the scaled-unitary scan the simulator's
+exhaustive decoder uses (``scales`` given).  Then the per-frame cost of the two decoders through the
 public API on the largest codebook.
 
 Run from the repository root:
@@ -23,8 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from gdstbc import _kernels_py  # noqa: E402
-from gdstbc._kernels import compiled_available  # noqa: E402
+from gdstbc._kernels import metric_scan  # noqa: E402
 from gdstbc.codebook import Codebook  # noqa: E402
 from gdstbc.design import construct_design  # noqa: E402
 from gdstbc.diffcodec import decode_exhaustive, decode_group  # noqa: E402
@@ -46,21 +44,15 @@ def main():
     ap.add_argument("--repeats", type=int, default=9)
     args = ap.parse_args()
 
-    backends = [
-        ("direct", lambda cb, *a: _kernels_py.metric_scan(cb.matrices, *a)),
-        ("scaled", lambda cb, *a: _kernels_py.metric_scan(cb.matrices, *a, cb.scales)),
+    scans = [
+        ("direct", lambda cb, *a: metric_scan(cb.matrices, *a)),
+        ("scaled", lambda cb, *a: metric_scan(cb.matrices, *a, cb.scales)),
     ]
-    if compiled_available():
-        from gdstbc import _ckernels
-
-        backends.append(("compiled", lambda cb, *a: _ckernels.metric_scan(cb.matrices, *a)))
-    else:
-        print("note: compiled kernel not built; benchmarking the NumPy scans only\n")
 
     rng = np.random.default_rng(0)
     cases = [(1, 16), (2, 256), (3, 4096), (3, 16**4)]
 
-    print(f"{'case':>16} {'M':>6}", *(f"{name:>12}" for name, _ in backends),
+    print(f"{'case':>16} {'M':>6}", *(f"{name:>12}" for name, _ in scans),
           f"{'direct/scaled':>14}")
     for lam, m in cases:
         cb = Codebook(construct_design(lam), construct_signal_set(lam, m),
@@ -72,16 +64,16 @@ def main():
         r_t = np.ascontiguousarray(
             rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1)))
         times = [time_call(fn, (cb, r_prev, r_t, 1.0), args.repeats)
-                 for _, fn in backends]
-        want = backends[0][1](cb, r_prev, r_t, 1.0)[0]
-        for _, fn in backends:
+                 for _, fn in scans]
+        want = scans[0][1](cb, r_prev, r_t, 1.0)[0]
+        for _, fn in scans:
             assert fn(cb, r_prev, r_t, 1.0)[0] == want, "scans disagree on the argmin"
         row = [f"{f'lam={lam} n={n}':>16} {m:>6}"]
         row += [f"{t * 1e6:>10.1f}us" for t in times]
         row.append(f"{times[0] / times[1]:>13.2f}x")
         print(" ".join(row))
 
-    print("\nfull decoder paths on lam=3, M=16^4 (selected backend):")
+    print("\nfull decoder paths on lam=3, M=16^4:")
     cb = Codebook(construct_design(3), construct_signal_set(3, 16**4))
     r_prev = np.ascontiguousarray(
         rng.standard_normal((8, 1)) + 1j * rng.standard_normal((8, 1)))

@@ -13,12 +13,12 @@ Exit codes: 0 success, 2 configuration error, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 
 from . import __version__
-from ._kernels import BACKEND
 from .codebook import (
     NotGroupDecodableError,
     average_scale,
@@ -83,8 +83,8 @@ def _add_signal_args(p: argparse.ArgumentParser, need_points: bool = True):
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="gdstbc",
-        description="Four-group-decodable differential scaled-unitary STBC toolkit "
-                    f"(metric kernel backend: {BACKEND}). {SNR_CONVENTION}.",
+        description="Four-group-decodable differential scaled-unitary STBC toolkit. "
+                    f"{SNR_CONVENTION}.",
     )
     ap.add_argument("--version", action="version", version=f"gdstbc {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -196,14 +196,24 @@ def _cmd_simulate(args) -> int:
                     frames=args.frames, target_errors=args.target_errors,
                     coherence=args.coherence, decoder=args.decoder, seed=args.seed,
                     workers=args.workers)
-    result = run_sim(cfg)
-    text = result.to_json() + "\n" if args.as_json else result.to_csv()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _open_out(args.out) as fh:
+        result = run_sim(cfg)
+        fh.write(result.to_json() + "\n" if args.as_json else result.to_csv())
     return EXIT_OK
+
+
+def _open_out(path):
+    """``path`` opened for writing, or stdout without one.
+
+    Opened before the sweep runs, so a path that cannot be written fails
+    at once, as a configuration error.
+    """
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ValueError(f"cannot open --out file: {exc}") from exc
 
 
 def main(argv=None) -> int:

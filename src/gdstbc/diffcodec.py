@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import metric_scan
-from ._kernels_py import metric_values
+from ._kernels import metric_scan, metric_values
 from .codebook import Codebook, Codeword
 
 

@@ -112,6 +112,8 @@ def _check_radii(radii) -> np.ndarray:
     r = np.asarray(radii, dtype=np.float64)
     if r.ndim != 1 or r.size < 1:
         raise ValueError("radii must be a non-empty 1-D sequence")
+    if not np.all(np.isfinite(r)):
+        raise ValueError("radii must be finite")
     if np.any(r <= 0):
         raise ValueError("radii must be positive")
     if np.any(np.diff(r) <= 0):
@@ -121,7 +123,11 @@ def _check_radii(radii) -> np.ndarray:
 
 def normalize_radii(radii, target_sum_sq: float) -> np.ndarray:
     r = _check_radii(radii)
-    return r * math.sqrt(target_sum_sq / float(np.sum(r * r)))
+    with np.errstate(over="ignore"):
+        total = float(np.sum(r * r))
+    if not 0.0 < total < math.inf:
+        raise ValueError("radii are too large or too small to normalise")
+    return r * math.sqrt(target_sum_sq / total)
 
 
 def fourth_root_points(m: int) -> int:
@@ -201,6 +207,8 @@ def circle_hyperbola_set(radii, c: float, branch: str = "A") -> GroupSignalSet:
     r = _check_radii(radii)
     if abs(float(np.sum(r * r)) - len(r)) > 1e-9:
         raise ValueError("radii must satisfy sum(r^2) == len(radii)")
+    if not math.isfinite(c):
+        raise ValueError("c must be finite")
     if c <= 0:
         raise ValueError("c must be positive")
     if c >= r[0] ** 2:

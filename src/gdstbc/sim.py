@@ -32,8 +32,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._kernels import BACKEND, metric_scan
-from ._kernels_py import set_blas_threads
+from ._kernels import BACKEND, metric_scan, set_blas_threads
 from .codebook import Codebook, NotGroupDecodableError
 from .design import construct_design
 from .signalset import (
@@ -129,7 +128,6 @@ class SimPoint:
 class SimResult:
     config: SimConfig
     points: tuple[SimPoint, ...]
-    backend: str = BACKEND
     snr_convention: str = SNR_CONVENTION
 
     def to_csv(self, fh=None) -> str:
@@ -151,7 +149,7 @@ class SimResult:
         cfg = asdict(self.config)
         return json.dumps({
             "config": cfg,
-            "backend": self.backend,
+            "backend": BACKEND,
             "snr_convention": self.snr_convention,
             "results": [asdict(p) for p in self.points],
         }, indent=2)
@@ -200,9 +198,11 @@ def build_codebook(cfg: SimConfig) -> Codebook:
 
 # ---------------------------------------------------------------------------
 # Per-process state for worker tasks.  Codebook construction is pure, so a
-# cache keyed by the defining fields keeps fork/spawn workers cheap.  The
-# full (M, n, n) codeword stack is built only once an exhaustive decoder
-# needs it; encoding sums the four group partials instead.
+# cache keyed by the defining fields keeps fork/spawn workers cheap.  It
+# holds the current config's codebook only: a run needs no other, and a
+# stale entry would keep its codeword stack alive.  The full (M, n, n)
+# stack is built only once an exhaustive decoder needs it; encoding sums
+# the four group partials instead.
 
 _CB_CACHE: dict = {}
 
@@ -212,6 +212,7 @@ def _cached_chain(cfg_dict):
                        if k in ("lam", "m", "family", "radii", "preset", "c")))
     entry = _CB_CACHE.get(key)
     if entry is None:
+        _CB_CACHE.clear()
         cfg = SimConfig(**cfg_dict)
         cb = build_codebook(cfg)
         sizes = np.asarray(cb.sizes, dtype=np.int64)
@@ -301,7 +302,7 @@ def _require_scaled_unitary(entry):
     """Refuse a codebook whose codewords are not all scaled unitary.
 
     The exhaustive decoder scores candidates with the scaled-unitary
-    expansion of the metric (``_kernels_py.metric_scan`` with ``scales``),
+    expansion of the metric (``_kernels.metric_scan`` with ``scales``),
     which is exact only when S^H S = a(S) I for every codeword.  The exact
     residual bound is computed once per cached codebook.
     """

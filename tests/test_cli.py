@@ -117,6 +117,38 @@ class TestSimulateCommand:
         assert doc["results"][0]["frame_errors"] == 0
         assert doc["config"]["decoder"] == "group"
 
+    def test_unopenable_out_is_config_error_before_the_sweep(self, capsys, monkeypatch,
+                                                              tmp_path):
+        def boom(cfg):
+            raise AssertionError("run_sim must not run")
+
+        monkeypatch.setattr(cli, "run_sim", boom)
+        code, out, err = run_cli(capsys, "simulate", "--lambda", "2", "--points", "16",
+                                 "--snr-db", "0", "--frames", "10",
+                                 "--out", str(tmp_path / "missing" / "x.csv"))
+        assert code == 2 and out == ""
+        assert err.startswith("configuration error: cannot open --out")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("args", [
+        ("--radii", "nan"), ("--radii", "inf"), ("--radii", "1,inf"),
+        ("--radii", "1e200,1e300"),
+    ])
+    def test_bad_radii_are_config_errors(self, capsys, args):
+        code, out, err = run_cli(capsys, "simulate", "--lambda", "2", "--points", "256",
+                                 "--snr-db", "10", "--frames", "5", *args)
+        assert code == 2 and out == ""
+        assert err.startswith("configuration error: radii")
+
+    @pytest.mark.parametrize("c", ["nan", "inf"])
+    @pytest.mark.parametrize("command", [["simulate", "--snr-db", "10", "--frames", "5"],
+                                         ["codebook", "verify"]])
+    def test_non_finite_c_is_config_error(self, capsys, command, c):
+        code, out, err = run_cli(capsys, *command, "--lambda", "2", "--points", "16",
+                                 "--family", "hyperbola", "--c", c)
+        assert code == 2 and out == ""
+        assert err.startswith("configuration error: c must be finite")
+
     def test_snr_list_forms(self):
         assert cli._parse_snr_list("0:20:4") == (0.0, 4.0, 8.0, 12.0, 16.0, 20.0)
         assert cli._parse_snr_list("3") == (3.0,)

@@ -1,31 +1,15 @@
-import importlib
-import os
-import subprocess
-import sys
-import types
-
 import numpy as np
 import pytest
 
 import gdstbc
-from gdstbc import _kernels, _kernels_py
-from gdstbc._kernels_py import metric_scan as py_metric_scan
-from gdstbc._kernels_py import metric_values
+from gdstbc import _kernels, diffcodec, sim
+from gdstbc._kernels import metric_scan, metric_values
 from gdstbc.codebook import Codebook
 from gdstbc.design import construct_design
 from gdstbc.signalset import construct_signal_set
 from gdstbc.sim import SimConfig, build_codebook
 
 from oracles import noisy_window
-
-try:
-    from gdstbc._ckernels import metric_scan as c_metric_scan
-
-    HAVE_COMPILED = True
-except ImportError:
-    HAVE_COMPILED = False
-
-needs_compiled = pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
 
 
 def _random_problem(rng, m=32, n=4, nr=2):
@@ -38,11 +22,13 @@ def _random_problem(rng, m=32, n=4, nr=2):
 
 
 class TestFallbackKernel:
+    """The direct scan on small hand-made problems."""
+
     def test_exact_zero_at_match(self):
         rng = np.random.default_rng(0)
         stack, r_prev, _ = _random_problem(rng)
         r_t = 0.5 * (stack[7] @ r_prev)
-        idx, metric = py_metric_scan(stack, r_prev, r_t, 0.5)
+        idx, metric = metric_scan(stack, r_prev, r_t, 0.5)
         assert idx == 7
         assert metric == pytest.approx(0.0, abs=1e-20)
 
@@ -51,8 +37,17 @@ class TestFallbackKernel:
         stack[2] = np.eye(2)  # both zero rows tie; index 0 must win
         r_prev = np.zeros((2, 1), dtype=np.complex128)
         r_t = np.zeros((2, 1), dtype=np.complex128)
-        idx, metric = py_metric_scan(stack, r_prev, r_t, 1.0)
+        idx, metric = metric_scan(stack, r_prev, r_t, 1.0)
         assert idx == 0 and metric == 0.0
+
+    def test_shape_mismatch_raises(self):
+        stack = np.zeros((2, 3, 3), dtype=np.complex128)
+        bad_prev = np.zeros((2, 1), dtype=np.complex128)
+        r_t = np.zeros((3, 1), dtype=np.complex128)
+        with pytest.raises(ValueError):
+            metric_scan(stack, bad_prev, r_t, 1.0)
+        with pytest.raises(ValueError):
+            metric_scan(stack, bad_prev, r_t, 1.0, np.ones(2))
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(1)
@@ -62,7 +57,7 @@ class TestFallbackKernel:
             float(np.sum(np.abs(r_t - inv_a * (stack[m] @ r_prev)) ** 2))
             for m in range(stack.shape[0])
         ]
-        idx, metric = py_metric_scan(stack, r_prev, r_t, inv_a)
+        idx, metric = metric_scan(stack, r_prev, r_t, inv_a)
         assert idx == int(np.argmin(metrics))
         assert metric == pytest.approx(min(metrics), rel=1e-12)
 
@@ -81,7 +76,7 @@ class TestGemvKernel:
     def test_matches_naive_loop_per_receive_count(self, nr, inv_a):
         rng = np.random.default_rng(10 + nr)
         stack, r_prev, r_t = _random_problem(rng, m=64, n=8, nr=nr)
-        idx, metric = py_metric_scan(stack, r_prev, r_t, inv_a)
+        idx, metric = metric_scan(stack, r_prev, r_t, inv_a)
         ref_idx, ref_metric = _naive(stack, r_prev, r_t, inv_a)
         assert idx == ref_idx
         assert metric == pytest.approx(ref_metric, rel=1e-12)
@@ -93,7 +88,7 @@ class TestGemvKernel:
         view = {"fortran": np.asfortranarray(stack), "sliced": stack[1::3],
                 "transposed": stack.transpose(0, 2, 1)}[layout]
         assert not view.flags.c_contiguous
-        idx, metric = py_metric_scan(view, np.asfortranarray(r_prev), r_t[:, ::-1], 0.8)
+        idx, metric = metric_scan(view, np.asfortranarray(r_prev), r_t[:, ::-1], 0.8)
         ref_idx, ref_metric = _naive(view, r_prev, r_t[:, ::-1], 0.8)
         assert idx == ref_idx
         assert metric == pytest.approx(ref_metric, rel=1e-12)
@@ -101,7 +96,7 @@ class TestGemvKernel:
     def test_large_random_stack(self):
         rng = np.random.default_rng(21)
         stack, r_prev, r_t = _random_problem(rng, m=4096, n=8, nr=1)
-        idx, metric = py_metric_scan(stack, r_prev, r_t, 0.6)
+        idx, metric = metric_scan(stack, r_prev, r_t, 0.6)
         ref_idx, ref_metric = _naive(stack, r_prev, r_t, 0.6)
         assert idx == ref_idx
         assert metric == pytest.approx(ref_metric, rel=1e-12)
@@ -115,10 +110,10 @@ class TestGemvKernel:
         for k in (3001, 1234, 4095):
             stack[k] = stack[777]
         r_t = 0.5 * (stack[777] @ r_prev)
-        idx, metric = py_metric_scan(np.ascontiguousarray(stack), r_prev, r_t, 0.5)
+        idx, metric = metric_scan(np.ascontiguousarray(stack), r_prev, r_t, 0.5)
         assert (idx, metric) == (777, 0.0)
         stack[777] += 1  # the earliest remaining copy now wins
-        idx, metric = py_metric_scan(np.ascontiguousarray(stack), r_prev, r_t, 0.5)
+        idx, metric = metric_scan(np.ascontiguousarray(stack), r_prev, r_t, 0.5)
         assert (idx, metric) == (1234, 0.0)
 
 
@@ -152,7 +147,7 @@ class TestScaledUnitaryScan:
         for _ in range(3):
             r_t, r_prev, _ = noisy_window(cb, rng, sigma, nr)
             ref = metric_values(cb.matrices, r_prev, r_t, inv_a)
-            idx, metric = py_metric_scan(cb.matrices, r_prev, r_t, inv_a, cb.scales)
+            idx, metric = metric_scan(cb.matrices, r_prev, r_t, inv_a, cb.scales)
             size = (np.vdot(r_t, r_t).real
                     + inv_a ** 2 * cb.scales.max() * np.vdot(r_prev, r_prev).real)
             assert idx == int(ref.argmin())
@@ -162,7 +157,7 @@ class TestScaledUnitaryScan:
         cb = scaled_cb
         r_prev = np.zeros((cb.n, 2), dtype=np.complex128)
         r_t = np.ones((cb.n, 2), dtype=np.complex128)
-        idx, metric = py_metric_scan(cb.matrices, r_prev, r_t, 0.8, cb.scales)
+        idx, metric = metric_scan(cb.matrices, r_prev, r_t, 0.8, cb.scales)
         assert idx == 0
         assert metric == 2.0 * cb.n
 
@@ -172,7 +167,7 @@ class TestScaledUnitaryScan:
         r_t, r_prev, _ = noisy_window(cb, rng, 0.1, 3)
         views = (np.asfortranarray(r_prev), r_t[:, ::-1])
         assert not views[0].flags.c_contiguous and not views[1].flags.c_contiguous
-        idx, metric = py_metric_scan(cb.matrices, *views, 0.6, cb.scales)
+        idx, metric = metric_scan(cb.matrices, *views, 0.6, cb.scales)
         ref = metric_values(cb.matrices, r_prev, r_t[:, ::-1], 0.6)
         assert idx == int(ref.argmin())
         assert metric == pytest.approx(ref.min(), rel=1e-12)
@@ -182,86 +177,11 @@ class TestScaledUnitaryScan:
         stack, r_prev, r_t = _random_problem(rng, m=64, n=4, nr=2)
         metrics = metric_values(stack, r_prev, r_t, 0.9)
         best = int(metrics.argmin())
-        assert py_metric_scan(stack, r_prev, r_t, 0.9) == (best, float(metrics[best]))
-
-
-@needs_compiled
-class TestCompiledKernel:
-    def test_agrees_with_fallback(self):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            stack, r_prev, r_t = _random_problem(
-                rng, m=int(rng.integers(1, 64)), n=int(rng.integers(1, 9)),
-                nr=int(rng.integers(1, 4)),
-            )
-            inv_a = float(rng.uniform(0.2, 2.0))
-            ci, cm = c_metric_scan(stack, r_prev, r_t, inv_a)
-            pi, pm = py_metric_scan(stack, r_prev, r_t, inv_a)
-            assert ci == pi
-            assert cm == pytest.approx(pm, rel=1e-10)
-
-    def test_tie_break_matches_fallback(self):
-        stack = np.zeros((5, 3, 3), dtype=np.complex128)
-        stack[1] = stack[3] = np.eye(3)
-        r_prev = np.ascontiguousarray(np.ones((3, 1), dtype=np.complex128))
-        r_t = np.ascontiguousarray(np.ones((3, 1), dtype=np.complex128))
-        # candidates 1 and 3 both hit metric 0; first one wins in both backends
-        ci, _ = c_metric_scan(stack, r_prev, r_t, 1.0)
-        pi, _ = py_metric_scan(stack, r_prev, r_t, 1.0)
-        assert ci == pi == 1
-
-    def test_shape_validation(self):
-        stack = np.zeros((2, 3, 3), dtype=np.complex128)
-        bad_prev = np.zeros((2, 1), dtype=np.complex128)
-        r_t = np.zeros((3, 1), dtype=np.complex128)
-        with pytest.raises(ValueError):
-            c_metric_scan(stack, bad_prev, r_t, 1.0)
+        assert metric_scan(stack, r_prev, r_t, 0.9) == (best, float(metrics[best]))
 
 
 class TestBackendSelection:
     def test_backend_reported(self):
-        assert _kernels.BACKEND in ("compiled", "python")
-        if HAVE_COMPILED and not os.environ.get("GDSTBC_PURE_PYTHON"):
-            assert _kernels.BACKEND == "compiled"
-
-    def test_env_override_forces_python(self):
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, GDSTBC_PURE_PYTHON="1")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        out = subprocess.run(
-            [sys.executable, "-c", "from gdstbc._kernels import BACKEND; print(BACKEND)"],
-            capture_output=True, text=True, env=env,
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "python"
-
-    def test_scales_route_to_numpy_under_compiled_backend(self, monkeypatch):
-        calls = []
-
-        def stub_scan(stack, r_prev, r_t, inv_a):
-            calls.append(inv_a)
-            return 0, 0.0
-
-        stub = types.ModuleType("gdstbc._ckernels")
-        stub.metric_scan = stub_scan
-        monkeypatch.delenv("GDSTBC_PURE_PYTHON", raising=False)
-        monkeypatch.setitem(sys.modules, "gdstbc._ckernels", stub)
-        monkeypatch.setattr(gdstbc, "_ckernels", stub, raising=False)
-        try:
-            importlib.reload(_kernels)
-            assert _kernels.BACKEND == "compiled"
-            cb = Codebook(construct_design(2), construct_signal_set(2, 256))
-            r_t, r_prev, _ = noisy_window(cb, np.random.default_rng(32), 0.1)
-            assert _kernels.metric_scan(cb.matrices, r_prev, r_t, 0.5) == (0, 0.0)
-            assert calls == [0.5]
-            got = _kernels.metric_scan(cb.matrices, r_prev, r_t, 0.5, cb.scales)
-            assert got == py_metric_scan(cb.matrices, r_prev, r_t, 0.5, cb.scales)
-            assert calls == [0.5]
-        finally:
-            monkeypatch.undo()
-            importlib.reload(_kernels)
-
-    def test_numpy_backend_has_no_wrapper(self):
-        if _kernels.BACKEND != "python":
-            pytest.skip("compiled backend active")
-        assert _kernels.metric_scan is _kernels_py.metric_scan
+        # one kernel module: every caller scans with the same function
+        assert sim.metric_scan is diffcodec.metric_scan is _kernels.metric_scan
+        assert gdstbc.BACKEND == _kernels.BACKEND == "python"

@@ -108,6 +108,17 @@ class TestAxisFamily:
         with pytest.raises(ValueError):
             construct_signal_set(2, 256, radii=(-1.0, 2.0))  # not positive
 
+    @pytest.mark.parametrize("radii", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                       (1.0, math.inf), (-math.inf, 1.0)])
+    def test_rejects_non_finite_radii(self, radii):
+        with pytest.raises(ValueError, match="finite"):
+            construct_signal_set(2, 256, radii=radii)
+
+    @pytest.mark.parametrize("radii", [(1e200, 1e300), (1e-200, 1e-190)])
+    def test_rejects_radii_that_cannot_be_normalised(self, radii):
+        with pytest.raises(ValueError, match="normalise"):
+            construct_signal_set(2, 256, radii=radii)
+
 
 class TestPaperPreset:
     def test_radii_formulas_near_eight(self):
@@ -159,6 +170,16 @@ class TestCircleHyperbola:
         for c in (0.0, -0.1):
             with pytest.raises(ValueError):
                 circle_hyperbola_set([1.0], c)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_non_finite_c_rejected(self, c):
+        with pytest.raises(ValueError, match="c must be finite"):
+            circle_hyperbola_set([1.0], c)
+
+    @pytest.mark.parametrize("radii", [[math.nan], [math.inf], [0.5, math.inf]])
+    def test_non_finite_radii_rejected(self, radii):
+        with pytest.raises(ValueError, match="radii must be finite"):
+            circle_hyperbola_set(radii, 0.1)
 
     def test_unnormalised_radii_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gdstbc import sim
-from gdstbc._kernels_py import blas_threads
+from gdstbc._kernels import blas_threads
 from gdstbc.sim import (
     CSV_HEADER,
     SimConfig,
@@ -97,6 +97,24 @@ class TestRunSim:
         assert "matrices" not in entry["codebook"].__dict__
         run_sim(_cfg(frames=50, decoder="exhaustive"))
         assert "matrices" in entry["codebook"].__dict__
+
+    def test_cache_holds_the_current_codebook_only(self, monkeypatch):
+        monkeypatch.setattr(sim, "_CB_CACHE", {})
+        builds = []
+        build = sim.build_codebook
+
+        def counted(cfg):
+            builds.append(cfg.m)
+            return build(cfg)
+
+        monkeypatch.setattr(sim, "build_codebook", counted)
+        run_sim(_cfg(frames=20, decoder="both"))
+        run_sim(_cfg(m=256, frames=20, decoder="both"))
+        (entry,) = sim._CB_CACHE.values()
+        assert entry["codebook"].M == 256
+        run_sim(_cfg(m=256, frames=20, decoder="both"))
+        assert builds == [16, 256]
+        assert len(sim._CB_CACHE) == 1
 
     def test_exhaustive_decoder_refuses_non_scaled_unitary_codebook(self, monkeypatch):
         monkeypatch.setattr(sim, "_CB_CACHE", {})
@@ -214,7 +232,8 @@ class TestRunSim:
         row = doc["results"][0]
         assert row["frames"] == res.points[0].frames
         assert row["metric_evals"] == res.points[0].metric_evals
-        assert "snr_convention" in doc and "backend" in doc
+        assert "snr_convention" in doc
+        assert doc["backend"] == "python"
 
 
 class TestConfigValidation:
