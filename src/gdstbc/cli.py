@@ -20,6 +20,7 @@ import sys
 
 from . import __version__
 from .codebook import (
+    UNITARITY_TOL,
     NotGroupDecodableError,
     average_scale,
     coding_gain,
@@ -171,7 +172,7 @@ def _cmd_codebook(args) -> int:
     gain = coding_gain(cb)
     resid = cb.max_unitarity_residual()
     report = {
-        "scaled_unitary": bool(resid <= 1e-9),
+        "scaled_unitary": bool(resid <= UNITARITY_TOL),
         "min_det": div.min_abs_det,
         "coding_gain": gain,
         "avg_scale": average_scale(cb),

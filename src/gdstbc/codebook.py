@@ -27,8 +27,19 @@ from .design import (
     verify_doubling_blocks,
     verify_group_decodable,
 )
-from .numerics import RANK_RTOL
 from .signalset import SignalSet
+
+#: Relative threshold of the full-rank decision rule: a matrix is full
+#: rank iff its smallest singular value exceeds RANK_RTOL * max(1, largest).
+#: Matrices judged by it are either exactly singular or well conditioned at
+#: the scales this package works at, so a single relative threshold is
+#: enough.
+RANK_RTOL = 1e-9
+
+#: Largest ||S^H S - scale_sq * I||_inf for which a codeword, or a whole
+#: codebook through ``Codebook.max_unitarity_residual``, counts as scaled
+#: unitary.
+UNITARITY_TOL = 1e-9
 
 
 class NotGroupDecodableError(ValueError):
@@ -177,8 +188,8 @@ class Codebook:
         return bound + float(np.max(np.abs(base)))
 
 
-def check_scaled_unitary(cw: Codeword, tol: float = 1e-9):
-    """(pass, measured scale): pass iff ||S^H S - scale_sq*I||_inf <= tol.
+def check_scaled_unitary(cw: Codeword):
+    """(pass, measured scale): pass iff ||S^H S - scale_sq*I||_inf <= UNITARITY_TOL.
 
     The measured value is the mean of the Gram diagonal, returned so a
     failing codeword still reports what scale it actually has.
@@ -187,7 +198,7 @@ def check_scaled_unitary(cw: Codeword, tol: float = 1e-9):
     n = gram.shape[0]
     resid = float(np.max(np.abs(gram - cw.scale_sq * np.eye(n))))
     measured = float(np.mean(np.diagonal(gram).real))
-    return resid <= tol, measured
+    return resid <= UNITARITY_TOL, measured
 
 
 def _within_group_differences(cb: Codebook):

@@ -21,6 +21,17 @@ slots 2m-2 and 2m-1 (0-based).  Every entry of a constructed design is a
 single signed, possibly conjugated variable, which keeps a compact
 symbolic table (variable index, sign, conjugation flag) alongside the
 materialised weight matrices.
+
+The weights are kept once, as a (K, n, n) complex128 stack, and the two
+exact checks (cross-group anticommutation, doubling-block structure) run
+as matrix products on it.  They still decide with zero tolerance: every
+weight entry is 0, +-1 or +-i, so every entry of a product of two
+weights (or of blocks of them) is a Gaussian integer whose real and
+imaginary parts are at most n <= 64 in magnitude, and an anticommutator
+adds two such entries.  Integers that small, and every partial sum of
+them, are exact in float64, whatever order BLAS sums in and with or
+without fused multiply-add, so ``== 0`` and ``array_equal`` on those
+products are exact verdicts.
 """
 
 from __future__ import annotations
@@ -29,8 +40,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-
-from .numerics import GxMat, anticommutator
 
 MAX_LAMBDA = 6  # 64x64 designs; larger sizes are out of scope
 
@@ -41,15 +50,14 @@ class LinearDesign:
 
     ``var``/``sign``/``conj`` hold, per matrix cell, the 1-based complex
     variable index (0 for an empty cell), its sign and whether it appears
-    conjugated.  ``weights`` are the K exact weight matrices in the real
-    variable order described in the module docstring; ``weight_stack`` is
-    the same data as a (K, n, n) complex array for fast evaluation.
+    conjugated.  ``weight_stack`` holds the K weight matrices as a
+    (K, n, n) complex array, in the real variable order described in the
+    module docstring.
     """
 
     lam: int
     n: int
     K: int
-    weights: tuple[GxMat, ...]
     weight_stack: np.ndarray
     var: np.ndarray
     sign: np.ndarray
@@ -98,24 +106,18 @@ def _design_from_table(var, sign, conj) -> LinearDesign:
     n = var.shape[0]
     num_complex = int(var.max())
     K = 2 * num_complex
-    re = np.zeros((K, n, n), np.int64)
-    im = np.zeros((K, n, n), np.int64)
-    for i in range(n):
-        for j in range(n):
-            m = int(var[i, j])
-            if m == 0:
-                continue
-            s = int(sign[i, j])
-            # s * x_m   = s*(sI + j sQ)  -> I-weight gets s, Q-weight gets s*j
-            # s * x_m^* = s*(sI - j sQ)  -> I-weight gets s, Q-weight gets -s*j
-            re[2 * m - 2, i, j] = s
-            im[2 * m - 1, i, j] = -s if conj[i, j] else s
-    weights = tuple(GxMat(re[k], im[k]) for k in range(K))
-    stack = np.ascontiguousarray(re.astype(np.complex128) + 1j * im.astype(np.complex128))
+    stack = np.zeros((K, n, n), np.complex128)
+    i, j = np.nonzero(var)
+    m = var[i, j].astype(np.intp)
+    s = sign[i, j]
+    # s * x_m   = s*(xI + j xQ)  -> I-weight gets s, Q-weight gets s*j
+    # s * x_m^* = s*(xI - j xQ)  -> I-weight gets s, Q-weight gets -s*j
+    stack.real[2 * m - 2, i, j] = s
+    stack.imag[2 * m - 1, i, j] = np.where(conj[i, j], -s, s)
     for arr in (var, sign, conj, stack):
         arr.setflags(write=False)
     lam = int(np.log2(n)) if n > 1 else 0
-    return LinearDesign(lam=lam, n=n, K=K, weights=weights, weight_stack=stack,
+    return LinearDesign(lam=lam, n=n, K=K, weight_stack=stack,
                         var=var, sign=sign, conj=conj)
 
 
@@ -196,21 +198,39 @@ def canonical_grouping(d: LinearDesign) -> Grouping:
     return Grouping(g=4, groups=(g1, g2, g3, g4))
 
 
+def _herm(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _herm_products(a: np.ndarray, bs: np.ndarray) -> np.ndarray:
+    """The (k, n, n) stack of a^H b_j over the (k, n, n) stack ``bs``, as one
+    GEMM of a^H against [b_1 ... b_k]."""
+    n = a.shape[0]
+    p = _herm(a) @ bs.transpose(1, 0, 2).reshape(n, -1)
+    return p.reshape(n, -1, n).transpose(1, 0, 2)
+
+
 def verify_group_decodable(d: LinearDesign, grp: Grouping, return_witness: bool = False):
     """Exact cross-group anticommutation check on the weight matrices.
 
     True iff A_i^H A_j + A_j^H A_i = 0 for every pair (i, j) drawn from
-    two different groups, verified in Gaussian-integer arithmetic with
-    zero tolerance.  With ``return_witness`` the first violating ordered
-    pair (or None) is returned alongside the verdict.
+    two different groups, decided with zero tolerance (see the module
+    docstring).  Each weight i of a group is multiplied against all
+    weights of a later group in one GEMM.  With ``return_witness`` the
+    first violating pair (or None) is returned alongside the verdict, in
+    the order group pair, then i, then j.
     """
     if not grp.covers(d.K):
         raise ValueError("grouping does not partition the design's variable indices")
+    w = d.weight_stack
     for ga, gb in combinations(grp.groups, 2):
+        bs = w[list(gb)]
         for i in ga:
-            for j in gb:
-                if not anticommutator(d.weights[i], d.weights[j]).is_zero():
-                    return (False, (i, j)) if return_witness else False
+            p = _herm_products(w[i], bs)
+            bad = (p + _herm(p)).any(axis=(1, 2))
+            if bad.any():
+                return (False, (i, gb[int(np.argmax(bad))])) if return_witness else False
     return (True, None) if return_witness else True
 
 
@@ -219,29 +239,29 @@ def verify_doubling_blocks(d: LinearDesign) -> bool:
 
     True iff every weight has the layout [[A, -B^H], [B, A^H]] and its
     top-left and bottom-left blocks, over all weights, are normal and
-    commute pairwise, in Gaussian-integer arithmetic.  Commuting normal
-    matrices are unitarily diagonalisable together, so every real
-    difference dS = [[dA, -dB^H], [dB, dA^H]] then has
-    det dS = det(dA dA^H + dB^H dB) = prod_j (|a_j|^2 + |b_j|^2) over the
-    shared eigenvalues, and det(dS^H dS) >= max(|det dA|^2, |det dB|^2)^2.
+    commute pairwise, decided with zero tolerance (see the module
+    docstring).  Commuting normal matrices are unitarily diagonalisable
+    together, so every real difference dS = [[dA, -dB^H], [dB, dA^H]] then
+    has det dS = det(dA dA^H + dB^H dB) = prod_j (|a_j|^2 + |b_j|^2) over
+    the shared eigenvalues, and det(dS^H dS) >= max(|det dA|^2, |det dB|^2)^2.
     """
     if d.n % 2:
         return False
     h = d.n // 2
-
-    def block(w: GxMat, rows: slice, cols: slice) -> GxMat:
-        return GxMat(w.re[rows, cols], w.im[rows, cols])
-
-    top, bottom = slice(0, h), slice(h, d.n)
-    blocks = set()
-    for w in d.weights:
-        a, b = block(w, top, top), block(w, bottom, top)
-        if block(w, top, bottom) != -b.herm() or block(w, bottom, bottom) != a.herm():
-            return False
-        blocks.update(m for m in (a, b) if not m.is_zero())
-    if any(m @ m.herm() != m.herm() @ m for m in blocks):
+    w = d.weight_stack
+    a, b = w[:, :h, :h], w[:, h:, :h]
+    if not (np.array_equal(w[:, :h, h:], -_herm(b)) and np.array_equal(w[:, h:, h:], _herm(a))):
         return False
-    return all(x @ y == y @ x for x, y in combinations(blocks, 2))
+    # a repeated block needs checking once; in the constructed designs every
+    # B block repeats an A block
+    blocks = np.unique(np.concatenate([a, b]), axis=0)
+    if not np.array_equal(blocks @ _herm(blocks), _herm(blocks) @ blocks):
+        return False
+    for t in range(len(blocks) - 1):
+        x, rest = blocks[t], blocks[t + 1:]
+        if not np.array_equal(x @ rest, rest @ x):
+            return False
+    return True
 
 
 def _entry_str(m: int, s: int, c: int) -> str:

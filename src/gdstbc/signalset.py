@@ -276,17 +276,17 @@ def verify_difference_conditions(gset: GroupSignalSet, pairing=None, tol: float 
     return True
 
 
-def verify_scaled_unitarity(sset: SignalSet, lam: int | None = None, tol: float = 1e-9) -> bool:
+def verify_scaled_unitarity(sset: SignalSet, lam: int | None = None) -> bool:
     """Check that every codeword the set induces is scaled unitary.
 
     Exact for every M: the codebook's per-group residual bound
     (``Codebook.max_unitarity_residual``) is zero iff every codeword is
     scaled unitary, and it bounds every codeword's residual.
     """
-    from .codebook import Codebook  # local import, codebook depends on this module
+    from .codebook import UNITARITY_TOL, Codebook  # local import, codebook depends on this module
 
     from .design import construct_design
 
     if lam is None:
         lam = int(math.log2(2 * sset.dim))
-    return Codebook(construct_design(lam), sset).max_unitarity_residual() <= tol
+    return Codebook(construct_design(lam), sset).max_unitarity_residual() <= UNITARITY_TOL

@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._kernels import BACKEND, metric_scan, set_blas_threads
-from .codebook import Codebook, NotGroupDecodableError
+from .codebook import UNITARITY_TOL, Codebook
 from .design import construct_design
 from .signalset import (
     PRESETS,
@@ -53,10 +53,6 @@ SNR_CONVENTION = (
 
 #: Row order when decoder="both".
 DECODER_ORDER = ("group", "exhaustive")
-
-#: Largest unitarity residual for which the exhaustive decoder's
-#: scaled-unitary metric expansion is used.
-UNITARITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -85,6 +81,11 @@ class SimConfig:
             raise ValueError("the circle-hyperbola family is defined for lam = 2 only")
         if self.preset is not None and self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}")
+        if self.c is not None and self.family != "hyperbola":
+            raise ValueError("c applies to the hyperbola family only")
+        if self.preset is not None and (self.radii is not None or self.family == "hyperbola"):
+            raise ValueError("a preset fixes the signal set: it takes no radii and no "
+                             "hyperbola family")
         if not self.snr_db:
             raise ValueError("need at least one SNR point")
         if any(math.isnan(v) or v == -math.inf for v in self.snr_db):
@@ -346,10 +347,8 @@ def run_sim(cfg: SimConfig) -> SimResult:
     entry = _cached_chain(cfg_dict)
     decoders = cfg.decoders()
     cb = entry["codebook"]
-    if any(d == "group" for d in decoders) and cb.group_decodable is not True:
-        raise NotGroupDecodableError(
-            "group decoding requested on a codebook that failed the decodability check"
-        )
+    if "group" in decoders:
+        cb.require_group_decodable()
     if "exhaustive" in decoders:
         _require_scaled_unitary(entry)
     frames_per_block = cfg.frames if cfg.coherence is None else cfg.coherence - 1
@@ -362,7 +361,10 @@ def run_sim(cfg: SimConfig) -> SimResult:
     ]
 
     points = []
-    pool = _worker_pool(cfg.workers) if cfg.workers > 1 else None
+    # a worker beyond the task count would sit idle, and on Linux every one
+    # is forked at the first submit
+    workers = min(cfg.workers, len(tasks))
+    pool = _worker_pool(workers) if workers > 1 else None
     try:
         for snr_idx, snr in enumerate(cfg.snr_db):
             nv = noise_var_for_snr(snr, cb.n)

@@ -1,13 +1,51 @@
 """Independent reference implementations used as test oracles.
 
 Deliberately naive: cofactor determinants, straight-line metric scans,
-explicitly assembled unitaries, codeword-pair scans.  Nothing here shares
-code with the paths under test beyond the full-rank threshold RANK_RTOL.
+explicitly assembled unitaries, codeword-pair scans, int64 weight
+algebra.  Nothing here shares code with the paths under test beyond the
+full-rank threshold RANK_RTOL.
 """
+
+from itertools import combinations
 
 import numpy as np
 
-from gdstbc.numerics import RANK_RTOL
+from gdstbc.codebook import RANK_RTOL
+
+
+def gaussian_int(a):
+    """int64 (re, im) parts of a Gaussian-integer matrix; refuses any other entry."""
+    a = np.asarray(a, dtype=np.complex128)
+    re = np.rint(a.real).astype(np.int64)
+    im = np.rint(a.imag).astype(np.int64)
+    if not (np.array_equal(re, a.real) and np.array_equal(im, a.imag)):
+        raise ValueError("matrix entries are not Gaussian integers")
+    return re, im
+
+
+def int_herm_product(a, b):
+    """a^H b in int64 arithmetic, as (re, im)."""
+    ar, ai = gaussian_int(a)
+    br, bi = gaussian_int(b)
+    # (ar^T - j ai^T)(br + j bi)
+    return ar.T @ br + ai.T @ bi, ar.T @ bi - ai.T @ br
+
+
+def int_anticommutes(a, b):
+    """Whether a^H b + b^H a = 0, decided in int64 arithmetic."""
+    (pr, pi), (qr, qi) = int_herm_product(a, b), int_herm_product(b, a)
+    return not ((pr + qr).any() or (pi + qi).any())
+
+
+def int_group_witness(weights, groups):
+    """First cross-group pair (i, j) whose weights do not anticommute, in the
+    order group pair, then i, then j; None when every such pair does."""
+    for ga, gb in combinations(groups, 2):
+        for i in ga:
+            for j in gb:
+                if not int_anticommutes(weights[i], weights[j]):
+                    return i, j
+    return None
 
 
 def cofactor_det(a):

@@ -87,6 +87,14 @@ class TestCodebookCommand:
         assert report["pairs_checked"] == 16**4 * (16**4 - 1) // 2
         assert report["coding_gain"] == pytest.approx(0.17195253132676616, rel=1e-9)
 
+    def test_sixty_four_antennas(self, capsys):
+        code, out, _ = run_cli(capsys, "codebook", "verify", "--lambda", "6",
+                               "--points", "16")
+        assert code == 0
+        report = json.loads(out)
+        assert report["full_diversity"] == "full diversity verified (exhaustive)"
+        assert report["group_decodable"] is True and report["scaled_unitary"] is True
+
     def test_bad_mode(self, capsys):
         # every verdict is exhaustive, so codebook verify takes no --mode
         with pytest.raises(SystemExit) as exc:
@@ -148,6 +156,22 @@ class TestSimulateCommand:
                                  "--family", "hyperbola", "--c", c)
         assert code == 2 and out == ""
         assert err.startswith("configuration error: c must be finite")
+
+    @pytest.mark.parametrize("command", [["simulate", "--snr-db", "10", "--frames", "5"],
+                                         ["codebook", "verify"], ["signalset"]])
+    @pytest.mark.parametrize("args, message", [
+        (("--lambda", "2", "--points", "16", "--c", "nan"),
+         "c applies to the hyperbola family only"),
+        (("--lambda", "2", "--points", "16", "--c", "0.25"),
+         "c applies to the hyperbola family only"),
+        (("--lambda", "3", "--points", str(16**4), "--preset", "paper-8ant-rate2",
+          "--radii", "1,2,3,4,5,6,7,8"), "a preset fixes the signal set"),
+    ])
+    def test_options_that_do_not_apply_are_config_errors(self, capsys, command, args,
+                                                         message):
+        code, out, err = run_cli(capsys, *command, *args)
+        assert code == 2 and out == ""
+        assert err.startswith(f"configuration error: {message}")
 
     def test_snr_list_forms(self):
         assert cli._parse_snr_list("0:20:4") == (0.0, 4.0, 8.0, 12.0, 16.0, 20.0)

@@ -3,6 +3,7 @@ import pytest
 
 from gdstbc.design import (
     Grouping,
+    _herm_products,
     abba,
     c1_design,
     canonical_grouping,
@@ -15,7 +16,8 @@ from gdstbc.design import (
     verify_doubling_blocks,
     verify_group_decodable,
 )
-from gdstbc.numerics import anticommutator
+
+from oracles import int_anticommutes, int_group_witness, int_herm_product
 
 ALAMOUTI = [["x1", "-x2*"], ["x2", "x1*"]]
 
@@ -90,11 +92,11 @@ class TestConstructDesign:
                 construct_design(bad)
 
     def test_weight_entries_are_small_gaussian_integers(self):
-        for lam in (1, 2, 3):
-            d = construct_design(lam)
-            for w in d.weights:
-                vals = set(zip(w.re.ravel().tolist(), w.im.ravel().tolist()))
-                assert vals <= {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
+        # the exactness argument of the float64 checks rests on this
+        for lam in (1, 2, 3, 4, 5, 6):
+            w = construct_design(lam).weight_stack
+            assert w.dtype == np.complex128
+            assert set(np.unique(w).tolist()) <= {0, 1, -1, 1j, -1j}
 
     def test_render_text_shape(self):
         text = render_text(construct_design(2))
@@ -164,7 +166,7 @@ class TestGrouping:
 
 
 class TestGroupDecodability:
-    @pytest.mark.parametrize("lam", [1, 2, 3, 4])
+    @pytest.mark.parametrize("lam", [1, 2, 3, 4, 5, 6])
     def test_canonical_grouping_verifies(self, lam):
         d = construct_design(lam)
         assert verify_group_decodable(d, canonical_grouping(d)) is True
@@ -179,15 +181,41 @@ class TestGroupDecodability:
         # putting x1I with x2Q and x1Q with x2I breaks anticommutation
         d = construct_design(2)
         grp = Grouping(g=4, groups=((0, 3), (1, 2), (4, 6), (5, 7)))
-        ok, witness = verify_group_decodable(d, grp, return_witness=True)
-        assert ok is False
-        assert witness is not None
+        assert verify_group_decodable(d, grp, return_witness=True) == (False, (0, 2))
 
     def test_same_group_pairs_need_not_anticommute(self):
         d = construct_design(2)
         grp = canonical_grouping(d)
         i, j = grp.groups[0][0], grp.groups[0][1]  # x1I and x2I
-        assert not anticommutator(d.weights[i], d.weights[j]).is_zero()
+        assert not int_anticommutes(d.weight_stack[i], d.weight_stack[j])
+
+    @pytest.mark.parametrize("lam", [1, 2, 3, 4])
+    def test_float_products_equal_int64_oracle(self, lam):
+        # entries are tiny Gaussian integers, so the BLAS products are exact
+        w = construct_design(lam).weight_stack
+        for i in range(len(w)):
+            p = _herm_products(w[i], w)
+            for j in range(len(w)):
+                re, im = int_herm_product(w[i], w[j])
+                assert np.array_equal(p[j].real, re) and np.array_equal(p[j].imag, im)
+
+    @pytest.mark.parametrize("lam", [2, 3, 4])
+    def test_verdict_and_witness_match_oracle_on_random_partitions(self, lam):
+        d = construct_design(lam)
+        canon = canonical_grouping(d).groups
+        rng = np.random.default_rng(lam)
+        for t in range(40):
+            if t % 4 == 0:
+                # the canonical partition, groups and members reordered: passes
+                groups = tuple(tuple(rng.permutation(canon[k]).tolist())
+                               for k in rng.permutation(4))
+            else:
+                perm = rng.permutation(d.K).tolist()
+                cuts = sorted(rng.choice(np.arange(1, d.K), 3, replace=False).tolist())
+                groups = tuple(tuple(perm[a:b]) for a, b in zip([0, *cuts], [*cuts, d.K]))
+            witness = int_group_witness(d.weight_stack, groups)
+            got = verify_group_decodable(d, Grouping(g=4, groups=groups), return_witness=True)
+            assert got == (witness is None, witness)
 
     def test_rejects_non_partition(self):
         d = construct_design(1)
@@ -197,7 +225,7 @@ class TestGroupDecodability:
 
 
 class TestDoublingBlocks:
-    @pytest.mark.parametrize("lam", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("lam", [1, 2, 3, 4, 5, 6])
     def test_constructed_designs_pass(self, lam):
         assert verify_doubling_blocks(construct_design(lam)) is True
 

@@ -2,14 +2,15 @@
 
 Floating work runs on NumPy directly (``@``, ``.conj().T``,
 ``np.linalg.det``, ``np.linalg.svd``); these tests pin the behaviour the
-verifiers use against the naive oracles, plus the exact ``GxMat``
-algebra and the ``RANK_RTOL`` full-rank rule.
+verifiers use against the naive oracles, plus the ``RANK_RTOL`` full-rank
+rule.  The exact weight algebra is checked against the int64 oracle in
+``test_design``.
 """
 
 import numpy as np
 import pytest
 
-from gdstbc.numerics import RANK_RTOL, GxMat, anticommutator
+from gdstbc.codebook import RANK_RTOL
 
 from oracles import cofactor_det, random_givens_unitary
 
@@ -141,40 +142,3 @@ class TestMinSingularValue:
         assert is_full_rank(np.eye(3))
         assert not is_full_rank(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
-
-class TestGxMat:
-    def test_matches_complex_arithmetic(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            are = rng.integers(-3, 4, (4, 4))
-            aim = rng.integers(-3, 4, (4, 4))
-            bre = rng.integers(-3, 4, (4, 4))
-            bim = rng.integers(-3, 4, (4, 4))
-            ga, gb = GxMat(are, aim), GxMat(bre, bim)
-            ca = are + 1j * aim
-            cb = bre + 1j * bim
-            assert np.array_equal((ga @ gb).to_complex(), ca @ cb)
-            assert np.array_equal((ga + gb).to_complex(), ca + cb)
-            assert np.array_equal(ga.herm().to_complex(), herm(ca))
-
-    def test_herm_involution(self):
-        g = GxMat([[1, 2], [3, 4]], [[0, -1], [1, 0]])
-        assert g.herm().herm() == g
-
-    def test_from_complex_exact(self):
-        g = GxMat.from_complex(np.array([[1 + 1j, 0], [0, -1j]]))
-        assert g.re[0, 0] == 1 and g.im[1, 1] == -1
-
-    def test_from_complex_rejects_fractions(self):
-        with pytest.raises(ValueError):
-            GxMat.from_complex(np.array([[0.5]]))
-
-    def test_anticommutator_zero_for_alamouti_cross_pair(self):
-        # weights of x1I and x2I in the Alamouti design anticommute
-        a = GxMat.from_complex(np.eye(2))
-        b = GxMat.from_complex(np.array([[0, -1], [1, 0]]))
-        assert anticommutator(a, b).is_zero()
-
-    def test_is_zero(self):
-        assert GxMat.zeros(3, 3).is_zero()
-        assert not GxMat([[1]], [[0]]).is_zero()

@@ -5,6 +5,9 @@ import pytest
 
 from gdstbc import sim
 from gdstbc._kernels import blas_threads
+from gdstbc.codebook import Codebook, NotGroupDecodableError
+from gdstbc.design import Grouping, construct_design
+from gdstbc.signalset import construct_signal_set
 from gdstbc.sim import (
     CSV_HEADER,
     SimConfig,
@@ -89,6 +92,37 @@ class TestRunSim:
             pytest.skip("no loaded OpenBLAS with a thread-count entry point")
         with sim._worker_pool(2) as pool:
             assert list(pool.map(_worker_blas_threads, range(4), timeout=60)) == [1] * 4
+
+    def test_pool_is_no_larger_than_the_task_list(self, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, workers):
+                sizes.append(workers)
+
+            def map(self, fn, payloads):
+                return (fn(p) for p in payloads)
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(sim, "_worker_pool", InProcessPool)
+        # 600 one-frame blocks in chunks of ceil(600 / 256) = 3: 200 tasks
+        cfg = _cfg(frames=600, coherence=2)
+        serial = run_sim(cfg).to_csv()
+        assert run_sim(_cfg(frames=600, coherence=2, workers=100_000)).to_csv() == serial
+        assert sizes == [200]
+        # a whole-burst run is a single task, so it needs no pool at all
+        run_sim(_cfg(frames=50, coherence=None, workers=4))
+        assert sizes == [200]
+
+    def test_group_decoding_refuses_a_failing_grouping(self, monkeypatch):
+        monkeypatch.setattr(sim, "_CB_CACHE", {})
+        scrambled = Grouping(g=4, groups=((0, 3), (1, 2), (4, 6), (5, 7)))
+        monkeypatch.setattr(sim, "build_codebook", lambda cfg: Codebook(
+            construct_design(2), construct_signal_set(2, 16), scrambled))
+        with pytest.raises(NotGroupDecodableError):
+            run_sim(_cfg(frames=20))
 
     def test_group_only_run_builds_no_codeword_stack(self, monkeypatch):
         monkeypatch.setattr(sim, "_CB_CACHE", {})
