@@ -4,8 +4,11 @@
 Times one differential decode metric scan (the hot loop of both decoders
 and of the Monte Carlo simulator) over codebook stacks of increasing
 size: the direct scan and the scaled-unitary scan the simulator's
-exhaustive decoder uses (``scales`` given).  Then the per-frame cost of the two decoders through the
-public API on the largest codebook.
+exhaustive decoder uses (``scales`` given).  Then the direct scan over
+single group stacks, the (M^(1/4), n, n) stacks the simulator's group
+decoder scans four times per frame, where per-call overhead, not
+arithmetic, sets the cost.  Then the per-frame cost of the two decoders
+through the public API on the largest codebook.
 
 Run from the repository root:
 
@@ -26,17 +29,24 @@ from gdstbc._kernels import metric_scan  # noqa: E402
 from gdstbc.codebook import Codebook  # noqa: E402
 from gdstbc.design import construct_design  # noqa: E402
 from gdstbc.diffcodec import decode_exhaustive, decode_group  # noqa: E402
-from gdstbc.signalset import construct_signal_set  # noqa: E402
+from gdstbc.signalset import construct_signal_set, preset_signal_set  # noqa: E402
 
 
-def time_call(fn, args, repeats):
+def time_call(fn, args, repeats, number=1):
+    """Median over ``repeats`` samples of the seconds per call of fn(*args)."""
     fn(*args)  # warm up
     samples = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        fn(*args)
-        samples.append(time.perf_counter() - t0)
+        for _ in range(number):
+            fn(*args)
+        samples.append((time.perf_counter() - t0) / number)
     return statistics.median(samples)
+
+
+def random_frame(rng, n):
+    return np.ascontiguousarray(
+        rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1)))
 
 
 def main():
@@ -59,10 +69,7 @@ def main():
                       check_decodable=False)
         n = cb.n
         cb.matrices  # noqa: B018  (built before timing)
-        r_prev = np.ascontiguousarray(
-            rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1)))
-        r_t = np.ascontiguousarray(
-            rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1)))
+        r_prev, r_t = random_frame(rng, n), random_frame(rng, n)
         times = [time_call(fn, (cb, r_prev, r_t, 1.0), args.repeats)
                  for _, fn in scans]
         want = scans[0][1](cb, r_prev, r_t, 1.0)[0]
@@ -73,12 +80,21 @@ def main():
         row.append(f"{times[0] / times[1]:>13.2f}x")
         print(" ".join(row))
 
+    print("\ndirect scan of one group stack (four per group-decoded frame):")
+    group_cases = [
+        ("lam=2, M=16", construct_signal_set(2, 16), 2),
+        ("preset paper-8ant-rate2", preset_signal_set("paper-8ant-rate2"), 3),
+        ("lam=4, M=16^4", construct_signal_set(4, 16**4), 4),
+    ]
+    for label, sset, lam in group_cases:
+        stack = Codebook(construct_design(lam), sset, check_decodable=False).group_stacks[0]
+        r_prev, r_t = random_frame(rng, stack.shape[1]), random_frame(rng, stack.shape[1])
+        t = time_call(metric_scan, (stack, r_prev, r_t, 1.0), args.repeats, number=2000)
+        print(f"{label:>24} {str(stack.shape):>12} {t * 1e6:8.2f}us")
+
     print("\nfull decoder paths on lam=3, M=16^4:")
     cb = Codebook(construct_design(3), construct_signal_set(3, 16**4))
-    r_prev = np.ascontiguousarray(
-        rng.standard_normal((8, 1)) + 1j * rng.standard_normal((8, 1)))
-    r_t = np.ascontiguousarray(
-        rng.standard_normal((8, 1)) + 1j * rng.standard_normal((8, 1)))
+    r_prev, r_t = random_frame(rng, 8), random_frame(rng, 8)
     t_e = time_call(lambda: decode_exhaustive(cb, r_t, r_prev, 1.0), (), args.repeats)
     t_g = time_call(lambda: decode_group(cb, r_t, r_prev, 1.0), (), 50)
     print(f"  exhaustive (65536 evals): {t_e * 1e3:8.2f} ms/frame")

@@ -27,7 +27,7 @@ from .codebook import (
     verify_full_diversity,
 )
 from .design import canonical_grouping, construct_design, render_text, verify_group_decodable
-from .sim import SNR_CONVENTION, SimConfig, build_codebook, run_sim
+from .sim import SNR_CONVENTION, SimConfig, build_codebook, build_signal_set, run_sim
 from .signalset import PRESETS
 
 EXIT_OK = 0
@@ -156,10 +156,9 @@ def _cmd_signalset(args) -> int:
         raise ValueError("--points is required")
     cfg = _signal_cfg(args)
     cfg.validate()
-    cb = build_codebook(cfg)
     # identical groups by default; the hyperbola family's quadrature groups
     # are the mirrored (x, -y) image of this list
-    points = cb.sset.groups[0].points
+    points = build_signal_set(cfg).groups[0].points
     print(json.dumps([list(row) for row in points]))
     return EXIT_OK
 

@@ -37,6 +37,7 @@ from .codebook import UNITARITY_TOL, Codebook
 from .design import construct_design
 from .signalset import (
     PRESETS,
+    SignalSet,
     construct_signal_set,
     default_radii,
     fourth_root_points,
@@ -53,6 +54,10 @@ SNR_CONVENTION = (
 
 #: Row order when decoder="both".
 DECODER_ORDER = ("group", "exhaustive")
+
+#: Most frames of a block encoded and transmitted in one pass.  It bounds
+#: the memory of a whole-burst block; no result depends on it.
+WINDOW = 256
 
 
 @dataclass(frozen=True)
@@ -123,6 +128,9 @@ class SimPoint:
     ber: float
     metric_evals: int
     wall_time_s: float
+    #: Seconds in this decoder's frame loops, summed over chunks (so
+    #: worker-seconds when the sweep ran on a pool); not in the CSV.
+    decode_time_s: float
 
 
 @dataclass(frozen=True)
@@ -177,8 +185,8 @@ def noise_var_for_snr(snr_db: float, n: int) -> float:
     return n / (10.0 ** (snr_db / 10.0))
 
 
-def build_codebook(cfg: SimConfig) -> Codebook:
-    design = construct_design(cfg.lam)
+def build_signal_set(cfg: SimConfig) -> SignalSet:
+    """The config's signal set: its preset, the hyperbola family or the axis family."""
     if cfg.preset is not None:
         plam, pradii = PRESETS[cfg.preset]
         if cfg.lam != plam:
@@ -186,15 +194,17 @@ def build_codebook(cfg: SimConfig) -> Codebook:
         expected_m = (2 * len(pradii)) ** 4
         if cfg.m != expected_m:
             raise ValueError(f"preset {cfg.preset!r} implies M={expected_m}, got M={cfg.m}")
-        sset = preset_signal_set(cfg.preset)
-    elif cfg.family == "hyperbola":
+        return preset_signal_set(cfg.preset)
+    if cfg.family == "hyperbola":
         p = fourth_root_points(cfg.m)
         radii = cfg.radii if cfg.radii is not None else default_radii(p // 2)
         c = cfg.c if cfg.c is not None else float(radii[0]) ** 2 / 4.0
-        sset = hyperbola_signal_set(radii, c)
-    else:
-        sset = construct_signal_set(cfg.lam, cfg.m, radii=cfg.radii)
-    return Codebook(design, sset)
+        return hyperbola_signal_set(radii, c)
+    return construct_signal_set(cfg.lam, cfg.m, radii=cfg.radii)
+
+
+def build_codebook(cfg: SimConfig) -> Codebook:
+    return Codebook(construct_design(cfg.lam), build_signal_set(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -216,86 +226,138 @@ def _cached_chain(cfg_dict):
         _CB_CACHE.clear()
         cfg = SimConfig(**cfg_dict)
         cb = build_codebook(cfg)
-        sizes = np.asarray(cb.sizes, dtype=np.int64)
-        strides = np.ones(4, dtype=np.int64)
-        for k in range(2, -1, -1):
-            strides[k] = strides[k + 1] * sizes[k + 1]
+        _, n1, n2, n3 = cb.sizes
+        strides = np.array([n1 * n2 * n3, n2 * n3, n3, 1], dtype=np.int64)
         # BER needs power-of-two group sizes (see bit_mapping); 0 means BLER only
         pow2 = all(s & (s - 1) == 0 for s in cb.sizes)
         bits_per_frame = cb.M.bit_length() - 1 if pow2 else 0
-        entry = {"codebook": cb, "sizes": sizes, "strides": strides,
+        entry = {"codebook": cb, "strides": strides,
                  "bits_per_frame": bits_per_frame}
         _CB_CACHE[key] = entry
     return entry
 
 
+def _complex_normal(rng, shape):
+    """Standard normal pairs drawn as (*shape, 2), read as re + 1j * im."""
+    return rng.standard_normal((*shape, 2)).view(np.complex128)[..., 0]
+
+
+def _block_frames(cb, strides, rng, nf, n_r, sigma):
+    """Draw one fading block from ``rng`` and yield its frames window by window.
+
+    The draws come in a fixed order: the channel, the four groups'
+    indices for all ``nf`` frames, then the noise, reference frame first.
+    Each window of at most ``WINDOW`` frames draws its noise, sums its
+    codewords in one gather, runs the differential chain (the one step
+    per frame that cannot be batched) and forms its received frames with
+    one batched product.  Yields ``(sent, r_prev, r)``: the window's sent
+    linear indices as a list, the frame received just before it, and its
+    received frames as one (w, n, n_r) array.  The noise stream is read in
+    draw order whatever the window, so no frame depends on ``WINDOW``;
+    the window bounds the memory of a whole-burst block.
+    """
+    n = cb.n
+    s0, s1, s2, s3 = cb.group_stacks
+    h = _complex_normal(rng, (n, n_r)) / math.sqrt(2.0)
+    idx = np.array([rng.integers(0, size, nf) for size in cb.sizes])
+    lin_block = strides @ idx
+    r_prev = h
+    x_prev = np.eye(n, dtype=np.complex128)
+    root_prev = 1.0  # sqrt(a) of the reference frame
+    for lo in range(0, nf, WINDOW):
+        hi = min(lo + WINDOW, nf)
+        tx = idx[:, lo:hi]
+        lin = lin_block[lo:hi]
+        # same left-to-right sum as Codebook.matrices, so X_t is bit-identical
+        u = s0.take(tx[0], 0) + s1.take(tx[1], 0) + s2.take(tx[2], 0) + s3.take(tx[3], 0)
+        x = np.empty_like(u)
+        for u_t, x_t, root_t in zip(u, x, np.sqrt(cb.scales[lin])):
+            # X_t = U_t X_{t-1} / sqrt(a_{t-1}), as diffcodec.encoder_step
+            np.dot(u_t, x_prev, out=x_t)
+            x_t /= root_prev
+            x_prev, root_prev = x_t, root_t
+        r = np.matmul(x, h)
+        if sigma > 0.0:
+            ref = 1 if lo == 0 else 0
+            noise = _complex_normal(rng, (ref + hi - lo, n, n_r)) * sigma
+            if ref:
+                r_prev = h + noise[0]
+            r += noise[ref:]
+        yield lin.tolist(), r_prev, r
+        r_prev = r[-1]
+
+
 def _run_blocks(entry, decoders, noise_var, n_r, seed, snr_idx, block_lo, block_hi,
                 frames_per_block, total_frames):
-    """Simulate blocks [block_lo, block_hi); returns integer counts."""
+    """Simulate blocks [block_lo, block_hi); returns counts and decoder seconds.
+
+    Each block draws from its own stream ``default_rng([seed, snr_idx,
+    blk])``, and ``_block_frames`` encodes and transmits it in windows of
+    at most ``WINDOW`` frames.  For each window the decoders run in turn
+    over its frames, each tracking its own scale from its own decisions:
+    four ``metric_scan`` calls on the group stacks per group-decoded
+    frame, one on the codeword stack with ``scales`` per exhaustive one.
+    That is the call structure of a plain per-frame loop, kept exactly:
+    one stream per block with the same draws in the same order, and the
+    same scans.  Only encoding, transmission and counting leave the
+    per-frame loop.  Errors are counted per window, the other counts once
+    per block; ``decode_s`` is the time spent in each decoder's frame
+    loops.
+    """
     cb = entry["codebook"]
+    scan = metric_scan
     mats = cb.matrices if "exhaustive" in decoders else None
     scales = cb.scales
-    stacks = cb.group_stacks
-    s0, s1, s2, s3 = stacks
-    sizes = entry["sizes"]
-    strides = entry["strides"]
-    n = cb.n
+    s0, s1, s2, s3 = cb.group_stacks
+    _, n1, n2, n3 = cb.sizes
     evals_per_frame = {"exhaustive": cb.M, "group": sum(cb.sizes)}
     bits_per_frame = entry["bits_per_frame"]
     sigma = math.sqrt(noise_var / 2.0) if noise_var > 0 else 0.0
 
     counts = {d: {"frames": 0, "frame_errors": 0, "bits": 0, "bit_errors": 0,
-                  "metric_evals": 0} for d in decoders}
+                  "metric_evals": 0, "decode_s": 0.0} for d in decoders}
 
     for blk in range(block_lo, block_hi):
         nf = min(frames_per_block, total_frames - blk * frames_per_block)
         if nf <= 0:
             break
         rng = np.random.default_rng([seed, snr_idx, blk])
-        z = rng.standard_normal((n, n_r, 2))
-        h = np.ascontiguousarray((z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0))
-        idx_draw = np.stack([rng.integers(0, sizes[k], nf) for k in range(4)])
-        if sigma > 0.0:
-            zw = rng.standard_normal((nf + 1, n, n_r, 2))
-            noise = (zw[..., 0] + 1j * zw[..., 1]) * sigma
-        else:
-            noise = np.zeros((nf + 1, n, n_r), dtype=np.complex128)
-
-        x_prev = np.eye(n, dtype=np.complex128)
-        a_enc = 1.0
-        r_prev = np.ascontiguousarray(h + noise[0])
-        a_dec = {d: 1.0 for d in decoders}
-        for t in range(nf):
-            tx = idx_draw[:, t]
-            lin = int(tx @ strides)
-            # same left-to-right sum as Codebook.matrices, so X_t is bit-identical
-            u = s0[tx[0]] + s1[tx[1]] + s2[tx[2]] + s3[tx[3]]
-            x_t = (u @ x_prev) / math.sqrt(a_enc)
-            a_enc = float(scales[lin])
-            r_t = np.ascontiguousarray(x_t @ h + noise[t + 1])
+        a_dec = dict.fromkeys(decoders, 1.0)
+        for sent, r_prev, r in _block_frames(cb, entry["strides"], rng, nf, n_r, sigma):
             for d in decoders:
-                inv_a = 1.0 / math.sqrt(a_dec[d])
-                if d == "exhaustive":
-                    lin_hat, _ = metric_scan(mats, r_prev, r_t, inv_a, scales)
+                t0 = time.perf_counter()
+                a, prev, hats = a_dec[d], r_prev, []
+                if d == "group":
+                    for r_t in r:
+                        inv_a = 1.0 / math.sqrt(a)
+                        b0, _ = scan(s0, prev, r_t, inv_a)
+                        b1, _ = scan(s1, prev, r_t, inv_a)
+                        b2, _ = scan(s2, prev, r_t, inv_a)
+                        b3, _ = scan(s3, prev, r_t, inv_a)
+                        lin_hat = ((b0 * n1 + b1) * n2 + b2) * n3 + b3
+                        a = scales[lin_hat]
+                        hats.append(lin_hat)
+                        prev = r_t
                 else:
-                    acc = 0
-                    for k in range(4):
-                        kbest, _ = metric_scan(stacks[k], r_prev, r_t, inv_a)
-                        acc = acc * int(sizes[k]) + int(kbest)
-                    lin_hat = acc
-                a_dec[d] = float(scales[lin_hat])
+                    for r_t in r:
+                        lin_hat, _ = scan(mats, prev, r_t, 1.0 / math.sqrt(a), scales)
+                        a = scales[lin_hat]
+                        hats.append(lin_hat)
+                        prev = r_t
+                a_dec[d] = a
                 c = counts[d]
-                c["frames"] += 1
-                c["metric_evals"] += evals_per_frame[d]
-                c["bits"] += bits_per_frame
-                if lin_hat != lin:
-                    c["frame_errors"] += 1
-                    if bits_per_frame:
-                        # power-of-two group sizes: lin's binary digits are the
-                        # concatenated group-index bits of bit_mapping
-                        c["bit_errors"] += (lin ^ lin_hat).bit_count()
-            r_prev = r_t
-            x_prev = x_t
+                c["decode_s"] += time.perf_counter() - t0
+                errs = [got ^ want for got, want in zip(hats, sent) if got != want]
+                c["frame_errors"] += len(errs)
+                if bits_per_frame:
+                    # power-of-two group sizes: lin's binary digits are the
+                    # concatenated group-index bits of bit_mapping
+                    c["bit_errors"] += sum(e.bit_count() for e in errs)
+        for d in decoders:
+            c = counts[d]
+            c["frames"] += nf
+            c["metric_evals"] += nf * evals_per_frame[d]
+            c["bits"] += nf * bits_per_frame
     return counts
 
 
@@ -370,7 +432,7 @@ def run_sim(cfg: SimConfig) -> SimResult:
             nv = noise_var_for_snr(snr, cb.n)
             t0 = time.perf_counter()
             totals = {d: {"frames": 0, "frame_errors": 0, "bits": 0, "bit_errors": 0,
-                          "metric_evals": 0} for d in decoders}
+                          "metric_evals": 0, "decode_s": 0.0} for d in decoders}
             payloads = [(c[0], c[1], nv, snr_idx, c[4], c[5], c[6], c[7]) for c in tasks]
             if pool is None:
                 results = (_chunk_worker(p) for p in payloads)
@@ -395,6 +457,7 @@ def run_sim(cfg: SimConfig) -> SimResult:
                     frame_errors=t["frame_errors"], bler=bler, bits=t["bits"],
                     bit_errors=t["bit_errors"], ber=ber,
                     metric_evals=t["metric_evals"], wall_time_s=wall,
+                    decode_time_s=t["decode_s"],
                 ))
     finally:
         if pool is not None:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gdstbc import cli
-from gdstbc.codebook import NotGroupDecodableError
-from gdstbc.sim import CSV_HEADER
+from gdstbc.codebook import Codebook, NotGroupDecodableError
+from gdstbc.sim import CSV_HEADER, build_codebook
 
 
 def run_cli(capsys, *argv):
@@ -60,6 +60,27 @@ class TestSignalsetCommand:
     def test_invalid_points(self, capsys):
         code, _, err = run_cli(capsys, "signalset", "--lambda", "2", "--points", "15")
         assert code == 2 and "configuration error" in err
+
+    @pytest.mark.parametrize("args", [
+        ("--lambda", "6", "--points", "16"),
+        ("--lambda", "3", "--points", "256", "--radii", "1,3"),
+        ("--lambda", "3", "--points", str(16**4), "--preset", "paper-8ant-rate2"),
+        ("--lambda", "2", "--points", "256", "--family", "hyperbola"),
+        ("--lambda", "2", "--points", "256", "--family", "hyperbola", "--c", "0.1"),
+    ])
+    def test_prints_the_codebook_alphabet_without_building_a_codebook(self, capsys,
+                                                                       monkeypatch, args):
+        ns = cli.build_parser().parse_args(["signalset", *args])
+        points = build_codebook(cli._signal_cfg(ns)).sset.groups[0].points
+        want = json.dumps([list(row) for row in points]) + "\n"
+
+        def refuse(*a, **kw):
+            raise AssertionError("signalset must not build a codebook")
+
+        monkeypatch.setattr(Codebook, "__init__", refuse)
+        code, out, _ = run_cli(capsys, "signalset", *args)
+        assert code == 0
+        assert out == want
 
 
 class TestCodebookCommand:

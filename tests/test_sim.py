@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from gdstbc import sim
 from gdstbc._kernels import blas_threads
 from gdstbc.codebook import Codebook, NotGroupDecodableError
 from gdstbc.design import Grouping, construct_design
+from gdstbc.diffcodec import encoder_init, encoder_step
 from gdstbc.signalset import construct_signal_set
 from gdstbc.sim import (
     CSV_HEADER,
@@ -256,8 +259,6 @@ class TestRunSim:
         assert first[-1] == "11"  # seed column
 
     def test_json_mirrors_csv(self):
-        import json
-
         res = run_sim(_cfg(frames=100))
         doc = json.loads(res.to_json())
         assert doc["config"]["lam"] == 2
@@ -268,6 +269,92 @@ class TestRunSim:
         assert row["metric_evals"] == res.points[0].metric_evals
         assert "snr_convention" in doc
         assert doc["backend"] == "python"
+
+
+#: CSVs of three small configs, produced before the block pass was batched.
+#: They pin the RNG layout: one stream per block, drawing the channel, all
+#: the group indices, then the noise.  A change of layout must update them.
+GOLDEN_CSV = [
+    (dict(lam=2, m=256, snr_db=(0.0, 6.0), frames=300, coherence=10, seed=7),
+     "0,group,300,290,0.966667,2400,931,0.387917,4800,7\n"
+     "6,group,300,204,0.68,2400,450,0.1875,4800,7\n"),
+    (dict(lam=3, m=256, snr_db=(10.0,), frames=300, seed=8),
+     "10,group,300,56,0.186667,2400,62,0.0258333,4800,8\n"),
+    (dict(lam=2, m=16, n_r=2, snr_db=(-2.0, 4.0), frames=200, coherence=5,
+          decoder="both", seed=9),
+     "-2,group,200,126,0.63,800,187,0.23375,1600,9\n"
+     "-2,exhaustive,200,126,0.63,800,187,0.23375,3200,9\n"
+     "4,group,200,26,0.13,800,29,0.03625,1600,9\n"
+     "4,exhaustive,200,26,0.13,800,29,0.03625,3200,9\n"),
+]
+
+
+def _replay_block(cb, seed, nf, n_r, sigma):
+    """One block's received frames, frame by frame through diffcodec's encoder."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((cb.n, n_r, 2))
+    h = (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
+    idx = np.stack([rng.integers(0, size, nf) for size in cb.sizes])
+    noise = None
+    if sigma > 0:
+        zw = rng.standard_normal((nf + 1, cb.n, n_r, 2))
+        noise = (zw[..., 0] + 1j * zw[..., 1]) * sigma
+    state = encoder_init(cb.n)
+    frames = [state.x_prev @ h if noise is None else state.x_prev @ h + noise[0]]
+    for t in range(nf):
+        state, x_t = encoder_step(state, cb.codeword_at(idx[:, t]))
+        frames.append(x_t @ h if noise is None else x_t @ h + noise[t + 1])
+    sent = [cb.linear_index(idx[:, t]) for t in range(nf)]
+    return sent, frames
+
+
+class TestBlockPass:
+    @pytest.mark.parametrize("sigma", [0.0, 0.4])
+    @pytest.mark.parametrize("n_r", [1, 2, 3])
+    @pytest.mark.parametrize("lam", [1, 2, 3, 4])
+    def test_windows_replay_the_per_frame_chain_bit_for_bit(self, monkeypatch, lam, n_r,
+                                                             sigma):
+        monkeypatch.setattr(sim, "WINDOW", 7)
+        entry = sim._cached_chain(asdict(SimConfig(lam=lam, m=256)))
+        cb = entry["codebook"]
+        nf = 17  # windows of 7, 7 and 3 frames
+        rng = np.random.default_rng([lam, n_r])
+        windows = list(sim._block_frames(cb, entry["strides"], rng, nf, n_r, sigma))
+        sent, frames = _replay_block(cb, [lam, n_r], nf, n_r, sigma)
+        assert [len(w[0]) for w in windows] == [7, 7, 3]
+        assert [lin for w in windows for lin in w[0]] == sent
+        got = [windows[0][1]] + [r_t for _, _, r in windows for r_t in r]
+        assert len(got) == len(frames)
+        for r_got, r_want in zip(got, frames):
+            assert r_got.shape == r_want.shape
+            assert r_got.tobytes() == r_want.tobytes()
+        for (_, _, r), (_, r_prev, _) in zip(windows, windows[1:]):
+            assert r_prev.tobytes() == r[-1].tobytes()
+
+    @pytest.mark.parametrize("cfg", [
+        dict(coherence=None, frames=40, n_r=2, decoder="both"),
+        dict(coherence=20, frames=100, decoder="both"),
+        dict(coherence=None, frames=30, snr_db=(math.inf,)),
+    ])
+    def test_results_do_not_depend_on_the_window(self, monkeypatch, cfg):
+        want = run_sim(_cfg(**cfg)).to_csv()
+        for window in (1, 7):
+            monkeypatch.setattr(sim, "WINDOW", window)
+            assert run_sim(_cfg(**cfg)).to_csv() == want
+
+    @pytest.mark.parametrize("cfg, rows", GOLDEN_CSV,
+                             ids=["coherence", "whole-burst", "both-decoders-nr2"])
+    def test_golden_csv_pins_the_rng_layout(self, cfg, rows):
+        assert run_sim(SimConfig(**cfg)).to_csv() == CSV_HEADER + "\n" + rows
+
+    def test_each_decoder_is_timed_separately(self):
+        res = run_sim(SimConfig(lam=3, m=4096, snr_db=(10.0,), frames=400, coherence=10,
+                                decoder="both", seed=2))
+        group, exhaustive = res.points
+        assert 0.0 < group.decode_time_s < exhaustive.decode_time_s
+        assert group.wall_time_s == exhaustive.wall_time_s
+        rows = json.loads(res.to_json())["results"]
+        assert [r["decode_time_s"] for r in rows] == [p.decode_time_s for p in res.points]
 
 
 class TestConfigValidation:
