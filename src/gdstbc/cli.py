@@ -65,12 +65,11 @@ def _parse_radii(text: str):
     return tuple(float(v) for v in text.split(","))
 
 
-def _add_signal_args(p: argparse.ArgumentParser, need_points: bool = True):
+def _add_signal_args(p: argparse.ArgumentParser):
     p.add_argument("--lambda", dest="lam", type=int, required=True,
                    help="antenna exponent: N_T = 2**lambda")
-    if need_points:
-        p.add_argument("--points", dest="m", type=int, required=True,
-                       help="codebook size M (fourth power of an even integer)")
+    p.add_argument("--points", dest="m", type=int, required=True,
+                   help="codebook size M (fourth power of an even integer)")
     p.add_argument("--radii", type=_parse_radii, default=None,
                    help="comma-separated radius list (normalised to unit group power)")
     p.add_argument("--preset", choices=sorted(PRESETS), default=None,
@@ -146,14 +145,12 @@ def _cmd_design(args) -> int:
     return EXIT_OK
 
 
-def _signal_cfg(args, default_frames: int = 1) -> SimConfig:
+def _signal_cfg(args) -> SimConfig:
     return SimConfig(lam=args.lam, m=args.m, family=args.family, radii=args.radii,
-                     preset=args.preset, c=args.c, frames=default_frames)
+                     preset=args.preset, c=args.c, frames=1)
 
 
 def _cmd_signalset(args) -> int:
-    if args.m is None:
-        raise ValueError("--points is required")
     cfg = _signal_cfg(args)
     cfg.validate()
     # identical groups by default; the hyperbola family's quadrature groups
@@ -196,6 +193,9 @@ def _cmd_simulate(args) -> int:
                     frames=args.frames, target_errors=args.target_errors,
                     coherence=args.coherence, decoder=args.decoder, seed=args.seed,
                     workers=args.workers)
+    # a config error must exit before --out is opened, which truncates it
+    cfg.validate()
+    build_signal_set(cfg)
     with _open_out(args.out) as fh:
         result = run_sim(cfg)
         fh.write(result.to_json() + "\n" if args.as_json else result.to_csv())

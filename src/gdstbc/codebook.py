@@ -99,6 +99,7 @@ class Codebook:
         self.sset = sset
         self.grouping = grouping
         self.sizes = sset.sizes
+        self.M = math.prod(self.sizes)
         self.partials = np.concatenate([
             np.tensordot(gset.points,
                          design.weight_stack[np.asarray(grouping.groups[k], dtype=np.intp)],
@@ -110,10 +111,8 @@ class Codebook:
         self.group_decodable = (
             verify_group_decodable(design, grouping) if check_decodable else None
         )
-
-    @property
-    def M(self) -> int:
-        return int(np.prod(self.sizes))
+        #: ``max_unitarity_residual()``, once ``require_scaled_unitary`` ran.
+        self.unitarity_residual = None
 
     @property
     def n(self) -> int:
@@ -164,6 +163,23 @@ class Codebook:
         if not self.group_decodable:
             raise NotGroupDecodableError(
                 "codebook's grouping failed the cross-group anticommutation check"
+            )
+
+    def require_scaled_unitary(self):
+        """Compute ``max_unitarity_residual`` once; raise ValueError unless
+        every codeword is scaled unitary within ``UNITARITY_TOL``.
+
+        The simulator's exhaustive decoder needs it: its scaled-unitary
+        expansion of the metric (``_kernels.metric_scan`` with ``scales``)
+        is exact only when S^H S = a(S) I for every codeword.
+        """
+        if self.unitarity_residual is None:
+            self.unitarity_residual = self.max_unitarity_residual()
+        if not self.unitarity_residual <= UNITARITY_TOL:
+            raise ValueError(
+                f"exhaustive decoding needs scaled-unitary codewords, but the codebook's "
+                f"unitarity residual is {self.unitarity_residual:.3g} "
+                f"(tolerance {UNITARITY_TOL:g})"
             )
 
     def max_unitarity_residual(self) -> float:

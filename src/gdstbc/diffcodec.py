@@ -41,17 +41,14 @@ class DecodeResult:
 
 @dataclass
 class ChannelConfig:
-    """Receive antenna count, noise level, coherence length and RNG seed.
+    """Receive antenna count, noise level and RNG seed.
 
-    The channel matrix stays fixed for ``coherence_frames`` frames
-    (None = for the whole burst) and is redrawn i.i.d. CN(0,1) at block
-    boundaries.  ``noise_var`` is the variance per complex noise entry,
-    i.e. noise_var/2 per real dimension.
+    ``noise_var`` is the variance per complex noise entry, i.e.
+    noise_var/2 per real dimension.
     """
 
     n_r: int = 1
     noise_var: float = 1.0
-    coherence_frames: int | None = None
     seed: int = 0
     _rng: np.random.Generator = field(init=False, repr=False, compare=False)
 
@@ -60,8 +57,6 @@ class ChannelConfig:
             raise ValueError("need at least one receive antenna")
         if self.noise_var < 0:
             raise ValueError("noise variance must be nonnegative")
-        if self.coherence_frames is not None and self.coherence_frames < 2:
-            raise ValueError("coherence must cover the reference frame plus one more")
         self._rng = np.random.default_rng(self.seed)
 
 

@@ -25,7 +25,6 @@ import numpy as np
 
 AXIS = "axis"
 HYPERBOLA = "hyperbola"
-CUSTOM = "custom"
 
 #: Radius presets, keyed by name.  Each entry is (lam, radii) with the radii
 #: given before normalisation.  "paper-8ant-rate2" is the published

@@ -27,13 +27,15 @@ import io
 import json
 import math
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from ._kernels import BACKEND, metric_scan, set_blas_threads
-from .codebook import UNITARITY_TOL, Codebook
+from .codebook import UNITARITY_TOL, Codebook  # noqa: F401  (re-exports UNITARITY_TOL)
 from .design import construct_design
 from .signalset import (
     PRESETS,
@@ -115,6 +117,11 @@ class SimConfig:
             return DECODER_ORDER
         return (self.decoder,)
 
+    @property
+    def frames_per_block(self) -> int:
+        """Information frames per fading block (the reference frame aside)."""
+        return self.frames if self.coherence is None else self.coherence - 1
+
 
 @dataclass(frozen=True)
 class SimPoint:
@@ -137,7 +144,6 @@ class SimPoint:
 class SimResult:
     config: SimConfig
     points: tuple[SimPoint, ...]
-    snr_convention: str = SNR_CONVENTION
 
     def to_csv(self, fh=None) -> str:
         buf = io.StringIO()
@@ -155,13 +161,30 @@ class SimResult:
         return text
 
     def to_json(self) -> str:
+        """The config echo and every point as strict JSON.
+
+        An infinite SNR is written as the string "inf", the CLI's own
+        spelling, and the BER of a BLER-only point (no bits) as null.
+        """
         cfg = asdict(self.config)
+        cfg["snr_db"] = [_json_snr(v) for v in self.config.snr_db]
+        rows = []
+        for p in self.points:
+            row = asdict(p)
+            row["snr_db"] = _json_snr(p.snr_db)
+            if not p.bits:
+                row["ber"] = None
+            rows.append(row)
         return json.dumps({
             "config": cfg,
             "backend": BACKEND,
-            "snr_convention": self.snr_convention,
-            "results": [asdict(p) for p in self.points],
-        }, indent=2)
+            "snr_convention": SNR_CONVENTION,
+            "results": rows,
+        }, indent=2, allow_nan=False)
+
+
+def _json_snr(snr_db: float):
+    return "inf" if snr_db == math.inf else snr_db
 
 
 def bit_mapping(idx, group_sizes):
@@ -207,34 +230,22 @@ def build_codebook(cfg: SimConfig) -> Codebook:
     return Codebook(construct_design(cfg.lam), build_signal_set(cfg))
 
 
-# ---------------------------------------------------------------------------
-# Per-process state for worker tasks.  Codebook construction is pure, so a
-# cache keyed by the defining fields keeps fork/spawn workers cheap.  It
-# holds the current config's codebook only: a run needs no other, and a
-# stale entry would keep its codeword stack alive.  The full (M, n, n)
-# stack is built only once an exhaustive decoder needs it; encoding sums
-# the four group partials instead.
+@lru_cache(maxsize=1)
+def _codebook(lam, m, family, radii, preset, c) -> Codebook:
+    """The signal set's codebook, cached per process.
 
-_CB_CACHE: dict = {}
+    Construction is pure, so chunk tasks reuse it and fork/spawn workers
+    build it once.  Only the current codebook is kept: a run needs no
+    other, and a stale one would keep its codeword stack alive.  The full
+    (M, n, n) stack is built only once an exhaustive decoder needs it;
+    encoding sums the four group partials instead.
+    """
+    return build_codebook(SimConfig(lam=lam, m=m, family=family, radii=radii, preset=preset,
+                                    c=c))
 
 
-def _cached_chain(cfg_dict):
-    key = tuple(sorted((k, v) for k, v in cfg_dict.items()
-                       if k in ("lam", "m", "family", "radii", "preset", "c")))
-    entry = _CB_CACHE.get(key)
-    if entry is None:
-        _CB_CACHE.clear()
-        cfg = SimConfig(**cfg_dict)
-        cb = build_codebook(cfg)
-        _, n1, n2, n3 = cb.sizes
-        strides = np.array([n1 * n2 * n3, n2 * n3, n3, 1], dtype=np.int64)
-        # BER needs power-of-two group sizes (see bit_mapping); 0 means BLER only
-        pow2 = all(s & (s - 1) == 0 for s in cb.sizes)
-        bits_per_frame = cb.M.bit_length() - 1 if pow2 else 0
-        entry = {"codebook": cb, "strides": strides,
-                 "bits_per_frame": bits_per_frame}
-        _CB_CACHE[key] = entry
-    return entry
+def _codebook_for(cfg: SimConfig) -> Codebook:
+    return _codebook(cfg.lam, cfg.m, cfg.family, cfg.radii, cfg.preset, cfg.c)
 
 
 def _complex_normal(rng, shape):
@@ -242,16 +253,18 @@ def _complex_normal(rng, shape):
     return rng.standard_normal((*shape, 2)).view(np.complex128)[..., 0]
 
 
-def _block_frames(cb, strides, rng, nf, n_r, sigma):
+def _block_frames(cb, rng, nf, n_r, sigma):
     """Draw one fading block from ``rng`` and yield its frames window by window.
 
     The draws come in a fixed order: the channel, the four groups'
     indices for all ``nf`` frames, then the noise, reference frame first.
-    Each window of at most ``WINDOW`` frames draws its noise, sums its
-    codewords in one gather, runs the differential chain (the one step
-    per frame that cannot be batched) and forms its received frames with
-    one batched product.  Yields ``(sent, r_prev, r)``: the window's sent
-    linear indices as a list, the frame received just before it, and its
+    A frame's linear index is its four group indices raveled row-major
+    over ``cb.sizes``, the order of ``Codebook.matrices``.  Each window of
+    at most ``WINDOW`` frames draws its noise, sums its codewords in one
+    gather, runs the differential chain (the one step per frame that
+    cannot be batched) and forms its received frames with one batched
+    product.  Yields ``(sent, r_prev, r)``: the window's sent linear
+    indices as a list, the frame received just before it, and its
     received frames as one (w, n, n_r) array.  The noise stream is read in
     draw order whatever the window, so no frame depends on ``WINDOW``;
     the window bounds the memory of a whole-burst block.
@@ -260,7 +273,7 @@ def _block_frames(cb, strides, rng, nf, n_r, sigma):
     s0, s1, s2, s3 = cb.group_stacks
     h = _complex_normal(rng, (n, n_r)) / math.sqrt(2.0)
     idx = np.array([rng.integers(0, size, nf) for size in cb.sizes])
-    lin_block = strides @ idx
+    lin_block = np.ravel_multi_index(idx, cb.sizes)
     r_prev = h
     x_prev = np.eye(n, dtype=np.complex128)
     root_prev = 1.0  # sqrt(a) of the reference frame
@@ -287,9 +300,13 @@ def _block_frames(cb, strides, rng, nf, n_r, sigma):
         r_prev = r[-1]
 
 
-def _run_blocks(entry, decoders, noise_var, n_r, seed, snr_idx, block_lo, block_hi,
-                frames_per_block, total_frames):
-    """Simulate blocks [block_lo, block_hi); returns counts and decoder seconds.
+def _run_blocks(cfg, snr_idx, block_lo, block_hi):
+    """Simulate blocks [block_lo, block_hi) of SNR point ``snr_idx``.
+
+    Returns one ``Counter`` per decoder: frames, frame_errors, bits,
+    bit_errors, metric_evals and decode_s, the seconds spent in that
+    decoder's frame loops.  Everything else (noise level, decoders,
+    frames per block, ``n_r``, seed) comes from the frozen ``cfg``.
 
     Each block draws from its own stream ``default_rng([seed, snr_idx,
     blk])``, and ``_block_frames`` encodes and transmits it in windows of
@@ -301,29 +318,29 @@ def _run_blocks(entry, decoders, noise_var, n_r, seed, snr_idx, block_lo, block_
     one stream per block with the same draws in the same order, and the
     same scans.  Only encoding, transmission and counting leave the
     per-frame loop.  Errors are counted per window, the other counts once
-    per block; ``decode_s`` is the time spent in each decoder's frame
-    loops.
+    per block.
     """
-    cb = entry["codebook"]
+    cb = _codebook_for(cfg)
+    decoders = cfg.decoders()
     scan = metric_scan
     mats = cb.matrices if "exhaustive" in decoders else None
     scales = cb.scales
     s0, s1, s2, s3 = cb.group_stacks
     _, n1, n2, n3 = cb.sizes
     evals_per_frame = {"exhaustive": cb.M, "group": sum(cb.sizes)}
-    bits_per_frame = entry["bits_per_frame"]
+    # BER needs power-of-two group sizes (see bit_mapping); 0 means BLER only
+    pow2 = all(size & (size - 1) == 0 for size in cb.sizes)
+    bits_per_frame = cb.M.bit_length() - 1 if pow2 else 0
+    noise_var = noise_var_for_snr(cfg.snr_db[snr_idx], cb.n)
     sigma = math.sqrt(noise_var / 2.0) if noise_var > 0 else 0.0
+    fpb = cfg.frames_per_block
 
-    counts = {d: {"frames": 0, "frame_errors": 0, "bits": 0, "bit_errors": 0,
-                  "metric_evals": 0, "decode_s": 0.0} for d in decoders}
-
+    counts = {d: Counter() for d in decoders}
     for blk in range(block_lo, block_hi):
-        nf = min(frames_per_block, total_frames - blk * frames_per_block)
-        if nf <= 0:
-            break
-        rng = np.random.default_rng([seed, snr_idx, blk])
+        nf = min(fpb, cfg.frames - blk * fpb)  # >= 1: blk < ceil(frames / fpb)
+        rng = np.random.default_rng([cfg.seed, snr_idx, blk])
         a_dec = dict.fromkeys(decoders, 1.0)
-        for sent, r_prev, r in _block_frames(cb, entry["strides"], rng, nf, n_r, sigma):
+        for sent, r_prev, r in _block_frames(cb, rng, nf, cfg.n_r, sigma):
             for d in decoders:
                 t0 = time.perf_counter()
                 a, prev, hats = a_dec[d], r_prev, []
@@ -361,31 +378,6 @@ def _run_blocks(entry, decoders, noise_var, n_r, seed, snr_idx, block_lo, block_
     return counts
 
 
-def _require_scaled_unitary(entry):
-    """Refuse a codebook whose codewords are not all scaled unitary.
-
-    The exhaustive decoder scores candidates with the scaled-unitary
-    expansion of the metric (``_kernels.metric_scan`` with ``scales``),
-    which is exact only when S^H S = a(S) I for every codeword.  The exact
-    residual bound is computed once per cached codebook.
-    """
-    if "unitarity_residual" not in entry:
-        entry["unitarity_residual"] = entry["codebook"].max_unitarity_residual()
-    residual = entry["unitarity_residual"]
-    if not residual <= UNITARITY_TOL:
-        raise ValueError(
-            f"exhaustive decoding needs scaled-unitary codewords, but the codebook's "
-            f"unitarity residual is {residual:.3g} (tolerance {UNITARITY_TOL:g})"
-        )
-
-
-def _chunk_worker(payload):
-    cfg_dict, decoders, noise_var, snr_idx, lo, hi, fpb, total = payload
-    entry = _cached_chain(cfg_dict)
-    return _run_blocks(entry, decoders, noise_var, cfg_dict["n_r"], cfg_dict["seed"],
-                       snr_idx, lo, hi, fpb, total)
-
-
 def _worker_pool(workers: int) -> ProcessPoolExecutor:
     """Process pool whose workers run BLAS single-threaded.
 
@@ -405,43 +397,33 @@ def run_sim(cfg: SimConfig) -> SimResult:
     ``target_errors`` is set) only happens at fixed chunk boundaries.
     """
     cfg.validate()
-    cfg_dict = asdict(cfg)
-    entry = _cached_chain(cfg_dict)
+    cb = _codebook_for(cfg)
     decoders = cfg.decoders()
-    cb = entry["codebook"]
     if "group" in decoders:
         cb.require_group_decodable()
     if "exhaustive" in decoders:
-        _require_scaled_unitary(entry)
-    frames_per_block = cfg.frames if cfg.coherence is None else cfg.coherence - 1
-    n_blocks = math.ceil(cfg.frames / frames_per_block)
+        cb.require_scaled_unitary()
+    n_blocks = math.ceil(cfg.frames / cfg.frames_per_block)
     chunk = max(1, math.ceil(n_blocks / 256))
-    tasks = [
-        (cfg_dict, decoders, None, None, lo, min(lo + chunk, n_blocks),
-         frames_per_block, cfg.frames)
-        for lo in range(0, n_blocks, chunk)
-    ]
+    starts = range(0, n_blocks, chunk)
 
     points = []
     # a worker beyond the task count would sit idle, and on Linux every one
     # is forked at the first submit
-    workers = min(cfg.workers, len(tasks))
+    workers = min(cfg.workers, len(starts))
     pool = _worker_pool(workers) if workers > 1 else None
     try:
         for snr_idx, snr in enumerate(cfg.snr_db):
-            nv = noise_var_for_snr(snr, cb.n)
             t0 = time.perf_counter()
-            totals = {d: {"frames": 0, "frame_errors": 0, "bits": 0, "bit_errors": 0,
-                          "metric_evals": 0, "decode_s": 0.0} for d in decoders}
-            payloads = [(c[0], c[1], nv, snr_idx, c[4], c[5], c[6], c[7]) for c in tasks]
+            tasks = [(cfg, snr_idx, lo, min(lo + chunk, n_blocks)) for lo in starts]
             if pool is None:
-                results = (_chunk_worker(p) for p in payloads)
+                results = (_run_blocks(*task) for task in tasks)
             else:
-                results = pool.map(_chunk_worker, payloads)
+                results = pool.map(_run_blocks, *zip(*tasks))
+            totals = {d: Counter() for d in decoders}
             for chunk_counts in results:
                 for d in decoders:
-                    for key in totals[d]:
-                        totals[d][key] += chunk_counts[d][key]
+                    totals[d].update(chunk_counts[d])
                 if cfg.target_errors is not None and all(
                     totals[d]["frame_errors"] >= cfg.target_errors for d in decoders
                 ):

@@ -159,6 +159,36 @@ class TestSimulateCommand:
         assert err.startswith("configuration error: cannot open --out")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("args, message", [
+        (("--lambda", "2", "--points", "15"), "point count 15"),
+        (("--lambda", "2", "--points", str(16**4), "--preset", "paper-8ant-rate2"),
+         "preset 'paper-8ant-rate2' is defined for lam=3"),
+        (("--lambda", "2", "--points", "16", "--coherence", "1"), "coherence must be >= 2"),
+    ])
+    def test_config_error_leaves_out_untouched(self, capsys, tmp_path, args, message):
+        kept = tmp_path / "results.csv"
+        kept.write_bytes(b"earlier results\n")
+        missing = tmp_path / "new.csv"
+        for out in (kept, missing):
+            code, stdout, err = run_cli(capsys, "simulate", *args, "--snr-db", "0",
+                                        "--frames", "10", "--out", str(out))
+            assert code == 2 and stdout == ""
+            assert err.startswith("configuration error:") and message in err
+        assert kept.read_bytes() == b"earlier results\n"
+        assert not missing.exists()
+
+    def test_json_is_strict(self, capsys):
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        for m, ber in (("16", 0.0), ("1296", None)):
+            code, out, _ = run_cli(capsys, "simulate", "--lambda", "2", "--points", m,
+                                   "--snr-db", "inf", "--frames", "10", "--json")
+            assert code == 0
+            doc = json.loads(out, parse_constant=refuse)
+            assert doc["config"]["snr_db"] == ["inf"]
+            assert (doc["results"][0]["snr_db"], doc["results"][0]["ber"]) == ("inf", ber)
+
     @pytest.mark.parametrize("args", [
         ("--radii", "nan"), ("--radii", "inf"), ("--radii", "1,inf"),
         ("--radii", "1e200,1e300"),

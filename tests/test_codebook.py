@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdstbc.codebook import (
+    UNITARITY_TOL,
     Codebook,
     Codeword,
     NotGroupDecodableError,
@@ -114,6 +115,42 @@ class TestScaledUnitarity:
 
     def test_whole_codebook_residual(self, cb16):
         assert cb16.max_unitarity_residual() <= 1e-12
+
+    @pytest.mark.parametrize("lam, sset", [
+        *((lam, construct_signal_set(lam, 16)) for lam in (1, 2, 3, 4)),
+        (2, construct_signal_set(2, 256)),
+        (2, hyperbola_signal_set([1.0], 0.25)),
+        (3, preset_signal_set("paper-8ant-rate2")),
+    ], ids=["lam1", "lam2", "lam3", "lam4", "lam2-M256", "hyperbola", "preset"])
+    def test_require_scaled_unitary_passes(self, lam, sset):
+        cb = Codebook(construct_design(lam), sset)
+        cb.require_scaled_unitary()
+        assert cb.unitarity_residual <= UNITARITY_TOL
+
+    def test_require_scaled_unitary_refuses_same_sign_control(self):
+        same_sign = GroupSignalSet(dim=2, points=np.array([[1.0, 1.0], [-1.0, -1.0]]),
+                                   radii=(math.sqrt(2.0),), family="custom")
+        cb = Codebook(construct_design(2), SignalSet(groups=(same_sign,) * 4))
+        with pytest.raises(ValueError, match="needs scaled-unitary codewords.*residual is 8 "):
+            cb.require_scaled_unitary()
+        assert cb.unitarity_residual == pytest.approx(8.0)
+
+    def test_require_scaled_unitary_computes_the_residual_once(self, monkeypatch):
+        cb = Codebook(construct_design(2), construct_signal_set(2, 16))
+        calls = []
+        residual = Codebook.max_unitarity_residual
+
+        def counted(self):
+            calls.append(1)
+            return residual(self)
+
+        monkeypatch.setattr(Codebook, "max_unitarity_residual", counted)
+        for _ in range(3):
+            cb.require_scaled_unitary()
+        assert calls == [1]
+        # a fresh codebook computes its own
+        Codebook(construct_design(2), construct_signal_set(2, 16)).require_scaled_unitary()
+        assert calls == [1, 1]
 
 
 class TestFullDiversity:

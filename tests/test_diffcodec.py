@@ -115,8 +115,6 @@ class TestChannel:
             ChannelConfig(n_r=0)
         with pytest.raises(ValueError):
             ChannelConfig(noise_var=-1.0)
-        with pytest.raises(ValueError):
-            ChannelConfig(coherence_frames=1)
 
     def test_mismatched_channel(self):
         cfg = ChannelConfig()

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import asdict
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +29,22 @@ def _cfg(**kw):
 
 def _worker_blas_threads(_):
     return blas_threads()
+
+
+@pytest.fixture(autouse=True)
+def _fresh_codebook_cache():
+    """No test sees a codebook, or a residual memoised on one, that another
+    test cached (possibly under monkeypatch)."""
+    sim._codebook.cache_clear()
+    yield
+    sim._codebook.cache_clear()
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 class TestBitMapping:
@@ -103,8 +119,8 @@ class TestRunSim:
             def __init__(self, workers):
                 sizes.append(workers)
 
-            def map(self, fn, payloads):
-                return (fn(p) for p in payloads)
+            def map(self, fn, *iterables):
+                return (fn(*args) for args in zip(*iterables))
 
             def shutdown(self, cancel_futures=False):
                 pass
@@ -120,23 +136,21 @@ class TestRunSim:
         assert sizes == [200]
 
     def test_group_decoding_refuses_a_failing_grouping(self, monkeypatch):
-        monkeypatch.setattr(sim, "_CB_CACHE", {})
         scrambled = Grouping(g=4, groups=((0, 3), (1, 2), (4, 6), (5, 7)))
         monkeypatch.setattr(sim, "build_codebook", lambda cfg: Codebook(
             construct_design(2), construct_signal_set(2, 16), scrambled))
         with pytest.raises(NotGroupDecodableError):
             run_sim(_cfg(frames=20))
 
-    def test_group_only_run_builds_no_codeword_stack(self, monkeypatch):
-        monkeypatch.setattr(sim, "_CB_CACHE", {})
+    def test_group_only_run_builds_no_codeword_stack(self):
         run_sim(_cfg(frames=50))
-        (entry,) = sim._CB_CACHE.values()
-        assert "matrices" not in entry["codebook"].__dict__
+        cb = sim._codebook_for(_cfg())
+        assert "matrices" not in cb.__dict__
         run_sim(_cfg(frames=50, decoder="exhaustive"))
-        assert "matrices" in entry["codebook"].__dict__
+        assert sim._codebook_for(_cfg()) is cb
+        assert "matrices" in cb.__dict__
 
     def test_cache_holds_the_current_codebook_only(self, monkeypatch):
-        monkeypatch.setattr(sim, "_CB_CACHE", {})
         builds = []
         build = sim.build_codebook
 
@@ -147,14 +161,14 @@ class TestRunSim:
         monkeypatch.setattr(sim, "build_codebook", counted)
         run_sim(_cfg(frames=20, decoder="both"))
         run_sim(_cfg(m=256, frames=20, decoder="both"))
-        (entry,) = sim._CB_CACHE.values()
-        assert entry["codebook"].M == 256
-        run_sim(_cfg(m=256, frames=20, decoder="both"))
+        assert sim._codebook.cache_info().currsize == 1
+        assert sim._codebook_for(_cfg(m=256)).M == 256
+        # other SNRs, seeds and decoders reuse the codebook
+        run_sim(_cfg(m=256, frames=20, snr_db=(3.0,), seed=4, decoder="group"))
         assert builds == [16, 256]
-        assert len(sim._CB_CACHE) == 1
+        assert sim._codebook.cache_info().currsize == 1
 
     def test_exhaustive_decoder_refuses_non_scaled_unitary_codebook(self, monkeypatch):
-        monkeypatch.setattr(sim, "_CB_CACHE", {})
         monkeypatch.setattr(sim.Codebook, "max_unitarity_residual", lambda self: 1e-3)
         with pytest.raises(ValueError, match="scaled-unitary"):
             run_sim(_cfg(frames=20, decoder="exhaustive"))
@@ -186,7 +200,6 @@ class TestRunSim:
         assert exhaustive.bit_errors == 200 * per_frame == 600
 
     def test_unitarity_checked_once_per_cached_codebook(self, monkeypatch):
-        monkeypatch.setattr(sim, "_CB_CACHE", {})
         calls = []
         residual = sim.Codebook.max_unitarity_residual
 
@@ -200,8 +213,7 @@ class TestRunSim:
         for _ in range(3):
             run_sim(_cfg(frames=20, decoder="both"))
         assert calls == [1]
-        (entry,) = sim._CB_CACHE.values()
-        assert entry["unitarity_residual"] <= sim.UNITARITY_TOL
+        assert sim._codebook_for(_cfg()).unitarity_residual <= sim.UNITARITY_TOL
 
     def test_decoders_agree_frame_by_frame(self):
         res = run_sim(_cfg(snr_db=(0.0, 8.0), frames=800, decoder="both"))
@@ -270,6 +282,24 @@ class TestRunSim:
         assert "snr_convention" in doc
         assert doc["backend"] == "python"
 
+    def test_json_is_strict_for_infinite_snr_and_bler_only_points(self):
+        doc = _strict_json(run_sim(_cfg(snr_db=(math.inf, 6.0), frames=20)).to_json())
+        assert doc["config"]["snr_db"] == ["inf", 6.0]
+        assert [r["snr_db"] for r in doc["results"]] == ["inf", 6.0]
+        assert doc["results"][0]["ber"] == 0.0
+        res = run_sim(SimConfig(lam=2, m=6**4, snr_db=(math.inf,), frames=20))
+        assert math.isnan(res.points[0].ber)
+        assert res.to_csv().splitlines()[1].split(",")[7] == "nan"
+        row = _strict_json(res.to_json())["results"][0]
+        assert (row["snr_db"], row["bits"], row["ber"]) == ("inf", 0, None)
+
+    def test_json_refuses_other_non_finite_values(self):
+        res = run_sim(_cfg(frames=20))
+        bad = sim.SimResult(config=res.config,
+                            points=(replace(res.points[0], wall_time_s=math.nan),))
+        with pytest.raises(ValueError):
+            bad.to_json()
+
 
 #: CSVs of three small configs, produced before the block pass was batched.
 #: They pin the RNG layout: one stream per block, drawing the channel, all
@@ -315,11 +345,10 @@ class TestBlockPass:
     def test_windows_replay_the_per_frame_chain_bit_for_bit(self, monkeypatch, lam, n_r,
                                                              sigma):
         monkeypatch.setattr(sim, "WINDOW", 7)
-        entry = sim._cached_chain(asdict(SimConfig(lam=lam, m=256)))
-        cb = entry["codebook"]
+        cb = sim._codebook_for(SimConfig(lam=lam, m=256))
         nf = 17  # windows of 7, 7 and 3 frames
         rng = np.random.default_rng([lam, n_r])
-        windows = list(sim._block_frames(cb, entry["strides"], rng, nf, n_r, sigma))
+        windows = list(sim._block_frames(cb, rng, nf, n_r, sigma))
         sent, frames = _replay_block(cb, [lam, n_r], nf, n_r, sigma)
         assert [len(w[0]) for w in windows] == [7, 7, 3]
         assert [lin for w in windows for lin in w[0]] == sent
