@@ -3,11 +3,12 @@
 
 Times one differential decode metric scan (the hot loop of both decoders
 and of the Monte Carlo simulator) over codebook stacks of increasing
-size: the direct scan and the scaled-unitary scan the simulator's
-exhaustive decoder uses (``scales`` given).  Then the direct scan over
-single group stacks, the (M^(1/4), n, n) stacks the simulator's group
-decoder scans four times per frame, where per-call overhead, not
-arithmetic, sets the cost.  Then the per-frame cost of the two decoders
+size: the direct scan over the codeword stack and the scan the
+simulator's exhaustive decoder uses, over the codewords' real
+coordinates (``points`` with ``scales`` and ``basis``).  Then the
+direct scan over single group stacks, the (M^(1/4), n, n) stacks the
+simulator's group decoder scans four times per frame, where per-call
+overhead, not arithmetic, sets the cost.  Then the per-frame cost of the two decoders
 through the public API on the largest codebook.
 
 Run from the repository root:
@@ -56,19 +57,19 @@ def main():
 
     scans = [
         ("direct", lambda cb, *a: metric_scan(cb.matrices, *a)),
-        ("scaled", lambda cb, *a: metric_scan(cb.matrices, *a, cb.scales)),
+        ("coords", lambda cb, *a: metric_scan(cb.points, *a, cb.scales, cb.basis)),
     ]
 
     rng = np.random.default_rng(0)
     cases = [(1, 16), (2, 256), (3, 4096), (3, 16**4)]
 
     print(f"{'case':>16} {'M':>6}", *(f"{name:>12}" for name, _ in scans),
-          f"{'direct/scaled':>14}")
+          f"{'direct/coords':>14}")
     for lam, m in cases:
         cb = Codebook(construct_design(lam), construct_signal_set(lam, m),
                       check_decodable=False)
         n = cb.n
-        cb.matrices  # noqa: B018  (built before timing)
+        cb.matrices, cb.points  # noqa: B018  (built before timing)
         r_prev, r_t = random_frame(rng, n), random_frame(rng, n)
         times = [time_call(fn, (cb, r_prev, r_t, 1.0), args.repeats)
                  for _, fn in scans]

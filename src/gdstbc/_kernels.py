@@ -1,22 +1,32 @@
 """The decoder metric kernel (NumPy), and BLAS thread control.
 
-``metric_scan`` makes one BLAS call per scan: the (M, n, n) candidate
-stack is viewed as one (M*n, n) matrix and multiplied by ``r_prev`` (a
-GEMV for one receive antenna), so the scan streams the stack once instead
-of running M tiny matrix products.  The first candidate index achieving
-the minimum wins.
+``metric_scan`` makes one BLAS call per scan over the candidates.  In
+its direct form the (M, n, n) candidate stack is viewed as one (M*n, n)
+matrix and multiplied by ``r_prev`` (a GEMV for one receive antenna), so
+the scan streams the stack once instead of running M tiny matrix
+products.  The first candidate index achieving the minimum wins.
 
-Given ``scales``, the a_m with ``stack[m]^H stack[m] = a_m I``, the scan
-uses the scaled-unitary expansion of the metric instead,
+Given ``scales`` and ``basis``, the scan takes a linear design's
+codebook in its real coordinates instead of its matrices: ``stack`` is
+the (M, 4, K/4) array of every codeword's group points, ``basis`` the K
+weight matrices A_v in the same order, so that S_m = sum_v x_m[v] A_v,
+and ``scales`` the a_m with S_m^H S_m = a_m I.  The metric then expands
+as
 
-    ||r_t||^2 + inv_a^2 a_m ||r_prev||^2 - 2 inv_a Re tr(r_t^H S_m r_prev),
+    ||r_t||^2 + c a_m - 2 inv_a Re tr(r_t^H S_m r_prev),
+    c = inv_a^2 ||r_prev||^2,
 
-whose only per-candidate work is the cross term: with the n x n matrix
-w = conj(r_t) r_prev^T it is sum_ij S_m[i, j] w[i, j], one GEMV over the
-stack viewed as (M, n*n), and no (M, n, n_r) product is formed.
-||r_t||^2 is the same for every candidate, so it is added to the
-winner's metric only.  The caller vouches for the identity; on a stack
-that breaks it the result is a different metric.
+and by linearity the cross term is x_m . g with g_v = Re tr(r_t^H A_v
+r_prev), the real inner product of r_t and A_v r_prev.  Two tiny
+products form g (one GEMM for every A_v r_prev, one real GEMV of their
+float64 view against r_t's), and one real (M, K) GEMV scores every
+candidate: 8 K bytes of coordinates per codeword where the matrices
+take 16 n^2, n times less.  The scan makes one M-sized array: g is
+scaled by -2 inv_a / c, so the GEMV and an in-place add of ``scales``
+give the metric less ||r_t||^2, divided by c.  That has the same
+argmin; ||r_t||^2 and the factor c are applied to the winner only.
+The caller vouches for the scaled unitarity; on a codebook that breaks
+it the result is a different metric.
 
 OpenBLAS threads that GEMV once the stack is large enough.  Pool workers
 that scan side by side would then oversubscribe the cores, so
@@ -49,25 +59,33 @@ def metric_values(stack, r_prev, r_t, inv_a):
     return np.vecdot(parts, parts)
 
 
-def metric_scan(stack, r_prev, r_t, inv_a, scales=None):
-    """argmin_m || r_t - inv_a * stack[m] @ r_prev ||_F^2 over the stack.
+def metric_scan(stack, r_prev, r_t, inv_a, scales=None, basis=None):
+    """argmin_m || r_t - inv_a * S_m @ r_prev ||_F^2 over M candidates.
 
-    ``scales`` (optional) are the a_m of a scaled-unitary stack; with
-    them the scan uses the expansion in the module docstring.  Returns
+    Without ``scales`` the candidates are the matrices of ``stack``.
+    With ``scales`` and ``basis`` they are the codewords of a
+    scaled-unitary linear design, given by their coordinates ``stack``,
+    and the scan uses the expansion in the module docstring.  Returns
     (best_index, best_metric).
     """
     if scales is None:
         metrics = metric_values(stack, r_prev, r_t, inv_a)
         best = int(metrics.argmin())
         return best, float(metrics[best])
-    m, n, _ = stack.shape
-    # np.dot, not @: about 1 us less per call, which matters at M = 16
-    w = np.dot(r_t.conj(), r_prev.T)
-    w *= -2.0 * inv_a
-    metrics = scales * (inv_a * inv_a * np.vdot(r_prev, r_prev).real)
-    metrics += np.dot(stack.reshape(m, n * n), w.reshape(n * n)).real
+    k, n, _ = basis.shape
+    # A_v r_prev for every v (np.dot, not @: about 1 us less per call, which
+    # matters at M = 16), then g_v = Re <r_t, A_v r_prev> over float64 views
+    y = np.dot(basis.reshape(k * n, n), r_prev)
+    g = np.dot(y.reshape(k, -1).view(np.float64), r_t.reshape(-1).view(np.float64))
+    c = inv_a * inv_a * np.vdot(r_prev, r_prev).real
+    # c == 0 only when r_prev == 0 (g is then 0 too): no scale term to fold
+    fold = c if c else 1.0
+    g *= -2.0 * inv_a / fold
+    metrics = np.dot(stack.reshape(-1, k), g)
+    if c:
+        metrics += scales
     best = int(metrics.argmin())
-    return best, float(np.vdot(r_t, r_t).real + metrics[best])
+    return best, float(np.vdot(r_t, r_t).real + fold * metrics[best])
 
 
 class _DlPhdrInfo(ctypes.Structure):

@@ -77,8 +77,11 @@ class Codebook:
     point p to the codeword matrix; a full codeword is the sum of the
     four chosen partials.  ``partials`` is one contiguous stack of all
     four groups' partials, group 0 first, so that the group decoder can
-    scan them in one pass; ``group_stacks`` are views into it.  The full
-    (M, n, n) stack is materialised lazily since M can reach 65536.
+    scan them in one pass; ``group_stacks`` are views into it.  The
+    M-sized arrays are built lazily, since M can reach 65536: ``scales``,
+    ``points`` (every codeword's real coordinates against ``basis``, the
+    form the simulator's exhaustive decoder scans) and the full (M, n, n)
+    ``matrices`` stack (n times larger, for ``decode_exhaustive``).
     """
 
     def __init__(self, design: LinearDesign, sset: SignalSet,
@@ -137,6 +140,26 @@ class Codebook:
         return np.ascontiguousarray(full.reshape(self.M, self.n, self.n))
 
     @cached_property
+    def basis(self) -> np.ndarray:
+        """The design's weight matrices in ``points`` order, (K, n, n):
+        group 0's variables first, each group in its grouping order."""
+        return self.design.weight_stack[self.grouping.permutation()]
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """Every codeword's four group points, (M, 4, K/4), row-major over
+        the index tuples like ``matrices``: codeword m is
+        ``tensordot(points[m].reshape(K), basis, 1)``, in 8 K bytes
+        instead of the 16 n^2 of its matrix."""
+        p0, p1, p2, p3 = (gset.points for gset in self.sset.groups)
+        full = np.empty((*self.sizes, 4, self.sset.dim))
+        full[..., 0, :] = p0[:, None, None, None]
+        full[..., 1, :] = p1[None, :, None, None]
+        full[..., 2, :] = p2[None, None, :, None]
+        full[..., 3, :] = p3[None, None, None, :]
+        return full.reshape(self.M, 4, self.sset.dim)
+
+    @cached_property
     def scales(self) -> np.ndarray:
         """scale_sq of every codeword: the squared norm of its real vector."""
         n0, n1, n2, n3 = self.group_norms
@@ -170,8 +193,9 @@ class Codebook:
         every codeword is scaled unitary within ``UNITARITY_TOL``.
 
         The simulator's exhaustive decoder needs it: its scaled-unitary
-        expansion of the metric (``_kernels.metric_scan`` with ``scales``)
-        is exact only when S^H S = a(S) I for every codeword.
+        expansion of the metric (``_kernels.metric_scan`` over ``points``
+        with ``scales`` and ``basis``) is exact only when S^H S = a(S) I
+        for every codeword.
         """
         if self.unitarity_residual is None:
             self.unitarity_residual = self.max_unitarity_residual()

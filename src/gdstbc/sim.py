@@ -79,6 +79,13 @@ class SimConfig:
     seed: int = 0
     workers: int = 1
 
+    def __post_init__(self):
+        # lists from the Python API become tuples, so that the frozen config
+        # and the codebook cache key built from its fields are hashable
+        object.__setattr__(self, "snr_db", tuple(self.snr_db))
+        if self.radii is not None:
+            object.__setattr__(self, "radii", tuple(self.radii))
+
     def validate(self):
         if self.lam < 1:
             raise ValueError("lam must be >= 1")
@@ -236,9 +243,10 @@ def _codebook(lam, m, family, radii, preset, c) -> Codebook:
 
     Construction is pure, so chunk tasks reuse it and fork/spawn workers
     build it once.  Only the current codebook is kept: a run needs no
-    other, and a stale one would keep its codeword stack alive.  The full
-    (M, n, n) stack is built only once an exhaustive decoder needs it;
-    encoding sums the four group partials instead.
+    other, and a stale one would keep its M-sized arrays alive.  The
+    codewords' coordinates are built only once an exhaustive decoder
+    needs them, and the full (M, n, n) stack never is; encoding sums the
+    four group partials instead.
     """
     return build_codebook(SimConfig(lam=lam, m=m, family=family, radii=radii, preset=preset,
                                     c=c))
@@ -313,7 +321,10 @@ def _run_blocks(cfg, snr_idx, block_lo, block_hi):
     at most ``WINDOW`` frames.  For each window the decoders run in turn
     over its frames, each tracking its own scale from its own decisions:
     four ``metric_scan`` calls on the group stacks per group-decoded
-    frame, one on the codeword stack with ``scales`` per exhaustive one.
+    frame, and per exhaustive one a single scan of all M codewords in
+    their real coordinates (``cb.points`` with ``scales`` and
+    ``cb.basis``: one real (M, K) GEMV), so the (M, n, n) codeword stack
+    is never built.
     That is the call structure of a plain per-frame loop, kept exactly:
     one stream per block with the same draws in the same order, and the
     same scans.  Only encoding, transmission and counting leave the
@@ -323,7 +334,8 @@ def _run_blocks(cfg, snr_idx, block_lo, block_hi):
     cb = _codebook_for(cfg)
     decoders = cfg.decoders()
     scan = metric_scan
-    mats = cb.matrices if "exhaustive" in decoders else None
+    if "exhaustive" in decoders:
+        points, basis = cb.points, cb.basis
     scales = cb.scales
     s0, s1, s2, s3 = cb.group_stacks
     _, n1, n2, n3 = cb.sizes
@@ -357,7 +369,7 @@ def _run_blocks(cfg, snr_idx, block_lo, block_hi):
                         prev = r_t
                 else:
                     for r_t in r:
-                        lin_hat, _ = scan(mats, prev, r_t, 1.0 / math.sqrt(a), scales)
+                        lin_hat, _ = scan(points, prev, r_t, 1.0 / math.sqrt(a), scales, basis)
                         a = scales[lin_hat]
                         hats.append(lin_hat)
                         prev = r_t

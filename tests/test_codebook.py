@@ -25,6 +25,7 @@ from gdstbc.signalset import (
     preset_signal_set,
     verify_scaled_unitarity,
 )
+from gdstbc.sim import SimConfig, build_codebook
 
 from oracles import assemble_real_vector, pair_scan
 
@@ -96,6 +97,45 @@ class TestCodewordAssembly:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Codebook(construct_design(3), construct_signal_set(2, 16))
+
+
+#: Axis lam 1-4, the preset and the hyperbola family, as the simulator builds them.
+COORDINATE_CODEBOOKS = {
+    "lam1-M256": dict(lam=1, m=256),
+    "lam2-M256": dict(lam=2, m=256),
+    "lam3-M256": dict(lam=3, m=256),
+    "lam4-M256": dict(lam=4, m=256),
+    "preset": dict(lam=3, m=16**4, preset="paper-8ant-rate2"),
+    "hyperbola": dict(lam=2, m=256, family="hyperbola"),
+}
+
+
+class TestCoordinates:
+    """``points`` and ``basis``: every codeword in the design's real coordinates."""
+
+    @pytest.fixture(scope="class", params=sorted(COORDINATE_CODEBOOKS))
+    def cb(self, request):
+        return build_codebook(SimConfig(**COORDINATE_CODEBOOKS[request.param]))
+
+    def test_coordinates_reproduce_the_codeword_stack(self, cb):
+        k = cb.design.K
+        assert cb.points.shape == (cb.M, 4, k // 4) and cb.basis.shape == (k, cb.n, cb.n)
+        assert cb.points.nbytes == 8 * k * cb.M
+        stack = np.tensordot(cb.points.reshape(cb.M, k), cb.basis, 1)
+        scale = np.abs(cb.matrices).max()
+        assert np.abs(stack - cb.matrices).max() <= 1e-12 * scale
+
+    def test_scales_are_the_squared_norms_of_the_points(self, cb):
+        norms = np.einsum("mkd,mkd->m", cb.points, cb.points)
+        assert np.abs(norms - cb.scales).max() <= 1e-12 * cb.scales.max()
+
+    def test_points_place_the_real_vector_of_each_codeword(self, cb):
+        pts = [g.points for g in cb.sset.groups]
+        order = np.concatenate(cb.grouping.groups)
+        for lin in (0, 1, cb.M // 3, cb.M - 1):
+            x = assemble_real_vector(cb.grouping, pts, cb.unravel_index(lin))
+            assert np.array_equal(cb.points[lin].reshape(-1), x[order])
+            assert np.allclose(evaluate(cb.design, x), cb.matrices[lin], atol=1e-12)
 
 
 class TestScaledUnitarity:

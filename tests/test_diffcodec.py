@@ -156,8 +156,8 @@ class TestExhaustiveDecoder:
 
 
 class TestScaledUnitaryExhaustiveScan:
-    """The simulator's exhaustive scan (``metric_scan`` with ``scales``)
-    against ``decode_exhaustive``, the literal stack scan."""
+    """The simulator's exhaustive scan (``metric_scan`` in the codewords' real
+    coordinates) against ``decode_exhaustive``, the literal stack scan."""
 
     #: name: (codebook config, windows); 10 800 windows in all
     CODEBOOKS = {
@@ -178,7 +178,8 @@ class TestScaledUnitaryExhaustiveScan:
             snr_db = (math.inf, 40.0, 20.0, 10.0, 0.0)[w % 5]
             sigma = math.sqrt(cb.n / 10 ** (snr_db / 10) / 2)  # the simulator's convention
             r_t, r_prev, a_sq = noisy_window(cb, rng, sigma, 1 + w % 3)
-            best, _ = metric_scan(cb.matrices, r_prev, r_t, 1.0 / math.sqrt(a_sq), cb.scales)
+            best, _ = metric_scan(cb.points, r_prev, r_t, 1.0 / math.sqrt(a_sq), cb.scales,
+                                  cb.basis)
             assert cb.unravel_index(best) == decode_exhaustive(cb, r_t, r_prev, a_sq).index
 
 

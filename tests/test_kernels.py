@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -46,8 +48,10 @@ class TestFallbackKernel:
         r_t = np.zeros((3, 1), dtype=np.complex128)
         with pytest.raises(ValueError):
             metric_scan(stack, bad_prev, r_t, 1.0)
+        # the coordinate form, on two candidates of a K = 4 design
+        basis = np.zeros((4, 3, 3), dtype=np.complex128)
         with pytest.raises(ValueError):
-            metric_scan(stack, bad_prev, r_t, 1.0, np.ones(2))
+            metric_scan(np.zeros((2, 4, 1)), bad_prev, r_t, 1.0, np.ones(2), basis)
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(1)
@@ -136,7 +140,8 @@ def scaled_cb(request):
 
 
 class TestScaledUnitaryScan:
-    """metric_scan with ``scales`` against the direct metric on codebook stacks."""
+    """metric_scan in a codebook's real coordinates (``points`` with ``scales``
+    and ``basis``) against the direct metric on its codeword stack."""
 
     @pytest.mark.parametrize("sigma", [0.0, 1e-3, 1.0])
     @pytest.mark.parametrize("inv_a", [1.0, 0.37])
@@ -147,7 +152,7 @@ class TestScaledUnitaryScan:
         for _ in range(3):
             r_t, r_prev, _ = noisy_window(cb, rng, sigma, nr)
             ref = metric_values(cb.matrices, r_prev, r_t, inv_a)
-            idx, metric = metric_scan(cb.matrices, r_prev, r_t, inv_a, cb.scales)
+            idx, metric = metric_scan(cb.points, r_prev, r_t, inv_a, cb.scales, cb.basis)
             size = (np.vdot(r_t, r_t).real
                     + inv_a ** 2 * cb.scales.max() * np.vdot(r_prev, r_prev).real)
             assert idx == int(ref.argmin())
@@ -157,7 +162,7 @@ class TestScaledUnitaryScan:
         cb = scaled_cb
         r_prev = np.zeros((cb.n, 2), dtype=np.complex128)
         r_t = np.ones((cb.n, 2), dtype=np.complex128)
-        idx, metric = metric_scan(cb.matrices, r_prev, r_t, 0.8, cb.scales)
+        idx, metric = metric_scan(cb.points, r_prev, r_t, 0.8, cb.scales, cb.basis)
         assert idx == 0
         assert metric == 2.0 * cb.n
 
@@ -167,10 +172,25 @@ class TestScaledUnitaryScan:
         r_t, r_prev, _ = noisy_window(cb, rng, 0.1, 3)
         views = (np.asfortranarray(r_prev), r_t[:, ::-1])
         assert not views[0].flags.c_contiguous and not views[1].flags.c_contiguous
-        idx, metric = metric_scan(cb.matrices, *views, 0.6, cb.scales)
+        idx, metric = metric_scan(cb.points, *views, 0.6, cb.scales, cb.basis)
         ref = metric_values(cb.matrices, r_prev, r_t[:, ::-1], 0.6)
         assert idx == int(ref.argmin())
         assert metric == pytest.approx(ref.min(), rel=1e-12)
+
+    def test_one_candidate_sized_array_per_scan(self):
+        # a second M-sized temporary would cost a fresh allocation (and its
+        # page faults) on every scan
+        cb = build_codebook(SimConfig(lam=3, m=4096))
+        r_t, r_prev, _ = noisy_window(cb, np.random.default_rng(32), 0.1, 2)
+        args = (cb.points, r_prev, r_t, 0.7, cb.scales, cb.basis)
+        metric_scan(*args)
+        tracemalloc.start()
+        try:
+            metric_scan(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 8 * cb.M <= peak < 12 * cb.M
 
     def test_without_scales_is_the_direct_scan(self):
         rng = np.random.default_rng(31)

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,10 +149,33 @@ class TestRunSim:
     def test_group_only_run_builds_no_codeword_stack(self):
         run_sim(_cfg(frames=50))
         cb = sim._codebook_for(_cfg())
-        assert "matrices" not in cb.__dict__
-        run_sim(_cfg(frames=50, decoder="exhaustive"))
-        assert sim._codebook_for(_cfg()) is cb
-        assert "matrices" in cb.__dict__
+        assert not {"matrices", "points", "basis"} & cb.__dict__.keys()
+        for decoder in ("exhaustive", "both"):
+            run_sim(_cfg(frames=50, decoder=decoder))
+            assert sim._codebook_for(_cfg()) is cb
+            # the exhaustive rows scan the codewords' coordinates instead
+            assert "matrices" not in cb.__dict__ and "points" in cb.__dict__
+
+    def test_large_design_runs_both_decoders_without_the_stack(self):
+        # lam 5, M 16^4: the (M, n, n) stack alone would take 1.07 GB, the
+        # coordinates take 34 MB
+        code = (
+            "from gdstbc.sim import SimConfig, run_sim\n"
+            "res = run_sim(SimConfig(lam=5, m=16**4, decoder='both', snr_db=(20.0,),"
+            " frames=20, seed=1))\n"
+            "assert [p.frames for p in res.points] == [20, 20]\n"
+            "group, exhaustive = res.points\n"
+            "assert group.frame_errors == exhaustive.frame_errors\n"
+            # the peak RSS of this process image: ru_maxrss would also count
+            # the test process it was forked from
+            "with open('/proc/self/status') as fh:\n"
+            "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))\n"
+        )
+        src = Path(sim.__file__).resolve().parents[1]
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert int(out.stdout.split()[-1]) < 300 * 1024  # VmHWM is in kB
 
     def test_cache_holds_the_current_codebook_only(self, monkeypatch):
         builds = []
@@ -182,10 +209,10 @@ class TestRunSim:
         scan = sim.metric_scan
         flip = 0b1011
 
-        def flipped(stack, r_prev, r_t, inv_a, scales=None):
+        def flipped(stack, r_prev, r_t, inv_a, scales=None, basis=None):
             if scales is None:  # group scans
                 return scan(stack, r_prev, r_t, inv_a)
-            best, metric = scan(stack, r_prev, r_t, inv_a, scales)
+            best, metric = scan(stack, r_prev, r_t, inv_a, scales, basis)
             return best ^ flip, metric
 
         monkeypatch.setattr(sim, "metric_scan", flipped)
@@ -377,8 +404,9 @@ class TestBlockPass:
         assert run_sim(SimConfig(**cfg)).to_csv() == CSV_HEADER + "\n" + rows
 
     def test_each_decoder_is_timed_separately(self):
-        res = run_sim(SimConfig(lam=3, m=4096, snr_db=(10.0,), frames=400, coherence=10,
-                                decoder="both", seed=2))
+        # M 16^4: an exhaustive frame scores 65 536 codewords, a group frame 64
+        res = run_sim(SimConfig(lam=3, m=16**4, preset="paper-8ant-rate2", snr_db=(10.0,),
+                                frames=200, coherence=10, decoder="both", seed=2))
         group, exhaustive = res.points
         assert 0.0 < group.decode_time_s < exhaustive.decode_time_s
         assert group.wall_time_s == exhaustive.wall_time_s
@@ -406,6 +434,15 @@ class TestConfigValidation:
             run_sim(_cfg(n_r=0))
         with pytest.raises(ValueError):
             run_sim(_cfg(target_errors=0))
+
+    def test_list_inputs_run_as_tuples(self):
+        # the Python API may pass lists; the codebook cache key needs tuples
+        kw = dict(lam=2, m=256, frames=100, coherence=10, decoder="both", seed=3)
+        cfg = SimConfig(radii=[1.0, 3.0], snr_db=[4.0, 8.0], **kw)
+        assert cfg.radii == (1.0, 3.0) and cfg.snr_db == (4.0, 8.0)
+        got = run_sim(cfg).to_csv()
+        sim._codebook.cache_clear()
+        assert got == run_sim(SimConfig(radii=(1.0, 3.0), snr_db=(4.0, 8.0), **kw)).to_csv()
 
     def test_hyperbola_needs_lambda_two(self):
         with pytest.raises(ValueError):
