@@ -1,10 +1,16 @@
-"""Differential encoder, block-fading channel, and the two decoders.
+"""The differential chain: encoder, block-fading channel and decoders.
 
 Transmission starts from a known identity frame and chains
 X_t = U_t X_{t-1} / a_{t-1}, where a_{t-1}^2 is the scale of the previous
-information codeword (U^H U = a^2 I).  The receiver never learns the
-channel: it minimises || R_t - U R_{t-1} / a_{t-1} ||^2 over candidate
-codewords, with a_{t-1} taken from its own previous decision.
+information codeword (U^H U = a^2 I), and frame t reaches the receiver as
+R_t = X_t H + W_t.  The receiver never learns the channel: it minimises
+|| R_t - U R_{t-1} / a_{t-1} ||^2 over candidate codewords, with a_{t-1}
+taken from its own previous decision.
+
+``block_frames`` runs a fading block in windows; ``draw_channel``,
+``encoder_step`` and ``channel_step`` are its one-frame view, built on
+the same draws and chain step.  ``decide_group`` and ``decide_exhaustive``
+decide a window's frames, ``decode_group`` and ``decode_exhaustive`` one.
 
 Two decoders are provided.  The exhaustive one scans all M codewords.
 The group decoder exploits the cross-group anticommutation of the weight
@@ -24,6 +30,10 @@ import numpy as np
 
 from ._kernels import metric_scan, metric_values
 from .codebook import Codebook, Codeword
+
+#: Most frames of a block encoded and transmitted in one pass.  It bounds
+#: the memory of a whole-burst block; no result depends on it.
+WINDOW = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,11 +70,26 @@ class ChannelConfig:
         self._rng = np.random.default_rng(self.seed)
 
 
+def _complex_normal(rng, shape):
+    """Standard normal pairs drawn as (*shape, 2), read as re + 1j * im."""
+    return rng.standard_normal((*shape, 2)).view(np.complex128)[..., 0]
+
+
+def _channel(rng, n: int, n_r: int) -> np.ndarray:
+    """n x n_r matrix with i.i.d. CN(0, 1) entries."""
+    return _complex_normal(rng, (n, n_r)) / math.sqrt(2.0)
+
+
+def _chain_step(u, x_prev, root_prev, out=None):
+    """X_t = U_t X_{t-1} / sqrt(a_{t-1}), with root_prev = sqrt(a_{t-1})."""
+    x_t = np.dot(u, x_prev, out=out)
+    x_t /= root_prev
+    return x_t
+
+
 def draw_channel(cfg: ChannelConfig, n: int, rng=None) -> np.ndarray:
     """n x n_r matrix with i.i.d. CN(0, 1) entries."""
-    rng = cfg._rng if rng is None else rng
-    z = rng.standard_normal((n, cfg.n_r, 2))
-    return (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
+    return _channel(cfg._rng if rng is None else rng, n, cfg.n_r)
 
 
 def encoder_init(n: int) -> EncoderState:
@@ -82,7 +107,7 @@ def encoder_step(state: EncoderState, u: Codeword):
         raise ValueError(
             f"codeword shape {u.matrix.shape} does not match chain shape {state.x_prev.shape}"
         )
-    x_t = (u.matrix @ state.x_prev) / math.sqrt(state.a_prev_sq)
+    x_t = _chain_step(u.matrix, state.x_prev, math.sqrt(state.a_prev_sq))
     return EncoderState(x_prev=x_t, a_prev_sq=float(u.scale_sq)), x_t
 
 
@@ -93,9 +118,51 @@ def channel_step(cfg: ChannelConfig, x_t: np.ndarray, h: np.ndarray, rng=None) -
     r = x_t @ h
     if cfg.noise_var > 0:
         rng = cfg._rng if rng is None else rng
-        z = rng.standard_normal((*r.shape, 2))
-        r = r + (z[..., 0] + 1j * z[..., 1]) * math.sqrt(cfg.noise_var / 2.0)
+        r = r + _complex_normal(rng, r.shape) * math.sqrt(cfg.noise_var / 2.0)
     return r
+
+
+def block_frames(cb: Codebook, rng, nf: int, n_r: int, sigma: float):
+    """Draw one fading block from ``rng`` and yield its frames window by window.
+
+    The draws come in a fixed order: the channel, the four groups'
+    indices for all ``nf`` frames, then the noise (``sigma`` per real
+    dimension), reference frame first.  A frame's linear index is its
+    four group indices raveled row-major over ``cb.sizes``.  Each window
+    of at most ``WINDOW`` frames sums its codewords in one gather, runs
+    the chain step per frame and forms its received frames with one
+    batched product.  Yields ``(sent, r_prev, r)``: the window's sent
+    linear indices as a list, the frame received just before it, and its
+    received frames as one (w, n, n_r) array.  The noise is read in draw
+    order, so no frame depends on ``WINDOW``, which only bounds the
+    memory of a whole-burst block, and ``encoder_step`` and
+    ``channel_step`` on the same ``rng`` reproduce every frame.
+    """
+    n = cb.n
+    h = _channel(rng, n, n_r)
+    idx = np.array([rng.integers(0, size, nf) for size in cb.sizes])
+    lin_block = np.ravel_multi_index(idx, cb.sizes)
+    r_prev = h
+    x_prev = np.eye(n, dtype=np.complex128)
+    root_prev = 1.0  # sqrt(a) of the reference frame
+    for lo in range(0, nf, WINDOW):
+        hi = min(lo + WINDOW, nf)
+        lin = lin_block[lo:hi]
+        # the sum of Codebook.codeword_at, so X_t is bit-identical
+        u = sum(s.take(i, 0) for s, i in zip(cb.group_stacks, idx[:, lo:hi]))
+        x = np.empty_like(u)
+        for u_t, x_t, root_t in zip(u, x, np.sqrt(cb.scales[lin])):
+            x_prev = _chain_step(u_t, x_prev, root_prev, x_t)
+            root_prev = root_t
+        r = np.matmul(x, h)
+        if sigma > 0.0:
+            ref = 1 if lo == 0 else 0
+            noise = _complex_normal(rng, (ref + hi - lo, n, n_r)) * sigma
+            if ref:
+                r_prev = h + noise[0]
+            r += noise[ref:]
+        yield lin.tolist(), r_prev, r
+        r_prev = r[-1]
 
 
 def _as_receive(r, n: int) -> np.ndarray:
@@ -118,15 +185,13 @@ def decode_exhaustive(cb: Codebook, r_t, r_prev, a_prev_sq: float) -> DecodeResu
 def decode_group(cb: Codebook, r_t, r_prev, a_prev_sq: float) -> DecodeResult:
     """Per-group metric minimisation; needs a group-decodable codebook.
 
-    A codebook built with ``check_decodable=False`` is checked here on
-    demand, as the verifiers do; a failing grouping raises
-    NotGroupDecodableError.  Each group's winner is found independently
-    against that group's partial codewords, first index on ties.  All four
-    groups' metrics come from one NumPy pass over ``cb.partials``: four
-    separate scans of a few partials each would cost more in per-call
-    overhead than in arithmetic.  The reported metric is the full
-    differential metric re-evaluated at the assembled decision, so it is
-    directly comparable with the exhaustive decoder's.
+    An unchecked codebook is checked on demand, and a failing grouping
+    raises NotGroupDecodableError.  Each group's winner is found against
+    that group's partial codewords, first index on ties.  All four groups'
+    metrics come from one NumPy pass over ``cb.partials``, which costs
+    less per call than ``decide_group``'s four scans.  The reported metric
+    is the full differential metric re-evaluated at the assembled
+    decision, so it is directly comparable with the exhaustive decoder's.
     """
     cb.require_group_decodable()
     r_t = _as_receive(r_t, cb.n)
@@ -144,20 +209,47 @@ def decode_group(cb: Codebook, r_t, r_prev, a_prev_sq: float) -> DecodeResult:
                         evaluations=len(metrics))
 
 
-def group_metrics(cb: Codebook, r_t, r_prev, a_prev_sq: float, idx) -> list[float]:
-    """The four per-group metric values at a given index tuple.
+def decide_group(cb: Codebook, r, r_prev, a_prev_sq: float):
+    """Decide a window's frames ``r`` in turn, tracking the decided scale.
 
-    Mostly a verification hook: summing these and subtracting
-    3*||r_t||^2 reproduces the full metric when the codebook is group
-    decodable.
+    ``r_prev`` and ``a_prev_sq`` belong to the frame before the window.
+    Each frame makes one ``metric_scan`` per group stack, the call
+    structure perfbench's traced run counts.  Returns the decided linear
+    indices and the scale of the last decision.
     """
-    r_t = _as_receive(r_t, cb.n)
-    r_prev = _as_receive(r_prev, cb.n)
-    inv_a = 1.0 / math.sqrt(a_prev_sq)
-    out = []
-    for k, stack in enumerate(cb.group_stacks):
-        out.append(float(np.linalg.norm(r_t - inv_a * (stack[idx[k]] @ r_prev)) ** 2))
-    return out
+    groups = tuple(zip(cb.group_stacks, cb.sizes))
+    scales = cb.scales
+    a, prev, hats = a_prev_sq, r_prev, []
+    for r_t in r:
+        inv_a = 1.0 / math.sqrt(a)
+        lin = 0
+        for stack, size in groups:  # ravels the group winners row-major
+            lin = lin * size + metric_scan(stack, prev, r_t, inv_a)[0]
+        a = scales[lin]
+        hats.append(lin)
+        prev = r_t
+    return hats, a
+
+
+def decide_exhaustive(cb: Codebook, r, r_prev, a_prev_sq: float):
+    """``decide_group`` with one ``metric_scan`` of all M codewords per frame.
+
+    The scan takes the codewords' real coordinates (``cb.points`` with
+    ``scales`` and ``basis``), so the (M, n, n) stack is never built; it
+    needs a scaled-unitary codebook (``Codebook.require_scaled_unitary``).
+    """
+    points, scales, basis = cb.points, cb.scales, cb.basis
+    a, prev, hats = a_prev_sq, r_prev, []
+    for r_t in r:
+        lin, _ = metric_scan(points, prev, r_t, 1.0 / math.sqrt(a), scales, basis)
+        a = scales[lin]
+        hats.append(lin)
+        prev = r_t
+    return hats, a
+
+
+#: The window decision routine of each decoder name.
+DECIDERS = {"group": decide_group, "exhaustive": decide_exhaustive}
 
 
 def estimate_scale(u_hat: Codeword) -> float:

@@ -1,12 +1,11 @@
-"""Monte Carlo harness: SNR sweeps over the differential chain.
+"""Monte Carlo harness: SNR sweeps and counts over ``diffcodec``'s chain.
 
-Each SNR point runs independent coherence blocks.  A block draws one
-channel matrix, transmits the known identity reference frame, then
-chains information frames differentially; the decoders track the scale
-factor from their own decisions.  Blocks are the unit of parallelism:
-every block derives its RNG stream from (seed, snr_index, block_index),
-so results are bit-identical regardless of worker count, and early
-stopping happens at fixed chunk boundaries for the same reason.
+Each SNR point runs independent coherence blocks; ``diffcodec`` encodes,
+transmits and decides each one, and this module counts the errors.
+Blocks are the unit of parallelism: every block derives its RNG stream
+from (seed, snr_index, block_index), so results are bit-identical
+regardless of worker count, and early stopping happens at fixed chunk
+boundaries for the same reason.
 
 SNR convention: snr_db = 10*log10(n / noise_var), with noise_var the
 per-complex-entry noise variance, so noise_var = n / 10**(snr_db/10) and
@@ -34,9 +33,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import BACKEND, metric_scan, set_blas_threads
-from .codebook import UNITARITY_TOL, Codebook  # noqa: F401  (re-exports UNITARITY_TOL)
+from ._kernels import BACKEND, set_blas_threads
+from .codebook import Codebook
 from .design import construct_design
+from .diffcodec import DECIDERS, block_frames
 from .signalset import (
     PRESETS,
     SignalSet,
@@ -56,10 +56,6 @@ SNR_CONVENTION = (
 
 #: Row order when decoder="both".
 DECODER_ORDER = ("group", "exhaustive")
-
-#: Most frames of a block encoded and transmitted in one pass.  It bounds
-#: the memory of a whole-burst block; no result depends on it.
-WINDOW = 256
 
 
 @dataclass(frozen=True)
@@ -256,89 +252,18 @@ def _codebook_for(cfg: SimConfig) -> Codebook:
     return _codebook(cfg.lam, cfg.m, cfg.family, cfg.radii, cfg.preset, cfg.c)
 
 
-def _complex_normal(rng, shape):
-    """Standard normal pairs drawn as (*shape, 2), read as re + 1j * im."""
-    return rng.standard_normal((*shape, 2)).view(np.complex128)[..., 0]
-
-
-def _block_frames(cb, rng, nf, n_r, sigma):
-    """Draw one fading block from ``rng`` and yield its frames window by window.
-
-    The draws come in a fixed order: the channel, the four groups'
-    indices for all ``nf`` frames, then the noise, reference frame first.
-    A frame's linear index is its four group indices raveled row-major
-    over ``cb.sizes``, the order of ``Codebook.matrices``.  Each window of
-    at most ``WINDOW`` frames draws its noise, sums its codewords in one
-    gather, runs the differential chain (the one step per frame that
-    cannot be batched) and forms its received frames with one batched
-    product.  Yields ``(sent, r_prev, r)``: the window's sent linear
-    indices as a list, the frame received just before it, and its
-    received frames as one (w, n, n_r) array.  The noise stream is read in
-    draw order whatever the window, so no frame depends on ``WINDOW``;
-    the window bounds the memory of a whole-burst block.
-    """
-    n = cb.n
-    s0, s1, s2, s3 = cb.group_stacks
-    h = _complex_normal(rng, (n, n_r)) / math.sqrt(2.0)
-    idx = np.array([rng.integers(0, size, nf) for size in cb.sizes])
-    lin_block = np.ravel_multi_index(idx, cb.sizes)
-    r_prev = h
-    x_prev = np.eye(n, dtype=np.complex128)
-    root_prev = 1.0  # sqrt(a) of the reference frame
-    for lo in range(0, nf, WINDOW):
-        hi = min(lo + WINDOW, nf)
-        tx = idx[:, lo:hi]
-        lin = lin_block[lo:hi]
-        # same left-to-right sum as Codebook.matrices, so X_t is bit-identical
-        u = s0.take(tx[0], 0) + s1.take(tx[1], 0) + s2.take(tx[2], 0) + s3.take(tx[3], 0)
-        x = np.empty_like(u)
-        for u_t, x_t, root_t in zip(u, x, np.sqrt(cb.scales[lin])):
-            # X_t = U_t X_{t-1} / sqrt(a_{t-1}), as diffcodec.encoder_step
-            np.dot(u_t, x_prev, out=x_t)
-            x_t /= root_prev
-            x_prev, root_prev = x_t, root_t
-        r = np.matmul(x, h)
-        if sigma > 0.0:
-            ref = 1 if lo == 0 else 0
-            noise = _complex_normal(rng, (ref + hi - lo, n, n_r)) * sigma
-            if ref:
-                r_prev = h + noise[0]
-            r += noise[ref:]
-        yield lin.tolist(), r_prev, r
-        r_prev = r[-1]
-
-
 def _run_blocks(cfg, snr_idx, block_lo, block_hi):
     """Simulate blocks [block_lo, block_hi) of SNR point ``snr_idx``.
 
     Returns one ``Counter`` per decoder: frames, frame_errors, bits,
     bit_errors, metric_evals and decode_s, the seconds spent in that
-    decoder's frame loops.  Everything else (noise level, decoders,
-    frames per block, ``n_r``, seed) comes from the frozen ``cfg``.
-
-    Each block draws from its own stream ``default_rng([seed, snr_idx,
-    blk])``, and ``_block_frames`` encodes and transmits it in windows of
-    at most ``WINDOW`` frames.  For each window the decoders run in turn
-    over its frames, each tracking its own scale from its own decisions:
-    four ``metric_scan`` calls on the group stacks per group-decoded
-    frame, and per exhaustive one a single scan of all M codewords in
-    their real coordinates (``cb.points`` with ``scales`` and
-    ``cb.basis``: one real (M, K) GEMV), so the (M, n, n) codeword stack
-    is never built.
-    That is the call structure of a plain per-frame loop, kept exactly:
-    one stream per block with the same draws in the same order, and the
-    same scans.  Only encoding, transmission and counting leave the
-    per-frame loop.  Errors are counted per window, the other counts once
-    per block.
+    decoder's decisions.  Each block draws from its own stream
+    ``default_rng([seed, snr_idx, blk])``; ``diffcodec.block_frames``
+    transmits it window by window, and each decoder's ``diffcodec``
+    decision routine decides every window, tracking its own scale.
     """
     cb = _codebook_for(cfg)
     decoders = cfg.decoders()
-    scan = metric_scan
-    if "exhaustive" in decoders:
-        points, basis = cb.points, cb.basis
-    scales = cb.scales
-    s0, s1, s2, s3 = cb.group_stacks
-    _, n1, n2, n3 = cb.sizes
     evals_per_frame = {"exhaustive": cb.M, "group": sum(cb.sizes)}
     # BER needs power-of-two group sizes (see bit_mapping); 0 means BLER only
     pow2 = all(size & (size - 1) == 0 for size in cb.sizes)
@@ -352,28 +277,10 @@ def _run_blocks(cfg, snr_idx, block_lo, block_hi):
         nf = min(fpb, cfg.frames - blk * fpb)  # >= 1: blk < ceil(frames / fpb)
         rng = np.random.default_rng([cfg.seed, snr_idx, blk])
         a_dec = dict.fromkeys(decoders, 1.0)
-        for sent, r_prev, r in _block_frames(cb, rng, nf, cfg.n_r, sigma):
+        for sent, r_prev, r in block_frames(cb, rng, nf, cfg.n_r, sigma):
             for d in decoders:
                 t0 = time.perf_counter()
-                a, prev, hats = a_dec[d], r_prev, []
-                if d == "group":
-                    for r_t in r:
-                        inv_a = 1.0 / math.sqrt(a)
-                        b0, _ = scan(s0, prev, r_t, inv_a)
-                        b1, _ = scan(s1, prev, r_t, inv_a)
-                        b2, _ = scan(s2, prev, r_t, inv_a)
-                        b3, _ = scan(s3, prev, r_t, inv_a)
-                        lin_hat = ((b0 * n1 + b1) * n2 + b2) * n3 + b3
-                        a = scales[lin_hat]
-                        hats.append(lin_hat)
-                        prev = r_t
-                else:
-                    for r_t in r:
-                        lin_hat, _ = scan(points, prev, r_t, 1.0 / math.sqrt(a), scales, basis)
-                        a = scales[lin_hat]
-                        hats.append(lin_hat)
-                        prev = r_t
-                a_dec[d] = a
+                hats, a_dec[d] = DECIDERS[d](cb, r, r_prev, a_dec[d])
                 c = counts[d]
                 c["decode_s"] += time.perf_counter() - t0
                 errs = [got ^ want for got, want in zip(hats, sent) if got != want]

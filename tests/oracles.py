@@ -1,7 +1,7 @@
 """Independent reference implementations used as test oracles.
 
 Deliberately naive: cofactor determinants, straight-line metric scans,
-explicitly assembled unitaries, codeword-pair scans, int64 weight
+a frame-by-frame differential chain, codeword-pair scans, int64 weight
 algebra.  Nothing here shares code with the paths under test beyond the
 full-rank threshold RANK_RTOL.
 """
@@ -59,22 +59,6 @@ def cofactor_det(a):
         minor = np.delete(np.delete(a, 0, axis=0), j, axis=1)
         total += ((-1) ** j) * a[0, j] * cofactor_det(minor)
     return total
-
-
-def random_givens_unitary(n, rng):
-    """Unitary assembled from explicit Givens rotations with random phases."""
-    u = np.eye(n, dtype=np.complex128)
-    for i in range(n):
-        for j in range(i + 1, n):
-            theta = rng.uniform(0.0, 2.0 * np.pi)
-            phi = rng.uniform(0.0, 2.0 * np.pi)
-            giv = np.eye(n, dtype=np.complex128)
-            giv[i, i] = np.cos(theta)
-            giv[j, j] = np.cos(theta)
-            giv[i, j] = -np.sin(theta) * np.exp(1j * phi)
-            giv[j, i] = np.sin(theta) * np.exp(-1j * phi)
-            u = u @ giv
-    return u
 
 
 def brute_force_decode(matrices, r_t, r_prev, a_prev_sq):
@@ -137,6 +121,32 @@ def noisy_window(cb, rng, sigma, n_r=1):
     r_prev = x_prev @ h + w[0]
     r_t = (cb.matrices[lin] @ x_prev) @ h / np.sqrt(a_prev_sq) + w[1]
     return r_t, r_prev, a_prev_sq
+
+
+def replay_block(cb, seed, nf, n_r, sigma):
+    """One fading block's sent linear indices and received frames, frame by frame.
+
+    The simulator's draw order on ``default_rng(seed)``: the channel, the
+    four groups' indices for all ``nf`` frames, then the noise (``sigma``
+    per real dimension, none when 0), reference frame first.  The chain is
+    the literal X_t = (U_t @ X_{t-1}) / sqrt(a_{t-1}) from ``codeword_at``.
+    """
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((cb.n, n_r, 2))
+    h = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+    idx = np.stack([rng.integers(0, size, nf) for size in cb.sizes])
+    noise = None
+    if sigma > 0:
+        zw = rng.standard_normal((nf + 1, cb.n, n_r, 2))
+        noise = (zw[..., 0] + 1j * zw[..., 1]) * sigma
+    x_prev, a_prev = np.eye(cb.n, dtype=np.complex128), 1.0
+    frames = [x_prev @ h if noise is None else x_prev @ h + noise[0]]
+    for t in range(nf):
+        cw = cb.codeword_at(idx[:, t])
+        x_prev, a_prev = (cw.matrix @ x_prev) / np.sqrt(a_prev), cw.scale_sq
+        frames.append(x_prev @ h if noise is None else x_prev @ h + noise[t + 1])
+    sent = [cb.linear_index(idx[:, t]) for t in range(nf)]
+    return sent, frames
 
 
 def pair_scan(cb):

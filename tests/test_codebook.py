@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdstbc.codebook import (
+    RANK_RTOL,
     UNITARITY_TOL,
     Codebook,
     Codeword,
@@ -27,7 +28,7 @@ from gdstbc.signalset import (
 )
 from gdstbc.sim import SimConfig, build_codebook
 
-from oracles import assemble_real_vector, pair_scan
+from oracles import assemble_real_vector, cofactor_det, pair_scan
 
 
 @pytest.fixture(scope="module")
@@ -251,6 +252,24 @@ class TestFullDiversity:
         assert cb.group_decodable is None
         assert verify_full_diversity(cb).all_full_rank
         assert cb.group_decodable is True
+
+    def test_full_rank_rule(self):
+        # the rule documented on RANK_RTOL, as the verifiers apply it
+        def is_full_rank(a):
+            s = np.linalg.svd(a, compute_uv=False)
+            return bool(s[-1] > RANK_RTOL * max(1.0, float(s[0])))
+
+        assert is_full_rank(np.eye(3))
+        assert not is_full_rank(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+    def test_codeword_difference_gram_positive(self, cb16):
+        # two distinct codewords: the difference Gram determinant is a
+        # positive real, cross-checked with the cofactor oracle
+        d = cb16.codeword_at((0, 0, 0, 0)).matrix - cb16.codeword_at((1, 0, 1, 0)).matrix
+        gram = d.conj().T @ d
+        val = np.linalg.det(gram)
+        assert val.real > 0 and abs(val.imag) < 1e-9
+        assert val == pytest.approx(cofactor_det(gram), abs=1e-8)
 
 
 class TestCodingGain:

@@ -15,7 +15,6 @@ from gdstbc.diffcodec import (
     encoder_init,
     encoder_step,
     estimate_scale,
-    group_metrics,
 )
 from gdstbc.signalset import construct_signal_set
 from gdstbc.sim import SimConfig, build_codebook
@@ -269,7 +268,8 @@ class TestMetricDecomposition:
             inv_a = 1.0 / math.sqrt(a_sq)
             u = cb16.codeword_at(idx).matrix
             full = float(np.linalg.norm(r_t - inv_a * (u @ r_prev)) ** 2)
-            parts = group_metrics(cb16, r_t, r_prev, a_sq, idx)
+            parts = [float(np.linalg.norm(r_t - inv_a * (stack[i] @ r_prev)) ** 2)
+                     for stack, i in zip(cb16.group_stacks, idx)]
             recombined = sum(parts) - 3 * float(np.linalg.norm(r_t) ** 2)
             assert recombined == pytest.approx(full, rel=1e-6)
 

@@ -202,6 +202,7 @@ class TestScaledUnitaryScan:
 
 class TestBackendSelection:
     def test_backend_reported(self):
-        # one kernel module: every caller scans with the same function
-        assert sim.metric_scan is diffcodec.metric_scan is _kernels.metric_scan
+        # one kernel module, and the simulator scans only through diffcodec
+        assert diffcodec.metric_scan is _kernels.metric_scan
+        assert not hasattr(sim, "metric_scan")
         assert gdstbc.BACKEND == _kernels.BACKEND == "python"

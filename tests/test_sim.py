@@ -9,11 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gdstbc import sim
+from gdstbc import diffcodec, sim
 from gdstbc._kernels import blas_threads
-from gdstbc.codebook import Codebook, NotGroupDecodableError
+from gdstbc.codebook import UNITARITY_TOL, Codebook, NotGroupDecodableError
 from gdstbc.design import Grouping, construct_design
-from gdstbc.diffcodec import encoder_init, encoder_step
+from gdstbc.diffcodec import (
+    ChannelConfig,
+    channel_step,
+    draw_channel,
+    encoder_init,
+    encoder_step,
+)
 from gdstbc.signalset import construct_signal_set
 from gdstbc.sim import (
     CSV_HEADER,
@@ -23,6 +29,8 @@ from gdstbc.sim import (
     noise_var_for_snr,
     run_sim,
 )
+
+from oracles import replay_block
 
 
 def _cfg(**kw):
@@ -206,7 +214,7 @@ class TestRunSim:
     def test_bit_errors_follow_bit_mapping(self, monkeypatch):
         # noiseless, constant-scale codebook: the exhaustive decision is the sent
         # index, so flipping it by a fixed pattern fixes every frame's bit errors
-        scan = sim.metric_scan
+        scan = diffcodec.metric_scan
         flip = 0b1011
 
         def flipped(stack, r_prev, r_t, inv_a, scales=None, basis=None):
@@ -215,7 +223,7 @@ class TestRunSim:
             best, metric = scan(stack, r_prev, r_t, inv_a, scales, basis)
             return best ^ flip, metric
 
-        monkeypatch.setattr(sim, "metric_scan", flipped)
+        monkeypatch.setattr(diffcodec, "metric_scan", flipped)
         res = run_sim(_cfg(snr_db=(math.inf,), frames=200, decoder="both"))
         group, exhaustive = res.points
         sizes = (2, 2, 2, 2)
@@ -240,7 +248,7 @@ class TestRunSim:
         for _ in range(3):
             run_sim(_cfg(frames=20, decoder="both"))
         assert calls == [1]
-        assert sim._codebook_for(_cfg()).unitarity_residual <= sim.UNITARITY_TOL
+        assert sim._codebook_for(_cfg()).unitarity_residual <= UNITARITY_TOL
 
     def test_decoders_agree_frame_by_frame(self):
         res = run_sim(_cfg(snr_db=(0.0, 8.0), frames=800, decoder="both"))
@@ -257,6 +265,24 @@ class TestRunSim:
         for p in res.points:
             per_frame = 16 if p.decoder == "exhaustive" else 8
             assert p.metric_evals == p.frames * per_frame
+
+    def test_every_scan_goes_through_the_diffcodec_module_global(self, monkeypatch):
+        # perfbench's traced run counts scans by patching this name: four
+        # group scans and one exhaustive scan per frame, whose candidate
+        # counts add up to the rows' metric_evals
+        sizes = []
+        scan = diffcodec.metric_scan
+
+        def counted(stack, *args):
+            sizes.append(stack.shape[0])
+            return scan(stack, *args)
+
+        monkeypatch.setattr(diffcodec, "metric_scan", counted)
+        res = run_sim(_cfg(snr_db=(0.0, 8.0), frames=123, decoder="both"))
+        frames = sum(p.frames for p in res.points if p.decoder == "group")
+        assert frames == 2 * 123
+        assert len(sizes) == frames * (4 + 1)
+        assert sum(sizes) == sum(p.metric_evals for p in res.points)
 
     def test_whole_burst_coherence(self):
         res = run_sim(_cfg(coherence=None, frames=200))
@@ -346,37 +372,36 @@ GOLDEN_CSV = [
 ]
 
 
-def _replay_block(cb, seed, nf, n_r, sigma):
-    """One block's received frames, frame by frame through diffcodec's encoder."""
+def _per_frame_block(cb, seed, nf, n_r, sigma):
+    """The same block through diffcodec's per-frame API, on one shared rng."""
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((cb.n, n_r, 2))
-    h = (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
+    ch = ChannelConfig(n_r=n_r, noise_var=2.0 * sigma**2)  # sqrt(noise_var / 2) is sigma again
+    h = draw_channel(ch, cb.n, rng)
     idx = np.stack([rng.integers(0, size, nf) for size in cb.sizes])
-    noise = None
-    if sigma > 0:
-        zw = rng.standard_normal((nf + 1, cb.n, n_r, 2))
-        noise = (zw[..., 0] + 1j * zw[..., 1]) * sigma
     state = encoder_init(cb.n)
-    frames = [state.x_prev @ h if noise is None else state.x_prev @ h + noise[0]]
+    frames = [channel_step(ch, state.x_prev, h, rng)]
     for t in range(nf):
         state, x_t = encoder_step(state, cb.codeword_at(idx[:, t]))
-        frames.append(x_t @ h if noise is None else x_t @ h + noise[t + 1])
-    sent = [cb.linear_index(idx[:, t]) for t in range(nf)]
-    return sent, frames
+        frames.append(channel_step(ch, x_t, h, rng))
+    return [cb.linear_index(idx[:, t]) for t in range(nf)], frames
 
 
 class TestBlockPass:
+    # the per-frame API is the window pass's B = 1 view: driven with the
+    # same rng, it must reproduce the windows bit for bit too
+    @pytest.mark.parametrize("replay", [replay_block, _per_frame_block],
+                             ids=["oracle", "per-frame-api"])
     @pytest.mark.parametrize("sigma", [0.0, 0.4])
     @pytest.mark.parametrize("n_r", [1, 2, 3])
     @pytest.mark.parametrize("lam", [1, 2, 3, 4])
     def test_windows_replay_the_per_frame_chain_bit_for_bit(self, monkeypatch, lam, n_r,
-                                                             sigma):
-        monkeypatch.setattr(sim, "WINDOW", 7)
+                                                             sigma, replay):
+        monkeypatch.setattr(diffcodec, "WINDOW", 7)
         cb = sim._codebook_for(SimConfig(lam=lam, m=256))
         nf = 17  # windows of 7, 7 and 3 frames
         rng = np.random.default_rng([lam, n_r])
-        windows = list(sim._block_frames(cb, rng, nf, n_r, sigma))
-        sent, frames = _replay_block(cb, [lam, n_r], nf, n_r, sigma)
+        windows = list(diffcodec.block_frames(cb, rng, nf, n_r, sigma))
+        sent, frames = replay(cb, [lam, n_r], nf, n_r, sigma)
         assert [len(w[0]) for w in windows] == [7, 7, 3]
         assert [lin for w in windows for lin in w[0]] == sent
         got = [windows[0][1]] + [r_t for _, _, r in windows for r_t in r]
@@ -395,7 +420,7 @@ class TestBlockPass:
     def test_results_do_not_depend_on_the_window(self, monkeypatch, cfg):
         want = run_sim(_cfg(**cfg)).to_csv()
         for window in (1, 7):
-            monkeypatch.setattr(sim, "WINDOW", window)
+            monkeypatch.setattr(diffcodec, "WINDOW", window)
             assert run_sim(_cfg(**cfg)).to_csv() == want
 
     @pytest.mark.parametrize("cfg, rows", GOLDEN_CSV,
