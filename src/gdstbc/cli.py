@@ -27,7 +27,7 @@ from .codebook import (
     verify_full_diversity,
 )
 from .design import canonical_grouping, construct_design, render_text, verify_group_decodable
-from .sim import SNR_CONVENTION, SimConfig, build_codebook, build_signal_set, run_sim
+from .sim import SNR_CONVENTION, SimConfig, build_codebook, build_signal_set, prepare, run_sim
 from .signalset import PRESETS
 
 EXIT_OK = 0
@@ -193,9 +193,8 @@ def _cmd_simulate(args) -> int:
                     frames=args.frames, target_errors=args.target_errors,
                     coherence=args.coherence, decoder=args.decoder, seed=args.seed,
                     workers=args.workers)
-    # a config error must exit before --out is opened, which truncates it
-    cfg.validate()
-    build_signal_set(cfg)
+    # a config or memory error must exit before --out is opened, which truncates it
+    prepare(cfg)
     with _open_out(args.out) as fh:
         result = run_sim(cfg)
         fh.write(result.to_json() + "\n" if args.as_json else result.to_csv())

@@ -42,6 +42,31 @@ RANK_RTOL = 1e-9
 UNITARITY_TOL = 1e-9
 
 
+def _available_bytes() -> float:
+    """Memory available now: ``MemAvailable`` from /proc/meminfo, which
+    counts the memory the kernel can reclaim; infinite where it is not
+    reported."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return math.inf
+
+
+def _check_memory(name: str, nbytes: int, decoder: str):
+    """Raise ValueError unless ``Codebook.<name>`` (``nbytes``) fits in
+    the memory available now; ``decoder`` is the decoder that needs it."""
+    available = _available_bytes()
+    if nbytes > available:
+        raise ValueError(
+            f"{decoder} needs Codebook.{name}, {nbytes / 1e6:.1f} MB, but only "
+            f"{available / 1e6:.1f} MB of memory is available"
+        )
+
+
 class NotGroupDecodableError(ValueError):
     """Raised when group decoding is requested on a codebook that failed
     the cross-group anticommutation check."""
@@ -74,13 +99,14 @@ class Codebook:
     """design x signal set, with per-group partial-codeword stacks.
 
     ``group_stacks[k][p]`` holds S_k(p), the contribution of group k's
-    point p to the codeword matrix; a full codeword is the sum of the
-    four chosen partials.  ``partials`` is one contiguous stack of all
-    four groups' partials, group 0 first, so that the group decoder can
-    scan them in one pass; ``group_stacks`` are views into it.  The
-    M-sized arrays are built lazily, since M can reach 65536: ``scales``,
-    ``points`` (every codeword's real coordinates against ``basis``, the
-    form the simulator's exhaustive decoder scans) and the full (M, n, n)
+    point p to the codeword matrix; ``compose`` sums four partials into
+    a codeword, or their ``group_norms`` into its scale.  ``partials``
+    stacks all four groups' partials, group 0 first, for the group
+    decoder's one-pass scan; ``group_stacks`` are views into it.  Only
+    exhaustive decoding needs M-sized arrays, built lazily, and refused
+    (ValueError) past the memory available: ``scales``, ``points`` (every
+    codeword's real coordinates against ``basis``, the form the
+    simulator's exhaustive decoder scans) and the full (M, n, n)
     ``matrices`` stack (n times larger, for ``decode_exhaustive``).
     """
 
@@ -131,12 +157,17 @@ class Codebook:
     def unravel_index(self, lin: int) -> tuple[int, int, int, int]:
         return tuple(int(v) for v in np.unravel_index(lin, self.sizes))
 
+    @staticmethod
+    def compose(parts, idx):
+        """Group ``parts`` summed at index tuples ``idx``, shape (4, ...), left
+        to right: codewords from ``group_stacks``, scales from ``group_norms``."""
+        return parts[0][idx[0]] + parts[1][idx[1]] + parts[2][idx[2]] + parts[3][idx[3]]
+
     @cached_property
     def matrices(self) -> np.ndarray:
         """All M codeword matrices, row-major over the index tuples."""
-        s0, s1, s2, s3 = self.group_stacks
-        full = (s0[:, None, None, None] + s1[None, :, None, None]
-                + s2[None, None, :, None] + s3[None, None, None, :])
+        _check_memory("matrices", self.M * self.n * self.n * 16, "decode_exhaustive")
+        full = self.compose(self.group_stacks, np.ogrid[tuple(map(slice, self.sizes))])
         return np.ascontiguousarray(full.reshape(self.M, self.n, self.n))
 
     @cached_property
@@ -151,6 +182,7 @@ class Codebook:
         the index tuples like ``matrices``: codeword m is
         ``tensordot(points[m].reshape(K), basis, 1)``, in 8 K bytes
         instead of the 16 n^2 of its matrix."""
+        _check_memory("points", self.M * 4 * self.sset.dim * 8, "decide_exhaustive")
         p0, p1, p2, p3 = (gset.points for gset in self.sset.groups)
         full = np.empty((*self.sizes, 4, self.sset.dim))
         full[..., 0, :] = p0[:, None, None, None]
@@ -162,10 +194,8 @@ class Codebook:
     @cached_property
     def scales(self) -> np.ndarray:
         """scale_sq of every codeword: the squared norm of its real vector."""
-        n0, n1, n2, n3 = self.group_norms
-        full = (n0[:, None, None, None] + n1[None, :, None, None]
-                + n2[None, None, :, None] + n3[None, None, None, :])
-        return full.reshape(self.M)
+        _check_memory("scales", self.M * 8, "decide_exhaustive")
+        return self.compose(self.group_norms, np.ogrid[tuple(map(slice, self.sizes))]).ravel()
 
     def codeword_at(self, idx) -> Codeword:
         idx = tuple(int(i) for i in idx)
@@ -174,9 +204,8 @@ class Codebook:
         for k, i in enumerate(idx):
             if not 0 <= i < self.sizes[k]:
                 raise IndexError(f"group {k} index {i} out of range [0, {self.sizes[k]})")
-        matrix = sum(self.group_stacks[k][idx[k]] for k in range(4))
-        scale_sq = float(sum(self.group_norms[k][idx[k]] for k in range(4)))
-        return Codeword(matrix=matrix, scale_sq=scale_sq, index=idx)
+        return Codeword(matrix=self.compose(self.group_stacks, idx),
+                        scale_sq=float(self.compose(self.group_norms, idx)), index=idx)
 
     def require_group_decodable(self):
         """Run the exact cross-group anticommutation check if construction

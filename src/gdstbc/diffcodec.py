@@ -129,14 +129,14 @@ def block_frames(cb: Codebook, rng, nf: int, n_r: int, sigma: float):
     indices for all ``nf`` frames, then the noise (``sigma`` per real
     dimension), reference frame first.  A frame's linear index is its
     four group indices raveled row-major over ``cb.sizes``.  Each window
-    of at most ``WINDOW`` frames sums its codewords in one gather, runs
-    the chain step per frame and forms its received frames with one
-    batched product.  Yields ``(sent, r_prev, r)``: the window's sent
-    linear indices as a list, the frame received just before it, and its
-    received frames as one (w, n, n_r) array.  The noise is read in draw
-    order, so no frame depends on ``WINDOW``, which only bounds the
-    memory of a whole-burst block, and ``encoder_step`` and
-    ``channel_step`` on the same ``rng`` reproduce every frame.
+    of at most ``WINDOW`` frames composes its codewords and scales from
+    the group parts, runs the chain step per frame and forms its received
+    frames with one batched product.  Yields ``(sent, r_prev, r)``: the
+    window's sent linear indices as a list, the frame received just
+    before it, and its received frames as one (w, n, n_r) array.  The
+    noise is read in draw order, so no frame depends on ``WINDOW``, which
+    only bounds the memory of a whole-burst block, and ``encoder_step``
+    and ``channel_step`` on the same ``rng`` reproduce every frame.
     """
     n = cb.n
     h = _channel(rng, n, n_r)
@@ -147,11 +147,10 @@ def block_frames(cb: Codebook, rng, nf: int, n_r: int, sigma: float):
     root_prev = 1.0  # sqrt(a) of the reference frame
     for lo in range(0, nf, WINDOW):
         hi = min(lo + WINDOW, nf)
-        lin = lin_block[lo:hi]
-        # the sum of Codebook.codeword_at, so X_t is bit-identical
-        u = sum(s.take(i, 0) for s, i in zip(cb.group_stacks, idx[:, lo:hi]))
+        window = idx[:, lo:hi]
+        u = cb.compose(cb.group_stacks, window)
         x = np.empty_like(u)
-        for u_t, x_t, root_t in zip(u, x, np.sqrt(cb.scales[lin])):
+        for u_t, x_t, root_t in zip(u, x, np.sqrt(cb.compose(cb.group_norms, window))):
             x_prev = _chain_step(u_t, x_prev, root_prev, x_t)
             root_prev = root_t
         r = np.matmul(x, h)
@@ -161,7 +160,7 @@ def block_frames(cb: Codebook, rng, nf: int, n_r: int, sigma: float):
             if ref:
                 r_prev = h + noise[0]
             r += noise[ref:]
-        yield lin.tolist(), r_prev, r
+        yield lin_block[lo:hi].tolist(), r_prev, r
         r_prev = r[-1]
 
 
@@ -202,9 +201,7 @@ def decode_group(cb: Codebook, r_t, r_prev, a_prev_sq: float) -> DecodeResult:
     for size in cb.sizes:
         idx.append(int(metrics[lo:lo + size].argmin()))
         lo += size
-    i0, i1, i2, i3 = idx
-    s0, s1, s2, s3 = cb.group_stacks
-    diff = r_t - inv_a * ((s0[i0] + s1[i1] + s2[i2] + s3[i3]) @ r_prev)
+    diff = r_t - inv_a * (cb.compose(cb.group_stacks, idx) @ r_prev)
     return DecodeResult(index=tuple(idx), metric=float(np.vdot(diff, diff).real),
                         evaluations=len(metrics))
 
@@ -217,15 +214,14 @@ def decide_group(cb: Codebook, r, r_prev, a_prev_sq: float):
     structure perfbench's traced run counts.  Returns the decided linear
     indices and the scale of the last decision.
     """
-    groups = tuple(zip(cb.group_stacks, cb.sizes))
-    scales = cb.scales
+    groups = tuple(zip(cb.group_stacks, cb.sizes, (nk.tolist() for nk in cb.group_norms)))
     a, prev, hats = a_prev_sq, r_prev, []
     for r_t in r:
         inv_a = 1.0 / math.sqrt(a)
-        lin = 0
-        for stack, size in groups:  # ravels the group winners row-major
-            lin = lin * size + metric_scan(stack, prev, r_t, inv_a)[0]
-        a = scales[lin]
+        lin, a = 0, 0.0
+        for stack, size, norms in groups:  # ravels the winners row-major, sums their norms
+            best = metric_scan(stack, prev, r_t, inv_a)[0]
+            lin, a = lin * size + best, a + norms[best]
         hats.append(lin)
         prev = r_t
     return hats, a

@@ -237,19 +237,27 @@ def build_codebook(cfg: SimConfig) -> Codebook:
 def _codebook(lam, m, family, radii, preset, c) -> Codebook:
     """The signal set's codebook, cached per process.
 
-    Construction is pure, so chunk tasks reuse it and fork/spawn workers
-    build it once.  Only the current codebook is kept: a run needs no
-    other, and a stale one would keep its M-sized arrays alive.  The
-    codewords' coordinates are built only once an exhaustive decoder
-    needs them, and the full (M, n, n) stack never is; encoding sums the
-    four group partials instead.
+    Construction is pure, so chunk tasks reuse it and forked workers
+    inherit it.  Only the current codebook is kept: a run needs no other,
+    and a stale one would keep its M-sized arrays alive.  A group-only
+    run builds none, since encoding and group decoding sum per-group
+    parts; ``prepare`` builds those the exhaustive rows scan.
     """
     return build_codebook(SimConfig(lam=lam, m=m, family=family, radii=radii, preset=preset,
                                     c=c))
 
 
-def _codebook_for(cfg: SimConfig) -> Codebook:
-    return _codebook(cfg.lam, cfg.m, cfg.family, cfg.radii, cfg.preset, cfg.c)
+def prepare(cfg: SimConfig) -> Codebook:
+    """Validate ``cfg`` and check its cached codebook for each decoder, building the
+    exhaustive rows' ``points`` and ``scales``, so errors come before a sweep."""
+    cfg.validate()
+    cb = _codebook(cfg.lam, cfg.m, cfg.family, cfg.radii, cfg.preset, cfg.c)
+    if "group" in cfg.decoders():
+        cb.require_group_decodable()
+    if "exhaustive" in cfg.decoders():
+        cb.require_scaled_unitary()
+        cb.points, cb.scales  # noqa: B018
+    return cb
 
 
 def _run_blocks(cfg, snr_idx, block_lo, block_hi):
@@ -262,7 +270,7 @@ def _run_blocks(cfg, snr_idx, block_lo, block_hi):
     transmits it window by window, and each decoder's ``diffcodec``
     decision routine decides every window, tracking its own scale.
     """
-    cb = _codebook_for(cfg)
+    cb = prepare(cfg)
     decoders = cfg.decoders()
     evals_per_frame = {"exhaustive": cb.M, "group": sum(cb.sizes)}
     # BER needs power-of-two group sizes (see bit_mapping); 0 means BLER only
@@ -315,13 +323,8 @@ def run_sim(cfg: SimConfig) -> SimResult:
     result independent of the worker count, and early stopping (when
     ``target_errors`` is set) only happens at fixed chunk boundaries.
     """
-    cfg.validate()
-    cb = _codebook_for(cfg)
+    prepare(cfg)
     decoders = cfg.decoders()
-    if "group" in decoders:
-        cb.require_group_decodable()
-    if "exhaustive" in decoders:
-        cb.require_scaled_unitary()
     n_blocks = math.ceil(cfg.frames / cfg.frames_per_block)
     chunk = max(1, math.ceil(n_blocks / 256))
     starts = range(0, n_blocks, chunk)

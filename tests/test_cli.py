@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gdstbc import cli
+from gdstbc import cli, codebook
 from gdstbc.codebook import Codebook, NotGroupDecodableError
 from gdstbc.sim import CSV_HEADER, build_codebook
 
@@ -176,6 +176,19 @@ class TestSimulateCommand:
             assert err.startswith("configuration error:") and message in err
         assert kept.read_bytes() == b"earlier results\n"
         assert not missing.exists()
+
+    def test_memory_refusal_leaves_out_untouched(self, capsys, monkeypatch, tmp_path):
+        # lam 2, M 16^4: the exhaustive rows' coordinates take 4.2 MB
+        monkeypatch.setattr(codebook, "_available_bytes", lambda: 10**6)
+        kept = tmp_path / "results.csv"
+        kept.write_bytes(b"earlier results\n")
+        code, stdout, err = run_cli(capsys, "simulate", "--lambda", "2", "--points",
+                                    str(16**4), "--snr-db", "0", "--frames", "10",
+                                    "--decoder", "exhaustive", "--out", str(kept))
+        assert code == 2 and stdout == ""
+        assert err == ("configuration error: decide_exhaustive needs Codebook.points, "
+                       "4.2 MB, but only 1.0 MB of memory is available\n")
+        assert kept.read_bytes() == b"earlier results\n"
 
     def test_json_is_strict(self, capsys):
         def refuse(name):

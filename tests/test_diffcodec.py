@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gdstbc import codebook
 from gdstbc._kernels import metric_scan
 from gdstbc.codebook import Codebook, Codeword, NotGroupDecodableError
 from gdstbc.design import Grouping, construct_design
@@ -146,6 +147,17 @@ class TestExhaustiveDecoder:
             oi, om = brute_force_decode(cb16.matrices, r_t, r_prev, a_sq)
             assert cb16.linear_index(res.index) == oi
             assert res.metric == pytest.approx(om, rel=1e-10)
+
+    def test_refuses_a_stack_past_the_memory_budget(self, monkeypatch):
+        # lam 2, M 4096: the (M, 4, 4) stack takes 1.0 MB
+        monkeypatch.setattr(codebook, "_available_bytes", lambda: 10**5)
+        cb = build_codebook(SimConfig(lam=2, m=4096))
+        r = np.ones((4, 1), dtype=complex)
+        with pytest.raises(ValueError, match=r"decode_exhaustive needs Codebook\.matrices, "
+                                             r"1\.0 MB, but only 0\.1 MB"):
+            decode_exhaustive(cb, r, r, 1.0)
+        assert "matrices" not in cb.__dict__
+        assert decode_group(cb, r, r, 1.0).evaluations == 32
 
     def test_all_zero_tie_break(self, cb16):
         z = np.zeros((4, 1), dtype=complex)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gdstbc import diffcodec, sim
+from gdstbc import codebook, diffcodec, sim
 from gdstbc._kernels import blas_threads
 from gdstbc.codebook import UNITARITY_TOL, Codebook, NotGroupDecodableError
 from gdstbc.design import Grouping, construct_design
@@ -50,6 +50,23 @@ def _fresh_codebook_cache():
     sim._codebook.cache_clear()
     yield
     sim._codebook.cache_clear()
+
+
+def _peak_kb(code):
+    """Peak resident memory (VmHWM, kB) of a fresh interpreter running ``code``
+    after ``from gdstbc.sim import SimConfig, run_sim``."""
+    code = (
+        "from gdstbc.sim import SimConfig, run_sim\n" + code +
+        # the peak RSS of this process image: ru_maxrss would also count
+        # the test process it was forked from
+        "with open('/proc/self/status') as fh:\n"
+        "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))\n"
+    )
+    src = Path(sim.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return int(out.stdout.split()[-1])
 
 
 def _strict_json(text):
@@ -156,34 +173,40 @@ class TestRunSim:
 
     def test_group_only_run_builds_no_codeword_stack(self):
         run_sim(_cfg(frames=50))
-        cb = sim._codebook_for(_cfg())
-        assert not {"matrices", "points", "basis"} & cb.__dict__.keys()
+        cb = sim.prepare(_cfg())
+        # encoding and group decoding compose codewords and scales per group
+        assert not {"matrices", "points", "scales", "basis"} & cb.__dict__.keys()
         for decoder in ("exhaustive", "both"):
             run_sim(_cfg(frames=50, decoder=decoder))
-            assert sim._codebook_for(_cfg()) is cb
+            assert sim.prepare(_cfg()) is cb
             # the exhaustive rows scan the codewords' coordinates instead
-            assert "matrices" not in cb.__dict__ and "points" in cb.__dict__
+            assert "matrices" not in cb.__dict__
+            assert {"points", "scales"} <= cb.__dict__.keys()
+
+    def test_group_only_run_needs_no_memory_budget(self, monkeypatch):
+        monkeypatch.setattr(codebook, "_available_bytes", lambda: 0)
+        assert run_sim(_cfg(frames=50)).points[0].frames == 50
+        with pytest.raises(ValueError, match=r"decide_exhaustive needs Codebook\.points"):
+            run_sim(_cfg(frames=50, decoder="both"))
+
+    def test_large_group_only_run_builds_no_m_sized_array(self):
+        # lam 2, M 64^4: Codebook.scales alone would take 134 MB
+        assert _peak_kb(
+            "res = run_sim(SimConfig(lam=2, m=64**4, snr_db=(10.0,), frames=200,"
+            " coherence=10, seed=1))\n"
+            "assert res.points[0].frames == 200\n"
+        ) < 100 * 1024
 
     def test_large_design_runs_both_decoders_without_the_stack(self):
         # lam 5, M 16^4: the (M, n, n) stack alone would take 1.07 GB, the
         # coordinates take 34 MB
-        code = (
-            "from gdstbc.sim import SimConfig, run_sim\n"
+        assert _peak_kb(
             "res = run_sim(SimConfig(lam=5, m=16**4, decoder='both', snr_db=(20.0,),"
             " frames=20, seed=1))\n"
             "assert [p.frames for p in res.points] == [20, 20]\n"
             "group, exhaustive = res.points\n"
             "assert group.frame_errors == exhaustive.frame_errors\n"
-            # the peak RSS of this process image: ru_maxrss would also count
-            # the test process it was forked from
-            "with open('/proc/self/status') as fh:\n"
-            "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))\n"
-        )
-        src = Path(sim.__file__).resolve().parents[1]
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
-        assert out.returncode == 0, out.stderr
-        assert int(out.stdout.split()[-1]) < 300 * 1024  # VmHWM is in kB
+        ) < 300 * 1024
 
     def test_cache_holds_the_current_codebook_only(self, monkeypatch):
         builds = []
@@ -197,7 +220,7 @@ class TestRunSim:
         run_sim(_cfg(frames=20, decoder="both"))
         run_sim(_cfg(m=256, frames=20, decoder="both"))
         assert sim._codebook.cache_info().currsize == 1
-        assert sim._codebook_for(_cfg(m=256)).M == 256
+        assert sim.prepare(_cfg(m=256)).M == 256
         # other SNRs, seeds and decoders reuse the codebook
         run_sim(_cfg(m=256, frames=20, snr_db=(3.0,), seed=4, decoder="group"))
         assert builds == [16, 256]
@@ -248,7 +271,7 @@ class TestRunSim:
         for _ in range(3):
             run_sim(_cfg(frames=20, decoder="both"))
         assert calls == [1]
-        assert sim._codebook_for(_cfg()).unitarity_residual <= UNITARITY_TOL
+        assert sim.prepare(_cfg()).unitarity_residual <= UNITARITY_TOL
 
     def test_decoders_agree_frame_by_frame(self):
         res = run_sim(_cfg(snr_db=(0.0, 8.0), frames=800, decoder="both"))
@@ -397,7 +420,7 @@ class TestBlockPass:
     def test_windows_replay_the_per_frame_chain_bit_for_bit(self, monkeypatch, lam, n_r,
                                                              sigma, replay):
         monkeypatch.setattr(diffcodec, "WINDOW", 7)
-        cb = sim._codebook_for(SimConfig(lam=lam, m=256))
+        cb = sim.prepare(SimConfig(lam=lam, m=256))
         nf = 17  # windows of 7, 7 and 3 frames
         rng = np.random.default_rng([lam, n_r])
         windows = list(diffcodec.block_frames(cb, rng, nf, n_r, sigma))
