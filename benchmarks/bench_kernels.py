@@ -2,14 +2,18 @@
 """Benchmark the metric scan kernels.
 
 Times one differential decode metric scan (the hot loop of both decoders
-and of the Monte Carlo simulator) over codebook stacks of increasing
-size: the direct scan over the codeword stack and the scan the
-simulator's exhaustive decoder uses, over the codewords' real
-coordinates (``points`` with ``scales`` and ``basis``).  Then the
-direct scan over single group stacks, the (M^(1/4), n, n) stacks the
-simulator's group decoder scans four times per frame, where per-call
-overhead, not arithmetic, sets the cost.  Then the per-frame cost of the two decoders
-through the public API on the largest codebook.
+and of the Monte Carlo simulator) over codebooks of increasing size: the
+direct scan over the codeword stack (where the stack takes at most
+``DIRECT_MAX_BYTES``), and the two forms of the scan the simulator's
+exhaustive decoder uses, over the codewords' real coordinates: float64
+(``points`` with ``scales`` and ``basis``) and float32 with a float64
+re-score of its candidates (``points32`` with ``scales32``).  For each
+size it prints which coordinate form is faster; that comparison sets
+``codebook.FLOAT32_SCAN_BYTES``.  Then the direct scan over single group
+stacks, the (M^(1/4), n, n) stacks the simulator's group decoder scans
+four times per frame, where per-call overhead, not arithmetic, sets the
+cost.  Then the per-frame cost of the two decoders through the public
+API on the largest codebook.
 
 Run from the repository root:
 
@@ -31,6 +35,10 @@ from gdstbc.codebook import Codebook  # noqa: E402
 from gdstbc.design import construct_design  # noqa: E402
 from gdstbc.diffcodec import decode_exhaustive, decode_group  # noqa: E402
 from gdstbc.signalset import construct_signal_set, preset_signal_set  # noqa: E402
+
+
+#: Largest codeword stack the direct scan is timed on.
+DIRECT_MAX_BYTES = 70 * 10**6
 
 
 def time_call(fn, args, repeats, number=1):
@@ -57,29 +65,38 @@ def main():
 
     scans = [
         ("direct", lambda cb, *a: metric_scan(cb.matrices, *a)),
-        ("coords", lambda cb, *a: metric_scan(cb.points, *a, cb.scales, cb.basis)),
+        ("coords64", lambda cb, *a: metric_scan(cb.points, *a, cb.scales, cb.basis)),
+        ("coords32", lambda cb, *a: metric_scan(cb.points32, *a, cb.scales32, cb.basis,
+                                                cb.coordinate_metrics, cb.scale_max)),
     ]
 
     rng = np.random.default_rng(0)
-    cases = [(1, 16), (2, 256), (3, 4096), (3, 16**4)]
+    cases = [(1, 16), (2, 256), (3, 4096), (2, 10000), (4, 4096), (3, 10000), (2, 20736),
+             (2, 38416), (4, 10000), (3, 20736), (2, 16**4), (3, 16**4), (4, 16**4)]
 
-    print(f"{'case':>16} {'M':>6}", *(f"{name:>12}" for name, _ in scans),
-          f"{'direct/coords':>14}")
+    print(f"{'case':>16} {'M':>6} {'table MB':>9}", *(f"{name:>12}" for name, _ in scans),
+          f"{'faster':>9}")
     for lam, m in cases:
         cb = Codebook(construct_design(lam), construct_signal_set(lam, m),
                       check_decodable=False)
         n = cb.n
-        cb.matrices, cb.points  # noqa: B018  (built before timing)
+        direct = cb.M * n * n * 16 <= DIRECT_MAX_BYTES
+        timed = scans if direct else scans[1:]
         r_prev, r_t = random_frame(rng, n), random_frame(rng, n)
-        times = [time_call(fn, (cb, r_prev, r_t, 1.0), args.repeats)
-                 for _, fn in scans]
-        want = scans[0][1](cb, r_prev, r_t, 1.0)[0]
-        for _, fn in scans:
+        for _, fn in timed:
+            fn(cb, r_prev, r_t, 1.0)  # builds the arrays before timing
+        number = max(1, 2**16 // m)  # samples of at least ~1 ms
+        times = [time_call(fn, (cb, r_prev, r_t, 1.0), args.repeats, number)
+                 for _, fn in timed]
+        want = timed[0][1](cb, r_prev, r_t, 1.0)[0]
+        for _, fn in timed:
             assert fn(cb, r_prev, r_t, 1.0)[0] == want, "scans disagree on the argmin"
-        row = [f"{f'lam={lam} n={n}':>16} {m:>6}"]
+        row = [f"{f'lam={lam} n={n}':>16} {m:>6} {cb.M * cb.design.K * 8 / 1e6:>9.2f}"]
+        row += [] if direct else [f"{'-':>12}"]
         row += [f"{t * 1e6:>10.1f}us" for t in times]
-        row.append(f"{times[0] / times[1]:>13.2f}x")
+        row.append(f"{'float32' if times[-1] < times[-2] else 'float64':>9}")
         print(" ".join(row))
+        del cb
 
     print("\ndirect scan of one group stack (four per group-decoded frame):")
     group_cases = [

@@ -28,19 +28,63 @@ argmin; ||r_t||^2 and the factor c are applied to the winner only.
 The caller vouches for the scaled unitarity; on a codebook that breaks
 it the result is a different metric.
 
+A float32 ``stack`` (with float32 ``scales``) halves the bytes that GEMV
+reads, and the scan stays exact ML.  Write h = -2 inv_a g / c for the
+float64 scaled vector, F_m = x_m . h + a_m for the exact divided metric,
+and f_m for its float32 value: the table, h and the scales rounded to
+float32 (the scales summed from four rounded group norms), one
+single-precision GEMV and one float32 add.  With u = 2^-24 and
+gamma_j = j u / (1 - j u), each product x_v h_v picks up three relative
+roundings (table, h, product) and at most K - 1 additions in whatever
+order the GEMV sums them, so the dot product is within
+gamma_{K+2} sum_v |x_v h_v|; the float32 scale is within gamma_4 a_m;
+the final add contributes u times their sum.  So
+
+    |f_m - F_m| <= gamma_{K+3} sum_v |x_v h_v| + gamma_5 a_m + t,
+
+where t covers float32 underflow: a value rounded into the subnormal
+range is off by at most 2^-150 absolutely, which can happen to each
+h_v (weighted by |x_v|), to each table entry (weighted by |h_v|), to
+each product and to each group norm, while subnormal additions are
+exact.  Cauchy-Schwarz gives sum_v |x_v h_v| <= sqrt(a_m) ||h|| (a_m is
+||x_m||^2) and the l1 norms are at most sqrt(K) times the l2 norms, so
+with a_max >= every a_m one bound serves the whole scan, in O(1):
+
+    delta = gamma_{K+4} sqrt(a_max) ||h|| + gamma_6 a_max
+            + 2^-149 (K + 4 + sqrt(K) (2 sqrt(a_max) + ||h||)).
+
+The extra rounding in each gamma (K+4 and 6, not K+3 and 5) covers the
+float64 arithmetic of the re-score and of delta itself, both within a
+few 2^-53 relative.  Let m* be a codeword with the smallest float64
+re-scored metric and f_min the float32 minimum: f_{m*} <= F_{m*} + delta
+<= F_m + delta <= f_m + 2 delta for every m, so every such m* (every
+tied one too) lies among the candidates f_m <= f_min + 2 delta.  Those
+are re-scored in float64 by ``rescore`` and the first index of the
+smallest re-scored metric wins, which is the float64 decision with the
+usual tie rule.  When ||h|| or sqrt(a_max) ||h|| + a_max leaves the
+float32 range, delta is infinite and nothing is scanned in float32;
+then, or when the float32 minimum is not finite (a NaN among the
+metrics), all M codewords are re-scored in float64.  With delta finite
+every |f_m| stays below 2^127, so no metric overflows.  When c == 0
+every metric is equal and index 0 wins.
+
 OpenBLAS threads that GEMV once the stack is large enough.  Pool workers
-that scan side by side would then oversubscribe the cores, so
-``set_blas_threads(1)`` is the initializer of the simulator's worker
-pool.  It finds the loaded OpenBLAS the way threadpoolctl does (by
+that scan side by side would then oversubscribe the cores, so the
+initializer of the simulator's worker pool calls ``set_blas_threads(1)``.
+It finds the loaded OpenBLAS the way threadpoolctl does (by
 walking the loaded shared objects) and does nothing where there is none.
 """
 
 import ctypes
+import math
 
 import numpy as np
 
 #: The metric kernel's implementation, reported in ``--json`` output.
 BACKEND = "python"
+
+#: Unit roundoff of float32.
+_U32 = 2.0 ** -24
 
 
 def metric_values(stack, r_prev, r_t, inv_a):
@@ -59,14 +103,18 @@ def metric_values(stack, r_prev, r_t, inv_a):
     return np.vecdot(parts, parts)
 
 
-def metric_scan(stack, r_prev, r_t, inv_a, scales=None, basis=None):
+def metric_scan(stack, r_prev, r_t, inv_a, scales=None, basis=None, rescore=None,
+                scale_max=None):
     """argmin_m || r_t - inv_a * S_m @ r_prev ||_F^2 over M candidates.
 
     Without ``scales`` the candidates are the matrices of ``stack``.
     With ``scales`` and ``basis`` they are the codewords of a
     scaled-unitary linear design, given by their coordinates ``stack``,
-    and the scan uses the expansion in the module docstring.  Returns
-    (best_index, best_metric).
+    and the scan uses the expansion in the module docstring.  A float32
+    ``stack`` and ``scales`` take the float32 form there, which also needs
+    ``scale_max`` >= every scale and ``rescore(h, lin)``, the float64
+    x_m . h + a_m of the codewords with linear indices ``lin`` (of all M
+    when ``lin`` is None).  Returns (best_index, best_metric).
     """
     if scales is None:
         metrics = metric_values(stack, r_prev, r_t, inv_a)
@@ -81,11 +129,57 @@ def metric_scan(stack, r_prev, r_t, inv_a, scales=None, basis=None):
     # c == 0 only when r_prev == 0 (g is then 0 too): no scale term to fold
     fold = c if c else 1.0
     g *= -2.0 * inv_a / fold
+    rr = np.vdot(r_t, r_t).real
+    if stack.dtype == np.float32:
+        if not c:
+            return 0, float(rr)
+        best, value = _float32_scan(stack, scales, g, rescore, scale_max)
+        return best, float(rr + fold * value)
     metrics = np.dot(stack.reshape(-1, k), g)
     if c:
         metrics += scales
     best = int(metrics.argmin())
-    return best, float(np.vdot(r_t, r_t).real + fold * metrics[best])
+    return best, float(rr + fold * metrics[best])
+
+
+def float32_bound(k: int, scale_max: float, h_norm: float) -> float:
+    """delta of the module docstring: the largest |f_m - F_m| of a float32
+    scan with K = ``k``, a_max = ``scale_max`` and ||h|| = ``h_norm``;
+    infinite when the scan could leave the float32 range."""
+    root = math.sqrt(scale_max)
+    if not max(h_norm, root * h_norm + scale_max) < 2.0 ** 126:  # also NaN
+        return math.inf
+
+    def gamma(j):
+        return j * _U32 / (1.0 - j * _U32)
+
+    return (gamma(k + 4) * root * h_norm + gamma(6) * scale_max
+            + 2.0 ** -149 * (k + 4 + math.sqrt(k) * (2.0 * root + h_norm)))
+
+
+def float32_metrics(stack, scales, h):
+    """f_m of the module docstring for every m: one single-precision GEMV of
+    the float32 table against h rounded to float32, plus the float32 scales."""
+    metrics = np.dot(stack.reshape(len(stack), -1), h.astype(np.float32))
+    metrics += scales
+    return metrics
+
+
+def _float32_scan(stack, scales, h, rescore, scale_max):
+    """(first index of the smallest float64 x_m . h + a_m, that value),
+    from a float32 scan and a float64 re-score of its candidates."""
+    delta = float32_bound(len(h), scale_max, math.sqrt(np.dot(h, h)))
+    cand = None
+    if math.isfinite(delta):
+        metrics = float32_metrics(stack, scales, h)
+        low = float(metrics.min())  # NaN if any metric is
+        if math.isfinite(low):
+            # rounding the threshold to float32 loses no candidate: a float32
+            # value at most the float64 threshold is at most its rounding
+            cand = np.flatnonzero(metrics <= np.float32(low + 2.0 * delta))
+    exact = rescore(h, cand)
+    i = int(exact.argmin())
+    return (i if cand is None else int(cand[i])), float(exact[i])
 
 
 class _DlPhdrInfo(ctypes.Structure):

@@ -42,18 +42,65 @@ RANK_RTOL = 1e-9
 UNITARITY_TOL = 1e-9
 
 
-def _available_bytes() -> float:
-    """Memory available now: ``MemAvailable`` from /proc/meminfo, which
-    counts the memory the kernel can reclaim; infinite where it is not
-    reported."""
+#: Size of the float64 coordinate table (8 M K bytes) above which the
+#: simulator's exhaustive rows scan float32 copies (``exhaustive_table``).
+#: Set by benchmarks/bench_kernels.py (median us per scan over 9 runs on a
+#: 2-core host, float64 against float32 with its re-score): float64 wins
+#: at 0.52 MB (lam 3 M 4096, 42 against 57) and below, float32 at
+#: 0.64 MB (lam 2 M 10000, 71 against 61) and at every size from 1.28 MB
+#: up (lam 3 M 10000, 96 against 68; the preset, 8.4 MB, 543 against
+#: 281).  Only lam 4 M 4096 (1.05 MB, 67 against 72) scans the slower form.
+FLOAT32_SCAN_BYTES = 600_000
+
+
+def _read(path: str):
+    """The text of ``path``, or None where it cannot be read."""
     try:
-        with open("/proc/meminfo") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
+        with open(path) as fh:
+            return fh.read()
     except OSError:
-        pass
-    return math.inf
+        return None
+
+
+def _headroom(limit_file: str, usage_file: str, cap: float = math.inf) -> float:
+    """limit - usage from two cgroup files; infinite where either is
+    missing or the limit reads "max" or is at least ``cap``."""
+    try:
+        limit, usage = int(_read(limit_file)), int(_read(usage_file))
+    except (TypeError, ValueError):
+        return math.inf
+    return math.inf if limit >= cap else max(limit - usage, 0)
+
+
+def _cgroup_headroom() -> float:
+    """Memory the process's cgroup may still charge: memory.max -
+    memory.current (cgroup v2, the path on the ``0::`` line of
+    /proc/self/cgroup) and memory.limit_in_bytes - memory.usage_in_bytes
+    (cgroup v1, its memory controller's path or the mount root), the
+    smallest of them; infinite where no limit is set ("max", or a v1
+    limit of 2^62 or more)."""
+    room = math.inf
+    for line in (_read("/proc/self/cgroup") or "").splitlines():
+        ident, controllers, path = line.split(":", 2)
+        if ident == "0" and not controllers:
+            base = "/sys/fs/cgroup" + path.rstrip("/")
+            room = min(room, _headroom(f"{base}/memory.max", f"{base}/memory.current"))
+        elif "memory" in controllers.split(","):
+            for base in {"/sys/fs/cgroup/memory" + path.rstrip("/"), "/sys/fs/cgroup/memory"}:
+                room = min(room, _headroom(f"{base}/memory.limit_in_bytes",
+                                           f"{base}/memory.usage_in_bytes", 2**62))
+    return room
+
+
+def _available_bytes() -> float:
+    """Memory available now: the smaller of ``MemAvailable`` from
+    /proc/meminfo, which counts the memory the kernel can reclaim, and the
+    cgroup's headroom; infinite where neither is reported."""
+    meminfo = math.inf
+    for line in (_read("/proc/meminfo") or "").splitlines():
+        if line.startswith("MemAvailable:"):
+            meminfo = int(line.split()[1]) * 1024
+    return min(meminfo, _cgroup_headroom())
 
 
 def _check_memory(name: str, nbytes: int, decoder: str):
@@ -106,8 +153,10 @@ class Codebook:
     exhaustive decoding needs M-sized arrays, built lazily, and refused
     (ValueError) past the memory available: ``scales``, ``points`` (every
     codeword's real coordinates against ``basis``, the form the
-    simulator's exhaustive decoder scans) and the full (M, n, n)
-    ``matrices`` stack (n times larger, for ``decode_exhaustive``).
+    simulator's exhaustive decoder scans), their float32 copies
+    ``scales32`` and ``points32`` (what it scans on large codebooks, see
+    ``exhaustive_table``) and the full (M, n, n) ``matrices`` stack (n
+    times larger, for ``decode_exhaustive``).
     """
 
     def __init__(self, design: LinearDesign, sset: SignalSet,
@@ -196,6 +245,66 @@ class Codebook:
         """scale_sq of every codeword: the squared norm of its real vector."""
         _check_memory("scales", self.M * 8, "decide_exhaustive")
         return self.compose(self.group_norms, np.ogrid[tuple(map(slice, self.sizes))]).ravel()
+
+    @cached_property
+    def points32(self) -> np.ndarray:
+        """``points`` rounded to float32 and stored column-major: a (K, M)
+        array viewed as (M, 4, K/4), so that a GEMV streams each
+        coordinate's M values in order.  Built without ``points``."""
+        dim = self.sset.dim
+        _check_memory("points32", self.M * 4 * dim * 4, "decide_exhaustive")
+        table = np.empty((4, dim, *self.sizes), dtype=np.float32)
+        for k, gset in enumerate(self.sset.groups):
+            shape = [1, 1, 1, 1]
+            shape[k] = self.sizes[k]
+            table[k] = gset.points.T.reshape(dim, *shape)
+        return table.reshape(4 * dim, self.M).T.reshape(self.M, 4, dim)
+
+    @cached_property
+    def scales32(self) -> np.ndarray:
+        """``scales`` summed in float32 from the rounded group norms."""
+        _check_memory("scales32", self.M * 4, "decide_exhaustive")
+        norms = [nk.astype(np.float32) for nk in self.group_norms]
+        return self.compose(norms, np.ogrid[tuple(map(slice, self.sizes))]).ravel()
+
+    @cached_property
+    def scale_max(self) -> float:
+        """The largest codeword scale_sq: the sum of the groups' largest norms."""
+        return sum(float(nk.max()) for nk in self.group_norms)
+
+    @property
+    def exhaustive_table(self):
+        """(table, scales) that the simulator's exhaustive decoder scans:
+        ``points`` and ``scales`` up to ``FLOAT32_SCAN_BYTES`` of float64
+        coordinates, ``points32`` and ``scales32`` above."""
+        if self.M * self.design.K * 8 <= FLOAT32_SCAN_BYTES:
+            return self.points, self.scales
+        return self.points32, self.scales32
+
+    @cached_property
+    def _group_points(self):
+        """(blocks, norms, rows): every group's points in one block-diagonal
+        (sum of sizes, K) array, group k's ``rows`` holding its points in
+        its K/4 columns, and the group norms in the same row order."""
+        dim, lo, rows = self.sset.dim, 0, []
+        blocks = np.zeros((sum(self.sizes), 4 * dim))
+        for k, gset in enumerate(self.sset.groups):
+            rows.append(slice(lo, lo + self.sizes[k]))
+            blocks[rows[k], k * dim:(k + 1) * dim] = gset.points
+            lo += self.sizes[k]
+        return blocks, np.concatenate(self.group_norms), rows
+
+    def coordinate_metrics(self, h, lin=None) -> np.ndarray:
+        """x_m . h + a_m in float64 for the codewords with linear indices
+        ``lin`` (all M when None), h in ``basis`` order: every group point's
+        dot product with its group's part of h plus its norm, summed by
+        ``compose`` at the codewords' index tuples."""
+        blocks, norms, rows = self._group_points
+        flat = np.dot(blocks, h)
+        flat += norms
+        idx = (np.ogrid[tuple(map(slice, self.sizes))] if lin is None
+               else np.unravel_index(lin, self.sizes))
+        return self.compose([flat[r] for r in rows], idx).ravel()
 
     def codeword_at(self, idx) -> Codeword:
         idx = tuple(int(i) for i in idx)

@@ -140,7 +140,7 @@ def block_frames(cb: Codebook, rng, nf: int, n_r: int, sigma: float):
     """
     n = cb.n
     h = _channel(rng, n, n_r)
-    idx = np.array([rng.integers(0, size, nf) for size in cb.sizes])
+    idx = rng.integers(0, np.array(cb.sizes)[:, None], (4, nf))
     lin_block = np.ravel_multi_index(idx, cb.sizes)
     r_prev = h
     x_prev = np.eye(n, dtype=np.complex128)
@@ -230,15 +230,27 @@ def decide_group(cb: Codebook, r, r_prev, a_prev_sq: float):
 def decide_exhaustive(cb: Codebook, r, r_prev, a_prev_sq: float):
     """``decide_group`` with one ``metric_scan`` of all M codewords per frame.
 
-    The scan takes the codewords' real coordinates (``cb.points`` with
-    ``scales`` and ``basis``), so the (M, n, n) stack is never built; it
-    needs a scaled-unitary codebook (``Codebook.require_scaled_unitary``).
+    The scan takes the codewords' real coordinates with ``basis``: float64
+    ``points`` and ``scales`` on small codebooks, where the decided scale
+    is read from ``scales``, and the float32 ``points32`` and ``scales32``
+    above ``codebook.FLOAT32_SCAN_BYTES``, where the kernel re-scores its
+    candidates in float64 (``coordinate_metrics``), so the decisions stay
+    exact ML, and the decided scale is composed from ``group_norms``.
+    Either way the (M, n, n) stack is never built; the scan needs a
+    scaled-unitary codebook (``Codebook.require_scaled_unitary``).
     """
-    points, scales, basis = cb.points, cb.scales, cb.basis
-    a, prev, hats = a_prev_sq, r_prev, []
+    table, scales = cb.exhaustive_table
+    extra, scale_at = (), scales.__getitem__
+    if table.dtype == np.float32:
+        extra = (cb.coordinate_metrics, cb.scale_max)
+
+        def scale_at(lin):
+            return cb.compose(cb.group_norms, np.unravel_index(lin, cb.sizes))
+
+    basis, a, prev, hats = cb.basis, a_prev_sq, r_prev, []
     for r_t in r:
-        lin, _ = metric_scan(points, prev, r_t, 1.0 / math.sqrt(a), scales, basis)
-        a = scales[lin]
+        lin, _ = metric_scan(table, prev, r_t, 1.0 / math.sqrt(a), scales, basis, *extra)
+        a = scale_at(lin)
         hats.append(lin)
         prev = r_t
     return hats, a

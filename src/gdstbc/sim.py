@@ -25,6 +25,7 @@ import csv
 import io
 import json
 import math
+import multiprocessing
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -249,14 +250,14 @@ def _codebook(lam, m, family, radii, preset, c) -> Codebook:
 
 def prepare(cfg: SimConfig) -> Codebook:
     """Validate ``cfg`` and check its cached codebook for each decoder, building the
-    exhaustive rows' ``points`` and ``scales``, so errors come before a sweep."""
+    table and scales the exhaustive rows scan, so errors come before a sweep."""
     cfg.validate()
     cb = _codebook(cfg.lam, cfg.m, cfg.family, cfg.radii, cfg.preset, cfg.c)
     if "group" in cfg.decoders():
         cb.require_group_decodable()
     if "exhaustive" in cfg.decoders():
         cb.require_scaled_unitary()
-        cb.points, cb.scales  # noqa: B018
+        cb.exhaustive_table  # noqa: B018
     return cb
 
 
@@ -268,7 +269,9 @@ def _run_blocks(cfg, snr_idx, block_lo, block_hi):
     decoder's decisions.  Each block draws from its own stream
     ``default_rng([seed, snr_idx, blk])``; ``diffcodec.block_frames``
     transmits it window by window, and each decoder's ``diffcodec``
-    decision routine decides every window, tracking its own scale.
+    decision routine decides every window, tracking its own scale.  In a
+    pool worker it stops at the next block once ``run_sim`` has stopped
+    point ``snr_idx`` early; the parent never reads those counts.
     """
     cb = prepare(cfg)
     decoders = cfg.decoders()
@@ -282,6 +285,8 @@ def _run_blocks(cfg, snr_idx, block_lo, block_hi):
 
     counts = {d: Counter() for d in decoders}
     for blk in range(block_lo, block_hi):
+        if _stopped is not None and _stopped.value > snr_idx:
+            break  # a point already stopped discards this chunk: skip the rest
         nf = min(fpb, cfg.frames - blk * fpb)  # >= 1: blk < ceil(frames / fpb)
         rng = np.random.default_rng([cfg.seed, snr_idx, blk])
         a_dec = dict.fromkeys(decoders, 1.0)
@@ -305,15 +310,29 @@ def _run_blocks(cfg, snr_idx, block_lo, block_hi):
     return counts
 
 
-def _worker_pool(workers: int) -> ProcessPoolExecutor:
-    """Process pool whose workers run BLAS single-threaded.
+#: In a pool worker, the shared count of SNR points whose sweep has
+#: stopped early (``run_sim`` sets it); None in the calling process.
+_stopped = None
+
+
+def _init_worker(stopped):
+    global _stopped
+    set_blas_threads(1)
+    _stopped = stopped
+
+
+def _worker_pool(workers: int, stopped) -> ProcessPoolExecutor:
+    """Process pool whose workers run BLAS single-threaded and see ``stopped``.
 
     Each worker's scans are already one of ``workers`` concurrent streams;
     letting OpenBLAS thread them too would put several spinning threads on
-    every core.  The calling process keeps its BLAS threads.
+    every core.  The calling process keeps its BLAS threads.  ``stopped``
+    is a shared integer: once ``run_sim`` sets it to ``snr_idx + 1``, the
+    chunks of points up to ``snr_idx`` that are queued or running return
+    at their next block instead of simulating results nobody reads.
     """
-    return ProcessPoolExecutor(max_workers=workers, initializer=set_blas_threads,
-                               initargs=(1,))
+    return ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                               initargs=(stopped,))
 
 
 def run_sim(cfg: SimConfig) -> SimResult:
@@ -333,7 +352,10 @@ def run_sim(cfg: SimConfig) -> SimResult:
     # a worker beyond the task count would sit idle, and on Linux every one
     # is forked at the first submit
     workers = min(cfg.workers, len(starts))
-    pool = _worker_pool(workers) if workers > 1 else None
+    stopped = pool = None
+    if workers > 1:
+        stopped = multiprocessing.RawValue("i", 0)
+        pool = _worker_pool(workers, stopped)
     try:
         for snr_idx, snr in enumerate(cfg.snr_db):
             t0 = time.perf_counter()
@@ -349,7 +371,9 @@ def run_sim(cfg: SimConfig) -> SimResult:
                 if cfg.target_errors is not None and all(
                     totals[d]["frame_errors"] >= cfg.target_errors for d in decoders
                 ):
-                    results.close()  # cancels this point's chunks not yet started
+                    if stopped is not None:
+                        stopped.value = snr_idx + 1  # workers drop this point's chunks
+                    results.close()  # cancels this point's chunks not yet queued
                     break
             wall = time.perf_counter() - t0
             for d in decoders:

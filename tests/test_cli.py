@@ -178,7 +178,7 @@ class TestSimulateCommand:
         assert not missing.exists()
 
     def test_memory_refusal_leaves_out_untouched(self, capsys, monkeypatch, tmp_path):
-        # lam 2, M 16^4: the exhaustive rows' coordinates take 4.2 MB
+        # lam 2, M 16^4: the exhaustive rows' float32 coordinates take 2.1 MB
         monkeypatch.setattr(codebook, "_available_bytes", lambda: 10**6)
         kept = tmp_path / "results.csv"
         kept.write_bytes(b"earlier results\n")
@@ -186,8 +186,8 @@ class TestSimulateCommand:
                                     str(16**4), "--snr-db", "0", "--frames", "10",
                                     "--decoder", "exhaustive", "--out", str(kept))
         assert code == 2 and stdout == ""
-        assert err == ("configuration error: decide_exhaustive needs Codebook.points, "
-                       "4.2 MB, but only 1.0 MB of memory is available\n")
+        assert err == ("configuration error: decide_exhaustive needs Codebook.points32, "
+                       "2.1 MB, but only 1.0 MB of memory is available\n")
         assert kept.read_bytes() == b"earlier results\n"
 
     def test_json_is_strict(self, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gdstbc import codebook
 from gdstbc.codebook import (
     RANK_RTOL,
     UNITARITY_TOL,
@@ -137,6 +138,86 @@ class TestCoordinates:
             x = assemble_real_vector(cb.grouping, pts, cb.unravel_index(lin))
             assert np.array_equal(cb.points[lin].reshape(-1), x[order])
             assert np.allclose(evaluate(cb.design, x), cb.matrices[lin], atol=1e-12)
+
+
+    def test_coordinate_metrics_score_every_codeword(self, cb):
+        h = np.random.default_rng(7).standard_normal(cb.design.K)
+        want = cb.points.reshape(cb.M, -1) @ h + cb.scales
+        tol = 1e-12 * (np.sqrt(cb.scales.max()) * np.linalg.norm(h) + cb.scales.max())
+        assert np.abs(cb.coordinate_metrics(h) - want).max() <= tol
+        lin = np.array([0, cb.M // 3, cb.M - 1, 1])
+        assert np.array_equal(cb.coordinate_metrics(h, lin), cb.coordinate_metrics(h)[lin])
+
+    def test_float32_table_takes_over_above_the_threshold(self, cb, monkeypatch):
+        fresh = build_codebook(SimConfig(lam=cb.design.lam, m=cb.M))
+        table_bytes = 8 * fresh.M * fresh.design.K
+        monkeypatch.setattr(codebook, "FLOAT32_SCAN_BYTES", table_bytes)
+        table, scales = fresh.exhaustive_table
+        assert table is fresh.points and scales is fresh.scales
+        monkeypatch.setattr(codebook, "FLOAT32_SCAN_BYTES", table_bytes - 1)
+        table, scales = fresh.exhaustive_table
+        assert table is fresh.points32 and scales is fresh.scales32
+        assert table.nbytes == table_bytes // 2 and scales.dtype == np.float32
+
+
+def _fake_files(monkeypatch, files):
+    """Serve ``codebook._read`` from ``files`` (path: text); other paths are missing."""
+    monkeypatch.setattr(codebook, "_read", files.get)
+
+
+class TestMemoryBudget:
+    """``_available_bytes``: MemAvailable, capped by the cgroup's headroom."""
+
+    MEMINFO = {"/proc/meminfo": "MemTotal: 8000000 kB\nMemAvailable: 4000000 kB\n"}
+
+    def test_meminfo_alone(self, monkeypatch):
+        _fake_files(monkeypatch, dict(self.MEMINFO))
+        assert codebook._available_bytes() == 4_096_000_000
+        _fake_files(monkeypatch, {})
+        assert codebook._available_bytes() == math.inf
+
+    def test_cgroup_v2_limit(self, monkeypatch):
+        files = {**self.MEMINFO, "/proc/self/cgroup": "0::/user.slice/run-1.scope\n",
+                 "/sys/fs/cgroup/user.slice/run-1.scope/memory.max": "300000000\n",
+                 "/sys/fs/cgroup/user.slice/run-1.scope/memory.current": "100000000\n"}
+        _fake_files(monkeypatch, files)
+        assert codebook._available_bytes() == 200_000_000
+        files["/sys/fs/cgroup/user.slice/run-1.scope/memory.max"] = "max\n"
+        assert codebook._available_bytes() == 4_096_000_000
+
+    def test_cgroup_v2_at_the_root(self, monkeypatch):
+        _fake_files(monkeypatch, {**self.MEMINFO, "/proc/self/cgroup": "0::/\n",
+                                  "/sys/fs/cgroup/memory.max": "5000\n",
+                                  "/sys/fs/cgroup/memory.current": "7000\n"})
+        assert codebook._available_bytes() == 0  # charged past its limit
+
+    def test_cgroup_v1_limit(self, monkeypatch):
+        base = "/sys/fs/cgroup/memory/docker/abc"
+        files = {**self.MEMINFO, "/proc/self/cgroup": "5:cpu,cpuacct:/docker/abc\n"
+                                                      "4:memory:/docker/abc\n0::/\n",
+                 f"{base}/memory.limit_in_bytes": "500000000\n",
+                 f"{base}/memory.usage_in_bytes": "120000000\n"}
+        _fake_files(monkeypatch, files)
+        assert codebook._available_bytes() == 380_000_000
+        files[f"{base}/memory.limit_in_bytes"] = f"{2**62}\n"
+        assert codebook._available_bytes() == 4_096_000_000
+        # a namespaced container sees its own cgroup at the mount root
+        del files[f"{base}/memory.limit_in_bytes"]
+        files["/sys/fs/cgroup/memory/memory.limit_in_bytes"] = "1000000000\n"
+        files["/sys/fs/cgroup/memory/memory.usage_in_bytes"] = "400000000\n"
+        assert codebook._available_bytes() == 600_000_000
+        files["/sys/fs/cgroup/memory/memory.limit_in_bytes"] = "9223372036854771712\n"
+        assert codebook._available_bytes() == 4_096_000_000
+
+    def test_refusal_under_a_cgroup_limit(self, monkeypatch):
+        _fake_files(monkeypatch, {**self.MEMINFO, "/proc/self/cgroup": "0::/job\n",
+                                  "/sys/fs/cgroup/job/memory.max": "3000000\n",
+                                  "/sys/fs/cgroup/job/memory.current": "2000000\n"})
+        cb = build_codebook(SimConfig(lam=2, m=16**4))
+        with pytest.raises(ValueError, match=r"decide_exhaustive needs Codebook\.points32, "
+                                             r"2\.1 MB, but only 1\.0 MB"):
+            cb.points32  # noqa: B018
+        assert cb.scales32.nbytes == 4 * cb.M  # 0.26 MB fits
 
 
 class TestScaledUnitarity:

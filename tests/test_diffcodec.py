@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from gdstbc import codebook
+from gdstbc import codebook, diffcodec
 from gdstbc._kernels import metric_scan
 from gdstbc.codebook import Codebook, Codeword, NotGroupDecodableError
 from gdstbc.design import Grouping, construct_design
 from gdstbc.diffcodec import (
     ChannelConfig,
+    block_frames,
     channel_step,
+    decide_exhaustive,
     decode_exhaustive,
     decode_group,
     draw_channel,
@@ -179,8 +181,7 @@ class TestScaledUnitaryExhaustiveScan:
         "hyperbola": (dict(lam=2, m=256, family="hyperbola"), 1000),
     }
 
-    @pytest.mark.parametrize("name", sorted(CODEBOOKS))
-    def test_decisions_equal_decode_exhaustive(self, name):
+    def _check(self, name, scan):
         config, windows = self.CODEBOOKS[name]
         cb = build_codebook(SimConfig(**config))
         rng = np.random.default_rng([config["lam"], config["m"]])
@@ -189,9 +190,50 @@ class TestScaledUnitaryExhaustiveScan:
             snr_db = (math.inf, 40.0, 20.0, 10.0, 0.0)[w % 5]
             sigma = math.sqrt(cb.n / 10 ** (snr_db / 10) / 2)  # the simulator's convention
             r_t, r_prev, a_sq = noisy_window(cb, rng, sigma, 1 + w % 3)
-            best, _ = metric_scan(cb.points, r_prev, r_t, 1.0 / math.sqrt(a_sq), cb.scales,
-                                  cb.basis)
+            best, _ = scan(cb, r_prev, r_t, 1.0 / math.sqrt(a_sq))
             assert cb.unravel_index(best) == decode_exhaustive(cb, r_t, r_prev, a_sq).index
+
+    @pytest.mark.parametrize("name", sorted(CODEBOOKS))
+    def test_decisions_equal_decode_exhaustive(self, name):
+        self._check(name, lambda cb, *a: metric_scan(cb.points, *a, cb.scales, cb.basis))
+
+    @pytest.mark.parametrize("name", sorted(CODEBOOKS))
+    def test_float32_decisions_equal_decode_exhaustive(self, name):
+        # the float32 form, driven directly at sizes below FLOAT32_SCAN_BYTES
+        self._check(name, lambda cb, *a: metric_scan(cb.points32, *a, cb.scales32, cb.basis,
+                                                     cb.coordinate_metrics, cb.scale_max))
+
+    @pytest.mark.parametrize("n_r", [1, 2, 3])
+    def test_window_decisions_follow_the_table_size(self, n_r, monkeypatch):
+        # decide_exhaustive takes the float32 form above FLOAT32_SCAN_BYTES and
+        # decides every frame of a window as decode_exhaustive does
+        calls = []
+
+        def scan(*args):
+            calls.append(args[0].dtype)
+            return metric_scan(*args)
+
+        monkeypatch.setattr(diffcodec, "metric_scan", scan)
+        for limit, dtype in ((0, np.float32), (math.inf, np.float64)):
+            monkeypatch.setattr(codebook, "FLOAT32_SCAN_BYTES", limit)
+            cb = build_codebook(SimConfig(lam=2, m=256))
+            for snr_db in (math.inf, 40.0, 20.0, 10.0, 0.0):
+                sigma = math.sqrt(cb.n / 10 ** (snr_db / 10) / 2)
+                rng = np.random.default_rng([n_r, int(min(snr_db, 99))])
+                a_ref = a = 1.0
+                for _, r_prev, r in block_frames(cb, rng, 40, n_r, sigma):
+                    calls.clear()
+                    hats, a = decide_exhaustive(cb, r, r_prev, a)
+                    assert calls == [dtype] * len(r)
+                    for hat, r_t in zip(hats, r):
+                        res = decode_exhaustive(cb, r_t, r_prev, a_ref)
+                        assert hat == cb.linear_index(res.index)
+                        a_ref, r_prev = cb.codeword_at(res.index).scale_sq, r_t
+                    assert a == a_ref
+            arrays = {"points32", "scales32"} if dtype == np.float32 else {"points", "scales"}
+            assert arrays <= cb.__dict__.keys()
+            other = {"points", "scales", "points32", "scales32"} - arrays
+            assert not other & cb.__dict__.keys()
 
 
 class TestGroupDecoder:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from gdstbc import _kernels, diffcodec, sim
 from gdstbc._kernels import metric_scan, metric_values
 from gdstbc.codebook import Codebook
 from gdstbc.design import construct_design
+from gdstbc.diffcodec import decode_exhaustive
 from gdstbc.signalset import construct_signal_set
 from gdstbc.sim import SimConfig, build_codebook
 
@@ -198,6 +200,172 @@ class TestScaledUnitaryScan:
         metrics = metric_values(stack, r_prev, r_t, 0.9)
         best = int(metrics.argmin())
         assert metric_scan(stack, r_prev, r_t, 0.9) == (best, float(metrics[best]))
+
+
+def _scan32(cb, r_prev, r_t, inv_a, rescore=None):
+    """metric_scan's float32 form on ``cb`` (``rescore`` defaults to the codebook's)."""
+    return metric_scan(cb.points32, r_prev, r_t, inv_a, cb.scales32, cb.basis,
+                       rescore or cb.coordinate_metrics, cb.scale_max)
+
+
+def _scaled_h(cb, r_prev, r_t, inv_a):
+    """h = -2 inv_a g / c of the float32 bound, from its definition."""
+    g = np.array([np.trace(r_t.conj().T @ a @ r_prev).real for a in cb.basis])
+    return -2.0 * inv_a * g / (inv_a ** 2 * np.vdot(r_prev, r_prev).real)
+
+
+def _e1(n):
+    e = np.zeros((n, 1), dtype=np.complex128)
+    e[0] = 1.0
+    return e
+
+
+class TestFloat32Scan:
+    """metric_scan on the float32 table: exact float64 decisions from a float32
+    pre-scan whose candidates are re-scored (the bound in ``_kernels``)."""
+
+    def test_table_is_the_rounded_coordinates_column_major(self, scaled_cb):
+        cb = scaled_cb
+        table = cb.points32
+        assert table.shape == cb.points.shape and table.dtype == np.float32
+        assert table.reshape(cb.M, -1).flags.f_contiguous
+        assert np.array_equal(table, cb.points.astype(np.float32))
+        assert np.abs(cb.scales32 - cb.scales).max() <= 4 * 2.0 ** -24 * cb.scale_max
+        assert cb.scale_max == pytest.approx(cb.scales.max(), rel=1e-15)
+
+    @pytest.mark.parametrize("case", ["plain", "tiny-prev", "large-t", "tiny-t"])
+    def test_float32_metric_within_the_bound(self, scaled_cb, case):
+        cb = scaled_cb
+        prev_scale, t_scale = {"plain": (1.0, 1.0), "tiny-prev": (1e-12, 1.0),
+                               "large-t": (1.0, 1e12), "tiny-t": (1.0, 1e-41)}[case]
+        rng = np.random.default_rng(40)
+        exact = cb.points.reshape(cb.M, -1).astype(np.longdouble)
+        for w in range(4):
+            r_t, r_prev, a_sq = noisy_window(cb, rng, 0.3, 1 + w % 3)
+            r_prev, r_t = r_prev * prev_scale, r_t * t_scale
+            h = _scaled_h(cb, r_prev, r_t, 1.0 / math.sqrt(a_sq))
+            delta = _kernels.float32_bound(len(h), cb.scale_max, math.sqrt(h @ h))
+            assert math.isfinite(delta)
+            ref = exact @ h.astype(np.longdouble) + cb.scales
+            f32 = _kernels.float32_metrics(cb.points32, cb.scales32, h)
+            assert np.all(np.abs(f32 - ref) <= delta)
+            assert np.all(np.abs(cb.coordinate_metrics(h) - ref) <= 1e-6 * delta)
+
+    @pytest.mark.parametrize("lam", [1, 2, 3, 4])
+    def test_near_ties_give_the_float64_decision(self, lam):
+        # M 16: every group's points are +-e1, and with r_prev = e1 every
+        # prediction S_m r_prev is exact, so the midpoint of two codewords that
+        # differ in one group ties them exactly in float64
+        cb = build_codebook(SimConfig(lam=lam, m=16))
+        e1 = _e1(cb.n)
+        rng = np.random.default_rng(lam)
+        for k in range(4):
+            lo = [int(i) for i in rng.integers(0, 2, 4)]
+            lo[k] = 0
+            hi = list(lo)
+            hi[k] = 1
+            pred_lo, pred_hi = (cb.codeword_at(i).matrix @ e1 for i in (lo, hi))
+            mid = (pred_lo + pred_hi) / 2
+            first = cb.linear_index(lo)
+            assert _scan32(cb, e1, mid, 1.0)[0] == first
+            assert cb.linear_index(decode_exhaustive(cb, mid, e1, 1.0).index) == first
+            # about 1e-10 relative toward the higher index: far below float32's
+            # resolution, far above float64's
+            for toward, want in ((pred_hi, hi), (pred_lo, lo)):
+                r_t = mid + 1e-10 * (toward - mid)
+                assert decode_exhaustive(cb, r_t, e1, 1.0).index == tuple(want)
+                assert _scan32(cb, e1, r_t, 1.0)[0] == cb.linear_index(want)
+
+    def test_float32_argmin_alone_misses_the_near_tie(self):
+        cb = build_codebook(SimConfig(lam=2, m=16))
+        e1 = _e1(cb.n)
+        pred_lo, pred_hi = (cb.codeword_at(i).matrix @ e1 for i in ((0,) * 4, (1, 0, 0, 0)))
+        r_t = (pred_lo + pred_hi) / 2 + 1e-10 * (pred_hi - pred_lo) / 2
+        want = cb.linear_index((1, 0, 0, 0))
+        assert _scan32(cb, e1, r_t, 1.0)[0] == want
+
+        def float32_only(h, lin):  # the candidates' float32 metrics, not re-scored
+            return _kernels.float32_metrics(cb.points32, cb.scales32, h)[lin].astype(float)
+
+        assert _scan32(cb, e1, r_t, 1.0, float32_only)[0] == 0 != want
+
+    def test_rounding_reversals_are_caught_by_the_bound(self, monkeypatch):
+        # lam 2 M 256: the group points 0.63 and 1.26 round differently to
+        # float32, so near the tie of two codewords that differ in group 3 the
+        # float32 metrics order them the other way round from float64
+        cb = build_codebook(SimConfig(lam=2, m=256))
+        e1 = _e1(cb.n)
+        win, lose = (1, 2, 3, 1), (1, 2, 3, 3)
+        pred_win, pred_lose = (cb.codeword_at(i).matrix @ e1 for i in (win, lose))
+        r_t = (pred_win + pred_lose) / 2 + 1e-8 * (pred_win - pred_lose) / 2
+        w, lo = cb.linear_index(win), cb.linear_index(lose)
+        f32 = _kernels.float32_metrics(cb.points32, cb.scales32, _scaled_h(cb, e1, r_t, 1.0))
+        assert decode_exhaustive(cb, r_t, e1, 1.0).index == win
+        assert int(f32.argmin()) == lo
+        assert _scan32(cb, e1, r_t, 1.0)[0] == w
+        # without the bound's margin only the float32 minimum is re-scored
+        monkeypatch.setattr(_kernels, "float32_bound", lambda *args: 0.0)
+        assert _scan32(cb, e1, r_t, 1.0)[0] == lo
+
+    def test_zero_previous_frame_ties_to_first_index(self, scaled_cb):
+        cb = scaled_cb
+        r_prev = np.zeros((cb.n, 2), dtype=np.complex128)
+        r_t = np.ones((cb.n, 2), dtype=np.complex128)
+        assert _scan32(cb, r_prev, r_t, 0.8) == (0, 2.0 * cb.n)
+
+    def test_non_finite_bound_rescores_every_codeword(self):
+        cb = build_codebook(SimConfig(lam=3, m=256))
+        r_t, r_prev, a_sq = noisy_window(cb, np.random.default_rng(41), 0.3, 2)
+        r_prev, r_t = r_prev * 1e-30, r_t * 1e10  # ||h|| ~ 1e40: past float32's range
+        calls = []
+
+        def rescore(h, lin):
+            calls.append(lin)
+            return cb.coordinate_metrics(h, lin)
+
+        inv_a = 1.0 / math.sqrt(a_sq)
+        h = _scaled_h(cb, r_prev, r_t, inv_a)
+        assert _kernels.float32_bound(len(h), cb.scale_max, math.sqrt(h @ h)) == math.inf
+        best, metric = _scan32(cb, r_prev, r_t, inv_a, rescore)
+        assert calls == [None]
+        want, value = metric_scan(cb.points, r_prev, r_t, inv_a, cb.scales, cb.basis)
+        assert best == want and metric == pytest.approx(value, rel=1e-15)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_metric_rescores_every_codeword(self, bad, monkeypatch):
+        cb = build_codebook(SimConfig(lam=3, m=256))
+        r_t, r_prev, a_sq = noisy_window(cb, np.random.default_rng(42), 0.3, 1)
+        inv_a = 1.0 / math.sqrt(a_sq)
+        want = metric_scan(cb.points, r_prev, r_t, inv_a, cb.scales, cb.basis)
+        scales32 = cb.scales32.copy()
+        scales32[(want[0] + 7) % cb.M] = bad
+        calls = []
+
+        def rescore(h, lin):
+            calls.append(lin)
+            return cb.coordinate_metrics(h, lin)
+
+        best, metric = metric_scan(cb.points32, r_prev, r_t, inv_a, scales32, cb.basis,
+                                   rescore, cb.scale_max)
+        assert calls == [None]
+        assert best == want[0] and metric == pytest.approx(want[1], rel=1e-12)
+
+    def test_a_few_candidates_are_rescored(self):
+        cb = build_codebook(SimConfig(lam=3, m=16**4, preset="paper-8ant-rate2"))
+        rng = np.random.default_rng(43)
+        sizes = []
+
+        def rescore(h, lin):
+            sizes.append(len(lin))
+            return cb.coordinate_metrics(h, lin)
+
+        for w in range(40):
+            r_t, r_prev, a_sq = noisy_window(cb, rng, (0.0, 0.05, 0.5)[w % 3], 1 + w % 2)
+            inv_a = 1.0 / math.sqrt(a_sq)
+            best, metric = _scan32(cb, r_prev, r_t, inv_a, rescore)
+            want = metric_scan(cb.points, r_prev, r_t, inv_a, cb.scales, cb.basis)
+            assert best == want[0] and metric == pytest.approx(want[1], rel=1e-12)
+        assert len(sizes) == 40 and max(sizes) <= 4
 
 
 class TestBackendSelection:

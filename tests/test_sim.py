@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -138,14 +139,14 @@ class TestRunSim:
     def test_pool_workers_run_blas_single_threaded(self):
         if blas_threads() is None:
             pytest.skip("no loaded OpenBLAS with a thread-count entry point")
-        with sim._worker_pool(2) as pool:
+        with sim._worker_pool(2, multiprocessing.RawValue("i", 0)) as pool:
             assert list(pool.map(_worker_blas_threads, range(4), timeout=60)) == [1] * 4
 
     def test_pool_is_no_larger_than_the_task_list(self, monkeypatch):
         sizes = []
 
         class InProcessPool:
-            def __init__(self, workers):
+            def __init__(self, workers, stopped):
                 sizes.append(workers)
 
             def map(self, fn, *iterables):
@@ -171,17 +172,26 @@ class TestRunSim:
         with pytest.raises(NotGroupDecodableError):
             run_sim(_cfg(frames=20))
 
-    def test_group_only_run_builds_no_codeword_stack(self):
+    def test_group_only_run_builds_no_codeword_stack(self, monkeypatch):
+        tables = {"points", "scales", "points32", "scales32"}
         run_sim(_cfg(frames=50))
         cb = sim.prepare(_cfg())
         # encoding and group decoding compose codewords and scales per group
-        assert not {"matrices", "points", "scales", "basis"} & cb.__dict__.keys()
+        assert not {"matrices", "basis"} & cb.__dict__.keys()
+        assert not tables & cb.__dict__.keys()
         for decoder in ("exhaustive", "both"):
             run_sim(_cfg(frames=50, decoder=decoder))
             assert sim.prepare(_cfg()) is cb
-            # the exhaustive rows scan the codewords' coordinates instead
+            # the exhaustive rows scan the codewords' coordinates instead, in
+            # float64 on a table this small
             assert "matrices" not in cb.__dict__
-            assert {"points", "scales"} <= cb.__dict__.keys()
+            assert tables & cb.__dict__.keys() == {"points", "scales"}
+        # above FLOAT32_SCAN_BYTES they scan float32 copies, and no float64 one
+        monkeypatch.setattr(codebook, "FLOAT32_SCAN_BYTES", 0)
+        run_sim(_cfg(m=256, frames=50, decoder="both"))
+        cb = sim.prepare(_cfg(m=256))
+        assert "matrices" not in cb.__dict__
+        assert tables & cb.__dict__.keys() == {"points32", "scales32"}
 
     def test_group_only_run_needs_no_memory_budget(self, monkeypatch):
         monkeypatch.setattr(codebook, "_available_bytes", lambda: 0)
@@ -323,6 +333,35 @@ class TestRunSim:
         assert a.to_csv() == b.to_csv()
         assert a.points[0].frame_errors >= 50
         assert a.points[0].frames < 20000
+
+    def test_stopped_point_leaves_at_most_one_block_per_worker(self, monkeypatch):
+        # 5 000 blocks of 4 information frames in chunks of 20 blocks; 50 errors
+        # come within the first chunks at both SNRs.  Once the parent has
+        # stopped the 0 dB point, each worker finishes at most the block it
+        # is in: no queued chunk, nor the rest of a running one, is simulated.
+        cfg = _cfg(snr_db=(0.0, 6.0), frames=20000, target_errors=50, workers=2)
+        late = multiprocessing.Value("i", 0)  # 0 dB blocks ending after the stop
+        frames = sim.block_frames
+
+        def recorded(cb, rng, nf, n_r, sigma):
+            yield from frames(cb, rng, nf, n_r, sigma)
+            snr_idx = rng.bit_generator.seed_seq.entropy[1]
+            if snr_idx == 0 and sim._stopped is not None and sim._stopped.value > 0:
+                with late.get_lock():
+                    late.value += 1
+
+        monkeypatch.setattr(sim, "block_frames", recorded)
+        serial = run_sim(replace(cfg, workers=1))
+        res = run_sim(cfg)  # forked workers inherit the patch and the counter
+        assert res.to_csv() == serial.to_csv()
+        assert res.points[0].frames < cfg.frames
+        assert late.value <= cfg.workers
+
+    def test_worker_skips_the_blocks_of_a_stopped_point(self, monkeypatch):
+        monkeypatch.setattr(sim, "_stopped", multiprocessing.RawValue("i", 1))
+        cfg = _cfg(snr_db=(0.0, 6.0))
+        assert sim._run_blocks(cfg, 0, 0, 5)["group"]["frames"] == 0
+        assert sim._run_blocks(cfg, 1, 0, 5)["group"]["frames"] == 20
 
     def test_bler_only_mode_for_non_power_of_two_groups(self):
         res = run_sim(SimConfig(lam=2, m=6**4, snr_db=(10.0,), frames=50,
