@@ -5,15 +5,16 @@ Times one differential decode metric scan (the hot loop of both decoders
 and of the Monte Carlo simulator) over codebooks of increasing size: the
 direct scan over the codeword stack (where the stack takes at most
 ``DIRECT_MAX_BYTES``), and the two forms of the scan the simulator's
-exhaustive decoder uses, over the codewords' real coordinates: float64
-(``points`` with ``scales`` and ``basis``) and float32 with a float64
-re-score of its candidates (``points32`` with ``scales32``).  For each
-size it prints which coordinate form is faster; that comparison sets
-``codebook.FLOAT32_SCAN_BYTES``.  Then the direct scan over single group
-stacks, the (M^(1/4), n, n) stacks the simulator's group decoder scans
-four times per frame, where per-call overhead, not arithmetic, sets the
-cost.  Then the per-frame cost of the two decoders through the public
-API on the largest codebook.
+exhaustive decoder uses, over the codewords' real coordinates
+(``Codebook.coordinate_table`` with ``basis``): float64, and float32 with
+a float64 re-score of its candidates.  For each size it prints which
+coordinate form is faster; that comparison sets
+``codebook.FLOAT32_SCAN_BYTES``, the size at which
+``Codebook.exhaustive_table`` switches from one to the other.  Then the
+direct scan over single group stacks, the (M^(1/4), n, n) stacks the
+simulator's group decoder scans four times per frame, where per-call
+overhead, not arithmetic, sets the cost.  Then the per-frame cost of the
+two decoders through the public API on the largest codebook.
 
 Run from the repository root:
 
@@ -41,6 +42,25 @@ from gdstbc.signalset import construct_signal_set, preset_signal_set  # noqa: E4
 DIRECT_MAX_BYTES = 70 * 10**6
 
 
+def _direct(cb):
+    stack = cb.matrices
+    return lambda *frame: metric_scan(stack, *frame)
+
+
+def _coordinates(dtype):
+    def bind(cb):
+        table, scales = cb.coordinate_table(dtype)
+        extra = (scales, cb.basis, cb.coordinate_metrics, cb.scale_max)
+        return lambda *frame: metric_scan(table, *frame, *extra)
+    return bind
+
+
+#: The timed scans: a name, and a function of the codebook that builds the
+#: scan's arrays once and returns scan(r_prev, r_t, inv_a).
+SCANS = [("direct", _direct), ("coords64", _coordinates(np.float64)),
+         ("coords32", _coordinates(np.float32))]
+
+
 def time_call(fn, args, repeats, number=1):
     """Median over ``repeats`` samples of the seconds per call of fn(*args)."""
     fn(*args)  # warm up
@@ -63,40 +83,30 @@ def main():
     ap.add_argument("--repeats", type=int, default=9)
     args = ap.parse_args()
 
-    scans = [
-        ("direct", lambda cb, *a: metric_scan(cb.matrices, *a)),
-        ("coords64", lambda cb, *a: metric_scan(cb.points, *a, cb.scales, cb.basis)),
-        ("coords32", lambda cb, *a: metric_scan(cb.points32, *a, cb.scales32, cb.basis,
-                                                cb.coordinate_metrics, cb.scale_max)),
-    ]
-
     rng = np.random.default_rng(0)
     cases = [(1, 16), (2, 256), (3, 4096), (2, 10000), (4, 4096), (3, 10000), (2, 20736),
              (2, 38416), (4, 10000), (3, 20736), (2, 16**4), (3, 16**4), (4, 16**4)]
 
-    print(f"{'case':>16} {'M':>6} {'table MB':>9}", *(f"{name:>12}" for name, _ in scans),
+    print(f"{'case':>16} {'M':>6} {'table MB':>9}", *(f"{name:>12}" for name, _ in SCANS),
           f"{'faster':>9}")
     for lam, m in cases:
         cb = Codebook(construct_design(lam), construct_signal_set(lam, m),
                       check_decodable=False)
         n = cb.n
         direct = cb.M * n * n * 16 <= DIRECT_MAX_BYTES
-        timed = scans if direct else scans[1:]
-        r_prev, r_t = random_frame(rng, n), random_frame(rng, n)
-        for _, fn in timed:
-            fn(cb, r_prev, r_t, 1.0)  # builds the arrays before timing
+        scans = [bind(cb) for _, bind in (SCANS if direct else SCANS[1:])]
+        frame = (random_frame(rng, n), random_frame(rng, n), 1.0)
         number = max(1, 2**16 // m)  # samples of at least ~1 ms
-        times = [time_call(fn, (cb, r_prev, r_t, 1.0), args.repeats, number)
-                 for _, fn in timed]
-        want = timed[0][1](cb, r_prev, r_t, 1.0)[0]
-        for _, fn in timed:
-            assert fn(cb, r_prev, r_t, 1.0)[0] == want, "scans disagree on the argmin"
+        times = [time_call(scan, frame, args.repeats, number) for scan in scans]
+        want = scans[0](*frame)[0]
+        for scan in scans:
+            assert scan(*frame)[0] == want, "scans disagree on the argmin"
         row = [f"{f'lam={lam} n={n}':>16} {m:>6} {cb.M * cb.design.K * 8 / 1e6:>9.2f}"]
         row += [] if direct else [f"{'-':>12}"]
         row += [f"{t * 1e6:>10.1f}us" for t in times]
         row.append(f"{'float32' if times[-1] < times[-2] else 'float64':>9}")
         print(" ".join(row))
-        del cb
+        del cb, scans
 
     print("\ndirect scan of one group stack (four per group-decoded frame):")
     group_cases = [

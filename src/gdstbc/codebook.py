@@ -43,13 +43,14 @@ UNITARITY_TOL = 1e-9
 
 
 #: Size of the float64 coordinate table (8 M K bytes) above which the
-#: simulator's exhaustive rows scan float32 copies (``exhaustive_table``).
-#: Set by benchmarks/bench_kernels.py (median us per scan over 9 runs on a
-#: 2-core host, float64 against float32 with its re-score): float64 wins
-#: at 0.52 MB (lam 3 M 4096, 42 against 57) and below, float32 at
-#: 0.64 MB (lam 2 M 10000, 71 against 61) and at every size from 1.28 MB
-#: up (lam 3 M 10000, 96 against 68; the preset, 8.4 MB, 543 against
-#: 281).  Only lam 4 M 4096 (1.05 MB, 67 against 72) scans the slower form.
+#: simulator's exhaustive rows scan it in float32 (``exhaustive_table``).
+#: benchmarks/bench_kernels.py (median us per scan over 9 runs on a 2-core
+#: host, float64 against float32 with its re-score, both tables
+#: column-major): float64 wins at 0.52 MB (lam 3 M 4096, 27 against 33),
+#: 0.64 MB (lam 2 M 10000, 31 against 37) and 1.05 MB (lam 4 M 4096, 59
+#: against 72), float32 from about 1.3 MB up (the preset, 8.4 MB, 344
+#: against 201).  The value was set when the float64 table was row-major
+#: and slower; the two sizes between it and 1.3 MB now scan the slower form.
 FLOAT32_SCAN_BYTES = 600_000
 
 
@@ -151,12 +152,11 @@ class Codebook:
     stacks all four groups' partials, group 0 first, for the group
     decoder's one-pass scan; ``group_stacks`` are views into it.  Only
     exhaustive decoding needs M-sized arrays, built lazily, and refused
-    (ValueError) past the memory available: ``scales``, ``points`` (every
-    codeword's real coordinates against ``basis``, the form the
-    simulator's exhaustive decoder scans), their float32 copies
-    ``scales32`` and ``points32`` (what it scans on large codebooks, see
-    ``exhaustive_table``) and the full (M, n, n) ``matrices`` stack (n
-    times larger, for ``decode_exhaustive``).
+    (ValueError) past the memory available: ``exhaustive_table`` (every
+    codeword's real coordinates against ``basis`` and its scale, the form
+    the simulator's exhaustive decoder scans, from ``coordinate_table``)
+    and the full (M, n, n) ``matrices`` stack (n times larger, for
+    ``decode_exhaustive``).
     """
 
     def __init__(self, design: LinearDesign, sset: SignalSet,
@@ -221,65 +221,47 @@ class Codebook:
 
     @cached_property
     def basis(self) -> np.ndarray:
-        """The design's weight matrices in ``points`` order, (K, n, n):
+        """The design's weight matrices in ``coordinate_table`` order, (K, n, n):
         group 0's variables first, each group in its grouping order."""
         return self.design.weight_stack[self.grouping.permutation()]
 
-    @cached_property
-    def points(self) -> np.ndarray:
-        """Every codeword's four group points, (M, 4, K/4), row-major over
-        the index tuples like ``matrices``: codeword m is
-        ``tensordot(points[m].reshape(K), basis, 1)``, in 8 K bytes
-        instead of the 16 n^2 of its matrix."""
-        _check_memory("points", self.M * 4 * self.sset.dim * 8, "decide_exhaustive")
-        p0, p1, p2, p3 = (gset.points for gset in self.sset.groups)
-        full = np.empty((*self.sizes, 4, self.sset.dim))
-        full[..., 0, :] = p0[:, None, None, None]
-        full[..., 1, :] = p1[None, :, None, None]
-        full[..., 2, :] = p2[None, None, :, None]
-        full[..., 3, :] = p3[None, None, None, :]
-        return full.reshape(self.M, 4, self.sset.dim)
-
-    @cached_property
-    def scales(self) -> np.ndarray:
-        """scale_sq of every codeword: the squared norm of its real vector."""
-        _check_memory("scales", self.M * 8, "decide_exhaustive")
-        return self.compose(self.group_norms, np.ogrid[tuple(map(slice, self.sizes))]).ravel()
-
-    @cached_property
-    def points32(self) -> np.ndarray:
-        """``points`` rounded to float32 and stored column-major: a (K, M)
-        array viewed as (M, 4, K/4), so that a GEMV streams each
-        coordinate's M values in order.  Built without ``points``."""
+    def coordinate_table(self, dtype):
+        """(table, scales) in ``dtype``: every codeword's four group points,
+        (M, 4, K/4), row-major over the index tuples like ``matrices``, and
+        its scale_sq, summed by ``compose`` from the group norms cast to
+        ``dtype``.  Codeword m is ``tensordot(table[m].reshape(K), basis, 1)``,
+        in K values instead of the n^2 complex ones of its matrix.  The
+        table is stored column-major, a (K, M) array viewed as (M, 4, K/4),
+        so that a GEMV streams each coordinate's M values in order."""
         dim = self.sset.dim
-        _check_memory("points32", self.M * 4 * dim * 4, "decide_exhaustive")
-        table = np.empty((4, dim, *self.sizes), dtype=np.float32)
+        _check_memory("exhaustive_table", self.M * (4 * dim + 1) * np.dtype(dtype).itemsize,
+                      "decide_exhaustive")
+        table = np.empty((4, dim, *self.sizes), dtype=dtype)
         for k, gset in enumerate(self.sset.groups):
             shape = [1, 1, 1, 1]
             shape[k] = self.sizes[k]
             table[k] = gset.points.T.reshape(dim, *shape)
-        return table.reshape(4 * dim, self.M).T.reshape(self.M, 4, dim)
+        norms = [nk.astype(dtype) for nk in self.group_norms]
+        scales = self.compose(norms, np.ogrid[tuple(map(slice, self.sizes))]).ravel()
+        return table.reshape(4 * dim, self.M).T.reshape(self.M, 4, dim), scales
 
     @cached_property
-    def scales32(self) -> np.ndarray:
-        """``scales`` summed in float32 from the rounded group norms."""
-        _check_memory("scales32", self.M * 4, "decide_exhaustive")
-        norms = [nk.astype(np.float32) for nk in self.group_norms]
-        return self.compose(norms, np.ogrid[tuple(map(slice, self.sizes))]).ravel()
+    def exhaustive_table(self):
+        """What the simulator's exhaustive decoder scans: ``coordinate_table``
+        in float64 up to ``FLOAT32_SCAN_BYTES`` of float64 coordinates, in
+        float32 above."""
+        small = self.M * self.design.K * 8 <= FLOAT32_SCAN_BYTES
+        return self.coordinate_table(np.float64 if small else np.float32)
+
+    @cached_property
+    def norm_lists(self) -> list[list[float]]:
+        """``group_norms`` as Python floats, for per-frame scale sums."""
+        return [nk.tolist() for nk in self.group_norms]
 
     @cached_property
     def scale_max(self) -> float:
         """The largest codeword scale_sq: the sum of the groups' largest norms."""
         return sum(float(nk.max()) for nk in self.group_norms)
-
-    @property
-    def exhaustive_table(self):
-        """(table, scales) that the simulator's exhaustive decoder scans:
-        ``points`` and ``scales`` up to ``FLOAT32_SCAN_BYTES`` of float64
-        coordinates, ``points32`` and ``scales32`` above."""
-        if self.M * self.design.K * 8 <= FLOAT32_SCAN_BYTES:
-            return self.points, self.scales
-        return self.points32, self.scales32
 
     @cached_property
     def _group_points(self):
@@ -331,8 +313,8 @@ class Codebook:
         every codeword is scaled unitary within ``UNITARITY_TOL``.
 
         The simulator's exhaustive decoder needs it: its scaled-unitary
-        expansion of the metric (``_kernels.metric_scan`` over ``points``
-        with ``scales`` and ``basis``) is exact only when S^H S = a(S) I
+        expansion of the metric (``_kernels.metric_scan`` over
+        ``exhaustive_table`` with ``basis``) is exact only when S^H S = a(S) I
         for every codeword.
         """
         if self.unitarity_residual is None:

@@ -214,7 +214,7 @@ def decide_group(cb: Codebook, r, r_prev, a_prev_sq: float):
     structure perfbench's traced run counts.  Returns the decided linear
     indices and the scale of the last decision.
     """
-    groups = tuple(zip(cb.group_stacks, cb.sizes, (nk.tolist() for nk in cb.group_norms)))
+    groups = tuple(zip(cb.group_stacks, cb.sizes, cb.norm_lists))
     a, prev, hats = a_prev_sq, r_prev, []
     for r_t in r:
         inv_a = 1.0 / math.sqrt(a)
@@ -230,27 +230,24 @@ def decide_group(cb: Codebook, r, r_prev, a_prev_sq: float):
 def decide_exhaustive(cb: Codebook, r, r_prev, a_prev_sq: float):
     """``decide_group`` with one ``metric_scan`` of all M codewords per frame.
 
-    The scan takes the codewords' real coordinates with ``basis``: float64
-    ``points`` and ``scales`` on small codebooks, where the decided scale
-    is read from ``scales``, and the float32 ``points32`` and ``scales32``
-    above ``codebook.FLOAT32_SCAN_BYTES``, where the kernel re-scores its
-    candidates in float64 (``coordinate_metrics``), so the decisions stay
-    exact ML, and the decided scale is composed from ``group_norms``.
-    Either way the (M, n, n) stack is never built; the scan needs a
-    scaled-unitary codebook (``Codebook.require_scaled_unitary``).
+    The scan takes ``cb.exhaustive_table``, the codewords' real
+    coordinates and scales, with ``basis``, so the (M, n, n) stack is
+    never built; it needs a scaled-unitary codebook
+    (``Codebook.require_scaled_unitary``).  On a float32 table the kernel
+    re-scores its candidates in float64 (``coordinate_metrics``), so the
+    decisions stay exact ML.  The decided scale is summed from the
+    winner's four group norms, as in ``decide_group``.
     """
     table, scales = cb.exhaustive_table
-    extra, scale_at = (), scales.__getitem__
-    if table.dtype == np.float32:
-        extra = (cb.coordinate_metrics, cb.scale_max)
-
-        def scale_at(lin):
-            return cb.compose(cb.group_norms, np.unravel_index(lin, cb.sizes))
-
-    basis, a, prev, hats = cb.basis, a_prev_sq, r_prev, []
+    extra = (cb.basis, cb.coordinate_metrics, cb.scale_max)
+    (n0, n1, n2, n3), (_, s1, s2, s3) = cb.norm_lists, cb.sizes
+    a, prev, hats = a_prev_sq, r_prev, []
     for r_t in r:
-        lin, _ = metric_scan(table, prev, r_t, 1.0 / math.sqrt(a), scales, basis, *extra)
-        a = scale_at(lin)
+        lin, _ = metric_scan(table, prev, r_t, 1.0 / math.sqrt(a), scales, *extra)
+        rest, i3 = divmod(lin, s3)
+        rest, i2 = divmod(rest, s2)
+        i0, i1 = divmod(rest, s1)
+        a = n0[i0] + n1[i1] + n2[i2] + n3[i3]
         hats.append(lin)
         prev = r_t
     return hats, a

@@ -36,7 +36,7 @@ import numpy as np
 
 from ._kernels import BACKEND, set_blas_threads
 from .codebook import Codebook
-from .design import construct_design
+from .design import MAX_LAMBDA, construct_design
 from .diffcodec import DECIDERS, block_frames
 from .signalset import (
     PRESETS,
@@ -86,6 +86,8 @@ class SimConfig:
     def validate(self):
         if self.lam < 1:
             raise ValueError("lam must be >= 1")
+        if self.lam > MAX_LAMBDA:
+            raise ValueError(f"lam={self.lam} exceeds the supported maximum {MAX_LAMBDA}")
         if self.family not in ("axis", "hyperbola"):
             raise ValueError(f"unknown signal family {self.family!r}")
         if self.family == "hyperbola" and self.lam != 2:
@@ -101,6 +103,14 @@ class SimConfig:
             raise ValueError("need at least one SNR point")
         if any(math.isnan(v) or v == -math.inf for v in self.snr_db):
             raise ValueError("SNR values must be finite or +inf (noiseless)")
+        for v in self.snr_db:
+            try:
+                var = noise_var_for_snr(v, 2 ** self.lam)
+            except (OverflowError, ZeroDivisionError):  # 10**(v/10) overflows or underflows
+                var = math.nan
+            if v != math.inf and not 0.0 < var < math.inf:
+                raise ValueError(f"SNR {v:g} dB gives a noise variance outside the "
+                                 "float range")
         if self.frames < 1:
             raise ValueError("frames must be >= 1")
         if self.target_errors is not None and self.target_errors < 1:

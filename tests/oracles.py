@@ -94,7 +94,7 @@ def random_window(cb, rng, snr_db_range=(0.0, 20.0)):
     lin_prev = int(rng.integers(0, cb.M))
     lin = int(rng.integers(0, cb.M))
     x_prev = cb.matrices[lin_prev]
-    a_prev_sq = float(cb.scales[lin_prev])
+    a_prev_sq = float(cb.compose(cb.group_norms, cb.unravel_index(lin_prev)))
     x_t = (cb.matrices[lin] @ x_prev) / np.sqrt(a_prev_sq)
     h = (rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))) / np.sqrt(2)
     snr_db = rng.uniform(*snr_db_range)
@@ -115,7 +115,7 @@ def noisy_window(cb, rng, sigma, n_r=1):
     n = cb.n
     lin_prev, lin = (int(v) for v in rng.integers(0, cb.M, 2))
     x_prev = cb.matrices[lin_prev]
-    a_prev_sq = float(cb.scales[lin_prev])
+    a_prev_sq = float(cb.compose(cb.group_norms, cb.unravel_index(lin_prev)))
     h = (rng.standard_normal((n, n_r)) + 1j * rng.standard_normal((n, n_r))) / np.sqrt(2)
     w = sigma * (rng.standard_normal((2, n, n_r)) + 1j * rng.standard_normal((2, n, n_r)))
     r_prev = x_prev @ h + w[0]
@@ -180,6 +180,7 @@ def pair_scan(cb):
         rel = (gram_det - bound) / np.maximum(1.0, gram_det)
         out["min_rel_bound_margin"] = min(out["min_rel_bound_margin"], float(rel.min()))
     gram = np.einsum("mji,mjk->mik", mats.conj(), mats)
-    out["max_unitarity_residual"] = float(np.max(np.abs(gram - cb.scales[:, None, None]
+    scales = cb.coordinate_table(np.float64)[1]
+    out["max_unitarity_residual"] = float(np.max(np.abs(gram - scales[:, None, None]
                                                         * np.eye(n))))
     return out

@@ -178,7 +178,7 @@ class TestSimulateCommand:
         assert not missing.exists()
 
     def test_memory_refusal_leaves_out_untouched(self, capsys, monkeypatch, tmp_path):
-        # lam 2, M 16^4: the exhaustive rows' float32 coordinates take 2.1 MB
+        # lam 2, M 16^4: the exhaustive rows' float32 coordinates and scales take 2.4 MB
         monkeypatch.setattr(codebook, "_available_bytes", lambda: 10**6)
         kept = tmp_path / "results.csv"
         kept.write_bytes(b"earlier results\n")
@@ -186,8 +186,9 @@ class TestSimulateCommand:
                                     str(16**4), "--snr-db", "0", "--frames", "10",
                                     "--decoder", "exhaustive", "--out", str(kept))
         assert code == 2 and stdout == ""
-        assert err == ("configuration error: decide_exhaustive needs Codebook.points32, "
-                       "2.1 MB, but only 1.0 MB of memory is available\n")
+        assert err == ("configuration error: decide_exhaustive needs "
+                       "Codebook.exhaustive_table, 2.4 MB, but only 1.0 MB of memory is "
+                       "available\n")
         assert kept.read_bytes() == b"earlier results\n"
 
     def test_json_is_strict(self, capsys):
@@ -211,6 +212,15 @@ class TestSimulateCommand:
                                  "--snr-db", "10", "--frames", "5", *args)
         assert code == 2 and out == ""
         assert err.startswith("configuration error: radii")
+
+    @pytest.mark.parametrize("snr", ["4000", "-4000", "1e308"])
+    def test_out_of_range_snr_is_config_error(self, capsys, snr):
+        # the noise variance n / 10**(snr/10) must be a finite positive float
+        code, out, err = run_cli(capsys, "simulate", "--lambda", "1", "--points", "16",
+                                 f"--snr-db={snr}", "--frames", "5")
+        assert code == 2 and out == ""
+        assert err.startswith(f"configuration error: SNR {float(snr):g} dB gives a noise "
+                              "variance outside the float range")
 
     @pytest.mark.parametrize("c", ["nan", "inf"])
     @pytest.mark.parametrize("command", [["simulate", "--snr-db", "10", "--frames", "5"],

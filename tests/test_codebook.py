@@ -65,10 +65,11 @@ class TestCodewordAssembly:
             assert cw.scale_sq == pytest.approx(float(x @ x), abs=1e-12)
 
     def test_stack_consistent_with_codeword_at(self, cb16):
+        scales = cb16.coordinate_table(np.float64)[1]
         for lin in range(cb16.M):
             idx = cb16.unravel_index(lin)
             assert np.array_equal(cb16.matrices[lin], cb16.codeword_at(idx).matrix)
-            assert cb16.scales[lin] == cb16.codeword_at(idx).scale_sq
+            assert scales[lin] == cb16.codeword_at(idx).scale_sq
 
     def test_partials_hold_every_group_in_order(self, cb16):
         assert cb16.partials.shape == (sum(cb16.sizes), cb16.n, cb16.n)
@@ -78,7 +79,7 @@ class TestCodewordAssembly:
             assert np.shares_memory(stack, cb16.partials)
 
     def test_no_zero_codeword(self, cb16):
-        assert float(cb16.scales.min()) > 0
+        assert float(cb16.coordinate_table(np.float64)[1].min()) > 0
 
     def test_index_out_of_range(self, cb16):
         with pytest.raises(IndexError):
@@ -113,7 +114,8 @@ COORDINATE_CODEBOOKS = {
 
 
 class TestCoordinates:
-    """``points`` and ``basis``: every codeword in the design's real coordinates."""
+    """``coordinate_table`` and ``basis``: every codeword in the design's real
+    coordinates, with its scale."""
 
     @pytest.fixture(scope="class", params=sorted(COORDINATE_CODEBOOKS))
     def cb(self, request):
@@ -121,43 +123,47 @@ class TestCoordinates:
 
     def test_coordinates_reproduce_the_codeword_stack(self, cb):
         k = cb.design.K
-        assert cb.points.shape == (cb.M, 4, k // 4) and cb.basis.shape == (k, cb.n, cb.n)
-        assert cb.points.nbytes == 8 * k * cb.M
-        stack = np.tensordot(cb.points.reshape(cb.M, k), cb.basis, 1)
+        points = cb.coordinate_table(np.float64)[0]
+        assert points.shape == (cb.M, 4, k // 4) and cb.basis.shape == (k, cb.n, cb.n)
+        assert points.nbytes == 8 * k * cb.M
+        stack = np.tensordot(points.reshape(cb.M, k), cb.basis, 1)
         scale = np.abs(cb.matrices).max()
         assert np.abs(stack - cb.matrices).max() <= 1e-12 * scale
 
     def test_scales_are_the_squared_norms_of_the_points(self, cb):
-        norms = np.einsum("mkd,mkd->m", cb.points, cb.points)
-        assert np.abs(norms - cb.scales).max() <= 1e-12 * cb.scales.max()
+        points, scales = cb.coordinate_table(np.float64)
+        norms = np.einsum("mkd,mkd->m", points, points)
+        assert np.abs(norms - scales).max() <= 1e-12 * scales.max()
 
     def test_points_place_the_real_vector_of_each_codeword(self, cb):
+        points = cb.coordinate_table(np.float64)[0]
         pts = [g.points for g in cb.sset.groups]
         order = np.concatenate(cb.grouping.groups)
         for lin in (0, 1, cb.M // 3, cb.M - 1):
             x = assemble_real_vector(cb.grouping, pts, cb.unravel_index(lin))
-            assert np.array_equal(cb.points[lin].reshape(-1), x[order])
+            assert np.array_equal(points[lin].reshape(-1), x[order])
             assert np.allclose(evaluate(cb.design, x), cb.matrices[lin], atol=1e-12)
 
-
     def test_coordinate_metrics_score_every_codeword(self, cb):
+        points, scales = cb.coordinate_table(np.float64)
         h = np.random.default_rng(7).standard_normal(cb.design.K)
-        want = cb.points.reshape(cb.M, -1) @ h + cb.scales
-        tol = 1e-12 * (np.sqrt(cb.scales.max()) * np.linalg.norm(h) + cb.scales.max())
+        want = points.reshape(cb.M, -1) @ h + scales
+        tol = 1e-12 * (np.sqrt(scales.max()) * np.linalg.norm(h) + scales.max())
         assert np.abs(cb.coordinate_metrics(h) - want).max() <= tol
         lin = np.array([0, cb.M // 3, cb.M - 1, 1])
         assert np.array_equal(cb.coordinate_metrics(h, lin), cb.coordinate_metrics(h)[lin])
 
     def test_float32_table_takes_over_above_the_threshold(self, cb, monkeypatch):
-        fresh = build_codebook(SimConfig(lam=cb.design.lam, m=cb.M))
-        table_bytes = 8 * fresh.M * fresh.design.K
-        monkeypatch.setattr(codebook, "FLOAT32_SCAN_BYTES", table_bytes)
-        table, scales = fresh.exhaustive_table
-        assert table is fresh.points and scales is fresh.scales
-        monkeypatch.setattr(codebook, "FLOAT32_SCAN_BYTES", table_bytes - 1)
-        table, scales = fresh.exhaustive_table
-        assert table is fresh.points32 and scales is fresh.scales32
-        assert table.nbytes == table_bytes // 2 and scales.dtype == np.float32
+        table_bytes = 8 * cb.M * cb.design.K
+        for limit, dtype in ((table_bytes, np.float64), (table_bytes - 1, np.float32)):
+            monkeypatch.setattr(codebook, "FLOAT32_SCAN_BYTES", limit)
+            fresh = build_codebook(SimConfig(lam=cb.design.lam, m=cb.M))
+            table, scales = fresh.exhaustive_table
+            assert fresh.exhaustive_table[0] is table  # built once
+            assert table.dtype == scales.dtype == dtype
+            assert table.nbytes == table_bytes * np.dtype(dtype).itemsize // 8
+            want_table, want_scales = fresh.coordinate_table(dtype)
+            assert np.array_equal(table, want_table) and np.array_equal(scales, want_scales)
 
 
 def _fake_files(monkeypatch, files):
@@ -214,10 +220,12 @@ class TestMemoryBudget:
                                   "/sys/fs/cgroup/job/memory.max": "3000000\n",
                                   "/sys/fs/cgroup/job/memory.current": "2000000\n"})
         cb = build_codebook(SimConfig(lam=2, m=16**4))
-        with pytest.raises(ValueError, match=r"decide_exhaustive needs Codebook\.points32, "
-                                             r"2\.1 MB, but only 1\.0 MB"):
-            cb.points32  # noqa: B018
-        assert cb.scales32.nbytes == 4 * cb.M  # 0.26 MB fits
+        # the float32 table (2.1 MB) and its scales (0.26 MB), checked together
+        with pytest.raises(ValueError, match=r"decide_exhaustive needs "
+                                             r"Codebook\.exhaustive_table, 2\.4 MB, but "
+                                             r"only 1\.0 MB"):
+            cb.exhaustive_table  # noqa: B018
+        assert "exhaustive_table" not in cb.__dict__
 
 
 class TestScaledUnitarity:
@@ -398,7 +406,8 @@ class TestAverageScale:
 
     def test_closed_form_path(self, cb16):
         # the group-marginal sum equals the mean over every codeword's scale
-        assert average_scale(cb16) == pytest.approx(float(np.mean(cb16.scales)), abs=1e-12)
+        scales = cb16.coordinate_table(np.float64)[1]
+        assert average_scale(cb16) == pytest.approx(float(np.mean(scales)), abs=1e-12)
 
     def test_single_unitary_codeword(self):
         half = math.sqrt(0.5)

@@ -181,27 +181,28 @@ class TestScaledUnitaryExhaustiveScan:
         "hyperbola": (dict(lam=2, m=256, family="hyperbola"), 1000),
     }
 
-    def _check(self, name, scan):
+    def _check(self, name, dtype):
         config, windows = self.CODEBOOKS[name]
         cb = build_codebook(SimConfig(**config))
+        table, scales = cb.coordinate_table(dtype)
         rng = np.random.default_rng([config["lam"], config["m"]])
         for w in range(windows):
             # every SNR meets every receive-antenna count (5 and 3 are coprime)
             snr_db = (math.inf, 40.0, 20.0, 10.0, 0.0)[w % 5]
             sigma = math.sqrt(cb.n / 10 ** (snr_db / 10) / 2)  # the simulator's convention
             r_t, r_prev, a_sq = noisy_window(cb, rng, sigma, 1 + w % 3)
-            best, _ = scan(cb, r_prev, r_t, 1.0 / math.sqrt(a_sq))
+            best, _ = metric_scan(table, r_prev, r_t, 1.0 / math.sqrt(a_sq), scales,
+                                  cb.basis, cb.coordinate_metrics, cb.scale_max)
             assert cb.unravel_index(best) == decode_exhaustive(cb, r_t, r_prev, a_sq).index
 
     @pytest.mark.parametrize("name", sorted(CODEBOOKS))
     def test_decisions_equal_decode_exhaustive(self, name):
-        self._check(name, lambda cb, *a: metric_scan(cb.points, *a, cb.scales, cb.basis))
+        self._check(name, np.float64)
 
     @pytest.mark.parametrize("name", sorted(CODEBOOKS))
     def test_float32_decisions_equal_decode_exhaustive(self, name):
         # the float32 form, driven directly at sizes below FLOAT32_SCAN_BYTES
-        self._check(name, lambda cb, *a: metric_scan(cb.points32, *a, cb.scales32, cb.basis,
-                                                     cb.coordinate_metrics, cb.scale_max))
+        self._check(name, np.float32)
 
     @pytest.mark.parametrize("n_r", [1, 2, 3])
     def test_window_decisions_follow_the_table_size(self, n_r, monkeypatch):
@@ -230,10 +231,8 @@ class TestScaledUnitaryExhaustiveScan:
                         assert hat == cb.linear_index(res.index)
                         a_ref, r_prev = cb.codeword_at(res.index).scale_sq, r_t
                     assert a == a_ref
-            arrays = {"points32", "scales32"} if dtype == np.float32 else {"points", "scales"}
-            assert arrays <= cb.__dict__.keys()
-            other = {"points", "scales", "points32", "scales32"} - arrays
-            assert not other & cb.__dict__.keys()
+            # one table and scales cached, in the dtype the table's size selects
+            assert [a.dtype for a in cb.__dict__["exhaustive_table"]] == [dtype, dtype]
 
 
 class TestGroupDecoder:

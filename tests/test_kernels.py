@@ -1,5 +1,8 @@
+import functools
+import importlib.util
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,9 +144,21 @@ def scaled_cb(request):
     return cb
 
 
+@functools.lru_cache(maxsize=4)
+def _table(cb, dtype):
+    """``cb.coordinate_table(dtype)``, built once for the scans below."""
+    return cb.coordinate_table(dtype)
+
+
+def _scan64(cb, r_prev, r_t, inv_a):
+    """metric_scan's float64 coordinate form on ``cb``."""
+    table, scales = _table(cb, np.float64)
+    return metric_scan(table, r_prev, r_t, inv_a, scales, cb.basis)
+
+
 class TestScaledUnitaryScan:
-    """metric_scan in a codebook's real coordinates (``points`` with ``scales``
-    and ``basis``) against the direct metric on its codeword stack."""
+    """metric_scan in a codebook's real coordinates (``coordinate_table`` with
+    ``basis``) against the direct metric on its codeword stack."""
 
     @pytest.mark.parametrize("sigma", [0.0, 1e-3, 1.0])
     @pytest.mark.parametrize("inv_a", [1.0, 0.37])
@@ -154,9 +169,9 @@ class TestScaledUnitaryScan:
         for _ in range(3):
             r_t, r_prev, _ = noisy_window(cb, rng, sigma, nr)
             ref = metric_values(cb.matrices, r_prev, r_t, inv_a)
-            idx, metric = metric_scan(cb.points, r_prev, r_t, inv_a, cb.scales, cb.basis)
+            idx, metric = _scan64(cb, r_prev, r_t, inv_a)
             size = (np.vdot(r_t, r_t).real
-                    + inv_a ** 2 * cb.scales.max() * np.vdot(r_prev, r_prev).real)
+                    + inv_a ** 2 * cb.scale_max * np.vdot(r_prev, r_prev).real)
             assert idx == int(ref.argmin())
             assert abs(metric - ref.min()) <= 1e-12 * size
 
@@ -164,7 +179,7 @@ class TestScaledUnitaryScan:
         cb = scaled_cb
         r_prev = np.zeros((cb.n, 2), dtype=np.complex128)
         r_t = np.ones((cb.n, 2), dtype=np.complex128)
-        idx, metric = metric_scan(cb.points, r_prev, r_t, 0.8, cb.scales, cb.basis)
+        idx, metric = _scan64(cb, r_prev, r_t, 0.8)
         assert idx == 0
         assert metric == 2.0 * cb.n
 
@@ -174,7 +189,7 @@ class TestScaledUnitaryScan:
         r_t, r_prev, _ = noisy_window(cb, rng, 0.1, 3)
         views = (np.asfortranarray(r_prev), r_t[:, ::-1])
         assert not views[0].flags.c_contiguous and not views[1].flags.c_contiguous
-        idx, metric = metric_scan(cb.points, *views, 0.6, cb.scales, cb.basis)
+        idx, metric = _scan64(cb, *views, 0.6)
         ref = metric_values(cb.matrices, r_prev, r_t[:, ::-1], 0.6)
         assert idx == int(ref.argmin())
         assert metric == pytest.approx(ref.min(), rel=1e-12)
@@ -184,7 +199,8 @@ class TestScaledUnitaryScan:
         # page faults) on every scan
         cb = build_codebook(SimConfig(lam=3, m=4096))
         r_t, r_prev, _ = noisy_window(cb, np.random.default_rng(32), 0.1, 2)
-        args = (cb.points, r_prev, r_t, 0.7, cb.scales, cb.basis)
+        table, scales = cb.coordinate_table(np.float64)
+        args = (table, r_prev, r_t, 0.7, scales, cb.basis)
         metric_scan(*args)
         tracemalloc.start()
         try:
@@ -204,7 +220,8 @@ class TestScaledUnitaryScan:
 
 def _scan32(cb, r_prev, r_t, inv_a, rescore=None):
     """metric_scan's float32 form on ``cb`` (``rescore`` defaults to the codebook's)."""
-    return metric_scan(cb.points32, r_prev, r_t, inv_a, cb.scales32, cb.basis,
+    table, scales = _table(cb, np.float32)
+    return metric_scan(table, r_prev, r_t, inv_a, scales, cb.basis,
                        rescore or cb.coordinate_metrics, cb.scale_max)
 
 
@@ -226,12 +243,14 @@ class TestFloat32Scan:
 
     def test_table_is_the_rounded_coordinates_column_major(self, scaled_cb):
         cb = scaled_cb
-        table = cb.points32
-        assert table.shape == cb.points.shape and table.dtype == np.float32
+        points, scales = cb.coordinate_table(np.float64)
+        table, scales32 = cb.coordinate_table(np.float32)
+        assert table.shape == points.shape and table.dtype == scales32.dtype == np.float32
         assert table.reshape(cb.M, -1).flags.f_contiguous
-        assert np.array_equal(table, cb.points.astype(np.float32))
-        assert np.abs(cb.scales32 - cb.scales).max() <= 4 * 2.0 ** -24 * cb.scale_max
-        assert cb.scale_max == pytest.approx(cb.scales.max(), rel=1e-15)
+        assert points.reshape(cb.M, -1).flags.f_contiguous
+        assert np.array_equal(table, points.astype(np.float32))
+        assert np.abs(scales32 - scales).max() <= 4 * 2.0 ** -24 * cb.scale_max
+        assert cb.scale_max == pytest.approx(scales.max(), rel=1e-15)
 
     @pytest.mark.parametrize("case", ["plain", "tiny-prev", "large-t", "tiny-t"])
     def test_float32_metric_within_the_bound(self, scaled_cb, case):
@@ -239,15 +258,17 @@ class TestFloat32Scan:
         prev_scale, t_scale = {"plain": (1.0, 1.0), "tiny-prev": (1e-12, 1.0),
                                "large-t": (1.0, 1e12), "tiny-t": (1.0, 1e-41)}[case]
         rng = np.random.default_rng(40)
-        exact = cb.points.reshape(cb.M, -1).astype(np.longdouble)
+        points, scales = cb.coordinate_table(np.float64)
+        table, scales32 = cb.coordinate_table(np.float32)
+        exact = points.reshape(cb.M, -1).astype(np.longdouble)
         for w in range(4):
             r_t, r_prev, a_sq = noisy_window(cb, rng, 0.3, 1 + w % 3)
             r_prev, r_t = r_prev * prev_scale, r_t * t_scale
             h = _scaled_h(cb, r_prev, r_t, 1.0 / math.sqrt(a_sq))
             delta = _kernels.float32_bound(len(h), cb.scale_max, math.sqrt(h @ h))
             assert math.isfinite(delta)
-            ref = exact @ h.astype(np.longdouble) + cb.scales
-            f32 = _kernels.float32_metrics(cb.points32, cb.scales32, h)
+            ref = exact @ h.astype(np.longdouble) + scales
+            f32 = _kernels.float32_metrics(table, scales32, h)
             assert np.all(np.abs(f32 - ref) <= delta)
             assert np.all(np.abs(cb.coordinate_metrics(h) - ref) <= 1e-6 * delta)
 
@@ -285,7 +306,8 @@ class TestFloat32Scan:
         assert _scan32(cb, e1, r_t, 1.0)[0] == want
 
         def float32_only(h, lin):  # the candidates' float32 metrics, not re-scored
-            return _kernels.float32_metrics(cb.points32, cb.scales32, h)[lin].astype(float)
+            table, scales = cb.coordinate_table(np.float32)
+            return _kernels.float32_metrics(table, scales, h)[lin].astype(float)
 
         assert _scan32(cb, e1, r_t, 1.0, float32_only)[0] == 0 != want
 
@@ -299,7 +321,8 @@ class TestFloat32Scan:
         pred_win, pred_lose = (cb.codeword_at(i).matrix @ e1 for i in (win, lose))
         r_t = (pred_win + pred_lose) / 2 + 1e-8 * (pred_win - pred_lose) / 2
         w, lo = cb.linear_index(win), cb.linear_index(lose)
-        f32 = _kernels.float32_metrics(cb.points32, cb.scales32, _scaled_h(cb, e1, r_t, 1.0))
+        f32 = _kernels.float32_metrics(*cb.coordinate_table(np.float32),
+                                       _scaled_h(cb, e1, r_t, 1.0))
         assert decode_exhaustive(cb, r_t, e1, 1.0).index == win
         assert int(f32.argmin()) == lo
         assert _scan32(cb, e1, r_t, 1.0)[0] == w
@@ -328,7 +351,7 @@ class TestFloat32Scan:
         assert _kernels.float32_bound(len(h), cb.scale_max, math.sqrt(h @ h)) == math.inf
         best, metric = _scan32(cb, r_prev, r_t, inv_a, rescore)
         assert calls == [None]
-        want, value = metric_scan(cb.points, r_prev, r_t, inv_a, cb.scales, cb.basis)
+        want, value = _scan64(cb, r_prev, r_t, inv_a)
         assert best == want and metric == pytest.approx(value, rel=1e-15)
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
@@ -336,8 +359,8 @@ class TestFloat32Scan:
         cb = build_codebook(SimConfig(lam=3, m=256))
         r_t, r_prev, a_sq = noisy_window(cb, np.random.default_rng(42), 0.3, 1)
         inv_a = 1.0 / math.sqrt(a_sq)
-        want = metric_scan(cb.points, r_prev, r_t, inv_a, cb.scales, cb.basis)
-        scales32 = cb.scales32.copy()
+        want = _scan64(cb, r_prev, r_t, inv_a)
+        table, scales32 = cb.coordinate_table(np.float32)
         scales32[(want[0] + 7) % cb.M] = bad
         calls = []
 
@@ -345,7 +368,7 @@ class TestFloat32Scan:
             calls.append(lin)
             return cb.coordinate_metrics(h, lin)
 
-        best, metric = metric_scan(cb.points32, r_prev, r_t, inv_a, scales32, cb.basis,
+        best, metric = metric_scan(table, r_prev, r_t, inv_a, scales32, cb.basis,
                                    rescore, cb.scale_max)
         assert calls == [None]
         assert best == want[0] and metric == pytest.approx(want[1], rel=1e-12)
@@ -363,9 +386,31 @@ class TestFloat32Scan:
             r_t, r_prev, a_sq = noisy_window(cb, rng, (0.0, 0.05, 0.5)[w % 3], 1 + w % 2)
             inv_a = 1.0 / math.sqrt(a_sq)
             best, metric = _scan32(cb, r_prev, r_t, inv_a, rescore)
-            want = metric_scan(cb.points, r_prev, r_t, inv_a, cb.scales, cb.basis)
+            want = _scan64(cb, r_prev, r_t, inv_a)
             assert best == want[0] and metric == pytest.approx(want[1], rel=1e-12)
         assert len(sizes) == 40 and max(sizes) <= 4
+
+
+def _load_bench_kernels():
+    """benchmarks/bench_kernels.py as a module (the benchmarks are not a package)."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernels.py"
+    spec = importlib.util.spec_from_file_location("bench_kernels", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_kernels_scans_agree():
+    # each timed scan once, on lam 1 M 16, so a renamed Codebook member breaks here
+    bench = _load_bench_kernels()
+    cb = build_codebook(SimConfig(lam=1, m=16))
+    rng = np.random.default_rng(44)
+    for _ in range(5):
+        r_t, r_prev, a_sq = noisy_window(cb, rng, 0.5, 1)
+        frame = (r_prev, r_t, 1.0 / math.sqrt(a_sq))
+        best = {name: bind(cb)(*frame)[0] for name, bind in bench.SCANS}
+        assert sorted(best) == ["coords32", "coords64", "direct"]
+        assert len(set(best.values())) == 1
 
 
 class TestBackendSelection:

@@ -173,34 +173,33 @@ class TestRunSim:
             run_sim(_cfg(frames=20))
 
     def test_group_only_run_builds_no_codeword_stack(self, monkeypatch):
-        tables = {"points", "scales", "points32", "scales32"}
         run_sim(_cfg(frames=50))
         cb = sim.prepare(_cfg())
         # encoding and group decoding compose codewords and scales per group
-        assert not {"matrices", "basis"} & cb.__dict__.keys()
-        assert not tables & cb.__dict__.keys()
+        assert not {"matrices", "basis", "exhaustive_table"} & cb.__dict__.keys()
         for decoder in ("exhaustive", "both"):
             run_sim(_cfg(frames=50, decoder=decoder))
             assert sim.prepare(_cfg()) is cb
             # the exhaustive rows scan the codewords' coordinates instead, in
             # float64 on a table this small
             assert "matrices" not in cb.__dict__
-            assert tables & cb.__dict__.keys() == {"points", "scales"}
-        # above FLOAT32_SCAN_BYTES they scan float32 copies, and no float64 one
+            assert [a.dtype for a in cb.__dict__["exhaustive_table"]] == [np.float64] * 2
+        # above FLOAT32_SCAN_BYTES they scan the table in float32
         monkeypatch.setattr(codebook, "FLOAT32_SCAN_BYTES", 0)
         run_sim(_cfg(m=256, frames=50, decoder="both"))
         cb = sim.prepare(_cfg(m=256))
         assert "matrices" not in cb.__dict__
-        assert tables & cb.__dict__.keys() == {"points32", "scales32"}
+        assert [a.dtype for a in cb.__dict__["exhaustive_table"]] == [np.float32] * 2
 
     def test_group_only_run_needs_no_memory_budget(self, monkeypatch):
         monkeypatch.setattr(codebook, "_available_bytes", lambda: 0)
         assert run_sim(_cfg(frames=50)).points[0].frames == 50
-        with pytest.raises(ValueError, match=r"decide_exhaustive needs Codebook\.points"):
+        with pytest.raises(ValueError,
+                           match=r"decide_exhaustive needs Codebook\.exhaustive_table"):
             run_sim(_cfg(frames=50, decoder="both"))
 
     def test_large_group_only_run_builds_no_m_sized_array(self):
-        # lam 2, M 64^4: Codebook.scales alone would take 134 MB
+        # lam 2, M 64^4: the float32 exhaustive_table would take 604 MB
         assert _peak_kb(
             "res = run_sim(SimConfig(lam=2, m=64**4, snr_db=(10.0,), frames=200,"
             " coherence=10, seed=1))\n"
@@ -250,10 +249,10 @@ class TestRunSim:
         scan = diffcodec.metric_scan
         flip = 0b1011
 
-        def flipped(stack, r_prev, r_t, inv_a, scales=None, basis=None):
-            if scales is None:  # group scans
-                return scan(stack, r_prev, r_t, inv_a)
-            best, metric = scan(stack, r_prev, r_t, inv_a, scales, basis)
+        def flipped(stack, r_prev, r_t, inv_a, *coordinate_args):
+            best, metric = scan(stack, r_prev, r_t, inv_a, *coordinate_args)
+            if not coordinate_args:  # group scans
+                return best, metric
             return best ^ flip, metric
 
         monkeypatch.setattr(diffcodec, "metric_scan", flipped)
