@@ -12,7 +12,6 @@ from .codebook import (
     Codeword,
     NotGroupDecodableError,
     average_scale,
-    check_scaled_unitary,
     coding_gain,
     verify_full_diversity,
 )
@@ -51,7 +50,6 @@ from .signalset import (
     hyperbola_signal_set,
     preset_signal_set,
     verify_difference_conditions,
-    verify_scaled_unitarity,
 )
 from .sim import SimConfig, SimResult, bit_mapping, run_sim
 

@@ -36,22 +36,22 @@ from .signalset import SignalSet
 #: enough.
 RANK_RTOL = 1e-9
 
-#: Largest ||S^H S - scale_sq * I||_inf for which a codeword, or a whole
-#: codebook through ``Codebook.max_unitarity_residual``, counts as scaled
+#: Largest ``Codebook.max_unitarity_residual`` (a bound on every codeword's
+#: ||S^H S - scale_sq * I||_inf) for which a codebook counts as scaled
 #: unitary.
 UNITARITY_TOL = 1e-9
 
 
 #: Size of the float64 coordinate table (8 M K bytes) above which the
 #: simulator's exhaustive rows scan it in float32 (``exhaustive_table``).
-#: benchmarks/bench_kernels.py (median us per scan over 9 runs on a 2-core
-#: host, float64 against float32 with its re-score, both tables
-#: column-major): float64 wins at 0.52 MB (lam 3 M 4096, 27 against 33),
-#: 0.64 MB (lam 2 M 10000, 31 against 37) and 1.05 MB (lam 4 M 4096, 59
-#: against 72), float32 from about 1.3 MB up (the preset, 8.4 MB, 344
-#: against 201).  The value was set when the float64 table was row-major
-#: and slower; the two sizes between it and 1.3 MB now scan the slower form.
-FLOAT32_SCAN_BYTES = 600_000
+#: benchmarks/bench_kernels.py, us per scan, float64 against float32 with
+#: its re-score, both tables column-major, three runs on a 2-core x86-64
+#: host: float64 is faster at 0.64 MB (lam 2 M 10000: 36-52 against 38-64)
+#: and 1.05 MB (lam 4 M 4096: 63-66 against 72-76), float32 from 1.33 MB
+#: (lam 2 M 20736: 80-85 against 87-94; the preset, 8.4 MB: 270-376
+#: against 424-623).  At 1.28 MB (lam 3 M 10000) runs on the same host have
+#: put either form ahead, so the threshold stays below it.
+FLOAT32_SCAN_BYTES = 1_200_000
 
 
 def _read(path: str):
@@ -104,13 +104,13 @@ def _available_bytes() -> float:
     return min(meminfo, _cgroup_headroom())
 
 
-def _check_memory(name: str, nbytes: int, decoder: str):
-    """Raise ValueError unless ``Codebook.<name>`` (``nbytes``) fits in
-    the memory available now; ``decoder`` is the decoder that needs it."""
+def check_memory(need: str, nbytes: int):
+    """Raise ValueError unless ``nbytes`` fit in the memory available now;
+    ``need`` says who needs what ("decode_exhaustive needs Codebook.matrices")."""
     available = _available_bytes()
     if nbytes > available:
         raise ValueError(
-            f"{decoder} needs Codebook.{name}, {nbytes / 1e6:.1f} MB, but only "
+            f"{need}, {nbytes / 1e6:.1f} MB, but only "
             f"{available / 1e6:.1f} MB of memory is available"
         )
 
@@ -215,7 +215,7 @@ class Codebook:
     @cached_property
     def matrices(self) -> np.ndarray:
         """All M codeword matrices, row-major over the index tuples."""
-        _check_memory("matrices", self.M * self.n * self.n * 16, "decode_exhaustive")
+        check_memory("decode_exhaustive needs Codebook.matrices", self.M * self.n * self.n * 16)
         full = self.compose(self.group_stacks, np.ogrid[tuple(map(slice, self.sizes))])
         return np.ascontiguousarray(full.reshape(self.M, self.n, self.n))
 
@@ -234,8 +234,8 @@ class Codebook:
         table is stored column-major, a (K, M) array viewed as (M, 4, K/4),
         so that a GEMV streams each coordinate's M values in order."""
         dim = self.sset.dim
-        _check_memory("exhaustive_table", self.M * (4 * dim + 1) * np.dtype(dtype).itemsize,
-                      "decide_exhaustive")
+        check_memory("decide_exhaustive needs Codebook.exhaustive_table",
+                     self.M * (4 * dim + 1) * np.dtype(dtype).itemsize)
         table = np.empty((4, dim, *self.sizes), dtype=dtype)
         for k, gset in enumerate(self.sset.groups):
             shape = [1, 1, 1, 1]
@@ -346,19 +346,6 @@ class Codebook:
             bound += float(np.max(np.abs(excess - excess[0])))
             base += excess[0]
         return bound + float(np.max(np.abs(base)))
-
-
-def check_scaled_unitary(cw: Codeword):
-    """(pass, measured scale): pass iff ||S^H S - scale_sq*I||_inf <= UNITARITY_TOL.
-
-    The measured value is the mean of the Gram diagonal, returned so a
-    failing codeword still reports what scale it actually has.
-    """
-    gram = cw.matrix.conj().T @ cw.matrix
-    n = gram.shape[0]
-    resid = float(np.max(np.abs(gram - cw.scale_sq * np.eye(n))))
-    measured = float(np.mean(np.diagonal(gram).real))
-    return resid <= UNITARITY_TOL, measured
 
 
 def _within_group_differences(cb: Codebook):

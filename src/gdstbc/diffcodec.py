@@ -35,6 +35,10 @@ from .codebook import Codebook, Codeword
 #: the memory of a whole-burst block; no result depends on it.
 WINDOW = 256
 
+#: Bytes per frame of the group-index draw ``block_frames`` makes for a whole
+#: fading block: the (4, nf) int64 indices and their nf raveled int64 ones.
+INDEX_BYTES_PER_FRAME = 40
+
 
 @dataclass(frozen=True, eq=False)
 class EncoderState:

@@ -130,8 +130,11 @@ def normalize_radii(radii, target_sum_sq: float) -> np.ndarray:
 
 
 def fourth_root_points(m: int) -> int:
-    """P with P**4 = m; rejects m that is not the fourth power of an even integer."""
-    p = round(m ** 0.25)
+    """P with P**4 = m; rejects m that is not the fourth power of an even integer.
+
+    The root is taken in integers, so any int is decided exactly.
+    """
+    p = math.isqrt(math.isqrt(m)) if m >= 1 else 0
     if p < 2 or p**4 != m or p % 2 != 0:
         raise ValueError(f"point count {m} is not the fourth power of an even integer")
     return p
@@ -274,18 +277,3 @@ def verify_difference_conditions(gset: GroupSignalSet, pairing=None, tol: float 
                     return False
     return True
 
-
-def verify_scaled_unitarity(sset: SignalSet, lam: int | None = None) -> bool:
-    """Check that every codeword the set induces is scaled unitary.
-
-    Exact for every M: the codebook's per-group residual bound
-    (``Codebook.max_unitarity_residual``) is zero iff every codeword is
-    scaled unitary, and it bounds every codeword's residual.
-    """
-    from .codebook import UNITARITY_TOL, Codebook  # local import, codebook depends on this module
-
-    from .design import construct_design
-
-    if lam is None:
-        lam = int(math.log2(2 * sset.dim))
-    return Codebook(construct_design(lam), sset).max_unitarity_residual() <= UNITARITY_TOL

@@ -35,9 +35,9 @@ from functools import lru_cache
 import numpy as np
 
 from ._kernels import BACKEND, set_blas_threads
-from .codebook import Codebook
+from .codebook import Codebook, check_memory
 from .design import MAX_LAMBDA, construct_design
-from .diffcodec import DECIDERS, block_frames
+from .diffcodec import DECIDERS, INDEX_BYTES_PER_FRAME, block_frames
 from .signalset import (
     PRESETS,
     SignalSet,
@@ -159,7 +159,7 @@ class SimResult:
     config: SimConfig
     points: tuple[SimPoint, ...]
 
-    def to_csv(self, fh=None) -> str:
+    def to_csv(self) -> str:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(CSV_HEADER.split(","))
@@ -169,10 +169,7 @@ class SimResult:
                 f"{p.bler:.6g}", p.bits, p.bit_errors, f"{p.ber:.6g}",
                 p.metric_evals, self.config.seed,
             ])
-        text = buf.getvalue()
-        if fh is not None:
-            fh.write(text)
-        return text
+        return buf.getvalue()
 
     def to_json(self) -> str:
         """The config echo and every point as strict JSON.
@@ -271,6 +268,17 @@ def prepare(cfg: SimConfig) -> Codebook:
     return cb
 
 
+def prepare_sweep(cfg: SimConfig) -> Codebook:
+    """``prepare``, plus the check a sweep makes once, not per chunk: the
+    group-index draw of its largest fading block must fit in the memory
+    available."""
+    cb = prepare(cfg)
+    nf = min(cfg.frames, cfg.frames_per_block)
+    check_memory(f"a fading block of {nf} frames needs its group-index draw",
+                 INDEX_BYTES_PER_FRAME * nf)
+    return cb
+
+
 def _run_blocks(cfg, snr_idx, block_lo, block_hi):
     """Simulate blocks [block_lo, block_hi) of SNR point ``snr_idx``.
 
@@ -352,7 +360,7 @@ def run_sim(cfg: SimConfig) -> SimResult:
     result independent of the worker count, and early stopping (when
     ``target_errors`` is set) only happens at fixed chunk boundaries.
     """
-    prepare(cfg)
+    prepare_sweep(cfg)
     decoders = cfg.decoders()
     n_blocks = math.ceil(cfg.frames / cfg.frames_per_block)
     chunk = max(1, math.ceil(n_blocks / 256))

@@ -57,9 +57,11 @@ class TestSignalsetCommand:
         assert len(pts) == 2
         assert pts[0][0] * pts[0][1] == pytest.approx(0.25, abs=1e-12)
 
-    def test_invalid_points(self, capsys):
-        code, _, err = run_cli(capsys, "signalset", "--lambda", "2", "--points", "15")
-        assert code == 2 and "configuration error" in err
+    @pytest.mark.parametrize("points", ["15", "-16", str(10**400)])
+    @pytest.mark.parametrize("command", [["signalset"], ["codebook", "verify"]])
+    def test_invalid_points(self, capsys, command, points):
+        code, out, err = run_cli(capsys, *command, "--lambda", "2", "--points", points)
+        assert code == 2 and out == "" and err.startswith("configuration error:")
 
     @pytest.mark.parametrize("args", [
         ("--lambda", "6", "--points", "16"),
@@ -161,6 +163,9 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("args, message", [
         (("--lambda", "2", "--points", "15"), "point count 15"),
+        (("--lambda", "2", "--points", "-16"), "point count -16"),
+        # an even fourth power, (10^100)^4, with too many points per group
+        (("--lambda", "2", "--points", str(10**400)), ""),
         (("--lambda", "2", "--points", str(16**4), "--preset", "paper-8ant-rate2"),
          "preset 'paper-8ant-rate2' is defined for lam=3"),
         (("--lambda", "2", "--points", "16", "--coherence", "1"), "coherence must be >= 2"),
@@ -190,6 +195,18 @@ class TestSimulateCommand:
                        "Codebook.exhaustive_table, 2.4 MB, but only 1.0 MB of memory is "
                        "available\n")
         assert kept.read_bytes() == b"earlier results\n"
+
+    def test_whole_burst_past_the_memory_budget_leaves_out_untouched(self, capsys,
+                                                                      tmp_path):
+        # 10^13 frames in one block: a 400 TB group-index draw
+        out = tmp_path / "new.csv"
+        code, stdout, err = run_cli(capsys, "simulate", "--lambda", "2", "--points", "16",
+                                    "--snr-db", "0", "--frames", str(10**13),
+                                    "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err.startswith("configuration error: a fading block of 10000000000000 "
+                              "frames needs its group-index draw, 400000000.0 MB, but only ")
+        assert not out.exists()
 
     def test_json_is_strict(self, capsys):
         def refuse(name):

@@ -10,10 +10,8 @@ from gdstbc.codebook import (
     RANK_RTOL,
     UNITARITY_TOL,
     Codebook,
-    Codeword,
     NotGroupDecodableError,
     average_scale,
-    check_scaled_unitary,
     coding_gain,
     verify_full_diversity,
 )
@@ -25,7 +23,6 @@ from gdstbc.signalset import (
     hyperbola_signal_set,
     normalize_radii,
     preset_signal_set,
-    verify_scaled_unitarity,
 )
 from gdstbc.sim import SimConfig, build_codebook
 
@@ -89,10 +86,10 @@ class TestCodewordAssembly:
 
     def test_alamouti_codewords_are_qam_scaled_unitary(self, cb_alamouti):
         assert cb_alamouti.M == 16
+        assert cb_alamouti.max_unitarity_residual() <= UNITARITY_TOL
         for lin in range(16):
             cw = cb_alamouti.codeword_at(cb_alamouti.unravel_index(lin))
-            ok, measured = check_scaled_unitary(cw)
-            assert ok and measured == pytest.approx(4.0, abs=1e-12)
+            assert cw.scale_sq == pytest.approx(4.0, abs=1e-12)
             # entries are +-1 +- j QAM points
             x1 = cw.matrix[0, 0]
             assert abs(x1.real) == 1.0 and abs(x1.imag) == 1.0
@@ -229,19 +226,16 @@ class TestMemoryBudget:
 
 
 class TestScaledUnitarity:
-    def test_identity_codeword(self):
-        cw = Codeword(matrix=np.eye(3, dtype=complex), scale_sq=1.0, index=(0, 0, 0, 0))
-        assert check_scaled_unitary(cw) == (True, pytest.approx(1.0))
-
-    def test_perturbed_hyperbola_codeword_fails(self):
-        cb = Codebook(construct_design(2), hyperbola_signal_set([1.0], 0.25))
-        cw = cb.codeword_at((0, 0, 0, 0))
-        bad = cw.matrix.copy()
-        bad[0, 0] += 0.1  # pull one symbol off the hyperbola
-        ok, _ = check_scaled_unitary(
-            Codeword(matrix=bad, scale_sq=cw.scale_sq, index=cw.index)
-        )
-        assert ok is False
+    def test_perturbed_hyperbola_set_fails(self):
+        good = hyperbola_signal_set([1.0], 0.25)
+        g0 = good.groups[0]
+        pts = g0.points.copy()
+        assert pts[0, 0] * pts[0, 1] == pytest.approx(0.25)
+        pts[0, 0] += 0.1  # pull one point off the hyperbola x*y = c
+        moved = GroupSignalSet(dim=2, points=pts, radii=g0.radii, family=g0.family, c=g0.c)
+        cb = Codebook(construct_design(2), SignalSet(groups=(moved, *good.groups[1:])))
+        assert cb.max_unitarity_residual() > UNITARITY_TOL
+        assert pair_scan(cb)["max_unitarity_residual"] > UNITARITY_TOL
 
     def test_whole_codebook_residual(self, cb16):
         assert cb16.max_unitarity_residual() <= 1e-12
@@ -415,9 +409,8 @@ class TestAverageScale:
         g_z = GroupSignalSet(dim=1, points=np.array([[0.0]]), radii=(), family="custom")
         cb = Codebook(construct_design(1), SignalSet(groups=(g_i, g_i, g_z, g_z)))
         assert cb.M == 1
-        cw = cb.codeword_at((0, 0, 0, 0))
-        ok, measured = check_scaled_unitary(cw)
-        assert ok and measured == pytest.approx(1.0, abs=1e-12)
+        assert cb.max_unitarity_residual() <= UNITARITY_TOL
+        assert cb.codeword_at((0, 0, 0, 0)).scale_sq == pytest.approx(1.0, abs=1e-12)
         assert average_scale(cb) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -488,8 +481,9 @@ class TestPairScanOracle:
         ab = Codebook(d, hyperbola_signal_set([1.0], 0.25, branch="AB"))
         rep = _assert_matches_pair_scan(ab)
         assert not rep.all_full_rank and rep.min_abs_det == pytest.approx(0.0, abs=1e-12)
-        _assert_matches_pair_scan(Codebook(d, SignalSet(groups=(same_sign,) * 4)))
-        assert verify_scaled_unitarity(SignalSet(groups=(same_sign,) * 4), 2) is False
+        cb = Codebook(d, SignalSet(groups=(same_sign,) * 4))
+        _assert_matches_pair_scan(cb)
+        assert cb.max_unitarity_residual() > UNITARITY_TOL
         cb = Codebook(d, SignalSet(groups=(repeated,) * 4))
         _assert_matches_pair_scan(cb)
         assert coding_gain(cb) == 0.0

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from gdstbc.codebook import UNITARITY_TOL, Codebook
+from gdstbc.design import construct_design
 from gdstbc.signalset import (
     PRESETS,
     GroupSignalSet,
@@ -11,12 +13,12 @@ from gdstbc.signalset import (
     circle_hyperbola_set,
     construct_signal_set,
     default_radii,
+    fourth_root_points,
     hyperbola_intersection,
     hyperbola_signal_set,
     preset_signal_set,
     q_mirror,
     verify_difference_conditions,
-    verify_scaled_unitarity,
 )
 
 # the published 8-antenna radii, as given (before normalisation)
@@ -93,12 +95,22 @@ class TestAxisFamily:
         ss = construct_signal_set(2, 256, radii=(10.0, 30.0))
         assert np.sum(np.asarray(ss.groups[0].radii) ** 2) == pytest.approx(2.0, abs=1e-12)
 
-    @pytest.mark.parametrize("bad_m", [15, 81, 64, 2401, 17])
+    @pytest.mark.parametrize("bad_m", [15, 81, 64, 2401, 17, 0, -16, 10**400 + 1])
     def test_rejects_bad_point_counts(self, bad_m):
         # 81 = 3^4 and 2401 = 7^4 have odd fourth roots; the rest are not
-        # fourth powers at all
-        with pytest.raises(ValueError):
+        # fourth powers of a positive integer at all
+        with pytest.raises(ValueError, match=f"point count {bad_m} is not"):
             construct_signal_set(2, bad_m)
+
+    def test_fourth_root_is_exact_for_any_int(self):
+        assert fourth_root_points(16) == 2 and fourth_root_points(20736) == 12
+        assert fourth_root_points(10**400) == 10**100
+        assert fourth_root_points((2**60 + 2) ** 4) == 2**60 + 2
+        with pytest.raises(ValueError):
+            fourth_root_points((2**60 + 2) ** 4 - 1)
+        # 10^400 is (10^100)^4, but no group of 10^100 points can be built
+        with pytest.raises(ValueError):
+            construct_signal_set(2, 10**400)
 
     def test_rejects_bad_radii(self):
         with pytest.raises(ValueError):
@@ -247,12 +259,19 @@ class TestDifferenceConditions:
 
 
 class TestScaledUnitarity:
+    """Every codeword a set induces is scaled unitary, as the codebook built on
+    it decides (``Codebook.max_unitarity_residual``, exact for every M)."""
+
+    @staticmethod
+    def residual(sset, lam):
+        return Codebook(construct_design(lam), sset).max_unitarity_residual()
+
     @pytest.mark.parametrize("lam,m", [(1, 16), (2, 16), (2, 256), (3, 4096)])
     def test_axis_family(self, lam, m):
-        assert verify_scaled_unitarity(construct_signal_set(lam, m), lam) is True
+        assert self.residual(construct_signal_set(lam, m), lam) <= UNITARITY_TOL
 
     def test_hyperbola_family(self):
-        assert verify_scaled_unitarity(hyperbola_signal_set([1.0], 0.25), 2) is True
+        assert self.residual(hyperbola_signal_set([1.0], 0.25), 2) <= UNITARITY_TOL
 
     def test_same_sign_products_fail(self):
         # x1I*x2I = +1 and x1Q*x2Q = +1 breaks the cancellation that
@@ -260,12 +279,12 @@ class TestScaledUnitarity:
         g = GroupSignalSet(dim=2, points=np.array([[1.0, 1.0], [-1.0, -1.0]]),
                            radii=(math.sqrt(2.0),), family="custom")
         ss = SignalSet(groups=(g, g, g, g))
-        assert verify_scaled_unitarity(ss, 2) is False
+        assert self.residual(ss, 2) > UNITARITY_TOL
 
     def test_large_codebook(self):
         # exact at M = 16^4 from the per-group excesses
-        assert verify_scaled_unitarity(construct_signal_set(3, 16**4), 3) is True
-        assert verify_scaled_unitarity(preset_signal_set("paper-8ant-rate2"), 3) is True
+        assert self.residual(construct_signal_set(3, 16**4), 3) <= UNITARITY_TOL
+        assert self.residual(preset_signal_set("paper-8ant-rate2"), 3) <= UNITARITY_TOL
 
 
 class TestSignalSetValidation:

@@ -192,11 +192,34 @@ class TestRunSim:
         assert [a.dtype for a in cb.__dict__["exhaustive_table"]] == [np.float32] * 2
 
     def test_group_only_run_needs_no_memory_budget(self, monkeypatch):
-        monkeypatch.setattr(codebook, "_available_bytes", lambda: 0)
+        # room for a 4-frame block's index draw (160 bytes), not for the
+        # exhaustive rows' 1.2 kB table
+        monkeypatch.setattr(codebook, "_available_bytes", lambda: 1000)
         assert run_sim(_cfg(frames=50)).points[0].frames == 50
         with pytest.raises(ValueError,
                            match=r"decide_exhaustive needs Codebook\.exhaustive_table"):
             run_sim(_cfg(frames=50, decoder="both"))
+
+    def test_refuses_a_block_index_draw_past_the_memory_budget(self, monkeypatch):
+        probes = []
+
+        def available():
+            probes.append(1)
+            return 4000
+
+        monkeypatch.setattr(codebook, "_available_bytes", available)
+        # 40 bytes a frame: 100 frames fit, 101 in one whole-burst block do not
+        for frames, coherence in ((100, None), (101, 101), (10**4, 11)):
+            probes.clear()
+            assert run_sim(_cfg(frames=frames, coherence=coherence)).points[0].frames == frames
+            assert len(probes) == 1  # once per sweep, not per chunk
+        for frames, coherence, nf, mb in ((101, None, 101, "0.0"),
+                                          (10**13, 102, 101, "0.0"),
+                                          (10**13, None, 10**13, "400000000.0")):
+            with pytest.raises(ValueError) as err:
+                run_sim(_cfg(frames=frames, coherence=coherence))
+            assert str(err.value) == (f"a fading block of {nf} frames needs its group-index "
+                                      f"draw, {mb} MB, but only 0.0 MB of memory is available")
 
     def test_large_group_only_run_builds_no_m_sized_array(self):
         # lam 2, M 64^4: the float32 exhaustive_table would take 604 MB
