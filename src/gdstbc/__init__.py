@@ -12,7 +12,6 @@ from .codebook import (
     Codeword,
     NotGroupDecodableError,
     average_scale,
-    coding_gain,
     verify_full_diversity,
 )
 from .design import (

@@ -23,7 +23,6 @@ from .codebook import (
     UNITARITY_TOL,
     NotGroupDecodableError,
     average_scale,
-    coding_gain,
     verify_full_diversity,
 )
 from .design import canonical_grouping, construct_design, render_text, verify_group_decodable
@@ -32,7 +31,7 @@ from .sim import (
     SimConfig,
     build_codebook,
     build_signal_set,
-    prepare_sweep,
+    prepare,
     run_sim,
 )
 from .signalset import PRESETS
@@ -78,7 +77,8 @@ def _add_signal_args(p: argparse.ArgumentParser):
     p.add_argument("--points", dest="m", type=int, required=True,
                    help="codebook size M (fourth power of an even integer)")
     p.add_argument("--radii", type=_parse_radii, default=None,
-                   help="comma-separated radius list (normalised to unit group power)")
+                   help="comma-separated list of P/2 radii for P points per group "
+                        "(normalised to unit group power)")
     p.add_argument("--preset", choices=sorted(PRESETS), default=None,
                    help="named radius preset")
     p.add_argument("--family", choices=("axis", "hyperbola"), default="axis",
@@ -172,12 +172,11 @@ def _cmd_codebook(args) -> int:
     cfg.validate()
     cb = build_codebook(cfg)
     div = verify_full_diversity(cb)
-    gain = coding_gain(cb)
     resid = cb.max_unitarity_residual()
     report = {
         "scaled_unitary": bool(resid <= UNITARITY_TOL),
         "min_det": div.min_abs_det,
-        "coding_gain": gain,
+        "coding_gain": div.coding_gain,
         "avg_scale": average_scale(cb),
         "rate_bits_per_use": cb.rate_bits_per_use,
         "max_unitarity_residual": resid,
@@ -201,7 +200,7 @@ def _cmd_simulate(args) -> int:
                     coherence=args.coherence, decoder=args.decoder, seed=args.seed,
                     workers=args.workers)
     # a config or memory error must exit before --out is opened, which truncates it
-    prepare_sweep(cfg)
+    prepare(cfg)
     with _open_out(args.out) as fh:
         result = run_sim(cfg)
         fh.write(result.to_json() + "\n" if args.as_json else result.to_csv())

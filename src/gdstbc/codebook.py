@@ -137,7 +137,7 @@ class DiversityReport:
     num_rank_deficient: int
     first_deficient_pair: tuple | None
     min_abs_det: float
-    argmin_pair: tuple | None
+    coding_gain: float
     bound_holds: bool
     min_bound_margin: float
     claim: str
@@ -348,14 +348,6 @@ class Codebook:
         return bound + float(np.max(np.abs(base)))
 
 
-def _within_group_differences(cb: Codebook):
-    """Yield (k, i, j, D) for every point pair i < j of each group k, with the
-    stack D[t] = S_k(j[t]) - S_k(i[t]) of group k's within-group differences."""
-    for k, stack in enumerate(cb.group_stacks):
-        i, j = np.triu_indices(stack.shape[0], 1)
-        yield k, i, j, stack[j] - stack[i]
-
-
 def _single_group_pair(k: int, p: int, q: int) -> tuple:
     """The codeword pair that differs only in group k, by points p and q."""
     a, b = [0] * 4, [0] * 4
@@ -376,6 +368,12 @@ def verify_full_diversity(cb: Codebook) -> DiversityReport:
     that differ in exactly one group, by a singular difference: a lower
     bound on the rank-deficient pairs, and zero iff there are none.
 
+    One SVD per within-group difference decides all of it: the rank rule,
+    and |det| as the product of the singular values, 0.0 for a difference
+    the rule calls singular.  So ``min_abs_det`` and the coding gain
+    ``coding_gain`` = min det(dS^H dS)^(1/n) = ``min_abs_det`` ** (2/n) are
+    0.0 exactly when ``all_full_rank`` is false.
+
     ``bound_holds`` is the verdict of ``verify_doubling_blocks`` on the
     design, which proves the block lower bound
     det(dS^H dS) >= max(|det dA|^2, |det dB|^2)^2 for every pair.
@@ -385,16 +383,26 @@ def verify_full_diversity(cb: Codebook) -> DiversityReport:
     -inf when nothing is established.
 
     Raises NotGroupDecodableError on a codebook whose grouping fails the
-    cross-group anticommutation check.
+    cross-group anticommutation check, and ValueError when a group's
+    differences do not fit in the memory available.
     """
     cb.require_group_decodable()
+    n = cb.n
     num_def = 0
     first_def = None
     min_det = math.inf
-    argmin_pair = None
-    for k, i, j, d in _within_group_differences(cb):
-        if not d.shape[0]:
+    for k, stack in enumerate(cb.group_stacks):
+        p = stack.shape[0]
+        pairs = p * (p - 1) // 2
+        if not pairs:
             continue
+        # triu_indices' P x P mask and its complement, the pair indices, the
+        # differences with the operand they are taken from, singular values
+        check_memory(f"verify_full_diversity needs group {k}'s within-group differences",
+                     2 * p * p + pairs * (16 + 32 * n * n + 8 * n))
+        i, j = np.triu_indices(p, 1)
+        d = stack[j]
+        d -= stack[i]
         svals = np.linalg.svd(d, compute_uv=False)
         deficient = svals[:, -1] <= RANK_RTOL * np.maximum(1.0, svals[:, 0])
         if deficient.any():
@@ -402,11 +410,10 @@ def verify_full_diversity(cb: Codebook) -> DiversityReport:
             if first_def is None:
                 t = int(np.argmax(deficient))
                 first_def = _single_group_pair(k, i[t], j[t])
-        dets = np.abs(np.linalg.det(d))
-        t = int(np.argmin(dets))
-        if dets[t] < min_det:
-            min_det = float(dets[t])
-            argmin_pair = _single_group_pair(k, i[t], j[t])
+        # |det D| is the product of D's singular values; a difference the
+        # rank rule calls singular has |det D| = 0 exactly
+        dets = np.where(deficient, 0.0, np.prod(svals, axis=1))
+        min_det = min(min_det, float(dets.min()))
     all_ok = num_def == 0
     bound_holds = verify_doubling_blocks(cb.design)
     claim = "full diversity verified (exhaustive)" if all_ok \
@@ -414,24 +421,10 @@ def verify_full_diversity(cb: Codebook) -> DiversityReport:
     return DiversityReport(
         mode="exhaustive", pairs_checked=cb.M * (cb.M - 1) // 2, all_full_rank=all_ok,
         num_rank_deficient=num_def, first_deficient_pair=first_def,
-        min_abs_det=min_det, argmin_pair=argmin_pair,
+        min_abs_det=min_det, coding_gain=min_det ** (2.0 / n),
         bound_holds=bound_holds, min_bound_margin=0.0 if bound_holds else -math.inf,
         claim=claim,
     )
-
-
-def coding_gain(cb: Codebook) -> float:
-    """min over codeword pairs of det(dS^H dS)^(1/n) = min |det dS|^(2/n).
-
-    Exact from the within-group differences, for the reason given in
-    ``verify_full_diversity``.  A repeated codeword drives this to zero;
-    fully diverse codebooks give a positive value.
-    """
-    cb.require_group_decodable()
-    min_det = min((float(np.min(np.abs(np.linalg.det(d))))
-                   for _, _, _, d in _within_group_differences(cb) if d.shape[0]),
-                  default=math.inf)
-    return min_det ** (2.0 / cb.n)
 
 
 def average_scale(cb: Codebook) -> float:

@@ -140,26 +140,31 @@ def fourth_root_points(m: int) -> int:
     return p
 
 
+def group_radii(m: int, radii=None) -> np.ndarray:
+    """The P/2 radii of a group of P = m**(1/4) points, at unit average group
+    power: ``radii`` normalised to sum(r^2) = P/2, or the linear ramp
+    ``default_radii`` when None.  Both families take their radii from here."""
+    p = fourth_root_points(m)
+    if radii is None:
+        return default_radii(p // 2)
+    r = _check_radii(radii)
+    if len(r) != p // 2:
+        raise ValueError(f"expected {p // 2} radii for {p} points per group, got {len(r)}")
+    return normalize_radii(r, p / 2)
+
+
 def construct_signal_set(lam: int, m: int, radii=None) -> SignalSet:
     """Axis-family signal set: identical groups of P = m**(1/4) points.
 
     Points come in sign pairs +-r_q e_j(q) with the axis cycling through
     the coordinates as the radius index grows:
-    j(q) = ((q-1) mod dim) + 1.  Supplied radii are normalised to
-    sum(r^2) = P/2 (unit average group power); by default a linear ramp
-    is used.
+    j(q) = ((q-1) mod dim) + 1.  The radii are ``group_radii(m, radii)``.
     """
     if lam < 1:
         raise ValueError("lam must be >= 1")
     dim = 2 ** (lam - 1)
-    p = fourth_root_points(m)
-    if radii is None:
-        r = default_radii(p // 2)
-    else:
-        r = _check_radii(radii)
-        if len(r) != p // 2:
-            raise ValueError(f"expected {p // 2} radii for {p} points per group, got {len(r)}")
-        r = normalize_radii(r, p / 2)
+    r = group_radii(m, radii)
+    p = 2 * len(r)
     pts = np.zeros((p, dim))
     for q in range(1, p // 2 + 1):
         axis = (q - 1) % dim

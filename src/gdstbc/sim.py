@@ -42,8 +42,7 @@ from .signalset import (
     PRESETS,
     SignalSet,
     construct_signal_set,
-    default_radii,
-    fourth_root_points,
+    group_radii,
     hyperbola_signal_set,
     preset_signal_set,
 )
@@ -230,8 +229,7 @@ def build_signal_set(cfg: SimConfig) -> SignalSet:
             raise ValueError(f"preset {cfg.preset!r} implies M={expected_m}, got M={cfg.m}")
         return preset_signal_set(cfg.preset)
     if cfg.family == "hyperbola":
-        p = fourth_root_points(cfg.m)
-        radii = cfg.radii if cfg.radii is not None else default_radii(p // 2)
+        radii = group_radii(cfg.m, cfg.radii)
         c = cfg.c if cfg.c is not None else float(radii[0]) ** 2 / 4.0
         return hyperbola_signal_set(radii, c)
     return construct_signal_set(cfg.lam, cfg.m, radii=cfg.radii)
@@ -257,7 +255,9 @@ def _codebook(lam, m, family, radii, preset, c) -> Codebook:
 
 def prepare(cfg: SimConfig) -> Codebook:
     """Validate ``cfg`` and check its cached codebook for each decoder, building the
-    table and scales the exhaustive rows scan, so errors come before a sweep."""
+    table and scales the exhaustive rows scan, and check that the group-index draw
+    of the sweep's largest fading block fits in the memory available, so errors
+    come before a sweep."""
     cfg.validate()
     cb = _codebook(cfg.lam, cfg.m, cfg.family, cfg.radii, cfg.preset, cfg.c)
     if "group" in cfg.decoders():
@@ -265,14 +265,6 @@ def prepare(cfg: SimConfig) -> Codebook:
     if "exhaustive" in cfg.decoders():
         cb.require_scaled_unitary()
         cb.exhaustive_table  # noqa: B018
-    return cb
-
-
-def prepare_sweep(cfg: SimConfig) -> Codebook:
-    """``prepare``, plus the check a sweep makes once, not per chunk: the
-    group-index draw of its largest fading block must fit in the memory
-    available."""
-    cb = prepare(cfg)
     nf = min(cfg.frames, cfg.frames_per_block)
     check_memory(f"a fading block of {nf} frames needs its group-index draw",
                  INDEX_BYTES_PER_FRAME * nf)
@@ -289,9 +281,11 @@ def _run_blocks(cfg, snr_idx, block_lo, block_hi):
     transmits it window by window, and each decoder's ``diffcodec``
     decision routine decides every window, tracking its own scale.  In a
     pool worker it stops at the next block once ``run_sim`` has stopped
-    point ``snr_idx`` early; the parent never reads those counts.
+    point ``snr_idx`` early; the parent never reads those counts.  It reads
+    the cached codebook that ``run_sim`` prepared, and that forked workers
+    inherit.
     """
-    cb = prepare(cfg)
+    cb = _codebook(cfg.lam, cfg.m, cfg.family, cfg.radii, cfg.preset, cfg.c)
     decoders = cfg.decoders()
     evals_per_frame = {"exhaustive": cb.M, "group": sum(cb.sizes)}
     # BER needs power-of-two group sizes (see bit_mapping); 0 means BLER only
@@ -360,7 +354,7 @@ def run_sim(cfg: SimConfig) -> SimResult:
     result independent of the worker count, and early stopping (when
     ``target_errors`` is set) only happens at fixed chunk boundaries.
     """
-    prepare_sweep(cfg)
+    prepare(cfg)
     decoders = cfg.decoders()
     n_blocks = math.ceil(cfg.frames / cfg.frames_per_block)
     chunk = max(1, math.ceil(n_blocks / 256))

@@ -118,6 +118,29 @@ class TestCodebookCommand:
         assert report["full_diversity"] == "full diversity verified (exhaustive)"
         assert report["group_decodable"] is True and report["scaled_unitary"] is True
 
+    @pytest.mark.parametrize("lam, m, gain", [(2, 256, 1.2), (3, 256, 1.2), (4, 16, 4.0)])
+    def test_benchmark_verifier_calls(self, capsys, lam, m, gain):
+        # the three calls, and their checks, of perfbench's traced verifier round
+        code, out, _ = run_cli(capsys, "codebook", "verify", "--lambda", str(lam),
+                               "--points", str(m))
+        assert code == 0
+        report = json.loads(out)
+        assert report["full_diversity"] == "full diversity verified (exhaustive)"
+        assert report["coding_gain"] == pytest.approx(gain, rel=1e-9)
+        assert report["max_unitarity_residual"] <= 1e-9
+
+    def test_differences_past_the_memory_budget_are_config_error(self, capsys,
+                                                                  monkeypatch):
+        # P = 100: 4950 differences of 4 x 4 matrices with their operands,
+        # indices and singular values, and the 100 x 100 mask, take 2.8 MB
+        monkeypatch.setattr(codebook, "_available_bytes", lambda: 10**6)
+        code, out, err = run_cli(capsys, "codebook", "verify", "--lambda", "2",
+                                 "--points", str(100**4))
+        assert code == 2 and out == ""
+        assert err == ("configuration error: verify_full_diversity needs group 0's "
+                       "within-group differences, 2.8 MB, but only 1.0 MB of memory is "
+                       "available\n")
+
     def test_bad_mode(self, capsys):
         # every verdict is exhaustive, so codebook verify takes no --mode
         with pytest.raises(SystemExit) as exc:
@@ -257,6 +280,8 @@ class TestSimulateCommand:
          "c applies to the hyperbola family only"),
         (("--lambda", "3", "--points", str(16**4), "--preset", "paper-8ant-rate2",
           "--radii", "1,2,3,4,5,6,7,8"), "a preset fixes the signal set"),
+        (("--lambda", "2", "--points", "16", "--family", "hyperbola",
+          "--radii", "0.8,1.16619037896906"), "expected 1 radii for 2 points per group, got 2"),
     ])
     def test_options_that_do_not_apply_are_config_errors(self, capsys, command, args,
                                                          message):

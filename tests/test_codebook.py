@@ -12,7 +12,6 @@ from gdstbc.codebook import (
     Codebook,
     NotGroupDecodableError,
     average_scale,
-    coding_gain,
     verify_full_diversity,
 )
 from gdstbc.design import Grouping, construct_design, evaluate
@@ -324,9 +323,8 @@ class TestFullDiversity:
     def test_non_decodable_grouping_refused(self):
         bad = Grouping(g=4, groups=((0, 3), (1, 2), (4, 6), (5, 7)))
         cb = Codebook(construct_design(2), construct_signal_set(2, 16), grouping=bad)
-        for verifier in (verify_full_diversity, coding_gain):
-            with pytest.raises(NotGroupDecodableError):
-                verifier(cb)
+        with pytest.raises(NotGroupDecodableError):
+            verify_full_diversity(cb)
         with pytest.raises(NotGroupDecodableError):
             cb.max_unitarity_residual()
 
@@ -365,17 +363,17 @@ class TestCodingGain:
                 d = mats[j] - mats[i]
                 gains.append(np.linalg.det(d.conj().T @ d).real ** 0.5)
         assert min(gains) == pytest.approx(4.0, abs=1e-9)
-        assert coding_gain(cb_alamouti) == pytest.approx(4.0, abs=1e-9)
+        assert verify_full_diversity(cb_alamouti).coding_gain == pytest.approx(4.0, abs=1e-9)
 
     def test_repeated_codeword_gives_zero(self):
         g = GroupSignalSet(dim=2, points=np.array([[1.0, 0.0], [1.0, 0.0]]),
                            radii=(1.0,), family="custom")
         cb = Codebook(construct_design(2), SignalSet(groups=(g, g, g, g)))
-        assert coding_gain(cb) == pytest.approx(0.0, abs=1e-12)
+        assert verify_full_diversity(cb).coding_gain == pytest.approx(0.0, abs=1e-12)
 
     def test_lambda2_regression_value(self, cb16):
         # frozen regression baseline, computed by exhaustive enumeration
-        gain = coding_gain(cb16)
+        gain = verify_full_diversity(cb16).coding_gain
         mats = cb16.matrices
         oracle = min(
             np.linalg.det((mats[j] - mats[i]).conj().T @ (mats[j] - mats[i])).real
@@ -456,7 +454,8 @@ def _assert_matches_pair_scan(cb):
     assert rep.all_full_rank == (ref["num_rank_deficient"] == 0)
     assert rep.num_rank_deficient <= ref["num_rank_deficient"]
     assert rep.min_abs_det == pytest.approx(ref["min_abs_det"], rel=1e-9, abs=1e-12)
-    assert coding_gain(cb) == pytest.approx(ref["coding_gain"], rel=1e-9, abs=1e-12)
+    assert rep.coding_gain == pytest.approx(ref["coding_gain"], rel=1e-9, abs=1e-12)
+    assert (rep.coding_gain == 0.0) == (not rep.all_full_rank)
     assert rep.bound_holds == (ref["min_rel_bound_margin"] >= -1e-9)
     resid = cb.max_unitarity_residual()
     assert (resid <= 1e-9) == (ref["max_unitarity_residual"] <= 1e-9)
@@ -485,8 +484,7 @@ class TestPairScanOracle:
         _assert_matches_pair_scan(cb)
         assert cb.max_unitarity_residual() > UNITARITY_TOL
         cb = Codebook(d, SignalSet(groups=(repeated,) * 4))
-        _assert_matches_pair_scan(cb)
-        assert coding_gain(cb) == 0.0
+        assert _assert_matches_pair_scan(cb).coding_gain == 0.0
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(lam=st.integers(1, 3),

@@ -20,6 +20,7 @@ from gdstbc.signalset import (
     q_mirror,
     verify_difference_conditions,
 )
+from gdstbc.sim import SimConfig, build_signal_set
 
 # the published 8-antenna radii, as given (before normalisation)
 R1 = 0.3235
@@ -196,6 +197,15 @@ class TestCircleHyperbola:
     def test_unnormalised_radii_rejected(self):
         with pytest.raises(ValueError):
             circle_hyperbola_set([1.0, 2.0], 0.1)  # sum of squares != 2
+
+    def test_family_normalises_supplied_radii(self):
+        # one radius for 2 points per group, normalised from 2 to the default
+        # 1, so the default c and every group match the default set's
+        want = build_signal_set(SimConfig(lam=2, m=16, family="hyperbola"))
+        got = build_signal_set(SimConfig(lam=2, m=16, family="hyperbola", radii=(2.0,)))
+        for g, w in zip(got.groups, want.groups):
+            assert g.radii == w.radii == (1.0,) and g.c == w.c
+            assert np.array_equal(g.points, w.points)
 
     def test_two_circles(self):
         radii = np.array([0.8, 1.0]) / math.sqrt(0.82)  # sum of squares = 2
