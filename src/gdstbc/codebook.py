@@ -109,8 +109,9 @@ def check_memory(need: str, nbytes: int):
     ``need`` says who needs what ("decode_exhaustive needs Codebook.matrices")."""
     available = _available_bytes()
     if nbytes > available:
+        mb = nbytes / 1e6 if nbytes < 1e300 else math.inf  # a huge int overflows a float
         raise ValueError(
-            f"{need}, {nbytes / 1e6:.1f} MB, but only "
+            f"{need}, {mb:.1f} MB, but only "
             f"{available / 1e6:.1f} MB of memory is available"
         )
 
@@ -131,7 +132,6 @@ class Codeword:
 class DiversityReport:
     """Result of ``verify_full_diversity``; its docstring defines the fields."""
 
-    mode: str
     pairs_checked: int
     all_full_rank: bool
     num_rank_deficient: int
@@ -139,7 +139,6 @@ class DiversityReport:
     min_abs_det: float
     coding_gain: float
     bound_holds: bool
-    min_bound_margin: float
     claim: str
 
 
@@ -150,7 +149,9 @@ class Codebook:
     point p to the codeword matrix; ``compose`` sums four partials into
     a codeword, or their ``group_norms`` into its scale.  ``partials``
     stacks all four groups' partials, group 0 first, for the group
-    decoder's one-pass scan; ``group_stacks`` are views into it.  Only
+    decoder's one-pass scan; ``group_stacks`` are views into it.  The
+    constructor refuses (ValueError) partials that do not fit in the
+    memory available.  Only
     exhaustive decoding needs M-sized arrays, built lazily, and refused
     (ValueError) past the memory available: ``exhaustive_table`` (every
     codeword's real coordinates against ``basis`` and its scale, the form
@@ -178,6 +179,9 @@ class Codebook:
         self.grouping = grouping
         self.sizes = sset.sizes
         self.M = math.prod(self.sizes)
+        # the four groups' products and the array they are joined into
+        check_memory("Codebook needs its partial codewords",
+                     2 * sum(self.sizes) * design.n * design.n * 16)
         self.partials = np.concatenate([
             np.tensordot(gset.points,
                          design.weight_stack[np.asarray(grouping.groups[k], dtype=np.intp)],
@@ -310,18 +314,20 @@ class Codebook:
 
     def require_scaled_unitary(self):
         """Compute ``max_unitarity_residual`` once; raise ValueError unless
-        every codeword is scaled unitary within ``UNITARITY_TOL``.
+        every codeword is scaled unitary within ``UNITARITY_TOL``
+        (NotGroupDecodableError first, from ``require_group_decodable``).
 
-        The simulator's exhaustive decoder needs it: its scaled-unitary
-        expansion of the metric (``_kernels.metric_scan`` over
-        ``exhaustive_table`` with ``basis``) is exact only when S^H S = a(S) I
-        for every codeword.
+        The simulator requires it for every sweep: the differential chain
+        keeps X_t^H X_t = a_t I only for scaled-unitary codewords, and the
+        exhaustive decoder's expansion of the metric (``_kernels.metric_scan``
+        over ``exhaustive_table`` with ``basis``) is exact only when
+        S^H S = a(S) I for every codeword.
         """
         if self.unitarity_residual is None:
             self.unitarity_residual = self.max_unitarity_residual()
         if not self.unitarity_residual <= UNITARITY_TOL:
             raise ValueError(
-                f"exhaustive decoding needs scaled-unitary codewords, but the codebook's "
+                f"the differential chain needs scaled-unitary codewords, but the codebook's "
                 f"unitarity residual is {self.unitarity_residual:.3g} "
                 f"(tolerance {UNITARITY_TOL:g})"
             )
@@ -377,10 +383,6 @@ def verify_full_diversity(cb: Codebook) -> DiversityReport:
     ``bound_holds`` is the verdict of ``verify_doubling_blocks`` on the
     design, which proves the block lower bound
     det(dS^H dS) >= max(|det dA|^2, |det dB|^2)^2 for every pair.
-    ``min_bound_margin`` is the margin that proof certifies: 0.0 (pairs
-    whose difference sits wholly in the A or the B blocks, as every
-    single-group pair of the canonical grouping does, reach equality), or
-    -inf when nothing is established.
 
     Raises NotGroupDecodableError on a codebook whose grouping fails the
     cross-group anticommutation check, and ValueError when a group's
@@ -415,15 +417,13 @@ def verify_full_diversity(cb: Codebook) -> DiversityReport:
         dets = np.where(deficient, 0.0, np.prod(svals, axis=1))
         min_det = min(min_det, float(dets.min()))
     all_ok = num_def == 0
-    bound_holds = verify_doubling_blocks(cb.design)
     claim = "full diversity verified (exhaustive)" if all_ok \
         else f"at least {num_def} rank-deficient pair(s) found (exhaustive)"
     return DiversityReport(
-        mode="exhaustive", pairs_checked=cb.M * (cb.M - 1) // 2, all_full_rank=all_ok,
+        pairs_checked=cb.M * (cb.M - 1) // 2, all_full_rank=all_ok,
         num_rank_deficient=num_def, first_deficient_pair=first_def,
         min_abs_det=min_det, coding_gain=min_det ** (2.0 / n),
-        bound_holds=bound_holds, min_bound_margin=0.0 if bound_holds else -math.inf,
-        claim=claim,
+        bound_holds=verify_doubling_blocks(cb.design), claim=claim,
     )
 
 

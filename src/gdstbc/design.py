@@ -73,17 +73,18 @@ class LinearDesign:
 
 @dataclass(frozen=True)
 class Grouping:
-    """Ordered partition of the real variable indices 0..K-1 into g groups."""
+    """Ordered partition of the real variable indices 0..K-1 into groups."""
 
-    g: int
     groups: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if len(self.groups) != self.g:
-            raise ValueError("group count does not match g")
         flat = [i for grp in self.groups for i in grp]
         if len(flat) != len(set(flat)):
             raise ValueError("groups are not disjoint")
+
+    @property
+    def g(self) -> int:
+        return len(self.groups)
 
     @property
     def K(self) -> int:
@@ -195,7 +196,7 @@ def canonical_grouping(d: LinearDesign) -> Grouping:
     g2 = tuple(2 * m + 1 for m in range(half))
     g3 = tuple(2 * m for m in range(half, nc))
     g4 = tuple(2 * m + 1 for m in range(half, nc))
-    return Grouping(g=4, groups=(g1, g2, g3, g4))
+    return Grouping(groups=(g1, g2, g3, g4))
 
 
 def _herm(a: np.ndarray) -> np.ndarray:

@@ -140,11 +140,17 @@ def fourth_root_points(m: int) -> int:
     return p
 
 
-def group_radii(m: int, radii=None) -> np.ndarray:
-    """The P/2 radii of a group of P = m**(1/4) points, at unit average group
-    power: ``radii`` normalised to sum(r^2) = P/2, or the linear ramp
-    ``default_radii`` when None.  Both families take their radii from here."""
+def group_radii(m: int, dim: int, radii=None) -> np.ndarray:
+    """The P/2 radii of a group of P = m**(1/4) points in R^dim, at unit
+    average group power: ``radii`` normalised to sum(r^2) = P/2, or the
+    linear ramp ``default_radii`` when None.  Both families take their
+    radii from here, after a check that the radii and the group's (P, dim)
+    points fit in the memory available (ValueError otherwise)."""
+    from .codebook import check_memory  # codebook imports this module
+
     p = fourth_root_points(m)
+    check_memory(f"a group of {p} points needs its radii and points",
+                 8 * (p // 2 + p * dim))
     if radii is None:
         return default_radii(p // 2)
     r = _check_radii(radii)
@@ -158,12 +164,12 @@ def construct_signal_set(lam: int, m: int, radii=None) -> SignalSet:
 
     Points come in sign pairs +-r_q e_j(q) with the axis cycling through
     the coordinates as the radius index grows:
-    j(q) = ((q-1) mod dim) + 1.  The radii are ``group_radii(m, radii)``.
+    j(q) = ((q-1) mod dim) + 1.  The radii are ``group_radii(m, dim, radii)``.
     """
     if lam < 1:
         raise ValueError("lam must be >= 1")
     dim = 2 ** (lam - 1)
-    r = group_radii(m, radii)
+    r = group_radii(m, dim, radii)
     p = 2 * len(r)
     pts = np.zeros((p, dim))
     for q in range(1, p // 2 + 1):
@@ -205,8 +211,8 @@ def circle_hyperbola_set(radii, c: float, branch: str = "A") -> GroupSignalSet:
     For each radius the hyperbola x*y = c crosses the circle in four
     points; keeping one diagonal pair (branch 'A': x0 > y0, branch 'B':
     the mirrored pair) preserves full diversity.  Branch 'AB' returns all
-    four points; that set violates the difference condition and exists
-    for negative testing only.
+    four points; it is not fully diverse (criterion 6's control) and
+    exists for negative testing only.
 
     Radii must already satisfy sum(r^2) = len(radii) (unit average symbol
     power) and 0 < c < r_min^2.
@@ -253,32 +259,4 @@ def hyperbola_signal_set(radii, c: float, branch: str = "A") -> SignalSet:
     i_set = circle_hyperbola_set(radii, c, branch=branch)
     q_set = q_mirror(i_set)
     return SignalSet(groups=(i_set, q_set, i_set, q_set))
-
-
-def canonical_pairing(dim: int) -> tuple[tuple[int, int], ...]:
-    """Adjacent coordinate pairs (0,1), (2,3), ... within a group vector."""
-    if dim % 2:
-        return ()
-    return tuple((2 * k, 2 * k + 1) for k in range(dim // 2))
-
-
-def verify_difference_conditions(gset: GroupSignalSet, pairing=None, tol: float = 1e-9) -> bool:
-    """Difference condition behind full diversity.
-
-    For every pair of distinct points and every designated coordinate
-    pair (u, v): delta_u != +-delta_v unless both deltas vanish.
-    """
-    if pairing is None:
-        pairing = canonical_pairing(gset.dim)
-    pts = gset.points
-    for a in range(pts.shape[0]):
-        for b in range(a + 1, pts.shape[0]):
-            d = pts[a] - pts[b]
-            for (u, v) in pairing:
-                du, dv = d[u], d[v]
-                if abs(du) <= tol and abs(dv) <= tol:
-                    continue
-                if abs(du - dv) <= tol or abs(du + dv) <= tol:
-                    return False
-    return True
 

@@ -229,7 +229,7 @@ def build_signal_set(cfg: SimConfig) -> SignalSet:
             raise ValueError(f"preset {cfg.preset!r} implies M={expected_m}, got M={cfg.m}")
         return preset_signal_set(cfg.preset)
     if cfg.family == "hyperbola":
-        radii = group_radii(cfg.m, cfg.radii)
+        radii = group_radii(cfg.m, 2, cfg.radii)
         c = cfg.c if cfg.c is not None else float(radii[0]) ** 2 / 4.0
         return hyperbola_signal_set(radii, c)
     return construct_signal_set(cfg.lam, cfg.m, radii=cfg.radii)
@@ -254,16 +254,15 @@ def _codebook(lam, m, family, radii, preset, c) -> Codebook:
 
 
 def prepare(cfg: SimConfig) -> Codebook:
-    """Validate ``cfg`` and check its cached codebook for each decoder, building the
-    table and scales the exhaustive rows scan, and check that the group-index draw
-    of the sweep's largest fading block fits in the memory available, so errors
-    come before a sweep."""
+    """Validate ``cfg``, require its cached codebook to be group decodable and
+    scaled unitary (``require_scaled_unitary``; the differential chain needs
+    it whatever the decoder), build the table and scales the exhaustive rows
+    scan, and check that the group-index draw of the sweep's largest fading
+    block fits in the memory available, so errors come before a sweep."""
     cfg.validate()
     cb = _codebook(cfg.lam, cfg.m, cfg.family, cfg.radii, cfg.preset, cfg.c)
-    if "group" in cfg.decoders():
-        cb.require_group_decodable()
+    cb.require_scaled_unitary()
     if "exhaustive" in cfg.decoders():
-        cb.require_scaled_unitary()
         cb.exhaustive_table  # noqa: B018
     nf = min(cfg.frames, cfg.frames_per_block)
     check_memory(f"a fading block of {nf} frames needs its group-index draw",

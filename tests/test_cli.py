@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gdstbc import cli, codebook
+from gdstbc import cli, codebook, signalset
 from gdstbc.codebook import Codebook, NotGroupDecodableError
 from gdstbc.sim import CSV_HEADER, build_codebook
 
@@ -57,11 +57,27 @@ class TestSignalsetCommand:
         assert len(pts) == 2
         assert pts[0][0] * pts[0][1] == pytest.approx(0.25, abs=1e-12)
 
-    @pytest.mark.parametrize("points", ["15", "-16", str(10**400)])
+    @pytest.mark.parametrize("points", ["15", "-16", str(10**400), str(10**1600)])
     @pytest.mark.parametrize("command", [["signalset"], ["codebook", "verify"]])
     def test_invalid_points(self, capsys, command, points):
         code, out, err = run_cli(capsys, *command, "--lambda", "2", "--points", points)
         assert code == 2 and out == "" and err.startswith("configuration error:")
+
+    @pytest.mark.parametrize("family", ["axis", "hyperbola"])
+    @pytest.mark.parametrize("command", [["signalset"], ["codebook", "verify"]])
+    def test_group_points_past_the_memory_budget_are_config_error(self, capsys, monkeypatch,
+                                                                 command, family):
+        # P = 2 * 10^6 points a group: 10^6 radii and a (P, 2) point array, 40 MB
+        def allocated(p_half):
+            raise AssertionError("radii allocated before the memory check")
+
+        monkeypatch.setattr(codebook, "_available_bytes", lambda: 10**6)
+        monkeypatch.setattr(signalset, "default_radii", allocated)
+        code, out, err = run_cli(capsys, *command, "--lambda", "2", "--points",
+                                 str((2 * 10**6) ** 4), "--family", family)
+        assert code == 2 and out == ""
+        assert err == ("configuration error: a group of 2000000 points needs its radii and "
+                       "points, 40.0 MB, but only 1.0 MB of memory is available\n")
 
     @pytest.mark.parametrize("args", [
         ("--lambda", "6", "--points", "16"),
@@ -141,6 +157,16 @@ class TestCodebookCommand:
                        "within-group differences, 2.8 MB, but only 1.0 MB of memory is "
                        "available\n")
 
+    def test_partials_past_the_memory_budget_are_config_error(self, capsys, monkeypatch):
+        # lam 6, P = 20 000: 80 000 partial codewords of 64 x 64, 5.2 GB, and as
+        # much again while the four groups' products are joined
+        monkeypatch.setattr(codebook, "_available_bytes", lambda: 10**9)
+        code, out, err = run_cli(capsys, "codebook", "verify", "--lambda", "6",
+                                 "--points", str(20_000**4))
+        assert code == 2 and out == ""
+        assert err == ("configuration error: Codebook needs its partial codewords, "
+                       "10485.8 MB, but only 1000.0 MB of memory is available\n")
+
     def test_bad_mode(self, capsys):
         # every verdict is exhaustive, so codebook verify takes no --mode
         with pytest.raises(SystemExit) as exc:
@@ -217,6 +243,23 @@ class TestSimulateCommand:
         assert err == ("configuration error: decide_exhaustive needs "
                        "Codebook.exhaustive_table, 2.4 MB, but only 1.0 MB of memory is "
                        "available\n")
+        assert kept.read_bytes() == b"earlier results\n"
+
+    @pytest.mark.parametrize("budget, args, need", [
+        (10**9, ("--lambda", "6", "--points", str(20_000**4)),
+         "Codebook needs its partial codewords, 10485.8 MB, but only 1000.0 MB"),
+        (10**6, ("--lambda", "2", "--points", str((2 * 10**6) ** 4)),
+         "a group of 2000000 points needs its radii and points, 40.0 MB, but only 1.0 MB"),
+    ])
+    def test_group_only_refusal_leaves_out_untouched(self, capsys, monkeypatch, tmp_path,
+                                                      budget, args, need):
+        monkeypatch.setattr(codebook, "_available_bytes", lambda: budget)
+        kept = tmp_path / "results.csv"
+        kept.write_bytes(b"earlier results\n")
+        code, stdout, err = run_cli(capsys, "simulate", *args, "--snr-db", "0",
+                                    "--frames", "10", "--out", str(kept))
+        assert code == 2 and stdout == ""
+        assert err == f"configuration error: {need} of memory is available\n"
         assert kept.read_bytes() == b"earlier results\n"
 
     def test_whole_burst_past_the_memory_budget_leaves_out_untouched(self, capsys,

@@ -281,7 +281,7 @@ class TestFullDiversity:
         rep = verify_full_diversity(cb16)
         assert rep.all_full_rank and rep.pairs_checked == 120
         assert rep.min_abs_det > 0
-        assert rep.bound_holds and rep.min_bound_margin >= -1e-6
+        assert rep.bound_holds
         assert rep.claim == "full diversity verified (exhaustive)"
 
     def test_lambda3_two_points_per_group(self):
@@ -321,7 +321,7 @@ class TestFullDiversity:
         assert "matrices" not in cb.__dict__  # the full stack is never built
 
     def test_non_decodable_grouping_refused(self):
-        bad = Grouping(g=4, groups=((0, 3), (1, 2), (4, 6), (5, 7)))
+        bad = Grouping(groups=((0, 3), (1, 2), (4, 6), (5, 7)))
         cb = Codebook(construct_design(2), construct_signal_set(2, 16), grouping=bad)
         with pytest.raises(NotGroupDecodableError):
             verify_full_diversity(cb)
@@ -469,7 +469,7 @@ class TestPairScanOracle:
     def test_axis_family(self, lam, m):
         rep = _assert_matches_pair_scan(Codebook(construct_design(lam),
                                                  construct_signal_set(lam, m)))
-        assert rep.all_full_rank and rep.bound_holds and rep.min_bound_margin == 0.0
+        assert rep.all_full_rank and rep.bound_holds
 
     def test_negative_controls(self):
         same_sign = GroupSignalSet(dim=2, points=np.array([[1.0, 1.0], [-1.0, -1.0]]),

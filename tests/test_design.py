@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gdstbc.codebook import Codebook
 from gdstbc.design import (
     Grouping,
     _herm_products,
@@ -16,6 +17,7 @@ from gdstbc.design import (
     verify_doubling_blocks,
     verify_group_decodable,
 )
+from gdstbc.signalset import construct_signal_set
 
 from oracles import int_anticommutes, int_group_witness, int_herm_product
 
@@ -158,11 +160,14 @@ class TestGrouping:
 
     def test_rejects_overlapping_groups(self):
         with pytest.raises(ValueError):
-            Grouping(g=2, groups=((0, 1), (1, 2)))
+            Grouping(groups=((0, 1), (1, 2)))
 
     def test_rejects_wrong_count(self):
-        with pytest.raises(ValueError):
-            Grouping(g=3, groups=((0,), (1,)))
+        # g is the number of groups; codebooks take four-group partitions only
+        grp = Grouping(groups=((0, 1, 2, 3), (4, 5, 6, 7)))
+        assert grp.g == 2 and canonical_grouping(construct_design(2)).g == 4
+        with pytest.raises(ValueError, match="four-group partitions"):
+            Codebook(construct_design(2), construct_signal_set(2, 16), grp)
 
 
 class TestGroupDecodability:
@@ -174,13 +179,13 @@ class TestGroupDecodability:
     def test_alamouti_two_group_reading(self):
         # coarser split {x1I, x1Q} vs {x2I, x2Q} also decodes
         d = construct_design(1)
-        grp = Grouping(g=2, groups=((0, 1), (2, 3)))
+        grp = Grouping(groups=((0, 1), (2, 3)))
         assert verify_group_decodable(d, grp) is True
 
     def test_scrambled_grouping_fails(self):
         # putting x1I with x2Q and x1Q with x2I breaks anticommutation
         d = construct_design(2)
-        grp = Grouping(g=4, groups=((0, 3), (1, 2), (4, 6), (5, 7)))
+        grp = Grouping(groups=((0, 3), (1, 2), (4, 6), (5, 7)))
         assert verify_group_decodable(d, grp, return_witness=True) == (False, (0, 2))
 
     def test_same_group_pairs_need_not_anticommute(self):
@@ -214,12 +219,12 @@ class TestGroupDecodability:
                 cuts = sorted(rng.choice(np.arange(1, d.K), 3, replace=False).tolist())
                 groups = tuple(tuple(perm[a:b]) for a, b in zip([0, *cuts], [*cuts, d.K]))
             witness = int_group_witness(d.weight_stack, groups)
-            got = verify_group_decodable(d, Grouping(g=4, groups=groups), return_witness=True)
+            got = verify_group_decodable(d, Grouping(groups=groups), return_witness=True)
             assert got == (witness is None, witness)
 
     def test_rejects_non_partition(self):
         d = construct_design(1)
-        grp = Grouping(g=2, groups=((0, 1), (2,)))
+        grp = Grouping(groups=((0, 1), (2,)))
         with pytest.raises(ValueError):
             verify_group_decodable(d, grp)
 

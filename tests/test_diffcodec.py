@@ -281,7 +281,7 @@ class TestGroupDecoder:
 
     def test_refuses_non_decodable_codebook(self):
         d = construct_design(2)
-        bad = Grouping(g=4, groups=((0, 3), (1, 2), (4, 6), (5, 7)))
+        bad = Grouping(groups=((0, 3), (1, 2), (4, 6), (5, 7)))
         cb = Codebook(d, construct_signal_set(2, 16), grouping=bad)
         assert cb.group_decodable is False
         z = np.zeros((4, 1), dtype=complex)
@@ -302,7 +302,7 @@ class TestGroupDecoder:
         assert cb.group_decodable is True
 
     def test_unchecked_failing_grouping_refused(self):
-        bad = Grouping(g=4, groups=((0, 3), (1, 2), (4, 6), (5, 7)))
+        bad = Grouping(groups=((0, 3), (1, 2), (4, 6), (5, 7)))
         cb = Codebook(construct_design(2), construct_signal_set(2, 16), grouping=bad,
                       check_decodable=False)
         z = np.zeros((4, 1), dtype=complex)

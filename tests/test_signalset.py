@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from gdstbc.codebook import UNITARITY_TOL, Codebook
+from gdstbc.codebook import UNITARITY_TOL, Codebook, verify_full_diversity
 from gdstbc.design import construct_design
 from gdstbc.signalset import (
     PRESETS,
     GroupSignalSet,
     SignalSet,
-    canonical_pairing,
     circle_hyperbola_set,
     construct_signal_set,
     default_radii,
@@ -18,7 +17,6 @@ from gdstbc.signalset import (
     hyperbola_signal_set,
     preset_signal_set,
     q_mirror,
-    verify_difference_conditions,
 )
 from gdstbc.sim import SimConfig, build_signal_set
 
@@ -240,32 +238,26 @@ class TestCircleHyperbola:
         assert x0 > y0 > 0
 
 
-class TestDifferenceConditions:
-    def test_axis_two_points(self):
-        ss = construct_signal_set(2, 16)
-        assert verify_difference_conditions(ss.groups[0], [(0, 1)]) is True
+class TestFullDiversity:
+    """Every codeword pair a set induces differs by a full-rank matrix, as the
+    codebook built on it decides (``verify_full_diversity``, exact for every M)."""
 
-    def test_rejected_hyperbola_pair(self):
-        g = circle_hyperbola_set([1.0], 0.25, branch="AB")
-        assert verify_difference_conditions(g, [(0, 1)]) is False
+    @staticmethod
+    def report(sset, lam):
+        return verify_full_diversity(Codebook(construct_design(lam), sset))
 
-    def test_surviving_hyperbola_pair(self):
-        g = circle_hyperbola_set([1.0], 0.25, branch="A")
-        assert verify_difference_conditions(g, [(0, 1)]) is True
+    @pytest.mark.parametrize("branch", ["A", "B"])
+    @pytest.mark.parametrize("radii", [(1.0,), tuple(default_radii(2))])
+    def test_hyperbola_branches(self, branch, radii):
+        c = radii[0] ** 2 / 4
+        rep = self.report(hyperbola_signal_set(radii, c, branch=branch), 2)
+        assert rep.all_full_rank and rep.coding_gain > 0
 
-    def test_paper_preset_exhaustive(self):
-        ss = preset_signal_set("paper-8ant-rate2")
-        assert verify_difference_conditions(ss.groups[0], [(0, 1), (2, 3)]) is True
-
-    def test_canonical_pairing(self):
-        assert canonical_pairing(2) == ((0, 1),)
-        assert canonical_pairing(4) == ((0, 1), (2, 3))
-
-    def test_zero_zero_pair_allowed(self):
-        g = GroupSignalSet(dim=2, points=np.array([[1.0, 0.0], [2.0, 0.0]]),
-                           radii=(1.0, 2.0), family="custom")
-        # delta = (-1, 0): the second coordinate pair is (0, 0) free
-        assert verify_difference_conditions(g, [(0, 1)]) is True
+    def test_paper_preset(self):
+        rep = self.report(preset_signal_set("paper-8ant-rate2"), 3)
+        assert rep.all_full_rank and rep.claim == "full diversity verified (exhaustive)"
+        assert rep.pairs_checked == 16**4 * (16**4 - 1) // 2
+        assert rep.coding_gain == pytest.approx(0.17195253132676594, rel=1e-9)
 
 
 class TestScaledUnitarity:

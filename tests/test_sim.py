@@ -21,7 +21,7 @@ from gdstbc.diffcodec import (
     encoder_init,
     encoder_step,
 )
-from gdstbc.signalset import construct_signal_set
+from gdstbc.signalset import GroupSignalSet, SignalSet, construct_signal_set
 from gdstbc.sim import (
     CSV_HEADER,
     SimConfig,
@@ -166,11 +166,13 @@ class TestRunSim:
         assert sizes == [200]
 
     def test_group_decoding_refuses_a_failing_grouping(self, monkeypatch):
-        scrambled = Grouping(g=4, groups=((0, 3), (1, 2), (4, 6), (5, 7)))
+        scrambled = Grouping(groups=((0, 3), (1, 2), (4, 6), (5, 7)))
         monkeypatch.setattr(sim, "build_codebook", lambda cfg: Codebook(
             construct_design(2), construct_signal_set(2, 16), scrambled))
-        with pytest.raises(NotGroupDecodableError):
-            run_sim(_cfg(frames=20))
+        # the grouping is checked before scaled unitarity, for every decoder
+        for decoder in ("group", "exhaustive"):
+            with pytest.raises(NotGroupDecodableError):
+                run_sim(_cfg(frames=20, decoder=decoder))
 
     def test_group_only_run_builds_no_codeword_stack(self, monkeypatch):
         run_sim(_cfg(frames=50))
@@ -192,29 +194,31 @@ class TestRunSim:
         assert [a.dtype for a in cb.__dict__["exhaustive_table"]] == [np.float32] * 2
 
     def test_group_only_run_needs_no_memory_budget(self, monkeypatch):
-        # room for a 4-frame block's index draw (160 bytes), not for the
-        # exhaustive rows' 1.2 kB table
-        monkeypatch.setattr(codebook, "_available_bytes", lambda: 1000)
-        assert run_sim(_cfg(frames=50)).points[0].frames == 50
+        # lam 2, M 256: room for the group radii and points (80 bytes), the
+        # partial codewords (4 kB, 8 kB while they are joined) and a 4-frame
+        # block's index draw (160 bytes), not for the exhaustive rows' 18 kB table
+        monkeypatch.setattr(codebook, "_available_bytes", lambda: 10_000)
+        assert run_sim(_cfg(m=256, frames=50)).points[0].frames == 50
         with pytest.raises(ValueError,
                            match=r"decide_exhaustive needs Codebook\.exhaustive_table"):
-            run_sim(_cfg(frames=50, decoder="both"))
+            run_sim(_cfg(m=256, frames=50, decoder="both"))
 
     def test_refuses_a_block_index_draw_past_the_memory_budget(self, monkeypatch):
         probes = []
 
         def available():
             probes.append(1)
-            return 4000
+            return 10_000
 
         monkeypatch.setattr(codebook, "_available_bytes", available)
-        # 40 bytes a frame: 100 frames fit, 101 in one whole-burst block do not
-        for frames, coherence in ((100, None), (101, 101), (10**4, 11)):
+        sim.prepare(_cfg(frames=1))  # the cached codebook: partials take 4 kB at most
+        # 40 bytes a frame: 250 frames fit, 251 in one whole-burst block do not
+        for frames, coherence in ((250, None), (251, 251), (10**4, 11)):
             probes.clear()
             assert run_sim(_cfg(frames=frames, coherence=coherence)).points[0].frames == frames
             assert len(probes) == 1  # once per sweep, not per chunk
-        for frames, coherence, nf, mb in ((101, None, 101, "0.0"),
-                                          (10**13, 102, 101, "0.0"),
+        for frames, coherence, nf, mb in ((251, None, 251, "0.0"),
+                                          (10**13, 252, 251, "0.0"),
                                           (10**13, None, 10**13, "400000000.0")):
             with pytest.raises(ValueError) as err:
                 run_sim(_cfg(frames=frames, coherence=coherence))
@@ -258,13 +262,23 @@ class TestRunSim:
         assert builds == [16, 256]
         assert sim._codebook.cache_info().currsize == 1
 
-    def test_exhaustive_decoder_refuses_non_scaled_unitary_codebook(self, monkeypatch):
+    def test_every_decoder_refuses_non_scaled_unitary_codebook(self, monkeypatch):
+        # the differential chain itself needs X_t^H X_t = a_t I
+        message = "the differential chain needs scaled-unitary codewords"
         monkeypatch.setattr(sim.Codebook, "max_unitarity_residual", lambda self: 1e-3)
-        with pytest.raises(ValueError, match="scaled-unitary"):
-            run_sim(_cfg(frames=20, decoder="exhaustive"))
-        with pytest.raises(ValueError, match="scaled-unitary"):
-            run_sim(_cfg(frames=20, decoder="both"))
-        assert run_sim(_cfg(frames=20)).points[0].frames == 20
+        for decoder in ("group", "exhaustive", "both"):
+            with pytest.raises(ValueError, match=message):
+                run_sim(_cfg(frames=20, decoder=decoder))
+        monkeypatch.undo()
+        sim._codebook.cache_clear()  # it holds the residual of 1e-3
+        # x1I*x2I = +1 and x1Q*x2Q = +1: a real residual bound of 8, group decoding alone
+        same_sign = GroupSignalSet(dim=2, points=np.array([[1.0, 1.0], [-1.0, -1.0]]),
+                                   radii=(math.sqrt(2.0),), family="custom")
+        monkeypatch.setattr(sim, "build_codebook", lambda cfg: Codebook(
+            construct_design(2), SignalSet(groups=(same_sign,) * 4)))
+        with pytest.raises(ValueError, match=message + r", but the codebook's unitarity "
+                                                        r"residual is 8 "):
+            run_sim(_cfg(frames=20))
 
     def test_bit_errors_follow_bit_mapping(self, monkeypatch):
         # noiseless, constant-scale codebook: the exhaustive decision is the sent
@@ -299,7 +313,7 @@ class TestRunSim:
 
         monkeypatch.setattr(sim.Codebook, "max_unitarity_residual", counted)
         run_sim(_cfg(frames=20))
-        assert calls == []
+        assert calls == [1]  # a group-only sweep requires it too
         for _ in range(3):
             run_sim(_cfg(frames=20, decoder="both"))
         assert calls == [1]
