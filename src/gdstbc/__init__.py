@@ -41,8 +41,6 @@ from .diffcodec import (
 )
 from .signalset import (
     PRESETS,
-    GroupSignalSet,
-    SignalSet,
     circle_hyperbola_set,
     construct_signal_set,
     default_radii,

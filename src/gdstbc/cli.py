@@ -162,7 +162,7 @@ def _cmd_signalset(args) -> int:
     cfg.validate()
     # identical groups by default; the hyperbola family's quadrature groups
     # are the mirrored (x, -y) image of this list
-    points = build_signal_set(cfg).groups[0].points
+    points = build_signal_set(cfg)[0]
     print(json.dumps([list(row) for row in points]))
     return EXIT_OK
 

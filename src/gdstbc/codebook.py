@@ -1,10 +1,11 @@
 """Codebooks: a design combined with a signal set, plus the verifiers.
 
 A codebook enumerates the M codeword matrices S(x) obtained by letting
-each of the four variable groups pick one point from its alphabet.  The
-checks here cover everything the construction promises: scaled
-unitarity, injectivity, full diversity of pairwise differences, the
-block-determinant lower bound, coding gain and the average scale factor.
+each of the four variable groups pick one point from its alphabet, a
+(P_k, K/4) array of real points.  The checks here cover everything the
+construction promises: scaled unitarity, injectivity, full diversity of
+pairwise differences, the block-determinant lower bound, coding gain and
+the average scale factor.
 
 The verifiers never scan codeword pairs.  Weights of different groups
 anticommute and difference vectors are real, so every Gram splits into
@@ -27,7 +28,6 @@ from .design import (
     verify_doubling_blocks,
     verify_group_decodable,
 )
-from .signalset import SignalSet
 
 #: Relative threshold of the full-rank decision rule: a matrix is full
 #: rank iff its smallest singular value exceeds RANK_RTOL * max(1, largest).
@@ -145,12 +145,16 @@ class DiversityReport:
 class Codebook:
     """design x signal set, with per-group partial-codeword stacks.
 
-    ``group_stacks[k][p]`` holds S_k(p), the contribution of group k's
-    point p to the codeword matrix; ``compose`` sums four partials into
-    a codeword, or their ``group_norms`` into its scale.  ``partials``
-    stacks all four groups' partials, group 0 first, for the group
-    decoder's one-pass scan; ``group_stacks`` are views into it.  The
-    constructor refuses (ValueError) partials that do not fit in the
+    The signal set is ``alphabets``: four 2-D arrays of K/4 columns, group
+    k's P_k points in R^(K/4), as the ``signalset`` constructors return
+    them.  The constructor refuses (ValueError) any other shape, and keeps
+    its own read-only float64 copies as ``alphabets``; ``group_norms[k][p]``
+    is |x_k(p)|^2.  ``group_stacks[k][p]`` holds S_k(p), the contribution
+    of group k's point p to the codeword matrix; ``compose`` sums four
+    partials into a codeword, or their ``group_norms`` into its scale.
+    ``partials`` stacks all four groups' partials, group 0 first, for the
+    group decoder's one-pass scan; ``group_stacks`` are views into it.
+    The constructor refuses (ValueError) partials that do not fit in the
     memory available.  Only
     exhaustive decoding needs M-sized arrays, built lazily, and refused
     (ValueError) past the memory available: ``exhaustive_table`` (every
@@ -160,7 +164,7 @@ class Codebook:
     ``decode_exhaustive``).
     """
 
-    def __init__(self, design: LinearDesign, sset: SignalSet,
+    def __init__(self, design: LinearDesign, alphabets,
                  grouping: Grouping | None = None, check_decodable: bool = True):
         if grouping is None:
             grouping = canonical_grouping(design)
@@ -168,28 +172,31 @@ class Codebook:
             raise ValueError("codebooks are built on four-group partitions")
         if not grouping.covers(design.K):
             raise ValueError("grouping does not partition the design's variables")
-        if any(len(g) != design.K // 4 for g in grouping.groups):
+        dim = design.K // 4
+        if any(len(g) != dim for g in grouping.groups):
             raise ValueError("groups must all have K/4 variables")
-        if sset.dim != design.K // 4:
-            raise ValueError(
-                f"group dimension {sset.dim} does not match design K/4 = {design.K // 4}"
-            )
+        alphabets = tuple(np.array(a, dtype=np.float64, order="C") for a in alphabets)
+        if len(alphabets) != 4 or any(a.ndim != 2 or a.shape[1] != dim for a in alphabets):
+            raise ValueError(f"a signal set is four (P_k, {dim}) point arrays for a design "
+                             f"with K/4 = {dim}")
+        for a in alphabets:
+            a.setflags(write=False)
         self.design = design
-        self.sset = sset
+        self.alphabets = alphabets
         self.grouping = grouping
-        self.sizes = sset.sizes
+        self.sizes = tuple(len(a) for a in alphabets)
         self.M = math.prod(self.sizes)
         # the four groups' products and the array they are joined into
         check_memory("Codebook needs its partial codewords",
                      2 * sum(self.sizes) * design.n * design.n * 16)
         self.partials = np.concatenate([
-            np.tensordot(gset.points,
+            np.tensordot(points,
                          design.weight_stack[np.asarray(grouping.groups[k], dtype=np.intp)],
                          axes=(1, 0))
-            for k, gset in enumerate(sset.groups)
+            for k, points in enumerate(alphabets)
         ])
         self.group_stacks = np.split(self.partials, np.cumsum(self.sizes)[:-1])
-        self.group_norms = [gset.norms_sq() for gset in sset.groups]
+        self.group_norms = [np.einsum("pd,pd->p", points, points) for points in alphabets]
         self.group_decodable = (
             verify_group_decodable(design, grouping) if check_decodable else None
         )
@@ -237,14 +244,14 @@ class Codebook:
         in K values instead of the n^2 complex ones of its matrix.  The
         table is stored column-major, a (K, M) array viewed as (M, 4, K/4),
         so that a GEMV streams each coordinate's M values in order."""
-        dim = self.sset.dim
+        dim = self.design.K // 4
         check_memory("decide_exhaustive needs Codebook.exhaustive_table",
                      self.M * (4 * dim + 1) * np.dtype(dtype).itemsize)
         table = np.empty((4, dim, *self.sizes), dtype=dtype)
-        for k, gset in enumerate(self.sset.groups):
+        for k, points in enumerate(self.alphabets):
             shape = [1, 1, 1, 1]
             shape[k] = self.sizes[k]
-            table[k] = gset.points.T.reshape(dim, *shape)
+            table[k] = points.T.reshape(dim, *shape)
         norms = [nk.astype(dtype) for nk in self.group_norms]
         scales = self.compose(norms, np.ogrid[tuple(map(slice, self.sizes))]).ravel()
         return table.reshape(4 * dim, self.M).T.reshape(self.M, 4, dim), scales
@@ -272,11 +279,11 @@ class Codebook:
         """(blocks, norms, rows): every group's points in one block-diagonal
         (sum of sizes, K) array, group k's ``rows`` holding its points in
         its K/4 columns, and the group norms in the same row order."""
-        dim, lo, rows = self.sset.dim, 0, []
+        dim, lo, rows = self.design.K // 4, 0, []
         blocks = np.zeros((sum(self.sizes), 4 * dim))
-        for k, gset in enumerate(self.sset.groups):
+        for k, points in enumerate(self.alphabets):
             rows.append(slice(lo, lo + self.sizes[k]))
-            blocks[rows[k], k * dim:(k + 1) * dim] = gset.points
+            blocks[rows[k], k * dim:(k + 1) * dim] = points
             lo += self.sizes[k]
         return blocks, np.concatenate(self.group_norms), rows
 

@@ -2,7 +2,9 @@
 
 The codeword alphabet is a Cartesian product of four per-group point sets
 (one real vector per group), which is what keeps encoding and decoding
-separable.  Two families are provided:
+separable.  A signal set is therefore a tuple of four read-only float64
+(P_k, K/4) point arrays, which ``codebook.Codebook`` checks and combines
+with a design.  Two families are provided:
 
 * axis family: every point sits on a coordinate axis, at distances given
   by a strictly increasing radius list.  Works for every lam and makes
@@ -19,12 +21,8 @@ group, which puts unit average power on each group alphabet.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-AXIS = "axis"
-HYPERBOLA = "hyperbola"
 
 #: Radius presets, keyed by name.  Each entry is (lam, radii) with the radii
 #: given before normalisation.  "paper-8ant-rate2" is the published
@@ -45,57 +43,6 @@ PRESETS = {
         ),
     ),
 }
-
-
-@dataclass(frozen=True, eq=False)
-class GroupSignalSet:
-    """One group's alphabet: an ordered list of points in R^dim."""
-
-    dim: int
-    points: np.ndarray  # (P, dim) float64
-    radii: tuple[float, ...]
-    family: str
-    c: float | None = None
-
-    def __post_init__(self):
-        pts = np.ascontiguousarray(np.asarray(self.points, dtype=np.float64))
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise ValueError(f"points must have shape (P, {self.dim})")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
-
-    def norms_sq(self) -> np.ndarray:
-        return np.einsum("pd,pd->p", self.points, self.points)
-
-
-@dataclass(frozen=True, eq=False)
-class SignalSet:
-    """Cartesian product of four group alphabets."""
-
-    groups: tuple[GroupSignalSet, GroupSignalSet, GroupSignalSet, GroupSignalSet]
-
-    def __post_init__(self):
-        if len(self.groups) != 4:
-            raise ValueError("a signal set has exactly four groups")
-        dims = {g.dim for g in self.groups}
-        if len(dims) != 1:
-            raise ValueError("all four groups must share one dimension")
-
-    @property
-    def dim(self) -> int:
-        return self.groups[0].dim
-
-    @property
-    def sizes(self) -> tuple[int, int, int, int]:
-        return tuple(g.size for g in self.groups)
-
-    @property
-    def M(self) -> int:
-        return int(np.prod(self.sizes))
 
 
 def default_radii(p_half: int) -> np.ndarray:
@@ -159,8 +106,8 @@ def group_radii(m: int, dim: int, radii=None) -> np.ndarray:
     return normalize_radii(r, p / 2)
 
 
-def construct_signal_set(lam: int, m: int, radii=None) -> SignalSet:
-    """Axis-family signal set: identical groups of P = m**(1/4) points.
+def construct_signal_set(lam: int, m: int, radii=None) -> tuple[np.ndarray, ...]:
+    """Axis-family signal set: four identical groups of P = m**(1/4) points.
 
     Points come in sign pairs +-r_q e_j(q) with the axis cycling through
     the coordinates as the radius index grows:
@@ -176,11 +123,11 @@ def construct_signal_set(lam: int, m: int, radii=None) -> SignalSet:
         axis = (q - 1) % dim
         pts[2 * q - 2, axis] = r[q - 1]
         pts[2 * q - 1, axis] = -r[q - 1]
-    group = GroupSignalSet(dim=dim, points=pts, radii=tuple(float(v) for v in r), family=AXIS)
-    return SignalSet(groups=(group, group, group, group))
+    pts.setflags(write=False)
+    return (pts, pts, pts, pts)
 
 
-def preset_signal_set(name: str) -> SignalSet:
+def preset_signal_set(name: str) -> tuple[np.ndarray, ...]:
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
     lam, radii = PRESETS[name]
@@ -195,7 +142,8 @@ def hyperbola_intersection(r: float, c: float):
     circle and hyperbola do not meet, or meet tangentially (x0 == y0,
     which the diversity condition excludes).
     """
-    disc = r**4 - 4 * c**2
+    # c >= r^2/2 is refused before c**2 is taken, which overflows for huge c
+    disc = r**4 - 4 * c**2 if 2 * c < r * r else 0.0
     if disc <= 0:
         raise ValueError(
             f"hyperbola x*y={c} does not cross circle r={r} in two distinct points"
@@ -205,8 +153,9 @@ def hyperbola_intersection(r: float, c: float):
     return x0, y0
 
 
-def circle_hyperbola_set(radii, c: float, branch: str = "A") -> GroupSignalSet:
-    """2-D group alphabet from circle/hyperbola intersections.
+def circle_hyperbola_set(radii, c: float, branch: str = "A") -> np.ndarray:
+    """2-D group alphabet from circle/hyperbola intersections, a read-only
+    (P, 2) array.
 
     For each radius the hyperbola x*y = c crosses the circle in four
     points; keeping one diagonal pair (branch 'A': x0 > y0, branch 'B':
@@ -215,7 +164,8 @@ def circle_hyperbola_set(radii, c: float, branch: str = "A") -> GroupSignalSet:
     exists for negative testing only.
 
     Radii must already satisfy sum(r^2) = len(radii) (unit average symbol
-    power) and 0 < c < r_min^2.
+    power) and 0 < c < r_min^2/2 (``hyperbola_intersection`` refuses the
+    rest).
     """
     r = _check_radii(radii)
     if abs(float(np.sum(r * r)) - len(r)) > 1e-9:
@@ -224,39 +174,25 @@ def circle_hyperbola_set(radii, c: float, branch: str = "A") -> GroupSignalSet:
         raise ValueError("c must be finite")
     if c <= 0:
         raise ValueError("c must be positive")
-    if c >= r[0] ** 2:
-        raise ValueError(
-            f"c={c} >= r1^2={r[0]**2}: hyperbola misses the smallest circle"
-        )
     if branch not in ("A", "B", "AB"):
         raise ValueError("branch must be 'A', 'B' or 'AB'")
-    pts = []
-    for rv in r:
+    # per radius and branch, a point and its negative
+    pts = np.empty((len(r), len(branch), 2, 2))
+    for q, rv in enumerate(r):
         x0, y0 = hyperbola_intersection(float(rv), c)
-        if branch in ("A", "AB"):
-            pts += [(x0, y0), (-x0, -y0)]
-        if branch in ("B", "AB"):
-            pts += [(y0, x0), (-y0, -x0)]
-    return GroupSignalSet(dim=2, points=np.array(pts), radii=tuple(float(v) for v in r),
-                          family=HYPERBOLA, c=float(c))
+        for b, name in enumerate(branch):
+            pts[q, b, 0] = (x0, y0) if name == "A" else (y0, x0)
+    np.negative(pts[:, :, 0], out=pts[:, :, 1])
+    pts = pts.reshape(-1, 2)
+    pts.setflags(write=False)
+    return pts
 
 
-def q_mirror(gset: GroupSignalSet) -> GroupSignalSet:
-    """Mirror the second coordinate, flipping the hyperbola to x*y = -c.
-
-    The quadrature groups use this set so the in-phase and quadrature
-    product terms cancel in the codeword Gram matrix.
-    """
-    pts = gset.points.copy()
-    pts[:, 1] = -pts[:, 1]
-    c = -gset.c if gset.c is not None else None
-    return GroupSignalSet(dim=gset.dim, points=pts, radii=gset.radii,
-                          family=gset.family, c=c)
-
-
-def hyperbola_signal_set(radii, c: float, branch: str = "A") -> SignalSet:
-    """Four-group set for lam=2: +c set on the I groups, -c mirror on the Q groups."""
+def hyperbola_signal_set(radii, c: float, branch: str = "A") -> tuple[np.ndarray, ...]:
+    """Four-group set for lam=2: the x*y = +c set on the in-phase groups, its
+    mirror (x, -y), on x*y = -c, on the quadrature groups, so the in-phase
+    and quadrature product terms cancel in the codeword Gram matrix."""
     i_set = circle_hyperbola_set(radii, c, branch=branch)
-    q_set = q_mirror(i_set)
-    return SignalSet(groups=(i_set, q_set, i_set, q_set))
-
+    q_set = i_set * (1.0, -1.0)
+    q_set.setflags(write=False)
+    return (i_set, q_set, i_set, q_set)

@@ -40,7 +40,6 @@ from .design import MAX_LAMBDA, construct_design
 from .diffcodec import DECIDERS, INDEX_BYTES_PER_FRAME, block_frames
 from .signalset import (
     PRESETS,
-    SignalSet,
     construct_signal_set,
     group_radii,
     hyperbola_signal_set,
@@ -218,8 +217,10 @@ def noise_var_for_snr(snr_db: float, n: int) -> float:
     return n / (10.0 ** (snr_db / 10.0))
 
 
-def build_signal_set(cfg: SimConfig) -> SignalSet:
-    """The config's signal set: its preset, the hyperbola family or the axis family."""
+def build_signal_set(cfg: SimConfig) -> tuple[np.ndarray, ...]:
+    """The config's signal set, four (P, K/4) point arrays: its preset, the
+    hyperbola family or the axis family.  The constructors are called
+    through this module's globals (a profiler may wrap them there)."""
     if cfg.preset is not None:
         plam, pradii = PRESETS[cfg.preset]
         if cfg.lam != plam:

@@ -1,0 +1,111 @@
+"""The names perfbench reads or wraps still exist and still see their calls.
+
+perfbench/spans.py times a layer by rebinding a module global to a wrapper,
+and skips a name it cannot find, so a renamed or bypassed name would read
+as zero seconds in the traced per-layer metrics rather than fail.  The
+names below are those of spans.py's ``_patch`` calls and of
+perfbench/child.py's imports.
+"""
+
+import contextlib
+import importlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from gdstbc import Codebook, cli, construct_design, construct_signal_set, sim
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+#: (module, name) that perfbench wraps, "Codebook" for an attribute of a
+#: codebook; spans.py also tries sim's copies of the diffcodec names, which
+#: sim does not import.
+WRAPPED = [
+    ("gdstbc.diffcodec", "metric_scan"),
+    ("gdstbc.sim", "build_codebook"),
+    ("gdstbc.cli", "build_codebook"),
+    ("gdstbc.sim", "construct_design"),
+    ("gdstbc.cli", "construct_design"),
+    ("gdstbc.sim", "construct_signal_set"),
+    ("gdstbc.sim", "preset_signal_set"),
+    ("gdstbc.sim", "hyperbola_signal_set"),
+    ("gdstbc.codebook", "verify_group_decodable"),
+    ("gdstbc.cli", "verify_full_diversity"),
+    ("gdstbc.cli", "average_scale"),
+    ("Codebook", "max_unitarity_residual"),
+    ("Codebook", "matrices"),
+    *(("gdstbc.diffcodec", fn)
+      for fn in ("encoder_step", "channel_step", "decode_group", "decode_exhaustive")),
+]
+
+#: (module, name) that perfbench/child.py imports or calls.
+READ = [
+    *(("gdstbc", fn) for fn in (
+        "run_sim", "SimConfig", "Codebook", "construct_design", "construct_signal_set",
+        "ChannelConfig", "encoder_init", "encoder_step", "channel_step", "decode_group",
+        "decode_exhaustive", "estimate_scale", "BACKEND")),
+    ("gdstbc.cli", "main"),
+    ("gdstbc._kernels", "metric_scan"),
+    ("gdstbc.diffcodec", "draw_channel"),
+    ("gdstbc.sim", "noise_var_for_snr"),
+    *(("Codebook", attr) for attr in ("codeword_at", "sizes", "M", "n")),
+]
+
+
+def _tiny():
+    return construct_design(2), construct_signal_set(2, 16)
+
+
+@pytest.mark.parametrize("where, name", WRAPPED + READ,
+                         ids=[f"{w}.{n}" for w, n in WRAPPED + READ])
+def test_name_resolves(where, name):
+    owner = Codebook(*_tiny()) if where == "Codebook" else importlib.import_module(where)
+    assert getattr(owner, name, None) is not None
+
+
+@pytest.fixture
+def tracer():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        from spans import Tracer
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    t = Tracer()
+    t.install()
+    try:
+        yield t
+    finally:
+        t.uninstall()
+
+
+def test_traced_layers_see_their_calls(tracer):
+    """A sweep's set-up, ``codebook verify`` of each signal family and a first
+    ``Codebook.matrices`` reach every span that a traced per-layer metric of
+    perfbench/child.py reads (no sweep builds ``matrices``, so it is read
+    here directly)."""
+    sim._codebook.cache_clear()
+    try:
+        with tracer.span("bench.setup"):
+            sim.run_sim(sim.SimConfig(lam=2, m=16, coherence=10, decoder="both", frames=9))
+        with tracer.span("bench.verify"), contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["codebook", "verify", "--lambda", "2", "--points", "16"]) == 0
+            assert cli.main(["codebook", "verify", "--lambda", "2", "--points", "16",
+                             "--family", "hyperbola"]) == 0
+            assert cli.main(["codebook", "verify", "--lambda", "3", "--points", str(16**4),
+                             "--preset", "paper-8ant-rate2"]) == 0
+        with tracer.span("bench.matrices"):
+            assert Codebook(*_tiny()).matrices.shape == (16, 4, 4)
+    finally:
+        sim._codebook.cache_clear()
+    seen = {name for (_, name) in tracer.aggregate()}
+    want = {
+        "design.construct_design", "design.verify_group_decodable",
+        "signalset.construct_signal_set", "signalset.hyperbola_signal_set",
+        "signalset.preset_signal_set", "codebook.build_codebook", "codebook.matrices",
+        "codebook.verify_full_diversity", "codebook.average_scale",
+        "codebook.max_unitarity_residual", "kernels.metric_scan", "numpy.default_rng",
+    }
+    assert want <= seen, sorted(want - seen)
+    assert tracer.counters["scan_calls"] > 0 and tracer.counters["pairs_scanned"] > 0

@@ -89,7 +89,7 @@ class TestSignalsetCommand:
     def test_prints_the_codebook_alphabet_without_building_a_codebook(self, capsys,
                                                                        monkeypatch, args):
         ns = cli.build_parser().parse_args(["signalset", *args])
-        points = build_codebook(cli._signal_cfg(ns)).sset.groups[0].points
+        points = build_codebook(cli._signal_cfg(ns)).alphabets[0]
         want = json.dumps([list(row) for row in points]) + "\n"
 
         def refuse(*a, **kw):

@@ -16,8 +16,6 @@ from gdstbc.codebook import (
 )
 from gdstbc.design import Grouping, construct_design, evaluate
 from gdstbc.signalset import (
-    GroupSignalSet,
-    SignalSet,
     construct_signal_set,
     hyperbola_signal_set,
     normalize_radii,
@@ -50,7 +48,7 @@ class TestCodewordAssembly:
         assert cw.matrix[0, 1] == 0 and cw.matrix[1, 1] == x1
 
     def test_matches_design_evaluation(self, cb16):
-        pts = [g.points for g in cb16.sset.groups]
+        pts = cb16.alphabets
         grp = cb16.grouping
         d = cb16.design
         for idx in ((0, 0, 0, 0), (1, 0, 1, 1), (0, 1, 0, 1)):
@@ -94,7 +92,7 @@ class TestCodewordAssembly:
             assert abs(x1.real) == 1.0 and abs(x1.imag) == 1.0
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="four"):
             Codebook(construct_design(3), construct_signal_set(2, 16))
 
 
@@ -133,7 +131,7 @@ class TestCoordinates:
 
     def test_points_place_the_real_vector_of_each_codeword(self, cb):
         points = cb.coordinate_table(np.float64)[0]
-        pts = [g.points for g in cb.sset.groups]
+        pts = cb.alphabets
         order = np.concatenate(cb.grouping.groups)
         for lin in (0, 1, cb.M // 3, cb.M - 1):
             x = assemble_real_vector(cb.grouping, pts, cb.unravel_index(lin))
@@ -227,12 +225,10 @@ class TestMemoryBudget:
 class TestScaledUnitarity:
     def test_perturbed_hyperbola_set_fails(self):
         good = hyperbola_signal_set([1.0], 0.25)
-        g0 = good.groups[0]
-        pts = g0.points.copy()
+        pts = good[0].copy()
         assert pts[0, 0] * pts[0, 1] == pytest.approx(0.25)
         pts[0, 0] += 0.1  # pull one point off the hyperbola x*y = c
-        moved = GroupSignalSet(dim=2, points=pts, radii=g0.radii, family=g0.family, c=g0.c)
-        cb = Codebook(construct_design(2), SignalSet(groups=(moved, *good.groups[1:])))
+        cb = Codebook(construct_design(2), (pts, *good[1:]))
         assert cb.max_unitarity_residual() > UNITARITY_TOL
         assert pair_scan(cb)["max_unitarity_residual"] > UNITARITY_TOL
 
@@ -251,9 +247,8 @@ class TestScaledUnitarity:
         assert cb.unitarity_residual <= UNITARITY_TOL
 
     def test_require_scaled_unitary_refuses_same_sign_control(self):
-        same_sign = GroupSignalSet(dim=2, points=np.array([[1.0, 1.0], [-1.0, -1.0]]),
-                                   radii=(math.sqrt(2.0),), family="custom")
-        cb = Codebook(construct_design(2), SignalSet(groups=(same_sign,) * 4))
+        same_sign = np.array([[1.0, 1.0], [-1.0, -1.0]])
+        cb = Codebook(construct_design(2), (same_sign,) * 4)
         with pytest.raises(ValueError, match="needs scaled-unitary codewords.*residual is 8 "):
             cb.require_scaled_unitary()
         assert cb.unitarity_residual == pytest.approx(8.0)
@@ -366,9 +361,8 @@ class TestCodingGain:
         assert verify_full_diversity(cb_alamouti).coding_gain == pytest.approx(4.0, abs=1e-9)
 
     def test_repeated_codeword_gives_zero(self):
-        g = GroupSignalSet(dim=2, points=np.array([[1.0, 0.0], [1.0, 0.0]]),
-                           radii=(1.0,), family="custom")
-        cb = Codebook(construct_design(2), SignalSet(groups=(g, g, g, g)))
+        g = np.array([[1.0, 0.0], [1.0, 0.0]])
+        cb = Codebook(construct_design(2), (g, g, g, g))
         assert verify_full_diversity(cb).coding_gain == pytest.approx(0.0, abs=1e-12)
 
     def test_lambda2_regression_value(self, cb16):
@@ -391,7 +385,7 @@ class TestAverageScale:
     def test_group_marginal_oracle(self):
         # exhaustive mean equals the sum of per-group mean norms
         cb = Codebook(construct_design(3), preset_signal_set("paper-8ant-rate2"))
-        oracle = sum(float(np.mean(g.norms_sq())) for g in cb.sset.groups)
+        oracle = sum(float(np.mean(np.sum(g * g, axis=1))) for g in cb.alphabets)
         assert average_scale(cb) == pytest.approx(oracle, abs=1e-9)
         # four unit-power groups: the mean scale is 4 regardless of lam
         assert average_scale(cb) == pytest.approx(4.0, abs=1e-9)
@@ -403,9 +397,8 @@ class TestAverageScale:
 
     def test_single_unitary_codeword(self):
         half = math.sqrt(0.5)
-        g_i = GroupSignalSet(dim=1, points=np.array([[half]]), radii=(half,), family="custom")
-        g_z = GroupSignalSet(dim=1, points=np.array([[0.0]]), radii=(), family="custom")
-        cb = Codebook(construct_design(1), SignalSet(groups=(g_i, g_i, g_z, g_z)))
+        g_i, g_z = np.array([[half]]), np.array([[0.0]])
+        cb = Codebook(construct_design(1), (g_i, g_i, g_z, g_z))
         assert cb.M == 1
         assert cb.max_unitarity_residual() <= UNITARITY_TOL
         assert cb.codeword_at((0, 0, 0, 0)).scale_sq == pytest.approx(1.0, abs=1e-12)
@@ -436,7 +429,7 @@ class TestCodebookInvariants:
         assert cb.rate_bits_per_use == pytest.approx(2.0, abs=1e-12)
 
     def test_size_is_product_of_groups(self, cb16):
-        assert cb16.M == int(np.prod(cb16.sizes)) == 16
+        assert cb16.M == math.prod(cb16.sizes) == 16
 
     def test_group_decodable_flag(self, cb16):
         assert cb16.group_decodable is True
@@ -472,18 +465,16 @@ class TestPairScanOracle:
         assert rep.all_full_rank and rep.bound_holds
 
     def test_negative_controls(self):
-        same_sign = GroupSignalSet(dim=2, points=np.array([[1.0, 1.0], [-1.0, -1.0]]),
-                                   radii=(math.sqrt(2.0),), family="custom")
-        repeated = GroupSignalSet(dim=2, points=np.array([[1.0, 0.0], [1.0, 0.0]]),
-                                  radii=(1.0,), family="custom")
+        same_sign = np.array([[1.0, 1.0], [-1.0, -1.0]])
+        repeated = np.array([[1.0, 0.0], [1.0, 0.0]])
         d = construct_design(2)
         ab = Codebook(d, hyperbola_signal_set([1.0], 0.25, branch="AB"))
         rep = _assert_matches_pair_scan(ab)
         assert not rep.all_full_rank and rep.min_abs_det == pytest.approx(0.0, abs=1e-12)
-        cb = Codebook(d, SignalSet(groups=(same_sign,) * 4))
+        cb = Codebook(d, (same_sign,) * 4)
         _assert_matches_pair_scan(cb)
         assert cb.max_unitarity_residual() > UNITARITY_TOL
-        cb = Codebook(d, SignalSet(groups=(repeated,) * 4))
+        cb = Codebook(d, (repeated,) * 4)
         assert _assert_matches_pair_scan(cb).coding_gain == 0.0
 
     @settings(max_examples=12, deadline=None, derandomize=True)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,6 @@ from gdstbc.codebook import UNITARITY_TOL, Codebook, verify_full_diversity
 from gdstbc.design import construct_design
 from gdstbc.signalset import (
     PRESETS,
-    GroupSignalSet,
-    SignalSet,
     circle_hyperbola_set,
     construct_signal_set,
     default_radii,
@@ -16,7 +15,6 @@ from gdstbc.signalset import (
     hyperbola_intersection,
     hyperbola_signal_set,
     preset_signal_set,
-    q_mirror,
 )
 from gdstbc.sim import SimConfig, build_signal_set
 
@@ -61,18 +59,18 @@ class TestDefaultRadii:
 class TestAxisFamily:
     def test_lambda2_sixteen_points(self):
         ss = construct_signal_set(2, 16)
-        assert ss.M == 16 and ss.dim == 2
-        assert np.allclose(ss.groups[0].points, [[1.0, 0.0], [-1.0, 0.0]], atol=1e-12)
+        assert len(ss) == 4 and math.prod(len(pts) for pts in ss) == 16
+        for pts in ss:
+            assert np.allclose(pts, [[1.0, 0.0], [-1.0, 0.0]], atol=1e-12)
 
     def test_lambda1_bpsk_per_dimension(self):
         ss = construct_signal_set(1, 16)
-        assert ss.dim == 1
-        assert np.allclose(ss.groups[0].points, [[1.0], [-1.0]], atol=1e-12)
+        assert {pts.shape for pts in ss} == {(2, 1)}
+        assert np.allclose(ss[0], [[1.0], [-1.0]], atol=1e-12)
 
     def test_point_structure(self):
         # sign pairs on cycling axes, exactly one nonzero coordinate each
-        ss = construct_signal_set(3, 4096)
-        pts = ss.groups[0].points
+        pts = construct_signal_set(3, 4096)[0]
         assert pts.shape == (8, 4)
         assert np.all(np.count_nonzero(pts, axis=1) == 1)
         assert np.allclose(pts[0::2], -pts[1::2], atol=1e-12)
@@ -80,19 +78,20 @@ class TestAxisFamily:
         assert [int(np.flatnonzero(p)[0]) for p in pts[0::2]] == [0, 1, 2, 3]
 
     def test_points_distinct_and_sign_balanced(self):
-        ss = construct_signal_set(3, 16**4)
-        pts = ss.groups[0].points
+        pts = construct_signal_set(3, 16**4)[0]
         assert len({tuple(p) for p in pts}) == len(pts)
         assert np.allclose(pts.sum(axis=0), 0.0, atol=1e-12)
 
     def test_group_power_is_unit(self):
         for lam, m in ((1, 16), (2, 256), (3, 4096)):
-            ss = construct_signal_set(lam, m)
-            assert np.mean(ss.groups[0].norms_sq()) == pytest.approx(1.0, abs=1e-9)
+            for pts in construct_signal_set(lam, m):
+                assert np.mean(np.sum(pts * pts, axis=1)) == pytest.approx(1.0, abs=1e-9)
 
     def test_supplied_radii_are_normalised(self):
-        ss = construct_signal_set(2, 256, radii=(10.0, 30.0))
-        assert np.sum(np.asarray(ss.groups[0].radii) ** 2) == pytest.approx(2.0, abs=1e-12)
+        # sign pairs, so the P/2 radii's squares sum to half the points' norms
+        pts = construct_signal_set(2, 256, radii=(10.0, 30.0))[0]
+        assert np.sum(pts * pts) / 2 == pytest.approx(2.0, abs=1e-12)
+        assert np.linalg.norm(pts[2]) / np.linalg.norm(pts[0]) == pytest.approx(3.0)
 
     @pytest.mark.parametrize("bad_m", [15, 81, 64, 2401, 17, 0, -16, 10**400 + 1])
     def test_rejects_bad_point_counts(self, bad_m):
@@ -136,8 +135,7 @@ class TestPaperPreset:
         assert abs(sum(r * r for r in PAPER_RADII) - 8.0) <= 5e-3
 
     def test_preset_reproduces_listing(self):
-        ss = preset_signal_set("paper-8ant-rate2")
-        pts = ss.groups[0].points
+        pts = preset_signal_set("paper-8ant-rate2")[0]
         assert pts.shape == (16, 4)
         expected = np.zeros((16, 4))
         for q in range(8):
@@ -146,7 +144,7 @@ class TestPaperPreset:
             expected[2 * q + 1, axis] = -PAPER_RADII[q]
         # entry-for-entry up to the 4-decimal rounding of the leading radius
         assert np.allclose(pts, expected, atol=5e-4)
-        assert np.sum(np.asarray(ss.groups[0].radii) ** 2) == pytest.approx(8.0, abs=1e-9)
+        assert np.sum(pts * pts) / 2 == pytest.approx(8.0, abs=1e-9)
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
@@ -161,8 +159,8 @@ class TestCircleHyperbola:
     def test_quarter_c_points(self):
         g = circle_hyperbola_set([1.0], 0.25)
         x0, y0 = 0.9659258262890683, 0.25881904510252074
-        assert np.allclose(g.points, [[x0, y0], [-x0, -y0]], atol=1e-12)
-        for x, y in g.points:
+        assert np.allclose(g, [[x0, y0], [-x0, -y0]], atol=1e-12)
+        for x, y in g:
             assert x * x + y * y == pytest.approx(1.0, abs=1e-12)
             assert x * y == pytest.approx(0.25, abs=1e-12)
 
@@ -173,7 +171,9 @@ class TestCircleHyperbola:
             circle_hyperbola_set([1.0], 0.5)
 
     def test_footnote_bound_rejected(self):
-        for c in (1.0, 1.5):
+        # 0.75 lies between r^2/2 and r^2: the hyperbola crosses no circle
+        # there, and 1e200 would overflow c**2
+        for c in (0.75, 1.0, 1.5, 1e200):
             with pytest.raises(ValueError):
                 circle_hyperbola_set([1.0], c)
 
@@ -201,31 +201,35 @@ class TestCircleHyperbola:
         # 1, so the default c and every group match the default set's
         want = build_signal_set(SimConfig(lam=2, m=16, family="hyperbola"))
         got = build_signal_set(SimConfig(lam=2, m=16, family="hyperbola", radii=(2.0,)))
-        for g, w in zip(got.groups, want.groups):
-            assert g.radii == w.radii == (1.0,) and g.c == w.c
-            assert np.array_equal(g.points, w.points)
+        assert len(got) == len(want) == 4
+        for g, w, sign in zip(got, want, (1.0, -1.0, 1.0, -1.0)):
+            assert np.array_equal(g, w)
+            # radius 1 and the default c = r^2/4, +c on I and -c on Q groups
+            assert np.allclose(np.sum(g * g, axis=1), 1.0, atol=1e-12)
+            assert np.allclose(g[:, 0] * g[:, 1], sign * 0.25, atol=1e-12)
 
     def test_two_circles(self):
         radii = np.array([0.8, 1.0]) / math.sqrt(0.82)  # sum of squares = 2
         g = circle_hyperbola_set(radii, 0.1)
-        assert g.size == 4
-        for (x, y), r in zip(g.points, np.repeat(radii, 2)):
+        assert g.shape == (4, 2)
+        for (x, y), r in zip(g, np.repeat(radii, 2)):
             assert x * x + y * y == pytest.approx(r * r, abs=1e-12)
             assert x * y == pytest.approx(0.1, abs=1e-12)
 
-    def test_q_mirror_flips_hyperbola(self):
+    def test_quadrature_groups_mirror_the_hyperbola(self):
         g = circle_hyperbola_set([1.0], 0.25)
-        gq = q_mirror(g)
-        assert gq.c == pytest.approx(-0.25)
-        for x, y in gq.points:
+        gq = hyperbola_signal_set([1.0], 0.25)[1]
+        assert np.array_equal(gq, g * (1.0, -1.0))
+        for x, y in gq:
             assert x * y == pytest.approx(-0.25, abs=1e-12)
 
     def test_branches(self):
         a = circle_hyperbola_set([1.0], 0.25, branch="A")
         b = circle_hyperbola_set([1.0], 0.25, branch="B")
         ab = circle_hyperbola_set([1.0], 0.25, branch="AB")
-        assert a.size == b.size == 2 and ab.size == 4
-        assert np.allclose(b.points, a.points[:, ::-1], atol=1e-12)
+        assert len(a) == len(b) == 2 and len(ab) == 4
+        assert np.allclose(b, a[:, ::-1], atol=1e-12)
+        assert np.array_equal(ab, np.concatenate([a, b]))
         with pytest.raises(ValueError):
             circle_hyperbola_set([1.0], 0.25, branch="C")
 
@@ -278,10 +282,8 @@ class TestScaledUnitarity:
     def test_same_sign_products_fail(self):
         # x1I*x2I = +1 and x1Q*x2Q = +1 breaks the cancellation that
         # scaled unitarity needs
-        g = GroupSignalSet(dim=2, points=np.array([[1.0, 1.0], [-1.0, -1.0]]),
-                           radii=(math.sqrt(2.0),), family="custom")
-        ss = SignalSet(groups=(g, g, g, g))
-        assert self.residual(ss, 2) > UNITARITY_TOL
+        g = np.array([[1.0, 1.0], [-1.0, -1.0]])
+        assert self.residual((g, g, g, g), 2) > UNITARITY_TOL
 
     def test_large_codebook(self):
         # exact at M = 16^4 from the per-group excesses
@@ -289,19 +291,68 @@ class TestScaledUnitarity:
         assert self.residual(preset_signal_set("paper-8ant-rate2"), 3) <= UNITARITY_TOL
 
 
-class TestSignalSetValidation:
+class TestAlphabetValidation:
+    """A signal set is four 2-D point arrays of K/4 columns; ``Codebook`` is
+    the one place that checks it."""
+
     def test_four_groups_required(self):
-        g = construct_signal_set(2, 16).groups[0]
-        with pytest.raises(ValueError):
-            SignalSet(groups=(g, g, g))
+        g = construct_signal_set(2, 16)[0]
+        with pytest.raises(ValueError, match="four"):
+            Codebook(construct_design(2), (g, g, g))
+        with pytest.raises(ValueError, match="four"):
+            Codebook(construct_design(2), (g,) * 5)
 
-    def test_mixed_dimensions_rejected(self):
-        g2 = construct_signal_set(2, 16).groups[0]
-        g1 = construct_signal_set(1, 16).groups[0]
-        with pytest.raises(ValueError):
-            SignalSet(groups=(g2, g2, g2, g1))
+    def test_wrong_dimension_rejected(self):
+        g2 = construct_signal_set(2, 16)[0]
+        g1 = construct_signal_set(1, 16)[0]
+        with pytest.raises(ValueError, match="K/4 = 2"):
+            Codebook(construct_design(2), (g2, g2, g2, g1))
+        with pytest.raises(ValueError, match="K/4 = 4"):
+            Codebook(construct_design(3), (g2,) * 4)
 
-    def test_points_immutable(self):
-        g = construct_signal_set(2, 16).groups[0]
-        with pytest.raises(ValueError):
-            g.points[0, 0] = 5.0
+    def test_one_dimensional_array_rejected(self):
+        g = construct_signal_set(2, 16)[0]
+        with pytest.raises(ValueError, match="four"):
+            Codebook(construct_design(2), (g, g, g, np.array([1.0, -1.0])))
+
+    @pytest.mark.parametrize("sset", [
+        construct_signal_set(2, 256),
+        preset_signal_set("paper-8ant-rate2"),
+        hyperbola_signal_set([1.0], 0.25),
+        hyperbola_signal_set([1.0], 0.25, branch="AB"),
+        (circle_hyperbola_set([1.0], 0.25),),
+    ], ids=["axis", "preset", "hyperbola", "hyperbola-AB", "circle-hyperbola"])
+    def test_points_immutable(self, sset):
+        for pts in sset:
+            assert pts.dtype == np.float64 and not pts.flags.writeable
+            with pytest.raises(ValueError):
+                pts[0, 0] = 5.0
+
+    def test_codebook_keeps_read_only_copies(self):
+        # writable input arrays are copied, so later writes to them leave the
+        # codebook's alphabets, partials and norms as they were
+        g = np.array([[1, 0], [-1, 0]])
+        cb = Codebook(construct_design(2), (g, g, g, g))
+        g[0, 0] = 5
+        for pts in cb.alphabets:
+            assert pts.dtype == np.float64 and not pts.flags.writeable
+            assert np.array_equal(pts, [[1.0, 0.0], [-1.0, 0.0]])
+            with pytest.raises(ValueError):
+                pts[0, 0] = 5.0
+        assert [nk.tolist() for nk in cb.group_norms] == [[1.0, 1.0]] * 4
+
+
+class TestMemoryPeak:
+    def test_hyperbola_points_fit_what_group_radii_counts(self):
+        # 50 000 radii, 100 000 points: the peak stays within the bytes
+        # group_radii checks for the group's radii and points (2.0 MB)
+        p = 100_000
+        radii = default_radii(p // 2)
+        tracemalloc.start()
+        try:
+            pts = circle_hyperbola_set(radii, float(radii[0]) ** 2 / 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pts.shape == (p, 2)
+        assert peak <= 8 * (p // 2 + p * 2)

@@ -21,7 +21,7 @@ from gdstbc.diffcodec import (
     encoder_init,
     encoder_step,
 )
-from gdstbc.signalset import GroupSignalSet, SignalSet, construct_signal_set
+from gdstbc.signalset import construct_signal_set
 from gdstbc.sim import (
     CSV_HEADER,
     SimConfig,
@@ -272,10 +272,9 @@ class TestRunSim:
         monkeypatch.undo()
         sim._codebook.cache_clear()  # it holds the residual of 1e-3
         # x1I*x2I = +1 and x1Q*x2Q = +1: a real residual bound of 8, group decoding alone
-        same_sign = GroupSignalSet(dim=2, points=np.array([[1.0, 1.0], [-1.0, -1.0]]),
-                                   radii=(math.sqrt(2.0),), family="custom")
+        same_sign = np.array([[1.0, 1.0], [-1.0, -1.0]])
         monkeypatch.setattr(sim, "build_codebook", lambda cfg: Codebook(
-            construct_design(2), SignalSet(groups=(same_sign,) * 4)))
+            construct_design(2), (same_sign,) * 4))
         with pytest.raises(ValueError, match=message + r", but the codebook's unitarity "
                                                         r"residual is 8 "):
             run_sim(_cfg(frames=20))
