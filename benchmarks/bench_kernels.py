@@ -4,14 +4,16 @@
 Times one differential decode metric scan (the hot loop of both decoders
 and of the Monte Carlo simulator) over codebooks of increasing size: the
 direct scan over the codeword stack (where the stack takes at most
-``DIRECT_MAX_BYTES``), and the two forms of the scan the simulator's
-exhaustive decoder uses, over the codewords' real coordinates
-(``Codebook.coordinate_table`` with ``basis``): float64, and float32 with
-a float64 re-score of its candidates.  For each size it prints which
+``DIRECT_MAX_BYTES``), and the two forms of the coordinate scan the
+simulator's exhaustive decoder uses, over the codewords' real coordinates
+(``Codebook.coordinate_table``) against the frame's h: float64, and
+float32 with a float64 re-score of its candidates.  h is formed once per
+frame outside the timed scan (``diffcodec.correlate``, which the
+simulator runs once per window).  For each size it prints which
 coordinate form is faster; that comparison sets
 ``codebook.FLOAT32_SCAN_BYTES``, the size at which
 ``Codebook.exhaustive_table`` switches from one to the other.  Then the
-direct scan over single group stacks, the (M^(1/4), n, n) stacks the
+coordinate scan of single groups, the (M^(1/4), 1, K/4) point tables the
 simulator's group decoder scans four times per frame, where per-call
 overhead, not arithmetic, sets the cost.  Then the per-frame cost of the
 two decoders through the public API on the largest codebook.
@@ -22,6 +24,7 @@ Run from the repository root:
 """
 
 import argparse
+import functools
 import statistics
 import sys
 import time
@@ -34,7 +37,12 @@ import numpy as np  # noqa: E402
 from gdstbc._kernels import metric_scan  # noqa: E402
 from gdstbc.codebook import Codebook  # noqa: E402
 from gdstbc.design import construct_design  # noqa: E402
-from gdstbc.diffcodec import decode_exhaustive, decode_group  # noqa: E402
+from gdstbc.diffcodec import (  # noqa: E402
+    correlate,
+    decode_exhaustive,
+    decode_group,
+    fold,
+)
 from gdstbc.signalset import construct_signal_set, preset_signal_set  # noqa: E402
 
 
@@ -44,19 +52,28 @@ DIRECT_MAX_BYTES = 70 * 10**6
 
 def _direct(cb):
     stack = cb.matrices
-    return lambda *frame: metric_scan(stack, *frame)
+    return (lambda *frame: frame), (lambda *frame: metric_scan(stack, *frame)[0])
+
+
+def _frame_h(cb, r_prev, r_t, inv_a):
+    """(h,) of one frame, as the simulator's deciders form it."""
+    g, energy = correlate(cb, r_t[None], r_prev)
+    return (fold(g[0], energy[0], inv_a ** -2),)
 
 
 def _coordinates(dtype):
     def bind(cb):
         table, scales = cb.coordinate_table(dtype)
-        extra = (scales, cb.basis, cb.coordinate_metrics, cb.scale_max)
-        return lambda *frame: metric_scan(table, *frame, *extra)
+        rescore, scale_max = cb.coordinate_metrics, cb.scale_max
+        return (functools.partial(_frame_h, cb),
+                lambda h: metric_scan(table, h, scales, rescore=rescore, scale_max=scale_max))
     return bind
 
 
 #: The timed scans: a name, and a function of the codebook that builds the
-#: scan's arrays once and returns scan(r_prev, r_t, inv_a).
+#: scan's arrays once and returns (operands, scan): operands(r_prev, r_t,
+#: inv_a) forms a frame's scan arguments, untimed, and scan(*operands)
+#: returns the decided index.
 SCANS = [("direct", _direct), ("coords64", _coordinates(np.float64)),
          ("coords32", _coordinates(np.float32))]
 
@@ -97,10 +114,10 @@ def main():
         scans = [bind(cb) for _, bind in (SCANS if direct else SCANS[1:])]
         frame = (random_frame(rng, n), random_frame(rng, n), 1.0)
         number = max(1, 2**16 // m)  # samples of at least ~1 ms
-        times = [time_call(scan, frame, args.repeats, number) for scan in scans]
-        want = scans[0](*frame)[0]
-        for scan in scans:
-            assert scan(*frame)[0] == want, "scans disagree on the argmin"
+        times = [time_call(scan, operands(*frame), args.repeats, number)
+                 for operands, scan in scans]
+        want = {scan(*operands(*frame)) for operands, scan in scans}
+        assert len(want) == 1, "scans disagree on the argmin"
         row = [f"{f'lam={lam} n={n}':>16} {m:>6} {cb.M * cb.design.K * 8 / 1e6:>9.2f}"]
         row += [] if direct else [f"{'-':>12}"]
         row += [f"{t * 1e6:>10.1f}us" for t in times]
@@ -108,17 +125,19 @@ def main():
         print(" ".join(row))
         del cb, scans
 
-    print("\ndirect scan of one group stack (four per group-decoded frame):")
+    print("\ncoordinate scan of one group (four per group-decoded frame):")
     group_cases = [
         ("lam=2, M=16", construct_signal_set(2, 16), 2),
         ("preset paper-8ant-rate2", preset_signal_set("paper-8ant-rate2"), 3),
         ("lam=4, M=16^4", construct_signal_set(4, 16**4), 4),
     ]
     for label, sset, lam in group_cases:
-        stack = Codebook(construct_design(lam), sset, check_decodable=False).group_stacks[0]
-        r_prev, r_t = random_frame(rng, stack.shape[1]), random_frame(rng, stack.shape[1])
-        t = time_call(metric_scan, (stack, r_prev, r_t, 1.0), args.repeats, number=2000)
-        print(f"{label:>24} {str(stack.shape):>12} {t * 1e6:8.2f}us")
+        cb = Codebook(construct_design(lam), sset, check_decodable=False)
+        table = cb.alphabets[0][:, None]
+        frame = (random_frame(rng, cb.n), random_frame(rng, cb.n), 1.0)
+        h = _frame_h(cb, *frame)[0][:table.shape[2]]
+        t = time_call(metric_scan, (table, h, cb.group_norms[0]), args.repeats, number=2000)
+        print(f"{label:>24} {str(table.shape):>12} {t * 1e6:8.2f}us")
 
     print("\nfull decoder paths on lam=3, M=16^4:")
     cb = Codebook(construct_design(3), construct_signal_set(3, 16**4))

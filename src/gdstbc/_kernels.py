@@ -1,39 +1,42 @@
 """The decoder metric kernel (NumPy), and BLAS thread control.
 
-``metric_scan`` makes one BLAS call per scan over the candidates.  In
-its direct form the (M, n, n) candidate stack is viewed as one (M*n, n)
-matrix and multiplied by ``r_prev`` (a GEMV for one receive antenna), so
-the scan streams the stack once instead of running M tiny matrix
-products.  The first candidate index achieving the minimum wins.
+``metric_scan`` makes one BLAS call per scan over the candidates, in one
+of two forms.  In its direct form the (M, n, n) candidate stack is
+viewed as one (M*n, n) matrix and multiplied by ``r_prev`` (a GEMV for
+one receive antenna), so the scan streams the stack once instead of
+running M tiny matrix products.  The first candidate index achieving
+the minimum wins.
 
-Given ``scales`` and ``basis``, the scan takes a linear design's
-codebook in its real coordinates instead of its matrices: ``stack`` is
-the (M, 4, K/4) array of every codeword's group points, ``basis`` the K
-weight matrices A_v in the same order, so that S_m = sum_v x_m[v] A_v,
-and ``scales`` the a_m with S_m^H S_m = a_m I.  The metric then expands
-as
+Its coordinate form takes a linear design's codewords in their real
+coordinates instead of their matrices: an (M, r, d) table holding every
+codeword's K = r*d real coordinates against as many weight matrices A_v,
+so that S_m = sum_v x_m[v] A_v, and the scales a_m with S_m^H S_m = a_m I.
+For such a scaled-unitary codebook the metric expands as
 
     ||r_t||^2 + c a_m - 2 inv_a Re tr(r_t^H S_m r_prev),
     c = inv_a^2 ||r_prev||^2,
 
 and by linearity the cross term is x_m . g with g_v = Re tr(r_t^H A_v
-r_prev), the real inner product of r_t and A_v r_prev.  Two tiny
-products form g (one GEMM for every A_v r_prev, one real GEMV of their
-float64 view against r_t's), and one real (M, K) GEMV scores every
-candidate: 8 K bytes of coordinates per codeword where the matrices
-take 16 n^2, n times less.  The scan makes one M-sized array: g is
-scaled by -2 inv_a / c, so the GEMV and an in-place add of ``scales``
-give the metric less ||r_t||^2, divided by c.  That has the same
-argmin; ||r_t||^2 and the factor c are applied to the winner only.
-The caller vouches for the scaled unitarity; on a codebook that breaks
-it the result is a different metric.
+r_prev), the real inner product of r_t and A_v r_prev.  The caller forms
+g (``diffcodec`` does it once per window of frames) and passes
+h = -2 inv_a g / c: the metric less ||r_t||^2, divided by c, is then
+x_m . h + a_m, with the same argmin.  One real (M, K) GEMV and an
+in-place add of the scales score every candidate, reading 8 K bytes per
+codeword where the matrices take 16 n^2 (n times less for a rate-1
+design, K = 2n), and no M-sized array is made but the metrics.  An h of
+None stands for c == 0 (r_prev == 0): every candidate then ties and
+index 0 wins.  The caller vouches for the scaled unitarity; on a
+codebook that breaks it the result is a different metric.  The
+simulator's exhaustive decoder scans all M codewords this way, its group
+decoder each group's points (a group's share of the metric is
+x_k . h_k + |x_k|^2, on the group's slice of h), so both decoders scan
+the same h.
 
-A float32 ``stack`` (with float32 ``scales``) halves the bytes that GEMV
-reads, and the scan stays exact ML.  Write h = -2 inv_a g / c for the
-float64 scaled vector, F_m = x_m . h + a_m for the exact divided metric,
-and f_m for its float32 value: the table, h and the scales rounded to
-float32 (the scales summed from four rounded group norms), one
-single-precision GEMV and one float32 add.  With u = 2^-24 and
+A float32 table (with float32 scales) halves the bytes that GEMV reads,
+and the scan stays exact ML.  Write F_m = x_m . h + a_m for the exact
+divided metric and f_m for its float32 value: the table, h and the
+scales rounded to float32 (the scales summed from four rounded group
+norms), one single-precision GEMV and one float32 add.  With u = 2^-24 and
 gamma_j = j u / (1 - j u), each product x_v h_v picks up three relative
 roundings (table, h, product) and at most K - 1 additions in whatever
 order the GEMV sums them, so the dot product is within
@@ -65,8 +68,7 @@ usual tie rule.  When ||h|| or sqrt(a_max) ||h|| + a_max leaves the
 float32 range, delta is infinite and nothing is scanned in float32;
 then, or when the float32 minimum is not finite (a NaN among the
 metrics), all M codewords are re-scored in float64.  With delta finite
-every |f_m| stays below 2^127, so no metric overflows.  When c == 0
-every metric is equal and index 0 wins.
+every |f_m| stays below 2^127, so no metric overflows.
 
 OpenBLAS threads that GEMV once the stack is large enough.  Pool workers
 that scan side by side would then oversubscribe the cores, so the
@@ -103,43 +105,31 @@ def metric_values(stack, r_prev, r_t, inv_a):
     return np.vecdot(parts, parts)
 
 
-def metric_scan(stack, r_prev, r_t, inv_a, scales=None, basis=None, rescore=None,
-                scale_max=None):
-    """argmin_m || r_t - inv_a * S_m @ r_prev ||_F^2 over M candidates.
+def metric_scan(stack, *frame, rescore=None, scale_max=None):
+    """The first index of the smallest decoder metric over M candidates.
 
-    Without ``scales`` the candidates are the matrices of ``stack``.
-    With ``scales`` and ``basis`` they are the codewords of a
-    scaled-unitary linear design, given by their coordinates ``stack``,
-    and the scan uses the expansion in the module docstring.  A float32
-    ``stack`` and ``scales`` take the float32 form there, which also needs
-    ``scale_max`` >= every scale and ``rescore(h, lin)``, the float64
-    x_m . h + a_m of the codewords with linear indices ``lin`` (of all M
-    when ``lin`` is None).  Returns (best_index, best_metric).
+    ``metric_scan(stack, r_prev, r_t, inv_a)`` is the direct form: it
+    returns (m, its metric) for argmin_m || r_t - inv_a * stack[m] @ r_prev ||_F^2
+    over the (M, n, n) ``stack``.  ``metric_scan(table, h, scales)`` is the
+    coordinate form of the module docstring: it returns the first argmin of
+    x_m . h + a_m over the (M, r, d) ``table`` of coordinates x_m and the
+    ``scales`` a_m, or 0 when h is None.  A float32 table and scales take
+    the float32 form there, which also needs ``scale_max`` >= every scale
+    and ``rescore(h, lin)``, the float64 x_m . h + a_m of the candidates
+    with linear indices ``lin`` (of all M when ``lin`` is None).
     """
-    if scales is None:
-        metrics = metric_values(stack, r_prev, r_t, inv_a)
+    if len(frame) == 3:
+        metrics = metric_values(stack, *frame)
         best = int(metrics.argmin())
         return best, float(metrics[best])
-    k, n, _ = basis.shape
-    # A_v r_prev for every v (np.dot, not @: about 1 us less per call, which
-    # matters at M = 16), then g_v = Re <r_t, A_v r_prev> over float64 views
-    y = np.dot(basis.reshape(k * n, n), r_prev)
-    g = np.dot(y.reshape(k, -1).view(np.float64), r_t.reshape(-1).view(np.float64))
-    c = inv_a * inv_a * np.vdot(r_prev, r_prev).real
-    # c == 0 only when r_prev == 0 (g is then 0 too): no scale term to fold
-    fold = c if c else 1.0
-    g *= -2.0 * inv_a / fold
-    rr = np.vdot(r_t, r_t).real
+    h, scales = frame
+    if h is None:  # r_prev == 0: every candidate ties
+        return 0
     if stack.dtype == np.float32:
-        if not c:
-            return 0, float(rr)
-        best, value = _float32_scan(stack, scales, g, rescore, scale_max)
-        return best, float(rr + fold * value)
-    metrics = np.dot(stack.reshape(-1, k), g)
-    if c:
-        metrics += scales
-    best = int(metrics.argmin())
-    return best, float(rr + fold * metrics[best])
+        return _float32_scan(stack, scales, h, rescore, scale_max)
+    metrics = np.dot(stack.reshape(len(stack), -1), h)
+    metrics += scales
+    return int(metrics.argmin())
 
 
 def float32_bound(k: int, scale_max: float, h_norm: float) -> float:
@@ -166,8 +156,8 @@ def float32_metrics(stack, scales, h):
 
 
 def _float32_scan(stack, scales, h, rescore, scale_max):
-    """(first index of the smallest float64 x_m . h + a_m, that value),
-    from a float32 scan and a float64 re-score of its candidates."""
+    """The first index of the smallest float64 x_m . h + a_m, from a
+    float32 scan and a float64 re-score of its candidates."""
     delta = float32_bound(len(h), scale_max, math.sqrt(np.dot(h, h)))
     cand = None
     if math.isfinite(delta):
@@ -177,9 +167,8 @@ def _float32_scan(stack, scales, h, rescore, scale_max):
             # rounding the threshold to float32 loses no candidate: a float32
             # value at most the float64 threshold is at most its rounding
             cand = np.flatnonzero(metrics <= np.float32(low + 2.0 * delta))
-    exact = rescore(h, cand)
-    i = int(exact.argmin())
-    return (i if cand is None else int(cand[i])), float(exact[i])
+    i = int(rescore(h, cand).argmin())
+    return i if cand is None else int(cand[i])
 
 
 class _DlPhdrInfo(ctypes.Structure):

@@ -44,13 +44,14 @@ UNITARITY_TOL = 1e-9
 
 #: Size of the float64 coordinate table (8 M K bytes) above which the
 #: simulator's exhaustive rows scan it in float32 (``exhaustive_table``).
-#: benchmarks/bench_kernels.py, us per scan, float64 against float32 with
-#: its re-score, both tables column-major, three runs on a 2-core x86-64
-#: host: float64 is faster at 0.64 MB (lam 2 M 10000: 36-52 against 38-64)
-#: and 1.05 MB (lam 4 M 4096: 63-66 against 72-76), float32 from 1.33 MB
-#: (lam 2 M 20736: 80-85 against 87-94; the preset, 8.4 MB: 270-376
-#: against 424-623).  At 1.28 MB (lam 3 M 10000) runs on the same host have
-#: put either form ahead, so the threshold stays below it.
+#: benchmarks/bench_kernels.py, us per scan against a given h (float64: one
+#: GEMV and an add; float32: the GEMV, the bound and the re-score), both
+#: tables column-major, three runs on a 2-core x86-64 host: float64 is
+#: faster at 0.52 MB (lam 3 M 4096: 12-17 against 27-47) and 0.64 MB (lam 2
+#: M 10000: 24-31 against 32-53), float32 from 2.46 MB (lam 2 M 38416:
+#: 151-158 against 69-76; the preset, 8.4 MB: 307-321 against 181-224).
+#: From 1.05 MB (lam 4 M 4096) to 1.33 MB (lam 2 M 20736) the runs put
+#: either form ahead by a few us, so the threshold stays inside that range.
 FLOAT32_SCAN_BYTES = 1_200_000
 
 
@@ -152,10 +153,9 @@ class Codebook:
     is |x_k(p)|^2.  ``group_stacks[k][p]`` holds S_k(p), the contribution
     of group k's point p to the codeword matrix; ``compose`` sums four
     partials into a codeword, or their ``group_norms`` into its scale.
-    ``partials`` stacks all four groups' partials, group 0 first, for the
-    group decoder's one-pass scan; ``group_stacks`` are views into it.
     The constructor refuses (ValueError) partials that do not fit in the
-    memory available.  Only
+    memory available.  ``basis_taps`` tells the deciders how to read the
+    correlation of a frame with every ``basis`` weight.  Only
     exhaustive decoding needs M-sized arrays, built lazily, and refused
     (ValueError) past the memory available: ``exhaustive_table`` (every
     codeword's real coordinates against ``basis`` and its scale, the form
@@ -186,16 +186,14 @@ class Codebook:
         self.grouping = grouping
         self.sizes = tuple(len(a) for a in alphabets)
         self.M = math.prod(self.sizes)
-        # the four groups' products and the array they are joined into
         check_memory("Codebook needs its partial codewords",
-                     2 * sum(self.sizes) * design.n * design.n * 16)
-        self.partials = np.concatenate([
+                     sum(self.sizes) * design.n * design.n * 16)
+        self.group_stacks = [
             np.tensordot(points,
                          design.weight_stack[np.asarray(grouping.groups[k], dtype=np.intp)],
                          axes=(1, 0))
             for k, points in enumerate(alphabets)
-        ])
-        self.group_stacks = np.split(self.partials, np.cumsum(self.sizes)[:-1])
+        ]
         self.group_norms = [np.einsum("pd,pd->p", points, points) for points in alphabets]
         self.group_decodable = (
             verify_group_decodable(design, grouping) if check_decodable else None
@@ -236,6 +234,22 @@ class Codebook:
         group 0's variables first, each group in its grouping order."""
         return self.design.weight_stack[self.grouping.permutation()]
 
+    @cached_property
+    def basis_taps(self):
+        """(taps, coef), each (K, L): g_v = Re tr(r_t^H A_v r_prev) for every
+        ``basis`` weight A_v, read off O = conj(r_t) r_prev^T (summed over the
+        receive antennas) as sum_l coef[v, l] * o[taps[v, l]], with o the
+        float64 view of O raveled.  Re(A O) at a cell is Re A Re O - Im A Im O,
+        so each nonzero real or imaginary weight part is one tap; L is the
+        most taps of any weight (n for this package's designs, whose weight
+        entries are 0, +-1 or +-i, one per row), shorter rows padded with
+        zero coefficients.  So g costs K L products instead of K n^2."""
+        k = self.design.K
+        parts = np.stack([self.basis.real, -self.basis.imag], axis=-1).reshape(k, -1)
+        width = int(np.count_nonzero(parts, axis=1).max())
+        taps = np.argsort(parts == 0, axis=1, kind="stable")[:, :width]
+        return taps, np.take_along_axis(parts, taps, axis=1)
+
     def coordinate_table(self, dtype):
         """(table, scales) in ``dtype``: every codeword's four group points,
         (M, 4, K/4), row-major over the index tuples like ``matrices``, and
@@ -274,30 +288,16 @@ class Codebook:
         """The largest codeword scale_sq: the sum of the groups' largest norms."""
         return sum(float(nk.max()) for nk in self.group_norms)
 
-    @cached_property
-    def _group_points(self):
-        """(blocks, norms, rows): every group's points in one block-diagonal
-        (sum of sizes, K) array, group k's ``rows`` holding its points in
-        its K/4 columns, and the group norms in the same row order."""
-        dim, lo, rows = self.design.K // 4, 0, []
-        blocks = np.zeros((sum(self.sizes), 4 * dim))
-        for k, points in enumerate(self.alphabets):
-            rows.append(slice(lo, lo + self.sizes[k]))
-            blocks[rows[k], k * dim:(k + 1) * dim] = points
-            lo += self.sizes[k]
-        return blocks, np.concatenate(self.group_norms), rows
-
     def coordinate_metrics(self, h, lin=None) -> np.ndarray:
         """x_m . h + a_m in float64 for the codewords with linear indices
         ``lin`` (all M when None), h in ``basis`` order: every group point's
-        dot product with its group's part of h plus its norm, summed by
+        dot product with its group's slice of h plus its norm, summed by
         ``compose`` at the codewords' index tuples."""
-        blocks, norms, rows = self._group_points
-        flat = np.dot(blocks, h)
-        flat += norms
+        parts = [np.dot(points, h_k) + norms for points, h_k, norms
+                 in zip(self.alphabets, h.reshape(4, -1), self.group_norms)]
         idx = (np.ogrid[tuple(map(slice, self.sizes))] if lin is None
                else np.unravel_index(lin, self.sizes))
-        return self.compose([flat[r] for r in rows], idx).ravel()
+        return self.compose(parts, idx).ravel()
 
     def codeword_at(self, idx) -> Codeword:
         idx = tuple(int(i) for i in idx)
@@ -324,11 +324,11 @@ class Codebook:
         every codeword is scaled unitary within ``UNITARITY_TOL``
         (NotGroupDecodableError first, from ``require_group_decodable``).
 
-        The simulator requires it for every sweep: the differential chain
-        keeps X_t^H X_t = a_t I only for scaled-unitary codewords, and the
-        exhaustive decoder's expansion of the metric (``_kernels.metric_scan``
-        over ``exhaustive_table`` with ``basis``) is exact only when
-        S^H S = a(S) I for every codeword.
+        The simulator requires it for every sweep, and ``decode_group`` for
+        every call: the differential chain keeps X_t^H X_t = a_t I only for
+        scaled-unitary codewords, and both deciders' expansion of the
+        metric in real coordinates (``_kernels.metric_scan``'s coordinate
+        form) is exact only when S^H S = a(S) I for every codeword.
         """
         if self.unitarity_residual is None:
             self.unitarity_residual = self.max_unitarity_residual()

@@ -10,7 +10,8 @@ taken from its own previous decision.
 ``block_frames`` runs a fading block in windows; ``draw_channel``,
 ``encoder_step`` and ``channel_step`` are its one-frame view, built on
 the same draws and chain step.  ``decide_group`` and ``decide_exhaustive``
-decide a window's frames, ``decode_group`` and ``decode_exhaustive`` one.
+decide a window's frames, ``decode_group`` (``decide_group`` on one frame)
+and ``decode_exhaustive`` one.
 
 Two decoders are provided.  The exhaustive one scans all M codewords.
 The group decoder exploits the cross-group anticommutation of the weight
@@ -19,6 +20,17 @@ minimisations, dropping the scan from M to the sum of the four group
 alphabet sizes (4 * M**(1/4) for identical groups).  Both share one
 tie-break rule, smallest index wins, so their decisions can be compared
 exactly.
+
+Both window deciders score real coordinates.  For a scaled-unitary
+linear design the metric of codeword x_m at frame t is, up to terms and
+a positive factor common to all candidates, x_m . h_t + a_m, and
+h_t = -2 sqrt(a_{t-1}) g_t / ||r_{t-1}||^2 with
+g_t[v] = Re tr(r_t^H A_v r_{t-1}) (``_kernels`` docstring).
+``correlate`` forms every g_t and ||r_{t-1}||^2 of a window at once;
+frame by frame only the scalar ``fold`` with the previous decided scale
+stays sequential.  The exhaustive decider scans all M coordinate rows
+against h_t, the group decider each group's points against h_t's slice
+for that group, so the two decide from the same h_t.
 """
 
 from __future__ import annotations
@@ -28,16 +40,43 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import metric_scan, metric_values
+from ._kernels import metric_scan
 from .codebook import Codebook, Codeword
 
-#: Most frames of a block encoded and transmitted in one pass.  It bounds
-#: the memory of a whole-burst block; no result depends on it.
+#: Most frames of a block encoded, transmitted and decided in one pass, and
+#: most bytes of each of a window's per-frame arrays (n x n or n x n_r
+#: complex): ``window_frames`` takes the smaller bound.  They bound the
+#: memory of a whole-burst block, and the bytes keep a large design's
+#: window in cache; no result depends on either.
 WINDOW = 256
+WINDOW_BYTES = 2**19
 
 #: Bytes per frame of the group-index draw ``block_frames`` makes for a whole
 #: fading block: the (4, nf) int64 indices and their nf raveled int64 ones.
 INDEX_BYTES_PER_FRAME = 40
+
+
+def block_bytes(cb: Codebook, nf: int, n_r: int) -> int:
+    """Bytes a fading block of ``nf`` frames holds at once while a window is
+    decided: the group-index draw of the whole block, the channel and the
+    reference frame's noise, and per frame of the window the composed
+    codewords, their chain and the correlation product (n x n complex
+    each; three codeword-sized arrays also bound the sum of the four group
+    parts), the noise, the received frames, the previous frames, their
+    conjugate and a transposed copy for the product (n x n_r complex each),
+    and the gathered correlation taps, their sums and the scan vectors
+    (K (L + 2) reals)."""
+    n, (k, width) = cb.n, cb.basis_taps[0].shape
+    square, column = 16 * n * n, 16 * n * n_r
+    per_frame = 3 * square + 5 * column + 8 * k * (width + 2)
+    w = min(nf, window_frames(n, n_r))
+    return INDEX_BYTES_PER_FRAME * nf + 2 * column + w * per_frame
+
+
+def window_frames(n: int, n_r: int) -> int:
+    """Frames per window of ``block_frames``: at most ``WINDOW``, and at
+    most ``WINDOW_BYTES`` per n x max(n, n_r) complex array."""
+    return max(1, min(WINDOW, WINDOW_BYTES // (16 * n * max(n, n_r))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,13 +172,13 @@ def block_frames(cb: Codebook, rng, nf: int, n_r: int, sigma: float):
     indices for all ``nf`` frames, then the noise (``sigma`` per real
     dimension), reference frame first.  A frame's linear index is its
     four group indices raveled row-major over ``cb.sizes``.  Each window
-    of at most ``WINDOW`` frames composes its codewords and scales from
+    of at most ``window_frames`` frames composes its codewords and scales from
     the group parts, runs the chain step per frame and forms its received
     frames with one batched product.  Yields ``(sent, r_prev, r)``: the
     window's sent linear indices as a list, the frame received just
     before it, and its received frames as one (w, n, n_r) array.  The
-    noise is read in draw order, so no frame depends on ``WINDOW``, which
-    only bounds the memory of a whole-burst block, and ``encoder_step``
+    noise is read in draw order, so no frame depends on the window size,
+    which only bounds memory and time per window, and ``encoder_step``
     and ``channel_step`` on the same ``rng`` reproduce every frame.
     """
     n = cb.n
@@ -149,8 +188,9 @@ def block_frames(cb: Codebook, rng, nf: int, n_r: int, sigma: float):
     r_prev = h
     x_prev = np.eye(n, dtype=np.complex128)
     root_prev = 1.0  # sqrt(a) of the reference frame
-    for lo in range(0, nf, WINDOW):
-        hi = min(lo + WINDOW, nf)
+    step = window_frames(n, n_r)
+    for lo in range(0, nf, step):
+        hi = min(lo + step, nf)
         window = idx[:, lo:hi]
         u = cb.compose(cb.group_stacks, window)
         x = np.empty_like(u)
@@ -186,74 +226,103 @@ def decode_exhaustive(cb: Codebook, r_t, r_prev, a_prev_sq: float) -> DecodeResu
 
 
 def decode_group(cb: Codebook, r_t, r_prev, a_prev_sq: float) -> DecodeResult:
-    """Per-group metric minimisation; needs a group-decodable codebook.
+    """``decide_group`` on a one-frame window.
 
-    An unchecked codebook is checked on demand, and a failing grouping
-    raises NotGroupDecodableError.  Each group's winner is found against
-    that group's partial codewords, first index on ties.  All four groups'
-    metrics come from one NumPy pass over ``cb.partials``, which costs
-    less per call than ``decide_group``'s four scans.  The reported metric
-    is the full differential metric re-evaluated at the assembled
-    decision, so it is directly comparable with the exhaustive decoder's.
+    It needs a group-decodable, scaled-unitary codebook: a failing
+    grouping raises NotGroupDecodableError, then a codebook that is not
+    scaled unitary ValueError (``Codebook.require_scaled_unitary``).  The
+    reported metric is the full differential metric re-evaluated at the
+    assembled decision, so it is directly comparable with the exhaustive
+    decoder's.
     """
-    cb.require_group_decodable()
+    cb.require_scaled_unitary()
     r_t = _as_receive(r_t, cb.n)
     r_prev = _as_receive(r_prev, cb.n)
-    inv_a = 1.0 / math.sqrt(a_prev_sq)
-    metrics = metric_values(cb.partials, r_prev, r_t, inv_a)
-    idx, lo = [], 0
-    for size in cb.sizes:
-        idx.append(int(metrics[lo:lo + size].argmin()))
-        lo += size
-    diff = r_t - inv_a * (cb.compose(cb.group_stacks, idx) @ r_prev)
-    return DecodeResult(index=tuple(idx), metric=float(np.vdot(diff, diff).real),
-                        evaluations=len(metrics))
+    (lin,), _ = decide_group(cb, r_t[None], r_prev, a_prev_sq)
+    idx = cb.unravel_index(lin)
+    diff = r_t - (1.0 / math.sqrt(a_prev_sq)) * (cb.compose(cb.group_stacks, idx) @ r_prev)
+    return DecodeResult(index=idx, metric=float(np.vdot(diff, diff).real),
+                        evaluations=sum(cb.sizes))
+
+
+def correlate(cb: Codebook, r, r_prev):
+    """A window's correlation, once for all its frames: (g, energy), with
+    row t of the (w, K) array g holding g_t[v] = Re tr(r_t^H A_v r_{t-1})
+    in ``Codebook.basis`` order, and energy[t] = ||r_{t-1}||^2 as a float.
+
+    Frame t's scan vector is then the scalar fold
+    h_t = -2 sqrt(a_{t-1}) g_t / energy[t] (``fold``): the ``metric_scan``
+    docstring's -2 inv_a g / c, with c = ||r_{t-1}||^2 / a_{t-1}.  One
+    batched product gives every frame's O_t = conj(r_t) r_{t-1}^T, and
+    ``Codebook.basis_taps`` reads g off it.
+    """
+    w = len(r)
+    prevs = np.concatenate((r_prev[None], r[:-1]))
+    outer = np.matmul(r.conj(), prevs.transpose(0, 2, 1)).reshape(w, -1).view(np.float64)
+    taps, coef = cb.basis_taps
+    flat = prevs.reshape(w, -1).view(np.float64)
+    return np.vecdot(np.take(outer, taps, axis=1), coef), np.vecdot(flat, flat).tolist()
+
+
+def fold(g_t, energy, a):
+    """Frame t's h from its ``correlate`` row and energy and the decided
+    scale a_{t-1}; None when r_{t-1} = 0, where every candidate ties."""
+    return g_t * (-2.0 * math.sqrt(a) / energy) if energy else None
 
 
 def decide_group(cb: Codebook, r, r_prev, a_prev_sq: float):
     """Decide a window's frames ``r`` in turn, tracking the decided scale.
 
     ``r_prev`` and ``a_prev_sq`` belong to the frame before the window.
-    Each frame makes one ``metric_scan`` per group stack, the call
-    structure perfbench's traced run counts.  Returns the decided linear
+    Each frame makes one coordinate-form ``metric_scan`` per group, on the
+    group's points as a (P_k, 1, K/4) table with its norms and its slice
+    of the frame's h (``correlate``, ``fold``): the call structure perfbench's
+    traced run counts.  Dropping the metric's quadratic terms per group
+    is exact for a scaled-unitary codebook.  Returns the decided linear
     indices and the scale of the last decision.
     """
-    groups = tuple(zip(cb.group_stacks, cb.sizes, cb.norm_lists))
-    a, prev, hats = a_prev_sq, r_prev, []
-    for r_t in r:
-        inv_a = 1.0 / math.sqrt(a)
+    groups = tuple(zip((points[:, None] for points in cb.alphabets), cb.group_norms,
+                       cb.norm_lists, cb.sizes))
+    g, energy = correlate(cb, r, r_prev)
+    a, hats = a_prev_sq, []
+    for g_t, e in zip(g.reshape(len(g), 4, -1), energy):
+        h = fold(g_t, e, a)
         lin, a = 0, 0.0
-        for stack, size, norms in groups:  # ravels the winners row-major, sums their norms
-            best = metric_scan(stack, prev, r_t, inv_a)[0]
-            lin, a = lin * size + best, a + norms[best]
+        for h_k, (table, norms, norm_list, size) in zip(_TIED if h is None else h, groups):
+            # ravels the winners row-major, sums their norms
+            best = metric_scan(table, h_k, norms)
+            lin, a = lin * size + best, a + norm_list[best]
         hats.append(lin)
-        prev = r_t
     return hats, a
+
+
+#: The four group slices of h of a frame whose previous frame is zero.
+_TIED = (None,) * 4
 
 
 def decide_exhaustive(cb: Codebook, r, r_prev, a_prev_sq: float):
     """``decide_group`` with one ``metric_scan`` of all M codewords per frame.
 
     The scan takes ``cb.exhaustive_table``, the codewords' real
-    coordinates and scales, with ``basis``, so the (M, n, n) stack is
-    never built; it needs a scaled-unitary codebook
+    coordinates and scales, against the frame's h, so the (M, n, n) stack
+    is never built; it needs a scaled-unitary codebook
     (``Codebook.require_scaled_unitary``).  On a float32 table the kernel
     re-scores its candidates in float64 (``coordinate_metrics``), so the
     decisions stay exact ML.  The decided scale is summed from the
     winner's four group norms, as in ``decide_group``.
     """
     table, scales = cb.exhaustive_table
-    extra = (cb.basis, cb.coordinate_metrics, cb.scale_max)
+    rescore, scale_max = cb.coordinate_metrics, cb.scale_max
     (n0, n1, n2, n3), (_, s1, s2, s3) = cb.norm_lists, cb.sizes
-    a, prev, hats = a_prev_sq, r_prev, []
-    for r_t in r:
-        lin, _ = metric_scan(table, prev, r_t, 1.0 / math.sqrt(a), scales, *extra)
+    g, energy = correlate(cb, r, r_prev)
+    a, hats = a_prev_sq, []
+    for g_t, e in zip(g, energy):
+        lin = metric_scan(table, fold(g_t, e, a), scales, rescore=rescore, scale_max=scale_max)
         rest, i3 = divmod(lin, s3)
         rest, i2 = divmod(rest, s2)
         i0, i1 = divmod(rest, s1)
         a = n0[i0] + n1[i1] + n2[i2] + n3[i3]
         hats.append(lin)
-        prev = r_t
     return hats, a
 
 

@@ -37,7 +37,7 @@ import numpy as np
 from ._kernels import BACKEND, set_blas_threads
 from .codebook import Codebook, check_memory
 from .design import MAX_LAMBDA, construct_design
-from .diffcodec import DECIDERS, INDEX_BYTES_PER_FRAME, block_frames
+from .diffcodec import DECIDERS, block_bytes, block_frames
 from .signalset import (
     PRESETS,
     construct_signal_set,
@@ -258,16 +258,17 @@ def prepare(cfg: SimConfig) -> Codebook:
     """Validate ``cfg``, require its cached codebook to be group decodable and
     scaled unitary (``require_scaled_unitary``; the differential chain needs
     it whatever the decoder), build the table and scales the exhaustive rows
-    scan, and check that the group-index draw of the sweep's largest fading
-    block fits in the memory available, so errors come before a sweep."""
+    scan, and check that the sweep's largest fading block fits in the memory
+    available (``block_bytes``: its group-index draw and one window's
+    arrays), so errors come before a sweep."""
     cfg.validate()
     cb = _codebook(cfg.lam, cfg.m, cfg.family, cfg.radii, cfg.preset, cfg.c)
     cb.require_scaled_unitary()
     if "exhaustive" in cfg.decoders():
         cb.exhaustive_table  # noqa: B018
     nf = min(cfg.frames, cfg.frames_per_block)
-    check_memory(f"a fading block of {nf} frames needs its group-index draw",
-                 INDEX_BYTES_PER_FRAME * nf)
+    check_memory(f"a fading block of {nf} frames needs its group-index draw and one "
+                 f"window's arrays", block_bytes(cb, nf, cfg.n_r))
     return cb
 
 

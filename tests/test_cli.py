@@ -158,14 +158,14 @@ class TestCodebookCommand:
                        "available\n")
 
     def test_partials_past_the_memory_budget_are_config_error(self, capsys, monkeypatch):
-        # lam 6, P = 20 000: 80 000 partial codewords of 64 x 64, 5.2 GB, and as
-        # much again while the four groups' products are joined
+        # lam 6, P = 20 000: 80 000 partial codewords of 64 x 64, 5.2 GB, kept as
+        # four group stacks
         monkeypatch.setattr(codebook, "_available_bytes", lambda: 10**9)
         code, out, err = run_cli(capsys, "codebook", "verify", "--lambda", "6",
                                  "--points", str(20_000**4))
         assert code == 2 and out == ""
         assert err == ("configuration error: Codebook needs its partial codewords, "
-                       "10485.8 MB, but only 1000.0 MB of memory is available\n")
+                       "5242.9 MB, but only 1000.0 MB of memory is available\n")
 
     def test_bad_mode(self, capsys):
         # every verdict is exhaustive, so codebook verify takes no --mode
@@ -247,7 +247,7 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("budget, args, need", [
         (10**9, ("--lambda", "6", "--points", str(20_000**4)),
-         "Codebook needs its partial codewords, 10485.8 MB, but only 1000.0 MB"),
+         "Codebook needs its partial codewords, 5242.9 MB, but only 1000.0 MB"),
         (10**6, ("--lambda", "2", "--points", str((2 * 10**6) ** 4)),
          "a group of 2000000 points needs its radii and points, 40.0 MB, but only 1.0 MB"),
     ])
@@ -271,8 +271,27 @@ class TestSimulateCommand:
                                     "--out", str(out))
         assert code == 2 and stdout == ""
         assert err.startswith("configuration error: a fading block of 10000000000000 "
-                              "frames needs its group-index draw, 400000000.0 MB, but only ")
+                              "frames needs its group-index draw and one window's arrays, "
+                              "400000000.4 MB, but only ")
         assert not out.exists()
+
+    def test_receive_antennas_past_the_memory_budget_leave_out_untouched(self, capsys,
+                                                                          monkeypatch,
+                                                                          tmp_path):
+        # 10^8 receive antennas: windows of one frame, whose (2, 10^8) complex
+        # arrays (the channel, the noise, the received frames, the correlation's
+        # copies) take 3.2 GB each
+        monkeypatch.setattr(codebook, "_available_bytes", lambda: 10**9)
+        kept = tmp_path / "results.csv"
+        kept.write_bytes(b"earlier results\n")
+        code, stdout, err = run_cli(capsys, "simulate", "--lambda", "1", "--points", "16",
+                                    "--snr-db", "0", "--frames", "20", "--nr", "100000000",
+                                    "--out", str(kept))
+        assert code == 2 and stdout == ""
+        assert err == ("configuration error: a fading block of 20 frames needs its "
+                       "group-index draw and one window's arrays, 22400.0 MB, but only "
+                       "1000.0 MB of memory is available\n")
+        assert kept.read_bytes() == b"earlier results\n"
 
     def test_json_is_strict(self, capsys):
         def refuse(name):

@@ -65,12 +65,15 @@ class TestCodewordAssembly:
             assert np.array_equal(cb16.matrices[lin], cb16.codeword_at(idx).matrix)
             assert scales[lin] == cb16.codeword_at(idx).scale_sq
 
-    def test_partials_hold_every_group_in_order(self, cb16):
-        assert cb16.partials.shape == (sum(cb16.sizes), cb16.n, cb16.n)
-        assert np.array_equal(cb16.partials, np.concatenate(cb16.group_stacks))
-        for stack, size in zip(cb16.group_stacks, cb16.sizes):
-            assert stack.shape[0] == size and stack.flags.c_contiguous
-            assert np.shares_memory(stack, cb16.partials)
+    def test_group_stacks_hold_each_group_once(self, cb16):
+        # four separate arrays, one partial codeword per group point
+        assert not hasattr(cb16, "partials")
+        for k, (stack, size) in enumerate(zip(cb16.group_stacks, cb16.sizes)):
+            assert stack.shape == (size, cb16.n, cb16.n) and stack.flags.c_contiguous
+            assert not any(np.shares_memory(stack, other)
+                           for other in cb16.group_stacks[k + 1:])
+            weights = cb16.design.weight_stack[list(cb16.grouping.groups[k])]
+            assert np.array_equal(stack, np.tensordot(cb16.alphabets[k], weights, 1))
 
     def test_no_zero_codeword(self, cb16):
         assert float(cb16.coordinate_table(np.float64)[1].min()) > 0

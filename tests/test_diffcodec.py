@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from gdstbc.codebook import Codebook, Codeword, NotGroupDecodableError
 from gdstbc.design import Grouping, construct_design
 from gdstbc.diffcodec import (
     ChannelConfig,
+    block_bytes,
     block_frames,
     channel_step,
     decide_exhaustive,
+    decide_group,
     decode_exhaustive,
     decode_group,
     draw_channel,
@@ -169,40 +172,52 @@ class TestExhaustiveDecoder:
 
 
 class TestScaledUnitaryExhaustiveScan:
-    """The simulator's exhaustive scan (``metric_scan`` in the codewords' real
-    coordinates) against ``decode_exhaustive``, the literal stack scan."""
+    """The simulator's deciders (``metric_scan``'s coordinate form, against
+    each window's correlation) against ``decode_exhaustive``, the literal
+    stack scan."""
 
-    #: name: (codebook config, windows); 10 800 windows in all
+    #: name: (codebook config, windows); 10 700 windows in all
     CODEBOOKS = {
-        "lam1-M16": (dict(lam=1, m=16), 3000),
-        "lam2-M256": (dict(lam=2, m=256), 3000),
-        "lam3-M256": (dict(lam=3, m=256), 3000),
+        "lam1-M16": (dict(lam=1, m=16), 2500),
+        "lam2-M256": (dict(lam=2, m=256), 2500),
+        "lam3-M256": (dict(lam=3, m=256), 2000),
         "lam3-M4096": (dict(lam=3, m=4096), 800),
+        "lam4-M256": (dict(lam=4, m=256), 1500),
+        "lam4-M4096": (dict(lam=4, m=4096), 200),
         "hyperbola": (dict(lam=2, m=256, family="hyperbola"), 1000),
+        "preset": (dict(lam=3, m=16**4, preset="paper-8ant-rate2"), 200),
     }
 
-    def _check(self, name, dtype):
+    def _check(self, name, dtype, monkeypatch):
         config, windows = self.CODEBOOKS[name]
+        limit = math.inf if dtype == np.float64 else 0
+        monkeypatch.setattr(codebook, "FLOAT32_SCAN_BYTES", limit)
         cb = build_codebook(SimConfig(**config))
-        table, scales = cb.coordinate_table(dtype)
         rng = np.random.default_rng([config["lam"], config["m"]])
         for w in range(windows):
             # every SNR meets every receive-antenna count (5 and 3 are coprime)
             snr_db = (math.inf, 40.0, 20.0, 10.0, 0.0)[w % 5]
             sigma = math.sqrt(cb.n / 10 ** (snr_db / 10) / 2)  # the simulator's convention
             r_t, r_prev, a_sq = noisy_window(cb, rng, sigma, 1 + w % 3)
-            best, _ = metric_scan(table, r_prev, r_t, 1.0 / math.sqrt(a_sq), scales,
-                                  cb.basis, cb.coordinate_metrics, cb.scale_max)
-            assert cb.unravel_index(best) == decode_exhaustive(cb, r_t, r_prev, a_sq).index
+            if w % 50 == 7:
+                r_prev = np.zeros_like(r_prev)  # every candidate ties: index 0 wins
+            want = decode_exhaustive(cb, r_t, r_prev, a_sq).index
+            scale = cb.codeword_at(want).scale_sq
+            for decide in (decide_group, decide_exhaustive):
+                hats, a = decide(cb, r_t[None], r_prev, a_sq)
+                assert (cb.unravel_index(hats[0]), a) == (want, scale)
+            if w % 50 == 7:
+                assert want == (0, 0, 0, 0)
+        assert cb.__dict__["exhaustive_table"][0].dtype == dtype
 
     @pytest.mark.parametrize("name", sorted(CODEBOOKS))
-    def test_decisions_equal_decode_exhaustive(self, name):
-        self._check(name, np.float64)
+    def test_decisions_equal_decode_exhaustive(self, name, monkeypatch):
+        self._check(name, np.float64, monkeypatch)
 
     @pytest.mark.parametrize("name", sorted(CODEBOOKS))
-    def test_float32_decisions_equal_decode_exhaustive(self, name):
-        # the float32 form, driven directly at sizes below FLOAT32_SCAN_BYTES
-        self._check(name, np.float32)
+    def test_float32_decisions_equal_decode_exhaustive(self, name, monkeypatch):
+        # the float32 form, forced at sizes below FLOAT32_SCAN_BYTES
+        self._check(name, np.float32, monkeypatch)
 
     @pytest.mark.parametrize("n_r", [1, 2, 3])
     def test_window_decisions_follow_the_table_size(self, n_r, monkeypatch):
@@ -210,9 +225,9 @@ class TestScaledUnitaryExhaustiveScan:
         # decides every frame of a window as decode_exhaustive does
         calls = []
 
-        def scan(*args):
+        def scan(*args, **kwargs):
             calls.append(args[0].dtype)
-            return metric_scan(*args)
+            return metric_scan(*args, **kwargs)
 
         monkeypatch.setattr(diffcodec, "metric_scan", scan)
         for limit, dtype in ((0, np.float32), (math.inf, np.float64)):
@@ -233,6 +248,59 @@ class TestScaledUnitaryExhaustiveScan:
                     assert a == a_ref
             # one table and scales cached, in the dtype the table's size selects
             assert [a.dtype for a in cb.__dict__["exhaustive_table"]] == [dtype, dtype]
+
+
+class TestCorrelate:
+    @pytest.mark.parametrize("n_r", [1, 2, 3])
+    @pytest.mark.parametrize("lam", [1, 2, 3, 4])
+    def test_matches_the_trace_definition(self, lam, n_r):
+        cb = build_codebook(SimConfig(lam=lam, m=16))
+        assert cb.basis_taps[0].shape == (cb.design.K, cb.n)  # n taps per weight
+        rng = np.random.default_rng([lam, n_r])
+        frames = rng.standard_normal((6, cb.n, n_r, 2)).view(np.complex128)[..., 0]
+        r_prev, r = frames[0], frames[1:]
+        g, energy = diffcodec.correlate(cb, r, r_prev)
+        for t, r_t in enumerate(r):
+            prev = frames[t]
+            want = [np.trace(r_t.conj().T @ a @ prev).real for a in cb.basis]
+            assert np.allclose(g[t], want, rtol=0, atol=1e-12 * cb.n * n_r)
+            assert energy[t] == pytest.approx(np.vdot(prev, prev).real, rel=1e-15)
+        # strided views give the same rows, and the window's first frame may
+        # follow a zero frame
+        g_view, _ = diffcodec.correlate(cb, r[:, ::-1][:, ::-1], np.asfortranarray(r_prev))
+        assert np.array_equal(g_view, g)
+        g0, energy0 = diffcodec.correlate(cb, r, np.zeros_like(r_prev))
+        assert energy0[0] == 0.0 and not g0[0].any()
+        assert diffcodec.fold(g0[0], energy0[0], 2.0) is None
+
+
+class TestBlockBytes:
+    def test_window_frames(self):
+        # WINDOW frames, fewer once a frame's n x n or n x n_r arrays grow
+        assert diffcodec.window_frames(4, 1) == diffcodec.WINDOW == 256
+        assert diffcodec.window_frames(64, 1) == diffcodec.WINDOW_BYTES // (16 * 64 * 64) == 8
+        assert diffcodec.window_frames(4, 1000) == 8
+        assert diffcodec.window_frames(2, 10**8) == 1
+
+    @pytest.mark.parametrize("lam, m, nf, n_r", [
+        (2, 16, 300, 3), (1, 16, 20, 50), (4, 256, 40, 1), (3, 4096, 600, 2),
+        (2, 16, 5, 1000),
+    ])
+    def test_bounds_a_block_and_its_decisions(self, lam, m, nf, n_r):
+        # what block_frames and both deciders hold at once, traced, stays
+        # within the count sim.prepare checks against the memory available
+        cb = build_codebook(SimConfig(lam=lam, m=m))
+        cb.exhaustive_table, cb.basis_taps  # noqa: B018  (built once, before the sweep)
+        rng = np.random.default_rng([lam, nf])
+        tracemalloc.start()
+        try:
+            for _, r_prev, r in block_frames(cb, rng, nf, n_r, 0.3):
+                decide_group(cb, r, r_prev, 1.0)
+                decide_exhaustive(cb, r, r_prev, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.7 * block_bytes(cb, nf, n_r) < peak <= block_bytes(cb, nf, n_r)
 
 
 class TestGroupDecoder:
@@ -269,8 +337,9 @@ class TestGroupDecoder:
             assert decode_exhaustive(cb, r_t, r_prev, a_sq).index == \
                 decode_group(cb, r_t, r_prev, a_sq).index
 
-    def test_one_pass_matches_per_group_scans(self):
-        # the simulator decodes with one metric_scan per group stack
+    def test_matches_direct_per_group_scans(self):
+        # each group's winner minimises || r_t - inv_a S_k(p) r_prev ||^2 over
+        # its partial codewords, as the direct scan of the group stack finds it
         cb = Codebook(construct_design(3), construct_signal_set(3, 256))
         rng = np.random.default_rng(11)
         for _ in range(200):
@@ -278,6 +347,29 @@ class TestGroupDecoder:
             inv_a = 1.0 / math.sqrt(a_sq)
             per_group = tuple(metric_scan(s, r_prev, r_t, inv_a)[0] for s in cb.group_stacks)
             assert decode_group(cb, r_t, r_prev, a_sq).index == per_group
+
+    def test_is_decide_group_on_one_frame(self, monkeypatch):
+        calls = []
+        decide = diffcodec.decide_group
+
+        def counted(cb, r, r_prev, a_prev_sq):
+            calls.append(r.shape)
+            return decide(cb, r, r_prev, a_prev_sq)
+
+        monkeypatch.setattr(diffcodec, "decide_group", counted)
+        cb = Codebook(construct_design(2), construct_signal_set(2, 256))
+        r_t, r_prev, a_sq, _ = random_window(cb, np.random.default_rng(12))
+        res = decode_group(cb, r_t, r_prev, a_sq)
+        assert calls == [(1, 4, 1)]
+        assert res.index == decode_exhaustive(cb, r_t, r_prev, a_sq).index
+
+    def test_refuses_non_scaled_unitary_codebook(self):
+        # x1I*x2I = +1 and x1Q*x2Q = +1: group decodable, not scaled unitary
+        same_sign = np.array([[1.0, 1.0], [-1.0, -1.0]])
+        cb = Codebook(construct_design(2), (same_sign,) * 4)
+        z = np.ones((4, 1), dtype=complex)
+        with pytest.raises(ValueError, match="needs scaled-unitary codewords"):
+            decode_group(cb, z, z, 1.0)
 
     def test_refuses_non_decodable_codebook(self):
         d = construct_design(2)

@@ -54,9 +54,8 @@ class TestFallbackKernel:
         with pytest.raises(ValueError):
             metric_scan(stack, bad_prev, r_t, 1.0)
         # the coordinate form, on two candidates of a K = 4 design
-        basis = np.zeros((4, 3, 3), dtype=np.complex128)
         with pytest.raises(ValueError):
-            metric_scan(np.zeros((2, 4, 1)), bad_prev, r_t, 1.0, np.ones(2), basis)
+            metric_scan(np.zeros((2, 4, 1)), np.zeros(3), np.ones(2))
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(1)
@@ -150,15 +149,21 @@ def _table(cb, dtype):
     return cb.coordinate_table(dtype)
 
 
-def _scan64(cb, r_prev, r_t, inv_a):
+def _scaled_h(cb, r_prev, r_t, inv_a):
+    """h = -2 inv_a g / c of the coordinate form, from its definition."""
+    g = np.array([np.trace(r_t.conj().T @ a @ r_prev).real for a in cb.basis])
+    return -2.0 * inv_a * g / (inv_a ** 2 * np.vdot(r_prev, r_prev).real)
+
+
+def _scan64(cb, h):
     """metric_scan's float64 coordinate form on ``cb``."""
     table, scales = _table(cb, np.float64)
-    return metric_scan(table, r_prev, r_t, inv_a, scales, cb.basis)
+    return metric_scan(table, h, scales)
 
 
 class TestScaledUnitaryScan:
-    """metric_scan in a codebook's real coordinates (``coordinate_table`` with
-    ``basis``) against the direct metric on its codeword stack."""
+    """metric_scan in a codebook's real coordinates (``coordinate_table``
+    against h) against the direct metric on its codeword stack."""
 
     @pytest.mark.parametrize("sigma", [0.0, 1e-3, 1.0])
     @pytest.mark.parametrize("inv_a", [1.0, 0.37])
@@ -169,30 +174,38 @@ class TestScaledUnitaryScan:
         for _ in range(3):
             r_t, r_prev, _ = noisy_window(cb, rng, sigma, nr)
             ref = metric_values(cb.matrices, r_prev, r_t, inv_a)
-            idx, metric = _scan64(cb, r_prev, r_t, inv_a)
-            size = (np.vdot(r_t, r_t).real
-                    + inv_a ** 2 * cb.scale_max * np.vdot(r_prev, r_prev).real)
+            h = _scaled_h(cb, r_prev, r_t, inv_a)
+            idx = _scan64(cb, h)
+            # the metric is ||r_t||^2 + c (x_m . h + a_m)
+            c = inv_a ** 2 * np.vdot(r_prev, r_prev).real
+            metric = np.vdot(r_t, r_t).real + c * cb.coordinate_metrics(h, [idx])[0]
+            size = np.vdot(r_t, r_t).real + c * cb.scale_max
             assert idx == int(ref.argmin())
             assert abs(metric - ref.min()) <= 1e-12 * size
 
-    def test_zero_previous_frame_ties_to_first_index(self, scaled_cb):
-        cb = scaled_cb
-        r_prev = np.zeros((cb.n, 2), dtype=np.complex128)
-        r_t = np.ones((cb.n, 2), dtype=np.complex128)
-        idx, metric = _scan64(cb, r_prev, r_t, 0.8)
-        assert idx == 0
-        assert metric == 2.0 * cb.n
+    def test_no_h_ties_to_first_index(self, scaled_cb):
+        # h is None when r_prev == 0: every candidate's metric is ||r_t||^2
+        assert _scan64(scaled_cb, None) == 0
 
-    def test_non_contiguous_frames(self):
+    def test_group_tables(self, scaled_cb):
+        # a group's points as a (P_k, 1, K/4) table, with its norms and its
+        # slice of h, as decide_group scans them
+        cb = scaled_cb
+        rng = np.random.default_rng(33)
+        r_t, r_prev, a_sq = noisy_window(cb, rng, 0.3, 2)
+        h = _scaled_h(cb, r_prev, r_t, 1.0 / math.sqrt(a_sq))
+        for points, h_k, norms in zip(cb.alphabets, h.reshape(4, -1), cb.group_norms):
+            want = int((points @ h_k + norms).argmin())
+            assert metric_scan(points[:, None], h_k, norms) == want
+
+    def test_non_contiguous_h(self):
         cb = Codebook(construct_design(2), construct_signal_set(2, 256))
-        rng = np.random.default_rng(30)
-        r_t, r_prev, _ = noisy_window(cb, rng, 0.1, 3)
-        views = (np.asfortranarray(r_prev), r_t[:, ::-1])
-        assert not views[0].flags.c_contiguous and not views[1].flags.c_contiguous
-        idx, metric = _scan64(cb, *views, 0.6)
-        ref = metric_values(cb.matrices, r_prev, r_t[:, ::-1], 0.6)
-        assert idx == int(ref.argmin())
-        assert metric == pytest.approx(ref.min(), rel=1e-12)
+        r_t, r_prev, _ = noisy_window(cb, np.random.default_rng(30), 0.1, 3)
+        h = _scaled_h(cb, r_prev, r_t, 0.6)
+        view = np.repeat(h, 2)[::2]
+        assert not view.flags.c_contiguous
+        assert _scan64(cb, view) == _scan64(cb, h)
+        assert _scan64(cb, h) == int(metric_values(cb.matrices, r_prev, r_t, 0.6).argmin())
 
     def test_one_candidate_sized_array_per_scan(self):
         # a second M-sized temporary would cost a fresh allocation (and its
@@ -200,7 +213,7 @@ class TestScaledUnitaryScan:
         cb = build_codebook(SimConfig(lam=3, m=4096))
         r_t, r_prev, _ = noisy_window(cb, np.random.default_rng(32), 0.1, 2)
         table, scales = cb.coordinate_table(np.float64)
-        args = (table, r_prev, r_t, 0.7, scales, cb.basis)
+        args = (table, _scaled_h(cb, r_prev, r_t, 0.7), scales)
         metric_scan(*args)
         tracemalloc.start()
         try:
@@ -218,17 +231,11 @@ class TestScaledUnitaryScan:
         assert metric_scan(stack, r_prev, r_t, 0.9) == (best, float(metrics[best]))
 
 
-def _scan32(cb, r_prev, r_t, inv_a, rescore=None):
+def _scan32(cb, h, rescore=None):
     """metric_scan's float32 form on ``cb`` (``rescore`` defaults to the codebook's)."""
     table, scales = _table(cb, np.float32)
-    return metric_scan(table, r_prev, r_t, inv_a, scales, cb.basis,
-                       rescore or cb.coordinate_metrics, cb.scale_max)
-
-
-def _scaled_h(cb, r_prev, r_t, inv_a):
-    """h = -2 inv_a g / c of the float32 bound, from its definition."""
-    g = np.array([np.trace(r_t.conj().T @ a @ r_prev).real for a in cb.basis])
-    return -2.0 * inv_a * g / (inv_a ** 2 * np.vdot(r_prev, r_prev).real)
+    return metric_scan(table, h, scales, rescore=rescore or cb.coordinate_metrics,
+                       scale_max=cb.scale_max)
 
 
 def _e1(n):
@@ -288,28 +295,29 @@ class TestFloat32Scan:
             pred_lo, pred_hi = (cb.codeword_at(i).matrix @ e1 for i in (lo, hi))
             mid = (pred_lo + pred_hi) / 2
             first = cb.linear_index(lo)
-            assert _scan32(cb, e1, mid, 1.0)[0] == first
+            assert _scan32(cb, _scaled_h(cb, e1, mid, 1.0)) == first
             assert cb.linear_index(decode_exhaustive(cb, mid, e1, 1.0).index) == first
             # about 1e-10 relative toward the higher index: far below float32's
             # resolution, far above float64's
             for toward, want in ((pred_hi, hi), (pred_lo, lo)):
                 r_t = mid + 1e-10 * (toward - mid)
                 assert decode_exhaustive(cb, r_t, e1, 1.0).index == tuple(want)
-                assert _scan32(cb, e1, r_t, 1.0)[0] == cb.linear_index(want)
+                assert _scan32(cb, _scaled_h(cb, e1, r_t, 1.0)) == cb.linear_index(want)
 
     def test_float32_argmin_alone_misses_the_near_tie(self):
         cb = build_codebook(SimConfig(lam=2, m=16))
         e1 = _e1(cb.n)
         pred_lo, pred_hi = (cb.codeword_at(i).matrix @ e1 for i in ((0,) * 4, (1, 0, 0, 0)))
         r_t = (pred_lo + pred_hi) / 2 + 1e-10 * (pred_hi - pred_lo) / 2
+        h = _scaled_h(cb, e1, r_t, 1.0)
         want = cb.linear_index((1, 0, 0, 0))
-        assert _scan32(cb, e1, r_t, 1.0)[0] == want
+        assert _scan32(cb, h) == want
 
         def float32_only(h, lin):  # the candidates' float32 metrics, not re-scored
             table, scales = cb.coordinate_table(np.float32)
             return _kernels.float32_metrics(table, scales, h)[lin].astype(float)
 
-        assert _scan32(cb, e1, r_t, 1.0, float32_only)[0] == 0 != want
+        assert _scan32(cb, h, float32_only) == 0 != want
 
     def test_rounding_reversals_are_caught_by_the_bound(self, monkeypatch):
         # lam 2 M 256: the group points 0.63 and 1.26 round differently to
@@ -321,20 +329,17 @@ class TestFloat32Scan:
         pred_win, pred_lose = (cb.codeword_at(i).matrix @ e1 for i in (win, lose))
         r_t = (pred_win + pred_lose) / 2 + 1e-8 * (pred_win - pred_lose) / 2
         w, lo = cb.linear_index(win), cb.linear_index(lose)
-        f32 = _kernels.float32_metrics(*cb.coordinate_table(np.float32),
-                                       _scaled_h(cb, e1, r_t, 1.0))
+        h = _scaled_h(cb, e1, r_t, 1.0)
+        f32 = _kernels.float32_metrics(*cb.coordinate_table(np.float32), h)
         assert decode_exhaustive(cb, r_t, e1, 1.0).index == win
         assert int(f32.argmin()) == lo
-        assert _scan32(cb, e1, r_t, 1.0)[0] == w
+        assert _scan32(cb, h) == w
         # without the bound's margin only the float32 minimum is re-scored
         monkeypatch.setattr(_kernels, "float32_bound", lambda *args: 0.0)
-        assert _scan32(cb, e1, r_t, 1.0)[0] == lo
+        assert _scan32(cb, h) == lo
 
-    def test_zero_previous_frame_ties_to_first_index(self, scaled_cb):
-        cb = scaled_cb
-        r_prev = np.zeros((cb.n, 2), dtype=np.complex128)
-        r_t = np.ones((cb.n, 2), dtype=np.complex128)
-        assert _scan32(cb, r_prev, r_t, 0.8) == (0, 2.0 * cb.n)
+    def test_no_h_ties_to_first_index(self, scaled_cb):
+        assert _scan32(scaled_cb, None, lambda h, lin: pytest.fail("re-scored")) == 0
 
     def test_non_finite_bound_rescores_every_codeword(self):
         cb = build_codebook(SimConfig(lam=3, m=256))
@@ -346,32 +351,28 @@ class TestFloat32Scan:
             calls.append(lin)
             return cb.coordinate_metrics(h, lin)
 
-        inv_a = 1.0 / math.sqrt(a_sq)
-        h = _scaled_h(cb, r_prev, r_t, inv_a)
+        h = _scaled_h(cb, r_prev, r_t, 1.0 / math.sqrt(a_sq))
         assert _kernels.float32_bound(len(h), cb.scale_max, math.sqrt(h @ h)) == math.inf
-        best, metric = _scan32(cb, r_prev, r_t, inv_a, rescore)
+        assert _scan32(cb, h, rescore) == _scan64(cb, h)
         assert calls == [None]
-        want, value = _scan64(cb, r_prev, r_t, inv_a)
-        assert best == want and metric == pytest.approx(value, rel=1e-15)
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_non_finite_metric_rescores_every_codeword(self, bad, monkeypatch):
         cb = build_codebook(SimConfig(lam=3, m=256))
         r_t, r_prev, a_sq = noisy_window(cb, np.random.default_rng(42), 0.3, 1)
-        inv_a = 1.0 / math.sqrt(a_sq)
-        want = _scan64(cb, r_prev, r_t, inv_a)
+        h = _scaled_h(cb, r_prev, r_t, 1.0 / math.sqrt(a_sq))
+        want = _scan64(cb, h)
         table, scales32 = cb.coordinate_table(np.float32)
-        scales32[(want[0] + 7) % cb.M] = bad
+        scales32[(want + 7) % cb.M] = bad
         calls = []
 
         def rescore(h, lin):
             calls.append(lin)
             return cb.coordinate_metrics(h, lin)
 
-        best, metric = metric_scan(table, r_prev, r_t, inv_a, scales32, cb.basis,
-                                   rescore, cb.scale_max)
+        assert metric_scan(table, h, scales32, rescore=rescore,
+                           scale_max=cb.scale_max) == want
         assert calls == [None]
-        assert best == want[0] and metric == pytest.approx(want[1], rel=1e-12)
 
     def test_a_few_candidates_are_rescored(self):
         cb = build_codebook(SimConfig(lam=3, m=16**4, preset="paper-8ant-rate2"))
@@ -384,10 +385,8 @@ class TestFloat32Scan:
 
         for w in range(40):
             r_t, r_prev, a_sq = noisy_window(cb, rng, (0.0, 0.05, 0.5)[w % 3], 1 + w % 2)
-            inv_a = 1.0 / math.sqrt(a_sq)
-            best, metric = _scan32(cb, r_prev, r_t, inv_a, rescore)
-            want = _scan64(cb, r_prev, r_t, inv_a)
-            assert best == want[0] and metric == pytest.approx(want[1], rel=1e-12)
+            h = _scaled_h(cb, r_prev, r_t, 1.0 / math.sqrt(a_sq))
+            assert _scan32(cb, h, rescore) == _scan64(cb, h)
         assert len(sizes) == 40 and max(sizes) <= 4
 
 
@@ -408,7 +407,10 @@ def test_bench_kernels_scans_agree():
     for _ in range(5):
         r_t, r_prev, a_sq = noisy_window(cb, rng, 0.5, 1)
         frame = (r_prev, r_t, 1.0 / math.sqrt(a_sq))
-        best = {name: bind(cb)(*frame)[0] for name, bind in bench.SCANS}
+        best = {}
+        for name, bind in bench.SCANS:
+            operands, scan = bind(cb)
+            best[name] = scan(*operands(*frame))
         assert sorted(best) == ["coords32", "coords64", "direct"]
         assert len(set(best.values())) == 1
 

@@ -177,8 +177,10 @@ class TestRunSim:
     def test_group_only_run_builds_no_codeword_stack(self, monkeypatch):
         run_sim(_cfg(frames=50))
         cb = sim.prepare(_cfg())
-        # encoding and group decoding compose codewords and scales per group
-        assert not {"matrices", "basis", "exhaustive_table"} & cb.__dict__.keys()
+        # encoding and group decoding compose codewords and scales per group;
+        # the group scans read the (K, n) correlation taps, no M-sized array
+        assert not {"matrices", "exhaustive_table"} & cb.__dict__.keys()
+        assert cb.basis_taps[0].shape == (cb.design.K, cb.n)
         for decoder in ("exhaustive", "both"):
             run_sim(_cfg(frames=50, decoder=decoder))
             assert sim.prepare(_cfg()) is cb
@@ -203,27 +205,43 @@ class TestRunSim:
                            match=r"decide_exhaustive needs Codebook\.exhaustive_table"):
             run_sim(_cfg(m=256, frames=50, decoder="both"))
 
-    def test_refuses_a_block_index_draw_past_the_memory_budget(self, monkeypatch):
+    def test_refuses_a_block_past_the_memory_budget(self, monkeypatch):
+        # the cached codebook; its partials take 4 kB at most
+        cb = sim.prepare(_cfg(frames=1))
+        # 40 bytes a frame of index draw, and the arrays of a window of at most
+        # 256 frames: 250 frames in one block fit, 251 do not
+        budget = diffcodec.block_bytes(cb, 250, 1)
         probes = []
 
         def available():
             probes.append(1)
-            return 10_000
+            return budget
 
         monkeypatch.setattr(codebook, "_available_bytes", available)
-        sim.prepare(_cfg(frames=1))  # the cached codebook: partials take 4 kB at most
-        # 40 bytes a frame: 250 frames fit, 251 in one whole-burst block do not
         for frames, coherence in ((250, None), (251, 251), (10**4, 11)):
             probes.clear()
             assert run_sim(_cfg(frames=frames, coherence=coherence)).points[0].frames == frames
             assert len(probes) == 1  # once per sweep, not per chunk
-        for frames, coherence, nf, mb in ((251, None, 251, "0.0"),
-                                          (10**13, 252, 251, "0.0"),
-                                          (10**13, None, 10**13, "400000000.0")):
+        for frames, coherence, nf in ((251, None, 251), (10**13, 252, 251),
+                                      (10**13, None, 10**13)):
             with pytest.raises(ValueError) as err:
                 run_sim(_cfg(frames=frames, coherence=coherence))
+            mb = diffcodec.block_bytes(cb, nf, 1) / 1e6
             assert str(err.value) == (f"a fading block of {nf} frames needs its group-index "
-                                      f"draw, {mb} MB, but only 0.0 MB of memory is available")
+                                      f"draw and one window's arrays, {mb:.1f} MB, but only "
+                                      f"{budget / 1e6:.1f} MB of memory is available")
+
+    def test_window_memory_grows_with_the_receive_antennas(self, monkeypatch):
+        # one window's frames take 16 n n_r bytes per array: 100 receive
+        # antennas need more than twice the room of one
+        cb = sim.prepare(_cfg(frames=1))
+        budget = 2 * diffcodec.block_bytes(cb, 20, 1)
+        assert diffcodec.block_bytes(cb, 4, 100) > budget
+        monkeypatch.setattr(codebook, "_available_bytes", lambda: budget)
+        for coherence in (5, None):
+            assert run_sim(_cfg(frames=20, coherence=coherence)).points[0].frames == 20
+            with pytest.raises(ValueError, match="a fading block of (4|20) frames needs"):
+                run_sim(_cfg(frames=20, coherence=coherence, n_r=100))
 
     def test_large_group_only_run_builds_no_m_sized_array(self):
         # lam 2, M 64^4: the float32 exhaustive_table would take 604 MB
@@ -285,11 +303,11 @@ class TestRunSim:
         scan = diffcodec.metric_scan
         flip = 0b1011
 
-        def flipped(stack, r_prev, r_t, inv_a, *coordinate_args):
-            best, metric = scan(stack, r_prev, r_t, inv_a, *coordinate_args)
-            if not coordinate_args:  # group scans
-                return best, metric
-            return best ^ flip, metric
+        def flipped(stack, *frame, **kwargs):
+            best = scan(stack, *frame, **kwargs)
+            if len(stack) < 16:  # group scans
+                return best
+            return best ^ flip
 
         monkeypatch.setattr(diffcodec, "metric_scan", flipped)
         res = run_sim(_cfg(snr_db=(math.inf,), frames=200, decoder="both"))
@@ -341,9 +359,9 @@ class TestRunSim:
         sizes = []
         scan = diffcodec.metric_scan
 
-        def counted(stack, *args):
+        def counted(stack, *args, **kwargs):
             sizes.append(stack.shape[0])
-            return scan(stack, *args)
+            return scan(stack, *args, **kwargs)
 
         monkeypatch.setattr(diffcodec, "metric_scan", counted)
         res = run_sim(_cfg(snr_db=(0.0, 8.0), frames=123, decoder="both"))
@@ -519,6 +537,11 @@ class TestBlockPass:
         for window in (1, 7):
             monkeypatch.setattr(diffcodec, "WINDOW", window)
             assert run_sim(_cfg(**cfg)).to_csv() == want
+        # windows of 2 frames: their arrays' byte bound, not WINDOW, decides
+        monkeypatch.setattr(diffcodec, "WINDOW", 256)
+        monkeypatch.setattr(diffcodec, "WINDOW_BYTES", 2 * 16 * 4 * 4)
+        assert diffcodec.window_frames(4, cfg.get("n_r", 1)) == 2
+        assert run_sim(_cfg(**cfg)).to_csv() == want
 
     @pytest.mark.parametrize("cfg, rows", GOLDEN_CSV,
                              ids=["coherence", "whole-burst", "both-decoders-nr2"])
