@@ -16,6 +16,7 @@ over the groups' partial-codeword stacks, for any M.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -213,7 +214,15 @@ class Codebook:
         return int(np.ravel_multi_index(idx, self.sizes))
 
     def unravel_index(self, lin: int) -> tuple[int, int, int, int]:
-        return tuple(int(v) for v in np.unravel_index(lin, self.sizes))
+        """The group indices of linear index ``lin``, row-major over ``sizes``."""
+        lin = operator.index(lin)
+        if not 0 <= lin < self.M:
+            raise ValueError(f"index {lin} is out of bounds for {self.M} codewords")
+        _, s1, s2, s3 = self.sizes
+        rest, i3 = divmod(lin, s3)
+        rest, i2 = divmod(rest, s2)
+        i0, i1 = divmod(rest, s1)
+        return i0, i1, i2, i3
 
     @staticmethod
     def compose(parts, idx):
@@ -277,6 +286,14 @@ class Codebook:
         float32 above."""
         small = self.M * self.design.K * 8 <= FLOAT32_SCAN_BYTES
         return self.coordinate_table(np.float64 if small else np.float32)
+
+    @cached_property
+    def group_tables(self):
+        """What the group decoder scans, per group: its points as a
+        (P_k, 1, K/4) coordinate table, their norms as an array and as a
+        list, and P_k."""
+        return tuple(zip((points[:, None] for points in self.alphabets), self.group_norms,
+                         self.norm_lists, self.sizes))
 
     @cached_property
     def norm_lists(self) -> list[list[float]]:

@@ -43,13 +43,9 @@ import numpy as np
 from ._kernels import metric_scan
 from .codebook import Codebook, Codeword
 
-#: Most frames of a block encoded, transmitted and decided in one pass, and
-#: most bytes of each of a window's per-frame arrays (n x n or n x n_r
-#: complex): ``window_frames`` takes the smaller bound.  They bound the
-#: memory of a whole-burst block, and the bytes keep a large design's
-#: window in cache; no result depends on either.
+#: Most frames of a block encoded, transmitted and decided in one pass.  It
+#: bounds the memory of a whole-burst block; no result depends on it.
 WINDOW = 256
-WINDOW_BYTES = 2**19
 
 #: Bytes per frame of the group-index draw ``block_frames`` makes for a whole
 #: fading block: the (4, nf) int64 indices and their nf raveled int64 ones.
@@ -69,14 +65,7 @@ def block_bytes(cb: Codebook, nf: int, n_r: int) -> int:
     n, (k, width) = cb.n, cb.basis_taps[0].shape
     square, column = 16 * n * n, 16 * n * n_r
     per_frame = 3 * square + 5 * column + 8 * k * (width + 2)
-    w = min(nf, window_frames(n, n_r))
-    return INDEX_BYTES_PER_FRAME * nf + 2 * column + w * per_frame
-
-
-def window_frames(n: int, n_r: int) -> int:
-    """Frames per window of ``block_frames``: at most ``WINDOW``, and at
-    most ``WINDOW_BYTES`` per n x max(n, n_r) complex array."""
-    return max(1, min(WINDOW, WINDOW_BYTES // (16 * n * max(n, n_r))))
+    return INDEX_BYTES_PER_FRAME * nf + 2 * column + min(nf, WINDOW) * per_frame
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,13 +161,13 @@ def block_frames(cb: Codebook, rng, nf: int, n_r: int, sigma: float):
     indices for all ``nf`` frames, then the noise (``sigma`` per real
     dimension), reference frame first.  A frame's linear index is its
     four group indices raveled row-major over ``cb.sizes``.  Each window
-    of at most ``window_frames`` frames composes its codewords and scales from
+    of at most ``WINDOW`` frames composes its codewords and scales from
     the group parts, runs the chain step per frame and forms its received
     frames with one batched product.  Yields ``(sent, r_prev, r)``: the
     window's sent linear indices as a list, the frame received just
     before it, and its received frames as one (w, n, n_r) array.  The
-    noise is read in draw order, so no frame depends on the window size,
-    which only bounds memory and time per window, and ``encoder_step``
+    noise is read in draw order, so no frame depends on ``WINDOW``, which
+    only bounds the memory of a whole-burst block, and ``encoder_step``
     and ``channel_step`` on the same ``rng`` reproduce every frame.
     """
     n = cb.n
@@ -188,9 +177,8 @@ def block_frames(cb: Codebook, rng, nf: int, n_r: int, sigma: float):
     r_prev = h
     x_prev = np.eye(n, dtype=np.complex128)
     root_prev = 1.0  # sqrt(a) of the reference frame
-    step = window_frames(n, n_r)
-    for lo in range(0, nf, step):
-        hi = min(lo + step, nf)
+    for lo in range(0, nf, WINDOW):
+        hi = min(lo + WINDOW, nf)
         window = idx[:, lo:hi]
         u = cb.compose(cb.group_stacks, window)
         x = np.empty_like(u)
@@ -281,8 +269,7 @@ def decide_group(cb: Codebook, r, r_prev, a_prev_sq: float):
     is exact for a scaled-unitary codebook.  Returns the decided linear
     indices and the scale of the last decision.
     """
-    groups = tuple(zip((points[:, None] for points in cb.alphabets), cb.group_norms,
-                       cb.norm_lists, cb.sizes))
+    groups = cb.group_tables
     g, energy = correlate(cb, r, r_prev)
     a, hats = a_prev_sq, []
     for g_t, e in zip(g.reshape(len(g), 4, -1), energy):

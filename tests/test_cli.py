@@ -278,9 +278,9 @@ class TestSimulateCommand:
     def test_receive_antennas_past_the_memory_budget_leave_out_untouched(self, capsys,
                                                                           monkeypatch,
                                                                           tmp_path):
-        # 10^8 receive antennas: windows of one frame, whose (2, 10^8) complex
-        # arrays (the channel, the noise, the received frames, the correlation's
-        # copies) take 3.2 GB each
+        # 10^8 receive antennas: each frame's (2, 10^8) complex arrays (the
+        # channel, the noise, the received frames, the correlation's copies)
+        # take 3.2 GB each
         monkeypatch.setattr(codebook, "_available_bytes", lambda: 10**9)
         kept = tmp_path / "results.csv"
         kept.write_bytes(b"earlier results\n")
@@ -289,7 +289,7 @@ class TestSimulateCommand:
                                     "--out", str(kept))
         assert code == 2 and stdout == ""
         assert err == ("configuration error: a fading block of 20 frames needs its "
-                       "group-index draw and one window's arrays, 22400.0 MB, but only "
+                       "group-index draw and one window's arrays, 326400.0 MB, but only "
                        "1000.0 MB of memory is available\n")
         assert kept.read_bytes() == b"earlier results\n"
 

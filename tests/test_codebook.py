@@ -75,6 +75,15 @@ class TestCodewordAssembly:
             weights = cb16.design.weight_stack[list(cb16.grouping.groups[k])]
             assert np.array_equal(stack, np.tensordot(cb16.alphabets[k], weights, 1))
 
+    def test_group_tables_view_the_alphabets(self, cb16):
+        # what decide_group scans per group, built once: read-only views
+        assert cb16.group_tables is cb16.group_tables
+        for k, (table, norms, norm_list, size) in enumerate(cb16.group_tables):
+            points = cb16.alphabets[k]
+            assert table.shape == (size, 1, points.shape[1]) and size == cb16.sizes[k]
+            assert np.shares_memory(table, points) and not table.flags.writeable
+            assert norms is cb16.group_norms[k] and norm_list == norms.tolist()
+
     def test_no_zero_codeword(self, cb16):
         assert float(cb16.coordinate_table(np.float64)[1].min()) > 0
 
@@ -440,6 +449,19 @@ class TestCodebookInvariants:
     def test_linear_index_roundtrip(self, cb16):
         for lin in range(cb16.M):
             assert cb16.linear_index(cb16.unravel_index(lin)) == lin
+
+    def test_unravel_index_is_row_major_over_unequal_sizes(self):
+        sizes = (2, 3, 4, 5)
+        cb = Codebook(construct_design(1), [np.arange(1.0, p + 1)[:, None] for p in sizes],
+                      check_decodable=False)
+        for lin in range(cb.M):
+            assert cb.unravel_index(lin) == tuple(np.unravel_index(lin, sizes))
+        assert cb.unravel_index(np.int64(7)) == (0, 0, 1, 2)
+        for bad in (-1, cb.M):
+            with pytest.raises(ValueError, match="out of bounds"):
+                cb.unravel_index(bad)
+        with pytest.raises(TypeError):
+            cb.unravel_index(1.0)
 
 
 def _assert_matches_pair_scan(cb):

@@ -537,11 +537,6 @@ class TestBlockPass:
         for window in (1, 7):
             monkeypatch.setattr(diffcodec, "WINDOW", window)
             assert run_sim(_cfg(**cfg)).to_csv() == want
-        # windows of 2 frames: their arrays' byte bound, not WINDOW, decides
-        monkeypatch.setattr(diffcodec, "WINDOW", 256)
-        monkeypatch.setattr(diffcodec, "WINDOW_BYTES", 2 * 16 * 4 * 4)
-        assert diffcodec.window_frames(4, cfg.get("n_r", 1)) == 2
-        assert run_sim(_cfg(**cfg)).to_csv() == want
 
     @pytest.mark.parametrize("cfg, rows", GOLDEN_CSV,
                              ids=["coherence", "whole-burst", "both-decoders-nr2"])
