@@ -60,10 +60,11 @@ def _parse_snr_list(text: str):
             raise ValueError("range bounds and STEP must be finite")
         if step <= 0:
             raise ValueError("STEP must be positive")
-        count = int(math.floor((b - a) / step + 1e-9)) + 1
-        if count > MAX_SNR_POINTS:
-            raise ValueError(f"range gives {count} SNR points; at most {MAX_SNR_POINTS}")
-        return tuple(a + i * step for i in range(max(count, 0)))
+        span = (b - a) / step + 1e-9
+        if span >= MAX_SNR_POINTS:  # also an infinite span, which has no integer count
+            raise ValueError(f"range gives more than {MAX_SNR_POINTS} SNR points")
+        count = int(math.floor(max(span, -1.0))) + 1
+        return tuple(a + i * step for i in range(count))
     return tuple(one(v) for v in text.split(","))
 
 

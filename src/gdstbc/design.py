@@ -3,35 +3,34 @@
 A linear design is an n x n matrix whose entries are complex linear
 combinations of K real variables s_1..s_K, i.e. S(s) = sum_i s_i A_i with
 fixed weight matrices A_i.  The designs built here come from two block
-rules applied to tiny seeds:
+rules applied to one seed:
 
 * ``abba``     : A -> [[A, B], [B, A]]        (B = copy of A in fresh variables)
 * ``doubling`` : A -> [[A, -B^H], [B, A^H]]
 
-Starting from C1(x1, x2) = [[x1, x2], [x2, x1]], applying ``abba`` until
-the half size is reached and then ``doubling`` once yields, for every
-lam >= 1, a rate-1 design in 2**lam complex variables whose weight
-matrices split into four groups with exact cross-group anticommutation
-(A_i^H A_j + A_j^H A_i = 0).  That property is what makes the decoder
-metric separate into four independent minimisations.
+Starting from the seed [x1], applying ``abba`` until the half size is
+reached (first to C1(x1, x2) = [[x1, x2], [x2, x1]]) and then ``doubling``
+once yields, for every lam >= 1, a rate-1 design in 2**lam complex
+variables whose weight matrices split into four groups with exact
+cross-group anticommutation (A_i^H A_j + A_j^H A_i = 0).  That property is
+what makes the decoder metric separate into four independent minimisations.
 
 Real-variable convention: the real vector is ordered
 [x1I, x1Q, x2I, x2Q, ...], so complex variable x_m owns the two real
-slots 2m-2 and 2m-1 (0-based).  Every entry of a constructed design is a
-single signed, possibly conjugated variable, which keeps a compact
-symbolic table (variable index, sign, conjugation flag) alongside the
-materialised weight matrices.
+slots 2m-2 and 2m-1 (0-based).  Every cell of a constructed design holds
+at most one signed, possibly conjugated complex variable, so ``render``
+reads the symbolic matrix off the weights.
 
-The weights are kept once, as a (K, n, n) complex128 stack, and the two
-exact checks (cross-group anticommutation, doubling-block structure) run
-as matrix products on it.  They still decide with zero tolerance: every
-weight entry is 0, +-1 or +-i, so every entry of a product of two
-weights (or of blocks of them) is a Gaussian integer whose real and
-imaginary parts are at most n <= 64 in magnitude, and an anticommutator
-adds two such entries.  Integers that small, and every partial sum of
-them, are exact in float64, whatever order BLAS sums in and with or
-without fused multiply-add, so ``== 0`` and ``array_equal`` on those
-products are exact verdicts.
+A design is its weights alone, one (K, n, n) complex128 stack, which both
+(linear) rules map weight by weight.  The two exact checks (cross-group
+anticommutation, doubling-block structure) run as matrix products on it.
+They still decide with zero tolerance: every weight entry is 0, +-1 or
++-i, so every entry of a product of two weights (or of blocks of them) is
+a Gaussian integer whose real and imaginary parts are at most n <= 64 in
+magnitude, and an anticommutator adds two such entries.  Integers that
+small, and every partial sum of them, are exact in float64, whatever order
+BLAS sums in and with or without fused multiply-add, so ``== 0`` and
+``array_equal`` on those products are exact verdicts.
 """
 
 from __future__ import annotations
@@ -46,22 +45,29 @@ MAX_LAMBDA = 6  # 64x64 designs; larger sizes are out of scope
 
 @dataclass(frozen=True, eq=False)
 class LinearDesign:
-    """An n x n design in K real variables plus its symbolic entry table.
+    """An n x n design in K real variables, held as its weight matrices.
 
-    ``var``/``sign``/``conj`` hold, per matrix cell, the 1-based complex
-    variable index (0 for an empty cell), its sign and whether it appears
-    conjugated.  ``weight_stack`` holds the K weight matrices as a
-    (K, n, n) complex array, in the real variable order described in the
-    module docstring.
+    ``weight_stack`` holds the K weight matrices as a (K, n, n) complex
+    array, in the real variable order described in the module docstring;
+    it is made read-only here, and the sizes are read off its shape.
     """
 
-    lam: int
-    n: int
-    K: int
     weight_stack: np.ndarray
-    var: np.ndarray
-    sign: np.ndarray
-    conj: np.ndarray
+
+    def __post_init__(self):
+        self.weight_stack.setflags(write=False)
+
+    @property
+    def K(self) -> int:
+        return self.weight_stack.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.weight_stack.shape[1]
+
+    @property
+    def lam(self) -> int:
+        return self.n.bit_length() - 1
 
     @property
     def num_complex(self) -> int:
@@ -99,78 +105,56 @@ class Grouping:
         return sorted(i for grp in self.groups for i in grp) == list(range(K))
 
 
-def _design_from_table(var, sign, conj) -> LinearDesign:
-    """Materialise weight matrices from the symbolic entry table."""
-    var = np.asarray(var, dtype=np.int16)
-    sign = np.asarray(sign, dtype=np.int16)
-    conj = np.asarray(conj, dtype=np.int16)
-    n = var.shape[0]
-    num_complex = int(var.max())
-    K = 2 * num_complex
-    stack = np.zeros((K, n, n), np.complex128)
-    i, j = np.nonzero(var)
-    m = var[i, j].astype(np.intp)
-    s = sign[i, j]
-    # s * x_m   = s*(xI + j xQ)  -> I-weight gets s, Q-weight gets s*j
-    # s * x_m^* = s*(xI - j xQ)  -> I-weight gets s, Q-weight gets -s*j
-    stack.real[2 * m - 2, i, j] = s
-    stack.imag[2 * m - 1, i, j] = np.where(conj[i, j], -s, s)
-    for arr in (var, sign, conj, stack):
-        arr.setflags(write=False)
-    lam = int(np.log2(n)) if n > 1 else 0
-    return LinearDesign(lam=lam, n=n, K=K, weight_stack=stack,
-                        var=var, sign=sign, conj=conj)
-
-
 def scalar_design() -> LinearDesign:
-    """The 1x1 seed design [x1]."""
-    return _design_from_table([[1]], [[1]], [[0]])
+    """The 1x1 seed design [x1]: weight 1 for x1I and i for x1Q."""
+    return LinearDesign(np.array([[[1]], [[1j]]]))
 
 
 def c1_design() -> LinearDesign:
-    """The 2x2 seed C1(x1, x2) = [[x1, x2], [x2, x1]]."""
-    return _design_from_table([[1, 2], [2, 1]], [[1, 1], [1, 1]], [[0, 0], [0, 0]])
+    """The 2x2 design C1(x1, x2) = [[x1, x2], [x2, x1]]."""
+    return abba(scalar_design())
 
 
 def abba(d: LinearDesign) -> LinearDesign:
     """[[A, B], [B, A]] with B a fresh-variable copy of A.
 
-    Doubles both the matrix size and the variable count.
+    Doubles both the matrix size and the variable count: each weight W of
+    A becomes [[W, 0], [0, W]], and its copy in B [[0, W], [W, 0]].
     """
-    nc = d.num_complex
-    shifted = np.where(d.var > 0, d.var + nc, 0).astype(np.int16)
-    var = np.block([[d.var, shifted], [shifted, d.var]])
-    sign = np.block([[d.sign, d.sign], [d.sign, d.sign]])
-    conj = np.block([[d.conj, d.conj], [d.conj, d.conj]])
-    return _design_from_table(var, sign, conj)
+    w, K, n = d.weight_stack, d.K, d.n
+    out = np.zeros((2 * K, 2 * n, 2 * n), np.complex128)
+    out[:K, :n, :n] = out[:K, n:, n:] = w
+    out[K:, :n, n:] = out[K:, n:, :n] = w
+    return LinearDesign(out)
 
 
 def doubling(d: LinearDesign) -> LinearDesign:
-    """[[A, -B^H], [B, A^H]] with B a fresh-variable copy of A."""
-    nc = d.num_complex
-    shifted = np.where(d.var > 0, d.var + nc, 0).astype(np.int16)
-    var = np.block([[d.var, shifted.T], [shifted, d.var.T]])
-    sign = np.block([[d.sign, -d.sign.T], [d.sign, d.sign.T]])
-    flip = (1 - d.conj.T).astype(np.int16)
-    flip[d.var.T == 0] = 0
-    conj = np.block([[d.conj, flip], [d.conj, flip]])
-    return _design_from_table(var, sign, conj)
+    """[[A, -B^H], [B, A^H]] with B a fresh-variable copy of A.
+
+    The variables are real, so A^H = sum_i s_i W_i^H: each weight W of A
+    becomes [[W, 0], [0, W^H]], and its copy in B [[0, -W^H], [W, 0]].
+    """
+    w, K, n = d.weight_stack, d.K, d.n
+    wh = _herm(w) + 0.0  # conj leaves -0.0 zeros; + 0.0 and 0.0 - wh store them as +0.0
+    out = np.zeros((2 * K, 2 * n, 2 * n), np.complex128)
+    out[:K, :n, :n] = out[K:, n:, :n] = w
+    out[:K, n:, n:] = wh
+    out[K:, :n, n:] = 0.0 - wh
+    return LinearDesign(out)
 
 
 def construct_design(lam: int) -> LinearDesign:
-    """Iterated construction: abba^(lam-2) on C1, then one doubling.
+    """Iterated construction: abba^(lam-1) on the scalar seed, then one doubling.
 
-    lam = 1 doubles the scalar seed, which lands on the Alamouti design,
-    so a single code path covers every size.
+    The first ``abba`` gives C1, and lam = 1 doubles the seed itself, which
+    lands on the Alamouti design.
     """
     if not isinstance(lam, (int, np.integer)) or lam < 1:
         raise ValueError(f"lam must be an integer >= 1, got {lam!r}")
     if lam > MAX_LAMBDA:
         raise ValueError(f"lam={lam} exceeds the supported maximum {MAX_LAMBDA}")
-    if lam == 1:
-        return doubling(scalar_design())
-    d = c1_design()
-    for _ in range(lam - 2):
+    d = scalar_design()
+    for _ in range(lam - 1):
         d = abba(d)
     return doubling(d)
 
@@ -265,19 +249,24 @@ def verify_doubling_blocks(d: LinearDesign) -> bool:
     return True
 
 
-def _entry_str(m: int, s: int, c: int) -> str:
-    if m == 0:
+def _entry_str(m: int, s: float, q: float) -> str:
+    """Cell text of s * x_m: x_m's I weight reads s in the cell and its Q
+    weight s * i, or -s * i when x_m appears conjugated."""
+    if s == 0:
         return "0"
-    return ("-" if s < 0 else "") + f"x{m}" + ("*" if c else "")
+    return ("-" if s < 0 else "") + f"x{m}" + ("*" if q != s else "")
 
 
 def render(d: LinearDesign) -> list[list[str]]:
-    """Symbolic matrix as nested lists of strings like '-x3*'."""
-    return [
-        [_entry_str(int(d.var[i, j]), int(d.sign[i, j]), int(d.conj[i, j]))
-         for j in range(d.n)]
-        for i in range(d.n)
-    ]
+    """Symbolic matrix as nested lists of strings like '-x3*', read off the
+    I and Q weights of the one variable in each cell."""
+    re = d.weight_stack.real[0::2]
+    im = d.weight_stack.imag[1::2]
+    m = np.abs(re).argmax(axis=0)
+    i, j = np.indices(m.shape)
+    s, q = re[m, i, j], im[m, i, j]
+    return [[_entry_str(int(m[r, c]) + 1, s[r, c], q[r, c]) for c in range(d.n)]
+            for r in range(d.n)]
 
 
 def render_text(d: LinearDesign) -> str:

@@ -71,7 +71,8 @@ def normalize_radii(radii, target_sum_sq: float) -> np.ndarray:
     r = _check_radii(radii)
     with np.errstate(over="ignore"):
         total = float(np.sum(r * r))
-    if not 0.0 < total < math.inf:
+    # a tiny positive sum of squares passes the first test but overflows the scale
+    if not 0.0 < total < math.inf or not math.isfinite(target_sum_sq / total):
         raise ValueError("radii are too large or too small to normalise")
     return r * math.sqrt(target_sum_sq / total)
 

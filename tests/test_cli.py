@@ -63,6 +63,14 @@ class TestSignalsetCommand:
         code, out, err = run_cli(capsys, *command, "--lambda", "2", "--points", points)
         assert code == 2 and out == "" and err.startswith("configuration error:")
 
+    @pytest.mark.parametrize("command", [["signalset"], ["codebook", "verify"]])
+    def test_tiny_radii_are_config_errors(self, capsys, command):
+        # the square sum 1e-320 is positive, but P/2 over it overflows
+        code, out, err = run_cli(capsys, *command, "--lambda", "2", "--points", "16",
+                                 "--radii", "1e-160")
+        assert code == 2 and out == ""
+        assert err == "configuration error: radii are too large or too small to normalise\n"
+
     @pytest.mark.parametrize("family", ["axis", "hyperbola"])
     @pytest.mark.parametrize("command", [["signalset"], ["codebook", "verify"]])
     def test_group_points_past_the_memory_budget_are_config_error(self, capsys, monkeypatch,
@@ -307,7 +315,7 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("args", [
         ("--radii", "nan"), ("--radii", "inf"), ("--radii", "1,inf"),
-        ("--radii", "1e200,1e300"),
+        ("--radii", "1e200,1e300"), ("--radii", "1e-160,2e-160"),
     ])
     def test_bad_radii_are_config_errors(self, capsys, args):
         code, out, err = run_cli(capsys, "simulate", "--lambda", "2", "--points", "256",
@@ -361,17 +369,24 @@ class TestSimulateCommand:
             cli._parse_snr_list("0:10:0")
         with pytest.raises(ValueError):
             cli._parse_snr_list("0:inf:1")
+        # (B - A) / STEP overflows to inf, which has no integer count
+        with pytest.raises(ValueError, match="SNR points"):
+            cli._parse_snr_list("0:1:1e-320")
+        with pytest.raises(ValueError, match="SNR points"):
+            cli._parse_snr_list("-1e308:1e308:1")
+        assert cli._parse_snr_list("1e308:-1e308:1") == ()
 
     def test_snr_range_point_cap(self):
         assert len(cli._parse_snr_list(f"1:{cli.MAX_SNR_POINTS}:1")) == cli.MAX_SNR_POINTS
         with pytest.raises(ValueError, match="SNR points"):
             cli._parse_snr_list(f"0:{cli.MAX_SNR_POINTS}:1")
 
-    def test_huge_snr_range_is_config_error(self, capsys):
-        # 10^12 points: refused from the count, before any tuple is built
+    @pytest.mark.parametrize("snr", ["0:1e6:1e-6", "0:1:1e-320"])
+    def test_huge_snr_range_is_config_error(self, capsys, snr):
+        # 10^12 points, or too many to count: refused before any tuple is built
         with pytest.raises(SystemExit) as exc:
             cli.main(["simulate", "--lambda", "2", "--points", "16",
-                      "--snr-db", "0:1e6:1e-6", "--frames", "10"])
+                      "--snr-db", snr, "--frames", "10"])
         assert exc.value.code == 2
         assert "--snr-db" in capsys.readouterr().err
 

@@ -1,3 +1,6 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
@@ -29,6 +32,27 @@ FOUR_ANTENNA = [
     ["x3", "x4", "x1*", "x2*"],
     ["x4", "x3", "x2*", "x1*"],
 ]
+
+
+#: SHA-256 of construct_design(lam).weight_stack.tobytes(): every codeword,
+#: coordinate table and verdict is built from these bytes.
+WEIGHT_SHA256 = {
+    1: "647b8e1dd4d91546c9679a56b1fb3bed1ba0240322515632b39a0078b1b30364",
+    2: "cea125d9fdf1c4e45e036b98a851e8757d49ba8c2ebd458c5b3ce599808e3714",
+    3: "bae0cd7614ac2ee221ad235fd2bff75f5655694751785e33ac025a576eede800",
+    4: "d8168105989d5fdfbb46e2ad44586c392b3a288720d698914baeb58e77a14989",
+    5: "43a7ad26f4a0981c567e23b933c6ce99fefbd93f36d6cceceb8525443aaf1cbf",
+    6: "7fa729a0ba7d18dcfcfe4602c9918da7dca3d3fc9b33dcf51624a4747c747a41",
+}
+
+
+def symbolic_value(entry: str, z: np.ndarray) -> complex:
+    """Value of a rendered entry such as '-x3*' at the complex vector z."""
+    if entry == "0":
+        return 0
+    minus, m, star = re.fullmatch(r"(-?)x(\d+)(\*?)", entry).groups()
+    v = z[int(m) - 1]
+    return (-1 if minus else 1) * (np.conj(v) if star else v)
 
 
 class TestBlockConstructions:
@@ -99,6 +123,20 @@ class TestConstructDesign:
             w = construct_design(lam).weight_stack
             assert w.dtype == np.complex128
             assert set(np.unique(w).tolist()) <= {0, 1, -1, 1j, -1j}
+
+    @pytest.mark.parametrize("lam", [1, 2, 3, 4, 5, 6])
+    def test_weight_bytes_are_frozen(self, lam):
+        w = construct_design(lam).weight_stack
+        assert hashlib.sha256(w.tobytes()).hexdigest() == WEIGHT_SHA256[lam]
+
+    @pytest.mark.parametrize("lam", [1, 2, 3, 4, 5, 6])
+    def test_render_evaluates_like_the_weights(self, lam):
+        d = construct_design(lam)
+        rng = np.random.default_rng(lam)
+        z = rng.standard_normal(d.num_complex) + 1j * rng.standard_normal(d.num_complex)
+        x = np.column_stack([z.real, z.imag]).ravel()  # [x1I, x1Q, x2I, ...]
+        sym = np.array([[symbolic_value(e, z) for e in row] for row in render(d)])
+        assert np.array_equal(sym, evaluate(d, x))
 
     def test_render_text_shape(self):
         text = render_text(construct_design(2))
