@@ -5,18 +5,19 @@ Times one differential decode metric scan (the hot loop of both decoders
 and of the Monte Carlo simulator) over codebooks of increasing size: the
 direct scan over the codeword stack (where the stack takes at most
 ``DIRECT_MAX_BYTES``), and the two forms of the coordinate scan the
-simulator's exhaustive decoder uses, over the codewords' real coordinates
-(``Codebook.coordinate_table``) against the frame's h: float64, and
-float32 with a float64 re-score of its candidates.  h is formed once per
-frame outside the timed scan (``diffcodec.correlate``, which the
+simulator's exhaustive decoder uses against the frame's h: one GEMV over
+the codewords' float64 real coordinates (``Codebook.coordinate_table``),
+and the ``FactoredTable`` sum of the four groups' scores.  h is formed
+once per frame outside the timed scan (``diffcodec.correlate``, which the
 simulator runs once per window).  For each size it prints which
 coordinate form is faster; that comparison sets
-``codebook.FLOAT32_SCAN_BYTES``, the size at which
-``Codebook.exhaustive_table`` switches from one to the other.  Then the
-coordinate scan of single groups, the (M^(1/4), 1, K/4) point tables the
-simulator's group decoder scans four times per frame, where per-call
-overhead, not arithmetic, sets the cost.  Then the per-frame cost of the
-two decoders through the public API on the largest codebook.
+``codebook.TABLE_SCAN_BYTES``, the table size above which
+``Codebook.exhaustive_table`` switches from the table to the factored
+form.  Then the coordinate scan of single groups, the (M^(1/4), 1, K/4)
+point tables the simulator's group decoder scans four times per frame,
+where per-call overhead, not arithmetic, sets the cost.  Then the
+per-frame cost of the two decoders through the public API on the largest
+codebook.
 
 Run from the repository root:
 
@@ -34,7 +35,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from gdstbc._kernels import metric_scan  # noqa: E402
+from gdstbc._kernels import FactoredTable, metric_scan  # noqa: E402
 from gdstbc.codebook import Codebook  # noqa: E402
 from gdstbc.design import construct_design  # noqa: E402
 from gdstbc.diffcodec import (  # noqa: E402
@@ -61,21 +62,21 @@ def _frame_h(cb, r_prev, r_t, inv_a):
     return (fold(g[0], energy[0], inv_a ** -2),)
 
 
-def _coordinates(dtype):
-    def bind(cb):
-        table, scales = cb.coordinate_table(dtype)
-        rescore, scale_max = cb.coordinate_metrics, cb.scale_max
-        return (functools.partial(_frame_h, cb),
-                lambda h: metric_scan(table, h, scales, rescore=rescore, scale_max=scale_max))
-    return bind
+def _table(cb):
+    table, scales = cb.coordinate_table()
+    return functools.partial(_frame_h, cb), lambda h: metric_scan(table, h, scales)
+
+
+def _factored(cb):
+    factored = FactoredTable(cb.alphabets, cb.group_norms)
+    return functools.partial(_frame_h, cb), lambda h: metric_scan(factored, h)
 
 
 #: The timed scans: a name, and a function of the codebook that builds the
 #: scan's arrays once and returns (operands, scan): operands(r_prev, r_t,
 #: inv_a) forms a frame's scan arguments, untimed, and scan(*operands)
 #: returns the decided index.
-SCANS = [("direct", _direct), ("coords64", _coordinates(np.float64)),
-         ("coords32", _coordinates(np.float32))]
+SCANS = [("direct", _direct), ("table", _table), ("factored", _factored)]
 
 
 def time_call(fn, args, repeats, number=1):
@@ -121,7 +122,7 @@ def main():
         row = [f"{f'lam={lam} n={n}':>16} {m:>6} {cb.M * cb.design.K * 8 / 1e6:>9.2f}"]
         row += [] if direct else [f"{'-':>12}"]
         row += [f"{t * 1e6:>10.1f}us" for t in times]
-        row.append(f"{'float32' if times[-1] < times[-2] else 'float64':>9}")
+        row.append(f"{'factored' if times[-1] < times[-2] else 'table':>9}")
         print(" ".join(row))
         del cb, scans
 

@@ -1,11 +1,10 @@
 """The decoder metric kernel (NumPy), and BLAS thread control.
 
-``metric_scan`` makes one BLAS call per scan over the candidates, in one
-of two forms.  In its direct form the (M, n, n) candidate stack is
-viewed as one (M*n, n) matrix and multiplied by ``r_prev`` (a GEMV for
-one receive antenna), so the scan streams the stack once instead of
-running M tiny matrix products.  The first candidate index achieving
-the minimum wins.
+``metric_scan`` scores one frame's candidates in one of three forms.  In
+its direct form the (M, n, n) candidate stack is viewed as one (M*n, n)
+matrix and multiplied by ``r_prev`` (a GEMV for one receive antenna), so
+the scan streams the stack once instead of running M tiny matrix
+products.  The first candidate index achieving the minimum wins.
 
 Its coordinate form takes a linear design's codewords in their real
 coordinates instead of their matrices: an (M, r, d) table holding every
@@ -32,43 +31,21 @@ decoder each group's points (a group's share of the metric is
 x_k . h_k + |x_k|^2, on the group's slice of h), so both decoders scan
 the same h.
 
-A float32 table (with float32 scales) halves the bytes that GEMV reads,
-and the scan stays exact ML.  Write F_m = x_m . h + a_m for the exact
-divided metric and f_m for its float32 value: the table, h and the
-scales rounded to float32 (the scales summed from four rounded group
-norms), one single-precision GEMV and one float32 add.  With u = 2^-24 and
-gamma_j = j u / (1 - j u), each product x_v h_v picks up three relative
-roundings (table, h, product) and at most K - 1 additions in whatever
-order the GEMV sums them, so the dot product is within
-gamma_{K+2} sum_v |x_v h_v|; the float32 scale is within gamma_4 a_m;
-the final add contributes u times their sum.  So
-
-    |f_m - F_m| <= gamma_{K+3} sum_v |x_v h_v| + gamma_5 a_m + t,
-
-where t covers float32 underflow: a value rounded into the subnormal
-range is off by at most 2^-150 absolutely, which can happen to each
-h_v (weighted by |x_v|), to each table entry (weighted by |h_v|), to
-each product and to each group norm, while subnormal additions are
-exact.  Cauchy-Schwarz gives sum_v |x_v h_v| <= sqrt(a_m) ||h|| (a_m is
-||x_m||^2) and the l1 norms are at most sqrt(K) times the l2 norms, so
-with a_max >= every a_m one bound serves the whole scan, in O(1):
-
-    delta = gamma_{K+4} sqrt(a_max) ||h|| + gamma_6 a_max
-            + 2^-149 (K + 4 + sqrt(K) (2 sqrt(a_max) + ||h||)).
-
-The extra rounding in each gamma (K+4 and 6, not K+3 and 5) covers the
-float64 arithmetic of the re-score and of delta itself, both within a
-few 2^-53 relative.  Let m* be a codeword with the smallest float64
-re-scored metric and f_min the float32 minimum: f_{m*} <= F_{m*} + delta
-<= F_m + delta <= f_m + 2 delta for every m, so every such m* (every
-tied one too) lies among the candidates f_m <= f_min + 2 delta.  Those
-are re-scored in float64 by ``rescore`` and the first index of the
-smallest re-scored metric wins, which is the float64 decision with the
-usual tie rule.  When ||h|| or sqrt(a_max) ||h|| + a_max leaves the
-float32 range, delta is infinite and nothing is scanned in float32;
-then, or when the float32 minimum is not finite (a NaN among the
-metrics), all M codewords are re-scored in float64.  With delta finite
-every |f_m| stays below 2^127, so no metric overflows.
+A ``FactoredTable`` stands for the (M, 4, K/4) table of a product
+codebook without building it: the codewords are every choice of one
+point per group, row-major over the four index ranges, and a group's
+share of x_m . h + a_m is p_k[i] = x_k(i) . h_k + |x_k(i)|^2.  The scan
+forms the four P_k-sized p_k and sums them by broadcasting in
+``Codebook.compose`` order, ((p0 + p1) + p2) + p3: the float64
+arithmetic of ``Codebook.coordinate_metrics`` over all M, bit for bit
+(the last add is commutative).  The sums are laid out with i3 first, so
+that no loop runs along the short P_3 axis, and the first minimum in the
+codewords' row-major order is found in two steps: the first (i0, i1, i2)
+whose column holds the smallest sum, then the first i3 in that column.
+It reads the four alphabets instead of 8 K bytes per codeword and holds
+the M sums and the partial sums of groups 0-1 and 0-2.  Its dozen NumPy
+calls cost more than one GEMV on small tables and far less than
+streaming a large one (``codebook.TABLE_SCAN_BYTES``).
 
 OpenBLAS threads that GEMV once the stack is large enough.  Pool workers
 that scan side by side would then oversubscribe the cores, so the
@@ -84,9 +61,6 @@ import numpy as np
 
 #: The metric kernel's implementation, reported in ``--json`` output.
 BACKEND = "python"
-
-#: Unit roundoff of float32.
-_U32 = 2.0 ** -24
 
 
 def metric_values(stack, r_prev, r_t, inv_a):
@@ -105,7 +79,7 @@ def metric_values(stack, r_prev, r_t, inv_a):
     return np.vecdot(parts, parts)
 
 
-def metric_scan(stack, *frame, rescore=None, scale_max=None):
+def metric_scan(stack, *frame):
     """The first index of the smallest decoder metric over M candidates.
 
     ``metric_scan(stack, r_prev, r_t, inv_a)`` is the direct form: it
@@ -113,62 +87,38 @@ def metric_scan(stack, *frame, rescore=None, scale_max=None):
     over the (M, n, n) ``stack``.  ``metric_scan(table, h, scales)`` is the
     coordinate form of the module docstring: it returns the first argmin of
     x_m . h + a_m over the (M, r, d) ``table`` of coordinates x_m and the
-    ``scales`` a_m, or 0 when h is None.  A float32 table and scales take
-    the float32 form there, which also needs ``scale_max`` >= every scale
-    and ``rescore(h, lin)``, the float64 x_m . h + a_m of the candidates
-    with linear indices ``lin`` (of all M when ``lin`` is None).
+    ``scales`` a_m, or 0 when h is None.  ``metric_scan(factored, h)`` is
+    the same on a ``FactoredTable``, which carries its own scales.
     """
     if len(frame) == 3:
         metrics = metric_values(stack, *frame)
         best = int(metrics.argmin())
         return best, float(metrics[best])
-    h, scales = frame
+    h = frame[0]
     if h is None:  # r_prev == 0: every candidate ties
         return 0
-    if stack.dtype == np.float32:
-        return _float32_scan(stack, scales, h, rescore, scale_max)
-    metrics = np.dot(stack.reshape(len(stack), -1), h)
-    metrics += scales
-    return int(metrics.argmin())
+    if len(frame) == 2:
+        metrics = np.dot(stack.reshape(len(stack), -1), h)
+        metrics += frame[1]
+        return int(metrics.argmin())
+    p0, p1, p2, p3 = (np.dot(points, h_k) + norms for points, h_k, norms
+                      in zip(stack.points, h.reshape(4, -1), stack.norms))
+    # row i3, column (i0, i1, i2): the compose sums, transposed so that each
+    # add and min runs along a row of M / P_3 values
+    sums = np.add.outer(p3, np.add.outer(np.add.outer(p0, p1), p2).ravel())
+    col = int(sums.min(axis=0).argmin())
+    return col * len(p3) + int(sums[:, col].argmin())
 
 
-def float32_bound(k: int, scale_max: float, h_norm: float) -> float:
-    """delta of the module docstring: the largest |f_m - F_m| of a float32
-    scan with K = ``k``, a_max = ``scale_max`` and ||h|| = ``h_norm``;
-    infinite when the scan could leave the float32 range."""
-    root = math.sqrt(scale_max)
-    if not max(h_norm, root * h_norm + scale_max) < 2.0 ** 126:  # also NaN
-        return math.inf
+class FactoredTable:
+    """A product codebook's coordinate table and scales, held as its four
+    groups' (P_k, K/4) ``points`` and (P_k,) ``norms``; ``shape`` is the
+    (M, 4, K/4) of the table it stands for (module docstring)."""
 
-    def gamma(j):
-        return j * _U32 / (1.0 - j * _U32)
+    def __init__(self, points, norms):
+        self.points, self.norms = tuple(points), tuple(norms)
+        self.shape = (math.prod(map(len, self.points)), 4, self.points[0].shape[1])
 
-    return (gamma(k + 4) * root * h_norm + gamma(6) * scale_max
-            + 2.0 ** -149 * (k + 4 + math.sqrt(k) * (2.0 * root + h_norm)))
-
-
-def float32_metrics(stack, scales, h):
-    """f_m of the module docstring for every m: one single-precision GEMV of
-    the float32 table against h rounded to float32, plus the float32 scales."""
-    metrics = np.dot(stack.reshape(len(stack), -1), h.astype(np.float32))
-    metrics += scales
-    return metrics
-
-
-def _float32_scan(stack, scales, h, rescore, scale_max):
-    """The first index of the smallest float64 x_m . h + a_m, from a
-    float32 scan and a float64 re-score of its candidates."""
-    delta = float32_bound(len(h), scale_max, math.sqrt(np.dot(h, h)))
-    cand = None
-    if math.isfinite(delta):
-        metrics = float32_metrics(stack, scales, h)
-        low = float(metrics.min())  # NaN if any metric is
-        if math.isfinite(low):
-            # rounding the threshold to float32 loses no candidate: a float32
-            # value at most the float64 threshold is at most its rounding
-            cand = np.flatnonzero(metrics <= np.float32(low + 2.0 * delta))
-    i = int(rescore(h, cand).argmin())
-    return i if cand is None else int(cand[i])
 
 
 class _DlPhdrInfo(ctypes.Structure):

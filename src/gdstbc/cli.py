@@ -46,7 +46,10 @@ MAX_SNR_POINTS = 10_000
 
 
 def _parse_snr_list(text: str):
-    """Accept 'A:B:STEP' (inclusive), a comma list, or a single value; 'inf' allowed."""
+    """Accept 'A:B:STEP' (inclusive), a comma list, or a single value; 'inf'
+    allowed.  A malformed range raises ArgumentTypeError, so that argparse
+    prints its reason; a value that is not a number it reports only as
+    invalid."""
     def one(v):
         v = v.strip()
         return math.inf if v == "inf" else float(v)
@@ -54,15 +57,16 @@ def _parse_snr_list(text: str):
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise ValueError("range form is A:B:STEP")
+            raise argparse.ArgumentTypeError("range form is A:B:STEP")
         a, b, step = (float(p) for p in parts)
         if not all(map(math.isfinite, (a, b, step))):
-            raise ValueError("range bounds and STEP must be finite")
+            raise argparse.ArgumentTypeError("range bounds and STEP must be finite")
         if step <= 0:
-            raise ValueError("STEP must be positive")
+            raise argparse.ArgumentTypeError("STEP must be positive")
         span = (b - a) / step + 1e-9
         if span >= MAX_SNR_POINTS:  # also an infinite span, which has no integer count
-            raise ValueError(f"range gives more than {MAX_SNR_POINTS} SNR points")
+            raise argparse.ArgumentTypeError(
+                f"range gives more than {MAX_SNR_POINTS} SNR points")
         count = int(math.floor(max(span, -1.0))) + 1
         return tuple(a + i * step for i in range(count))
     return tuple(one(v) for v in text.split(","))

@@ -22,6 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._kernels import FactoredTable
 from .design import (
     Grouping,
     LinearDesign,
@@ -43,17 +44,19 @@ RANK_RTOL = 1e-9
 UNITARITY_TOL = 1e-9
 
 
-#: Size of the float64 coordinate table (8 M K bytes) above which the
-#: simulator's exhaustive rows scan it in float32 (``exhaustive_table``).
-#: benchmarks/bench_kernels.py, us per scan against a given h (float64: one
-#: GEMV and an add; float32: the GEMV, the bound and the re-score), both
-#: tables column-major, three runs on a 2-core x86-64 host: float64 is
-#: faster at 0.52 MB (lam 3 M 4096: 12-17 against 27-47) and 0.64 MB (lam 2
-#: M 10000: 24-31 against 32-53), float32 from 2.46 MB (lam 2 M 38416:
-#: 151-158 against 69-76; the preset, 8.4 MB: 307-321 against 181-224).
-#: From 1.05 MB (lam 4 M 4096) to 1.33 MB (lam 2 M 20736) the runs put
-#: either form ahead by a few us, so the threshold stays inside that range.
-FLOAT32_SCAN_BYTES = 1_200_000
+#: Largest float64 coordinate table (8 M K bytes) the simulator's
+#: exhaustive rows scan; above it they scan a ``FactoredTable``
+#: (``exhaustive_table``).  benchmarks/bench_kernels.py, us per scan against
+#: a given h (table: one GEMV and an add; factored: the four group scores,
+#: their broadcast sum and the two-step argmin), three runs on a 2-core
+#: x86-64 host: the table is faster in every run up to 0.64 MB (lam 2 M
+#: 10000: 25/30/32 against 36/51/37) and at 1.33 MB (lam 2 M 20736:
+#: 63/72/72 against 80/78/77), the factored scan in every run from
+#: 2.46 MB (lam 2 M 38416: 189/205/179 against 65/66/61; the preset,
+#: 8.4 MB: 337/378/354 against 65/93/87).  At 1.05 MB (lam 4 M 4096) and
+#: 1.28 MB (lam 3 M 10000) the runs split by a few us, so the threshold
+#: sits between 1.33 and 2.46 MB.
+TABLE_SCAN_BYTES = 2_000_000
 
 
 def _read(path: str):
@@ -158,11 +161,11 @@ class Codebook:
     memory available.  ``basis_taps`` tells the deciders how to read the
     correlation of a frame with every ``basis`` weight.  Only
     exhaustive decoding needs M-sized arrays, built lazily, and refused
-    (ValueError) past the memory available: ``exhaustive_table`` (every
-    codeword's real coordinates against ``basis`` and its scale, the form
-    the simulator's exhaustive decoder scans, from ``coordinate_table``)
-    and the full (M, n, n) ``matrices`` stack (n times larger, for
-    ``decode_exhaustive``).
+    (ValueError) past the memory available: ``exhaustive_table`` (what the
+    simulator's exhaustive decoder scans: every codeword's real
+    coordinates against ``basis`` and its scale from ``coordinate_table``,
+    or on large codebooks a ``FactoredTable``, whose scans make M sums)
+    and the full (M, n, n) ``matrices`` stack (for ``decode_exhaustive``).
     """
 
     def __init__(self, design: LinearDesign, alphabets,
@@ -259,33 +262,39 @@ class Codebook:
         taps = np.argsort(parts == 0, axis=1, kind="stable")[:, :width]
         return taps, np.take_along_axis(parts, taps, axis=1)
 
-    def coordinate_table(self, dtype):
-        """(table, scales) in ``dtype``: every codeword's four group points,
-        (M, 4, K/4), row-major over the index tuples like ``matrices``, and
-        its scale_sq, summed by ``compose`` from the group norms cast to
-        ``dtype``.  Codeword m is ``tensordot(table[m].reshape(K), basis, 1)``,
-        in K values instead of the n^2 complex ones of its matrix.  The
-        table is stored column-major, a (K, M) array viewed as (M, 4, K/4),
-        so that a GEMV streams each coordinate's M values in order."""
+    def coordinate_table(self):
+        """(table, scales): every codeword's four group points, (M, 4, K/4),
+        row-major over the index tuples like ``matrices``, and its scale_sq,
+        summed by ``compose`` from the group norms.  Codeword m is
+        ``tensordot(table[m].reshape(K), basis, 1)``, in K values instead of
+        the n^2 complex ones of its matrix.  The table is stored
+        column-major, a (K, M) array viewed as (M, 4, K/4), so that a GEMV
+        streams each coordinate's M values in order."""
         dim = self.design.K // 4
         check_memory("decide_exhaustive needs Codebook.exhaustive_table",
-                     self.M * (4 * dim + 1) * np.dtype(dtype).itemsize)
-        table = np.empty((4, dim, *self.sizes), dtype=dtype)
+                     self.M * (4 * dim + 1) * 8)
+        table = np.empty((4, dim, *self.sizes))
         for k, points in enumerate(self.alphabets):
             shape = [1, 1, 1, 1]
             shape[k] = self.sizes[k]
             table[k] = points.T.reshape(dim, *shape)
-        norms = [nk.astype(dtype) for nk in self.group_norms]
-        scales = self.compose(norms, np.ogrid[tuple(map(slice, self.sizes))]).ravel()
+        scales = self.compose(self.group_norms, np.ogrid[tuple(map(slice, self.sizes))]).ravel()
         return table.reshape(4 * dim, self.M).T.reshape(self.M, 4, dim), scales
 
     @cached_property
     def exhaustive_table(self):
-        """What the simulator's exhaustive decoder scans: ``coordinate_table``
-        in float64 up to ``FLOAT32_SCAN_BYTES`` of float64 coordinates, in
-        float32 above."""
-        small = self.M * self.design.K * 8 <= FLOAT32_SCAN_BYTES
-        return self.coordinate_table(np.float64 if small else np.float32)
+        """What the simulator's exhaustive decoder scans, as ``metric_scan``'s
+        arguments after h: ``coordinate_table`` up to ``TABLE_SCAN_BYTES`` of
+        coordinates, a one-element tuple of a ``FactoredTable`` above.  The
+        factored scan's memory is checked here, once: the M sums and the
+        partial sums of groups 0-1 and 0-2 it holds, and the four groups'
+        scores."""
+        if self.M * self.design.K * 8 <= TABLE_SCAN_BYTES:
+            return self.coordinate_table()
+        s0, s1, s2, _ = self.sizes
+        check_memory("decide_exhaustive needs Codebook.exhaustive_table",
+                     8 * (self.M + s0 * s1 * s2 + s0 * s1 + sum(self.sizes)))
+        return (FactoredTable(self.alphabets, self.group_norms),)
 
     @cached_property
     def group_tables(self):
@@ -300,21 +309,13 @@ class Codebook:
         """``group_norms`` as Python floats, for per-frame scale sums."""
         return [nk.tolist() for nk in self.group_norms]
 
-    @cached_property
-    def scale_max(self) -> float:
-        """The largest codeword scale_sq: the sum of the groups' largest norms."""
-        return sum(float(nk.max()) for nk in self.group_norms)
-
-    def coordinate_metrics(self, h, lin=None) -> np.ndarray:
-        """x_m . h + a_m in float64 for the codewords with linear indices
-        ``lin`` (all M when None), h in ``basis`` order: every group point's
-        dot product with its group's slice of h plus its norm, summed by
-        ``compose`` at the codewords' index tuples."""
+    def coordinate_metrics(self, h) -> np.ndarray:
+        """x_m . h + a_m in float64 for every codeword, h in ``basis`` order:
+        every group point's dot product with its group's slice of h plus its
+        norm, summed by ``compose`` over the index tuples, row-major."""
         parts = [np.dot(points, h_k) + norms for points, h_k, norms
                  in zip(self.alphabets, h.reshape(4, -1), self.group_norms)]
-        idx = (np.ogrid[tuple(map(slice, self.sizes))] if lin is None
-               else np.unravel_index(lin, self.sizes))
-        return self.compose(parts, idx).ravel()
+        return self.compose(parts, np.ogrid[tuple(map(slice, self.sizes))]).ravel()
 
     def codeword_at(self, idx) -> Codeword:
         idx = tuple(int(i) for i in idx)

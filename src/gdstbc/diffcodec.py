@@ -290,21 +290,20 @@ _TIED = (None,) * 4
 def decide_exhaustive(cb: Codebook, r, r_prev, a_prev_sq: float):
     """``decide_group`` with one ``metric_scan`` of all M codewords per frame.
 
-    The scan takes ``cb.exhaustive_table``, the codewords' real
-    coordinates and scales, against the frame's h, so the (M, n, n) stack
-    is never built; it needs a scaled-unitary codebook
-    (``Codebook.require_scaled_unitary``).  On a float32 table the kernel
-    re-scores its candidates in float64 (``coordinate_metrics``), so the
-    decisions stay exact ML.  The decided scale is summed from the
-    winner's four group norms, as in ``decide_group``.
+    The scan takes ``cb.exhaustive_table`` against the frame's h: the
+    codewords' real coordinates and scales as one table, or on a large
+    codebook a ``FactoredTable`` that sums the four groups' scores
+    (``_kernels``), so the (M, n, n) stack is never built and the
+    decisions are exact float64 ML either way; it needs a scaled-unitary
+    codebook (``Codebook.require_scaled_unitary``).  The decided scale is
+    summed from the winner's four group norms, as in ``decide_group``.
     """
-    table, scales = cb.exhaustive_table
-    rescore, scale_max = cb.coordinate_metrics, cb.scale_max
+    table, *scales = cb.exhaustive_table
     (n0, n1, n2, n3), (_, s1, s2, s3) = cb.norm_lists, cb.sizes
     g, energy = correlate(cb, r, r_prev)
     a, hats = a_prev_sq, []
     for g_t, e in zip(g, energy):
-        lin = metric_scan(table, fold(g_t, e, a), scales, rescore=rescore, scale_max=scale_max)
+        lin = metric_scan(table, fold(g_t, e, a), *scales)
         rest, i3 = divmod(lin, s3)
         rest, i2 = divmod(rest, s2)
         i0, i1 = divmod(rest, s1)

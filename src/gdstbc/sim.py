@@ -257,10 +257,11 @@ def _codebook(lam, m, family, radii, preset, c) -> Codebook:
 def prepare(cfg: SimConfig) -> Codebook:
     """Validate ``cfg``, require its cached codebook to be group decodable and
     scaled unitary (``require_scaled_unitary``; the differential chain needs
-    it whatever the decoder), build the table and scales the exhaustive rows
-    scan, and check that the sweep's largest fading block fits in the memory
-    available (``block_bytes``: its group-index draw and one window's
-    arrays), so errors come before a sweep."""
+    it whatever the decoder), build what the exhaustive rows scan
+    (``exhaustive_table``, after its memory check), and check that the
+    sweep's largest fading block fits in the memory available
+    (``block_bytes``: its group-index draw and one window's arrays), so
+    errors come before a sweep."""
     cfg.validate()
     cb = _codebook(cfg.lam, cfg.m, cfg.family, cfg.radii, cfg.preset, cfg.c)
     cb.require_scaled_unitary()

@@ -180,7 +180,7 @@ def pair_scan(cb):
         rel = (gram_det - bound) / np.maximum(1.0, gram_det)
         out["min_rel_bound_margin"] = min(out["min_rel_bound_margin"], float(rel.min()))
     gram = np.einsum("mji,mjk->mik", mats.conj(), mats)
-    scales = cb.coordinate_table(np.float64)[1]
+    scales = cb.coordinate_table()[1]
     out["max_unitarity_residual"] = float(np.max(np.abs(gram - scales[:, None, None]
                                                         * np.eye(n))))
     return out

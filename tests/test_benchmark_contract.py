@@ -10,12 +10,14 @@ perfbench/child.py's imports.
 import contextlib
 import importlib
 import io
+import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gdstbc import Codebook, cli, construct_design, construct_signal_set, sim
+from gdstbc import Codebook, cli, codebook, construct_design, construct_signal_set, diffcodec, sim
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -109,3 +111,20 @@ def test_traced_layers_see_their_calls(tracer):
     }
     assert want <= seen, sorted(want - seen)
     assert tracer.counters["scan_calls"] > 0 and tracer.counters["pairs_scanned"] > 0
+
+
+@pytest.mark.parametrize("limit", [0, math.inf], ids=["factored", "table"])
+def test_exhaustive_scans_count_one_call_of_m_candidates_per_frame(tracer, monkeypatch, limit):
+    """spans.py's ``on_scan`` reads (M, r, k) off ``metric_scan``'s first
+    argument: both forms of ``exhaustive_table`` have the table's shape, so
+    an exhaustive frame counts as one call of M candidates."""
+    monkeypatch.setattr(codebook, "TABLE_SCAN_BYTES", limit)
+    cb = Codebook(construct_design(2), construct_signal_set(2, 256))
+    assert cb.exhaustive_table[0].shape == (cb.M, 4, cb.design.K // 4)
+    rng = np.random.default_rng(3)
+    frames = 0
+    for _, r_prev, r in diffcodec.block_frames(cb, rng, 12, 1, 0.3):
+        diffcodec.decide_exhaustive(cb, r, r_prev, 1.0)
+        frames += len(r)
+    assert tracer.counters["scan_calls"] == frames == 12
+    assert tracer.counters["scan_candidates"] == frames * cb.M

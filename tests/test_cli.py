@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -240,8 +241,9 @@ class TestSimulateCommand:
         assert not missing.exists()
 
     def test_memory_refusal_leaves_out_untouched(self, capsys, monkeypatch, tmp_path):
-        # lam 2, M 16^4: the exhaustive rows' float32 coordinates and scales take 2.4 MB
-        monkeypatch.setattr(codebook, "_available_bytes", lambda: 10**6)
+        # lam 2, M 16^4: the exhaustive rows' factored scan holds its M sums and
+        # partial sums, 0.6 MB
+        monkeypatch.setattr(codebook, "_available_bytes", lambda: 5 * 10**5)
         kept = tmp_path / "results.csv"
         kept.write_bytes(b"earlier results\n")
         code, stdout, err = run_cli(capsys, "simulate", "--lambda", "2", "--points",
@@ -249,7 +251,7 @@ class TestSimulateCommand:
                                     "--decoder", "exhaustive", "--out", str(kept))
         assert code == 2 and stdout == ""
         assert err == ("configuration error: decide_exhaustive needs "
-                       "Codebook.exhaustive_table, 2.4 MB, but only 1.0 MB of memory is "
+                       "Codebook.exhaustive_table, 0.6 MB, but only 0.5 MB of memory is "
                        "available\n")
         assert kept.read_bytes() == b"earlier results\n"
 
@@ -363,32 +365,38 @@ class TestSimulateCommand:
         assert cli._parse_snr_list("0:20:4") == (0.0, 4.0, 8.0, 12.0, 16.0, 20.0)
         assert cli._parse_snr_list("3") == (3.0,)
         assert cli._parse_snr_list("1,2.5,inf") == (1.0, 2.5, float("inf"))
-        with pytest.raises(ValueError):
+        with pytest.raises(argparse.ArgumentTypeError, match="A:B:STEP"):
             cli._parse_snr_list("0:10")
-        with pytest.raises(ValueError):
+        with pytest.raises(argparse.ArgumentTypeError, match="STEP must be positive"):
             cli._parse_snr_list("0:10:0")
-        with pytest.raises(ValueError):
+        with pytest.raises(argparse.ArgumentTypeError, match="must be finite"):
             cli._parse_snr_list("0:inf:1")
         # (B - A) / STEP overflows to inf, which has no integer count
-        with pytest.raises(ValueError, match="SNR points"):
+        with pytest.raises(argparse.ArgumentTypeError, match="SNR points"):
             cli._parse_snr_list("0:1:1e-320")
-        with pytest.raises(ValueError, match="SNR points"):
+        with pytest.raises(argparse.ArgumentTypeError, match="SNR points"):
             cli._parse_snr_list("-1e308:1e308:1")
         assert cli._parse_snr_list("1e308:-1e308:1") == ()
 
     def test_snr_range_point_cap(self):
         assert len(cli._parse_snr_list(f"1:{cli.MAX_SNR_POINTS}:1")) == cli.MAX_SNR_POINTS
-        with pytest.raises(ValueError, match="SNR points"):
+        with pytest.raises(argparse.ArgumentTypeError, match="SNR points"):
             cli._parse_snr_list(f"0:{cli.MAX_SNR_POINTS}:1")
 
-    @pytest.mark.parametrize("snr", ["0:1e6:1e-6", "0:1:1e-320"])
-    def test_huge_snr_range_is_config_error(self, capsys, snr):
+    @pytest.mark.parametrize("snr, reason", [
         # 10^12 points, or too many to count: refused before any tuple is built
+        ("0:1e6:1e-6", "range gives more than 10000 SNR points"),
+        ("0:1:1e-320", "range gives more than 10000 SNR points"),
+        ("0:10:0", "STEP must be positive"),
+        ("0:10", "range form is A:B:STEP"),
+        ("0:inf:1", "range bounds and STEP must be finite"),
+    ])
+    def test_bad_snr_range_exits_2_with_its_reason(self, capsys, snr, reason):
         with pytest.raises(SystemExit) as exc:
             cli.main(["simulate", "--lambda", "2", "--points", "16",
                       "--snr-db", snr, "--frames", "10"])
         assert exc.value.code == 2
-        assert "--snr-db" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(f"error: argument --snr-db: {reason}\n")
 
     @pytest.mark.parametrize("snr", ["nan", "-inf", "0,nan,10"])
     def test_non_finite_snr_is_config_error(self, capsys, snr):

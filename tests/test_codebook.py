@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdstbc import codebook
+from gdstbc._kernels import FactoredTable
 from gdstbc.codebook import (
     RANK_RTOL,
     UNITARITY_TOL,
@@ -59,7 +60,7 @@ class TestCodewordAssembly:
             assert cw.scale_sq == pytest.approx(float(x @ x), abs=1e-12)
 
     def test_stack_consistent_with_codeword_at(self, cb16):
-        scales = cb16.coordinate_table(np.float64)[1]
+        scales = cb16.coordinate_table()[1]
         for lin in range(cb16.M):
             idx = cb16.unravel_index(lin)
             assert np.array_equal(cb16.matrices[lin], cb16.codeword_at(idx).matrix)
@@ -85,7 +86,7 @@ class TestCodewordAssembly:
             assert norms is cb16.group_norms[k] and norm_list == norms.tolist()
 
     def test_no_zero_codeword(self, cb16):
-        assert float(cb16.coordinate_table(np.float64)[1].min()) > 0
+        assert float(cb16.coordinate_table()[1].min()) > 0
 
     def test_index_out_of_range(self, cb16):
         with pytest.raises(IndexError):
@@ -129,7 +130,7 @@ class TestCoordinates:
 
     def test_coordinates_reproduce_the_codeword_stack(self, cb):
         k = cb.design.K
-        points = cb.coordinate_table(np.float64)[0]
+        points = cb.coordinate_table()[0]
         assert points.shape == (cb.M, 4, k // 4) and cb.basis.shape == (k, cb.n, cb.n)
         assert points.nbytes == 8 * k * cb.M
         stack = np.tensordot(points.reshape(cb.M, k), cb.basis, 1)
@@ -137,12 +138,12 @@ class TestCoordinates:
         assert np.abs(stack - cb.matrices).max() <= 1e-12 * scale
 
     def test_scales_are_the_squared_norms_of_the_points(self, cb):
-        points, scales = cb.coordinate_table(np.float64)
+        points, scales = cb.coordinate_table()
         norms = np.einsum("mkd,mkd->m", points, points)
         assert np.abs(norms - scales).max() <= 1e-12 * scales.max()
 
     def test_points_place_the_real_vector_of_each_codeword(self, cb):
-        points = cb.coordinate_table(np.float64)[0]
+        points = cb.coordinate_table()[0]
         pts = cb.alphabets
         order = np.concatenate(cb.grouping.groups)
         for lin in (0, 1, cb.M // 3, cb.M - 1):
@@ -151,25 +152,31 @@ class TestCoordinates:
             assert np.allclose(evaluate(cb.design, x), cb.matrices[lin], atol=1e-12)
 
     def test_coordinate_metrics_score_every_codeword(self, cb):
-        points, scales = cb.coordinate_table(np.float64)
+        points, scales = cb.coordinate_table()
+        assert points.reshape(cb.M, -1).flags.f_contiguous  # a GEMV streams each coordinate
         h = np.random.default_rng(7).standard_normal(cb.design.K)
         want = points.reshape(cb.M, -1) @ h + scales
         tol = 1e-12 * (np.sqrt(scales.max()) * np.linalg.norm(h) + scales.max())
         assert np.abs(cb.coordinate_metrics(h) - want).max() <= tol
-        lin = np.array([0, cb.M // 3, cb.M - 1, 1])
-        assert np.array_equal(cb.coordinate_metrics(h, lin), cb.coordinate_metrics(h)[lin])
 
-    def test_float32_table_takes_over_above_the_threshold(self, cb, monkeypatch):
+    def test_factored_table_takes_over_above_the_threshold(self, cb, monkeypatch):
         table_bytes = 8 * cb.M * cb.design.K
-        for limit, dtype in ((table_bytes, np.float64), (table_bytes - 1, np.float32)):
-            monkeypatch.setattr(codebook, "FLOAT32_SCAN_BYTES", limit)
-            fresh = build_codebook(SimConfig(lam=cb.design.lam, m=cb.M))
-            table, scales = fresh.exhaustive_table
-            assert fresh.exhaustive_table[0] is table  # built once
-            assert table.dtype == scales.dtype == dtype
-            assert table.nbytes == table_bytes * np.dtype(dtype).itemsize // 8
-            want_table, want_scales = fresh.coordinate_table(dtype)
-            assert np.array_equal(table, want_table) and np.array_equal(scales, want_scales)
+        for limit in (table_bytes, table_bytes - 1):
+            monkeypatch.setattr(codebook, "TABLE_SCAN_BYTES", limit)
+            fresh = Codebook(cb.design, cb.alphabets, check_decodable=False)
+            scan = fresh.exhaustive_table
+            assert fresh.exhaustive_table is scan  # built once
+            assert scan[0].shape == (cb.M, 4, cb.design.K // 4)
+            if limit == table_bytes:
+                table, scales = scan
+                want_table, want_scales = fresh.coordinate_table()
+                assert table.dtype == scales.dtype == np.float64
+                assert np.array_equal(table, want_table) and np.array_equal(scales, want_scales)
+            else:
+                (factored,) = scan
+                assert isinstance(factored, FactoredTable)
+                assert factored.points == fresh.alphabets
+                assert factored.norms == tuple(fresh.group_norms)
 
 
 def _fake_files(monkeypatch, files):
@@ -224,12 +231,12 @@ class TestMemoryBudget:
     def test_refusal_under_a_cgroup_limit(self, monkeypatch):
         _fake_files(monkeypatch, {**self.MEMINFO, "/proc/self/cgroup": "0::/job\n",
                                   "/sys/fs/cgroup/job/memory.max": "3000000\n",
-                                  "/sys/fs/cgroup/job/memory.current": "2000000\n"})
+                                  "/sys/fs/cgroup/job/memory.current": "2500000\n"})
         cb = build_codebook(SimConfig(lam=2, m=16**4))
-        # the float32 table (2.1 MB) and its scales (0.26 MB), checked together
+        # the factored scan's M sums (0.52 MB) and partial sums (35 kB)
         with pytest.raises(ValueError, match=r"decide_exhaustive needs "
-                                             r"Codebook\.exhaustive_table, 2\.4 MB, but "
-                                             r"only 1\.0 MB"):
+                                             r"Codebook\.exhaustive_table, 0\.6 MB, but "
+                                             r"only 0\.5 MB"):
             cb.exhaustive_table  # noqa: B018
         assert "exhaustive_table" not in cb.__dict__
 
@@ -404,7 +411,7 @@ class TestAverageScale:
 
     def test_closed_form_path(self, cb16):
         # the group-marginal sum equals the mean over every codeword's scale
-        scales = cb16.coordinate_table(np.float64)[1]
+        scales = cb16.coordinate_table()[1]
         assert average_scale(cb16) == pytest.approx(float(np.mean(scales)), abs=1e-12)
 
     def test_single_unitary_codeword(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gdstbc import codebook, diffcodec
-from gdstbc._kernels import metric_scan
+from gdstbc._kernels import FactoredTable, metric_scan
 from gdstbc.codebook import Codebook, Codeword, NotGroupDecodableError
 from gdstbc.design import Grouping, construct_design
 from gdstbc.diffcodec import (
@@ -188,10 +188,9 @@ class TestScaledUnitaryExhaustiveScan:
         "preset": (dict(lam=3, m=16**4, preset="paper-8ant-rate2"), 200),
     }
 
-    def _check(self, name, dtype, monkeypatch):
+    def _check(self, name, limit, monkeypatch):
         config, windows = self.CODEBOOKS[name]
-        limit = math.inf if dtype == np.float64 else 0
-        monkeypatch.setattr(codebook, "FLOAT32_SCAN_BYTES", limit)
+        monkeypatch.setattr(codebook, "TABLE_SCAN_BYTES", limit)
         cb = build_codebook(SimConfig(**config))
         rng = np.random.default_rng([config["lam"], config["m"]])
         for w in range(windows):
@@ -208,30 +207,33 @@ class TestScaledUnitaryExhaustiveScan:
                 assert (cb.unravel_index(hats[0]), a) == (want, scale)
             if w % 50 == 7:
                 assert want == (0, 0, 0, 0)
-        assert cb.__dict__["exhaustive_table"][0].dtype == dtype
+        factored = isinstance(cb.__dict__["exhaustive_table"][0], FactoredTable)
+        assert factored == (limit == 0)
 
     @pytest.mark.parametrize("name", sorted(CODEBOOKS))
     def test_decisions_equal_decode_exhaustive(self, name, monkeypatch):
-        self._check(name, np.float64, monkeypatch)
+        # the coordinate table, forced at every size
+        self._check(name, math.inf, monkeypatch)
 
     @pytest.mark.parametrize("name", sorted(CODEBOOKS))
-    def test_float32_decisions_equal_decode_exhaustive(self, name, monkeypatch):
-        # the float32 form, forced at sizes below FLOAT32_SCAN_BYTES
-        self._check(name, np.float32, monkeypatch)
+    def test_factored_decisions_equal_decode_exhaustive(self, name, monkeypatch):
+        # the factored scan, forced at sizes below TABLE_SCAN_BYTES
+        self._check(name, 0, monkeypatch)
 
     @pytest.mark.parametrize("n_r", [1, 2, 3])
     def test_window_decisions_follow_the_table_size(self, n_r, monkeypatch):
-        # decide_exhaustive takes the float32 form above FLOAT32_SCAN_BYTES and
-        # decides every frame of a window as decode_exhaustive does
+        # decide_exhaustive takes the factored scan above TABLE_SCAN_BYTES, one
+        # call of M candidates per frame either way, and decides every frame
+        # of a window as decode_exhaustive does
         calls = []
 
-        def scan(*args, **kwargs):
-            calls.append(args[0].dtype)
-            return metric_scan(*args, **kwargs)
+        def scan(*args):
+            calls.append((type(args[0]), args[0].shape))
+            return metric_scan(*args)
 
         monkeypatch.setattr(diffcodec, "metric_scan", scan)
-        for limit, dtype in ((0, np.float32), (math.inf, np.float64)):
-            monkeypatch.setattr(codebook, "FLOAT32_SCAN_BYTES", limit)
+        for limit, form in ((0, FactoredTable), (math.inf, np.ndarray)):
+            monkeypatch.setattr(codebook, "TABLE_SCAN_BYTES", limit)
             cb = build_codebook(SimConfig(lam=2, m=256))
             for snr_db in (math.inf, 40.0, 20.0, 10.0, 0.0):
                 sigma = math.sqrt(cb.n / 10 ** (snr_db / 10) / 2)
@@ -240,14 +242,14 @@ class TestScaledUnitaryExhaustiveScan:
                 for _, r_prev, r in block_frames(cb, rng, 40, n_r, sigma):
                     calls.clear()
                     hats, a = decide_exhaustive(cb, r, r_prev, a)
-                    assert calls == [dtype] * len(r)
+                    assert calls == [(form, (cb.M, 4, 2))] * len(r)
                     for hat, r_t in zip(hats, r):
                         res = decode_exhaustive(cb, r_t, r_prev, a_ref)
                         assert hat == cb.linear_index(res.index)
                         a_ref, r_prev = cb.codeword_at(res.index).scale_sq, r_t
                     assert a == a_ref
-            # one table and scales cached, in the dtype the table's size selects
-            assert [a.dtype for a in cb.__dict__["exhaustive_table"]] == [dtype, dtype]
+            # what the scan reads is cached once, in the form the table's size selects
+            assert type(cb.__dict__["exhaustive_table"][0]) is form
 
 
 class TestCorrelate:

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import gdstbc
-from gdstbc import _kernels, diffcodec, sim
-from gdstbc._kernels import metric_scan, metric_values
+from gdstbc import _kernels, codebook, diffcodec, sim
+from gdstbc._kernels import FactoredTable, metric_scan, metric_values
 from gdstbc.codebook import Codebook
 from gdstbc.design import construct_design
 from gdstbc.diffcodec import decode_exhaustive
@@ -144,9 +144,9 @@ def scaled_cb(request):
 
 
 @functools.lru_cache(maxsize=4)
-def _table(cb, dtype):
-    """``cb.coordinate_table(dtype)``, built once for the scans below."""
-    return cb.coordinate_table(dtype)
+def _table(cb):
+    """``cb.coordinate_table()``, built once for the scans below."""
+    return cb.coordinate_table()
 
 
 def _scaled_h(cb, r_prev, r_t, inv_a):
@@ -155,9 +155,9 @@ def _scaled_h(cb, r_prev, r_t, inv_a):
     return -2.0 * inv_a * g / (inv_a ** 2 * np.vdot(r_prev, r_prev).real)
 
 
-def _scan64(cb, h):
-    """metric_scan's float64 coordinate form on ``cb``."""
-    table, scales = _table(cb, np.float64)
+def _scan_table(cb, h):
+    """metric_scan's coordinate form on ``cb``'s table."""
+    table, scales = _table(cb)
     return metric_scan(table, h, scales)
 
 
@@ -175,17 +175,17 @@ class TestScaledUnitaryScan:
             r_t, r_prev, _ = noisy_window(cb, rng, sigma, nr)
             ref = metric_values(cb.matrices, r_prev, r_t, inv_a)
             h = _scaled_h(cb, r_prev, r_t, inv_a)
-            idx = _scan64(cb, h)
+            idx = _scan_table(cb, h)
             # the metric is ||r_t||^2 + c (x_m . h + a_m)
             c = inv_a ** 2 * np.vdot(r_prev, r_prev).real
-            metric = np.vdot(r_t, r_t).real + c * cb.coordinate_metrics(h, [idx])[0]
-            size = np.vdot(r_t, r_t).real + c * cb.scale_max
+            metric = np.vdot(r_t, r_t).real + c * cb.coordinate_metrics(h)[idx]
+            size = np.vdot(r_t, r_t).real + c * _table(cb)[1].max()
             assert idx == int(ref.argmin())
             assert abs(metric - ref.min()) <= 1e-12 * size
 
     def test_no_h_ties_to_first_index(self, scaled_cb):
         # h is None when r_prev == 0: every candidate's metric is ||r_t||^2
-        assert _scan64(scaled_cb, None) == 0
+        assert _scan_table(scaled_cb, None) == 0
 
     def test_group_tables(self, scaled_cb):
         # a group's points as a (P_k, 1, K/4) table, with its norms and its
@@ -204,15 +204,15 @@ class TestScaledUnitaryScan:
         h = _scaled_h(cb, r_prev, r_t, 0.6)
         view = np.repeat(h, 2)[::2]
         assert not view.flags.c_contiguous
-        assert _scan64(cb, view) == _scan64(cb, h)
-        assert _scan64(cb, h) == int(metric_values(cb.matrices, r_prev, r_t, 0.6).argmin())
+        assert _scan_table(cb, view) == _scan_table(cb, h)
+        assert _scan_table(cb, h) == int(metric_values(cb.matrices, r_prev, r_t, 0.6).argmin())
 
     def test_one_candidate_sized_array_per_scan(self):
         # a second M-sized temporary would cost a fresh allocation (and its
         # page faults) on every scan
         cb = build_codebook(SimConfig(lam=3, m=4096))
         r_t, r_prev, _ = noisy_window(cb, np.random.default_rng(32), 0.1, 2)
-        table, scales = cb.coordinate_table(np.float64)
+        table, scales = cb.coordinate_table()
         args = (table, _scaled_h(cb, r_prev, r_t, 0.7), scales)
         metric_scan(*args)
         tracemalloc.start()
@@ -231,11 +231,9 @@ class TestScaledUnitaryScan:
         assert metric_scan(stack, r_prev, r_t, 0.9) == (best, float(metrics[best]))
 
 
-def _scan32(cb, h, rescore=None):
-    """metric_scan's float32 form on ``cb`` (``rescore`` defaults to the codebook's)."""
-    table, scales = _table(cb, np.float32)
-    return metric_scan(table, h, scales, rescore=rescore or cb.coordinate_metrics,
-                       scale_max=cb.scale_max)
+def _factored(cb):
+    """``cb``'s ``FactoredTable``, whatever its size."""
+    return FactoredTable(cb.alphabets, cb.group_norms)
 
 
 def _e1(n):
@@ -244,40 +242,41 @@ def _e1(n):
     return e
 
 
-class TestFloat32Scan:
-    """metric_scan on the float32 table: exact float64 decisions from a float32
-    pre-scan whose candidates are re-scored (the bound in ``_kernels``)."""
+class TestFactoredScan:
+    """metric_scan on a ``FactoredTable``: the four groups' scores summed in
+    ``compose`` order, bit for bit ``coordinate_metrics``."""
 
-    def test_table_is_the_rounded_coordinates_column_major(self, scaled_cb):
-        cb = scaled_cb
-        points, scales = cb.coordinate_table(np.float64)
-        table, scales32 = cb.coordinate_table(np.float32)
-        assert table.shape == points.shape and table.dtype == scales32.dtype == np.float32
-        assert table.reshape(cb.M, -1).flags.f_contiguous
-        assert points.reshape(cb.M, -1).flags.f_contiguous
-        assert np.array_equal(table, points.astype(np.float32))
-        assert np.abs(scales32 - scales).max() <= 4 * 2.0 ** -24 * cb.scale_max
-        assert cb.scale_max == pytest.approx(scales.max(), rel=1e-15)
+    @pytest.mark.parametrize("limit", [0, math.inf])
+    def test_equals_the_coordinate_metrics_argmin(self, scaled_cb, limit, monkeypatch):
+        # both sides of the threshold: the scan of exhaustive_table picks
+        # coordinate_metrics' first argmin on random and on received h
+        monkeypatch.setattr(codebook, "TABLE_SCAN_BYTES", limit)
+        cb = Codebook(scaled_cb.design, scaled_cb.alphabets, check_decodable=False)
+        table, *scales = cb.exhaustive_table
+        assert isinstance(table, FactoredTable) == (limit == 0)
+        rng = np.random.default_rng(45)
+        for w in range(30):
+            if w % 2:
+                r_t, r_prev, a_sq = noisy_window(cb, rng, (0.0, 0.05, 0.5)[w % 3], 1 + w % 3)
+                h = _scaled_h(cb, r_prev, r_t, 1.0 / math.sqrt(a_sq))
+            else:
+                h = rng.standard_normal(cb.design.K) * 10.0 ** rng.integers(-3, 4)
+            assert metric_scan(table, h, *scales) == int(cb.coordinate_metrics(h).argmin())
 
-    @pytest.mark.parametrize("case", ["plain", "tiny-prev", "large-t", "tiny-t"])
-    def test_float32_metric_within_the_bound(self, scaled_cb, case):
-        cb = scaled_cb
-        prev_scale, t_scale = {"plain": (1.0, 1.0), "tiny-prev": (1e-12, 1.0),
-                               "large-t": (1.0, 1e12), "tiny-t": (1.0, 1e-41)}[case]
-        rng = np.random.default_rng(40)
-        points, scales = cb.coordinate_table(np.float64)
-        table, scales32 = cb.coordinate_table(np.float32)
-        exact = points.reshape(cb.M, -1).astype(np.longdouble)
-        for w in range(4):
-            r_t, r_prev, a_sq = noisy_window(cb, rng, 0.3, 1 + w % 3)
-            r_prev, r_t = r_prev * prev_scale, r_t * t_scale
-            h = _scaled_h(cb, r_prev, r_t, 1.0 / math.sqrt(a_sq))
-            delta = _kernels.float32_bound(len(h), cb.scale_max, math.sqrt(h @ h))
-            assert math.isfinite(delta)
-            ref = exact @ h.astype(np.longdouble) + scales
-            f32 = _kernels.float32_metrics(table, scales32, h)
-            assert np.all(np.abs(f32 - ref) <= delta)
-            assert np.all(np.abs(cb.coordinate_metrics(h) - ref) <= 1e-6 * delta)
+    def test_exact_tie_in_group_3_goes_to_the_first_index(self):
+        # small integers make every score exact: codewords (1, 0, 2, 1) and
+        # (1, 0, 2, 3) differ only in group 3 and tie at the minimum
+        points = ([[1.0], [-1.0]], [[0.0], [2.0]], [[1.0], [3.0], [-1.0]],
+                  [[3.0], [-1.0], [1.0], [-1.0]])
+        points = [np.array(p) for p in points]
+        norms = [np.einsum("pd,pd->p", p, p) for p in points]
+        h = np.array([1.0, -1.0, 1.0, 2.0])
+        sums = sum(np.meshgrid(*[p @ h_k + n for p, h_k, n in zip(points, h[:, None], norms)],
+                               indexing="ij")).ravel()
+        first, second = (int(np.ravel_multi_index(i, (2, 2, 3, 4)))
+                         for i in ((1, 0, 2, 1), (1, 0, 2, 3)))
+        assert np.flatnonzero(sums == sums.min()).tolist() == [first, second]
+        assert metric_scan(FactoredTable(points, norms), h) == first
 
     @pytest.mark.parametrize("lam", [1, 2, 3, 4])
     def test_near_ties_give_the_float64_decision(self, lam):
@@ -285,6 +284,7 @@ class TestFloat32Scan:
         # prediction S_m r_prev is exact, so the midpoint of two codewords that
         # differ in one group ties them exactly in float64
         cb = build_codebook(SimConfig(lam=lam, m=16))
+        factored = _factored(cb)
         e1 = _e1(cb.n)
         rng = np.random.default_rng(lam)
         for k in range(4):
@@ -295,99 +295,68 @@ class TestFloat32Scan:
             pred_lo, pred_hi = (cb.codeword_at(i).matrix @ e1 for i in (lo, hi))
             mid = (pred_lo + pred_hi) / 2
             first = cb.linear_index(lo)
-            assert _scan32(cb, _scaled_h(cb, e1, mid, 1.0)) == first
+            assert metric_scan(factored, _scaled_h(cb, e1, mid, 1.0)) == first
             assert cb.linear_index(decode_exhaustive(cb, mid, e1, 1.0).index) == first
-            # about 1e-10 relative toward the higher index: far below float32's
-            # resolution, far above float64's
+            # about 1e-10 relative toward the higher index
             for toward, want in ((pred_hi, hi), (pred_lo, lo)):
                 r_t = mid + 1e-10 * (toward - mid)
                 assert decode_exhaustive(cb, r_t, e1, 1.0).index == tuple(want)
-                assert _scan32(cb, _scaled_h(cb, e1, r_t, 1.0)) == cb.linear_index(want)
+                h = _scaled_h(cb, e1, r_t, 1.0)
+                assert metric_scan(factored, h) == _scan_table(cb, h) == cb.linear_index(want)
 
-    def test_float32_argmin_alone_misses_the_near_tie(self):
-        cb = build_codebook(SimConfig(lam=2, m=16))
-        e1 = _e1(cb.n)
-        pred_lo, pred_hi = (cb.codeword_at(i).matrix @ e1 for i in ((0,) * 4, (1, 0, 0, 0)))
-        r_t = (pred_lo + pred_hi) / 2 + 1e-10 * (pred_hi - pred_lo) / 2
-        h = _scaled_h(cb, e1, r_t, 1.0)
-        want = cb.linear_index((1, 0, 0, 0))
-        assert _scan32(cb, h) == want
-
-        def float32_only(h, lin):  # the candidates' float32 metrics, not re-scored
-            table, scales = cb.coordinate_table(np.float32)
-            return _kernels.float32_metrics(table, scales, h)[lin].astype(float)
-
-        assert _scan32(cb, h, float32_only) == 0 != want
-
-    def test_rounding_reversals_are_caught_by_the_bound(self, monkeypatch):
-        # lam 2 M 256: the group points 0.63 and 1.26 round differently to
-        # float32, so near the tie of two codewords that differ in group 3 the
-        # float32 metrics order them the other way round from float64
+    def test_near_tie_in_group_3(self):
+        # lam 2 M 256: two codewords that differ in group 3, 1e-8 apart
         cb = build_codebook(SimConfig(lam=2, m=256))
         e1 = _e1(cb.n)
         win, lose = (1, 2, 3, 1), (1, 2, 3, 3)
         pred_win, pred_lose = (cb.codeword_at(i).matrix @ e1 for i in (win, lose))
         r_t = (pred_win + pred_lose) / 2 + 1e-8 * (pred_win - pred_lose) / 2
-        w, lo = cb.linear_index(win), cb.linear_index(lose)
-        h = _scaled_h(cb, e1, r_t, 1.0)
-        f32 = _kernels.float32_metrics(*cb.coordinate_table(np.float32), h)
         assert decode_exhaustive(cb, r_t, e1, 1.0).index == win
-        assert int(f32.argmin()) == lo
-        assert _scan32(cb, h) == w
-        # without the bound's margin only the float32 minimum is re-scored
-        monkeypatch.setattr(_kernels, "float32_bound", lambda *args: 0.0)
-        assert _scan32(cb, h) == lo
+        assert metric_scan(_factored(cb), _scaled_h(cb, e1, r_t, 1.0)) == cb.linear_index(win)
 
     def test_no_h_ties_to_first_index(self, scaled_cb):
-        assert _scan32(scaled_cb, None, lambda h, lin: pytest.fail("re-scored")) == 0
+        assert metric_scan(_factored(scaled_cb), None) == 0
 
-    def test_non_finite_bound_rescores_every_codeword(self):
+    def test_extreme_scales(self):
+        # ||h|| about 1e40 and 1e-30: the float64 sums still order the codewords
         cb = build_codebook(SimConfig(lam=3, m=256))
-        r_t, r_prev, a_sq = noisy_window(cb, np.random.default_rng(41), 0.3, 2)
-        r_prev, r_t = r_prev * 1e-30, r_t * 1e10  # ||h|| ~ 1e40: past float32's range
-        calls = []
+        rng = np.random.default_rng(41)
+        for prev_scale, t_scale in ((1e-30, 1e10), (1.0, 1e-30)):
+            r_t, r_prev, a_sq = noisy_window(cb, rng, 0.3, 2)
+            h = _scaled_h(cb, r_prev * prev_scale, r_t * t_scale, 1.0 / math.sqrt(a_sq))
+            assert metric_scan(_factored(cb), h) == _scan_table(cb, h)
 
-        def rescore(h, lin):
-            calls.append(lin)
-            return cb.coordinate_metrics(h, lin)
-
-        h = _scaled_h(cb, r_prev, r_t, 1.0 / math.sqrt(a_sq))
-        assert _kernels.float32_bound(len(h), cb.scale_max, math.sqrt(h @ h)) == math.inf
-        assert _scan32(cb, h, rescore) == _scan64(cb, h)
-        assert calls == [None]
-
-    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
-    def test_non_finite_metric_rescores_every_codeword(self, bad, monkeypatch):
-        cb = build_codebook(SimConfig(lam=3, m=256))
-        r_t, r_prev, a_sq = noisy_window(cb, np.random.default_rng(42), 0.3, 1)
-        h = _scaled_h(cb, r_prev, r_t, 1.0 / math.sqrt(a_sq))
-        want = _scan64(cb, h)
-        table, scales32 = cb.coordinate_table(np.float32)
-        scales32[(want + 7) % cb.M] = bad
-        calls = []
-
-        def rescore(h, lin):
-            calls.append(lin)
-            return cb.coordinate_metrics(h, lin)
-
-        assert metric_scan(table, h, scales32, rescore=rescore,
-                           scale_max=cb.scale_max) == want
-        assert calls == [None]
-
-    def test_a_few_candidates_are_rescored(self):
+    def test_preset_decisions_equal_the_table_scan(self):
         cb = build_codebook(SimConfig(lam=3, m=16**4, preset="paper-8ant-rate2"))
+        factored = _factored(cb)
         rng = np.random.default_rng(43)
-        sizes = []
-
-        def rescore(h, lin):
-            sizes.append(len(lin))
-            return cb.coordinate_metrics(h, lin)
-
         for w in range(40):
             r_t, r_prev, a_sq = noisy_window(cb, rng, (0.0, 0.05, 0.5)[w % 3], 1 + w % 2)
             h = _scaled_h(cb, r_prev, r_t, 1.0 / math.sqrt(a_sq))
-            assert _scan32(cb, h, rescore) == _scan64(cb, h)
-        assert len(sizes) == 40 and max(sizes) <= 4
+            assert metric_scan(factored, h) == _scan_table(cb, h)
+
+    def test_holds_what_exhaustive_table_counts(self, monkeypatch):
+        # the scan's arrays are the bytes exhaustive_table checks against the
+        # memory available; NumPy's broadcasting add also keeps up to two
+        # 64 KiB iterator buffers, whatever M, which no check counts
+        monkeypatch.setattr(codebook, "TABLE_SCAN_BYTES", 0)
+        counted = []
+        monkeypatch.setattr(codebook, "check_memory", lambda need, nbytes: counted.append(nbytes))
+        cb = build_codebook(SimConfig(lam=3, m=4096))
+        counted.clear()
+        (factored,) = cb.exhaustive_table
+        s0, s1, s2, _ = cb.sizes
+        assert counted == [8 * (cb.M + s0 * s1 * s2 + s0 * s1 + sum(cb.sizes))]
+        r_t, r_prev, _ = noisy_window(cb, np.random.default_rng(32), 0.1, 2)
+        h = _scaled_h(cb, r_prev, r_t, 0.7)
+        metric_scan(factored, h)
+        tracemalloc.start()
+        try:
+            metric_scan(factored, h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 8 * cb.M <= peak <= counted[0] + 2 * 2**16
 
 
 def _load_bench_kernels():
@@ -411,7 +380,7 @@ def test_bench_kernels_scans_agree():
         for name, bind in bench.SCANS:
             operands, scan = bind(cb)
             best[name] = scan(*operands(*frame))
-        assert sorted(best) == ["coords32", "coords64", "direct"]
+        assert sorted(best) == ["direct", "factored", "table"]
         assert len(set(best.values())) == 1
 
 

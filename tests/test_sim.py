@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gdstbc import codebook, diffcodec, sim
-from gdstbc._kernels import blas_threads
+from gdstbc._kernels import FactoredTable, blas_threads
 from gdstbc.codebook import UNITARITY_TOL, Codebook, NotGroupDecodableError
 from gdstbc.design import Grouping, construct_design
 from gdstbc.diffcodec import (
@@ -184,16 +184,20 @@ class TestRunSim:
         for decoder in ("exhaustive", "both"):
             run_sim(_cfg(frames=50, decoder=decoder))
             assert sim.prepare(_cfg()) is cb
-            # the exhaustive rows scan the codewords' coordinates instead, in
-            # float64 on a table this small
+            # the exhaustive rows scan the codewords' coordinates instead, as
+            # one float64 table on a codebook this small
             assert "matrices" not in cb.__dict__
             assert [a.dtype for a in cb.__dict__["exhaustive_table"]] == [np.float64] * 2
-        # above FLOAT32_SCAN_BYTES they scan the table in float32
-        monkeypatch.setattr(codebook, "FLOAT32_SCAN_BYTES", 0)
-        run_sim(_cfg(m=256, frames=50, decoder="both"))
+        # above TABLE_SCAN_BYTES they sum the four groups' scores, with the
+        # decisions of the table scan
+        want = run_sim(_cfg(m=256, frames=50, decoder="both")).to_csv()
+        sim._codebook.cache_clear()
+        monkeypatch.setattr(codebook, "TABLE_SCAN_BYTES", 0)
+        assert run_sim(_cfg(m=256, frames=50, decoder="both")).to_csv() == want
         cb = sim.prepare(_cfg(m=256))
         assert "matrices" not in cb.__dict__
-        assert [a.dtype for a in cb.__dict__["exhaustive_table"]] == [np.float32] * 2
+        (factored,) = cb.__dict__["exhaustive_table"]
+        assert isinstance(factored, FactoredTable) and factored.points == cb.alphabets
 
     def test_group_only_run_needs_no_memory_budget(self, monkeypatch):
         # lam 2, M 256: room for the group radii and points (80 bytes), the
@@ -244,7 +248,7 @@ class TestRunSim:
                 run_sim(_cfg(frames=20, coherence=coherence, n_r=100))
 
     def test_large_group_only_run_builds_no_m_sized_array(self):
-        # lam 2, M 64^4: the float32 exhaustive_table would take 604 MB
+        # lam 2, M 64^4: the exhaustive rows' factored scan would hold 136 MB
         assert _peak_kb(
             "res = run_sim(SimConfig(lam=2, m=64**4, snr_db=(10.0,), frames=200,"
             " coherence=10, seed=1))\n"
@@ -253,7 +257,7 @@ class TestRunSim:
 
     def test_large_design_runs_both_decoders_without_the_stack(self):
         # lam 5, M 16^4: the (M, n, n) stack alone would take 1.07 GB, the
-        # coordinates take 34 MB
+        # coordinate table 34 MB; the factored scan holds 0.6 MB
         assert _peak_kb(
             "res = run_sim(SimConfig(lam=5, m=16**4, decoder='both', snr_db=(20.0,),"
             " frames=20, seed=1))\n"
