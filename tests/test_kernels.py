@@ -263,6 +263,33 @@ class TestFactoredScan:
                 h = rng.standard_normal(cb.design.K) * 10.0 ** rng.integers(-3, 4)
             assert metric_scan(table, h, *scales) == int(cb.coordinate_metrics(h).argmin())
 
+    def test_stands_for_the_coordinate_table(self, scaled_cb):
+        # the four groups' points, one per codeword row-major, are the
+        # coordinate table's rows and their norms its scales
+        cb = scaled_cb
+        factored = _factored(cb)
+        table, scales = _table(cb)
+        assert factored.shape == table.shape
+        assert table.reshape(cb.M, -1).flags.f_contiguous
+        idx = np.unravel_index(np.arange(cb.M), cb.sizes)
+        for k, points in enumerate(factored.points):
+            assert np.array_equal(table[:, k], points[idx[k]])
+        assert np.array_equal(cb.compose(factored.norms, idx), scales)
+
+    @pytest.mark.parametrize("case", ["plain", "tiny-prev", "large-t", "tiny-t"])
+    def test_scaled_windows_give_the_coordinate_metrics_argmin(self, scaled_cb, case):
+        # received windows scaled far from unit power, down to a subnormal h
+        cb = scaled_cb
+        prev_scale, t_scale = {"plain": (1.0, 1.0), "tiny-prev": (1e-12, 1.0),
+                               "large-t": (1.0, 1e12), "tiny-t": (1.0, 1e-41)}[case]
+        factored = _factored(cb)
+        rng = np.random.default_rng(40)
+        for w in range(4):
+            r_t, r_prev, a_sq = noisy_window(cb, rng, 0.3, 1 + w % 3)
+            h = _scaled_h(cb, r_prev * prev_scale, r_t * t_scale, 1.0 / math.sqrt(a_sq))
+            assert np.all(np.isfinite(h))
+            assert metric_scan(factored, h) == int(cb.coordinate_metrics(h).argmin())
+
     def test_exact_tie_in_group_3_goes_to_the_first_index(self):
         # small integers make every score exact: codewords (1, 0, 2, 1) and
         # (1, 0, 2, 3) differ only in group 3 and tie at the minimum
