@@ -47,9 +47,9 @@ the M sums and the partial sums of groups 0-1 and 0-2.  Its dozen NumPy
 calls cost more than one GEMV on small tables and far less than
 streaming a large one (``codebook.TABLE_SCAN_BYTES``).
 
-OpenBLAS threads that GEMV once the stack is large enough.  Pool workers
-that scan side by side would then oversubscribe the cores, so the
-initializer of the simulator's worker pool calls ``set_blas_threads(1)``.
+OpenBLAS threads that GEMV once the stack is large enough.  Simulator
+workers that scan side by side would then oversubscribe the cores, so
+each forked worker calls ``set_blas_threads(1)``.
 It finds the loaded OpenBLAS the way threadpoolctl does (by
 walking the loaded shared objects) and does nothing where there is none.
 """
@@ -159,11 +159,21 @@ def _entry(lib, verb):
 
 
 def set_blas_threads(count: int) -> None:
-    """Set the thread count of every loaded OpenBLAS; a no-op without one."""
+    """Set the thread count of every loaded OpenBLAS; a no-op without one.
+
+    Setting the count starts OpenBLAS's thread pool (in a forked process,
+    whose pool the fork stopped, too), and a new pool thread spins for
+    about 0.1 s of CPU before it sleeps.  So the pool is stopped again, as
+    OpenBLAS's own fork handler stops it; OpenBLAS restarts it at its next
+    threaded call.  Call this while no other thread is inside BLAS.
+    """
     for lib in _openblas_libs():
         fn = _entry(lib, "set")
         if fn is not None:
             fn(count)
+            shutdown = getattr(lib, "blas_thread_shutdown_", None)
+            if shutdown is not None:
+                shutdown()
 
 
 def blas_threads():

@@ -21,6 +21,7 @@ stay comparable across versions.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -28,9 +29,9 @@ import math
 import multiprocessing
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from multiprocessing.connection import wait
 
 import numpy as np
 
@@ -148,7 +149,7 @@ class SimPoint:
     metric_evals: int
     wall_time_s: float
     #: Seconds in this decoder's frame loops, summed over chunks (so
-    #: worker-seconds when the sweep ran on a pool); not in the CSV.
+    #: worker-seconds when the sweep ran on several workers); not in the CSV.
     decode_time_s: float
 
 
@@ -282,10 +283,10 @@ def _run_blocks(cfg, snr_idx, block_lo, block_hi):
     ``default_rng([seed, snr_idx, blk])``; ``diffcodec.block_frames``
     transmits it window by window, and each decoder's ``diffcodec``
     decision routine decides every window, tracking its own scale.  In a
-    pool worker it stops at the next block once ``run_sim`` has stopped
-    point ``snr_idx`` early; the parent never reads those counts.  It reads
-    the cached codebook that ``run_sim`` prepared, and that forked workers
-    inherit.
+    forked worker it is one claimed chunk, and it stops at the next block
+    once ``run_sim`` has stopped point ``snr_idx`` early (the caller drops
+    those counts).  It reads the cached codebook that ``run_sim`` prepared,
+    and that forked workers inherit.
     """
     cb = _codebook(cfg.lam, cfg.m, cfg.family, cfg.radii, cfg.preset, cfg.c)
     decoders = cfg.decoders()
@@ -324,29 +325,134 @@ def _run_blocks(cfg, snr_idx, block_lo, block_hi):
     return counts
 
 
-#: In a pool worker, the shared count of SNR points whose sweep has
-#: stopped early (``run_sim`` sets it); None in the calling process.
+#: In a worker, the shared count of SNR points whose sweep has stopped
+#: early (``run_sim`` sets it); None in the calling process.
 _stopped = None
 
 
-def _init_worker(stopped):
-    global _stopped
-    set_blas_threads(1)
-    _stopped = stopped
+def _claim(tickets, stopped, per_point: int) -> int:
+    """The next ticket in sweep order, ``snr_idx * per_point + chunk``,
+    skipping every ticket of a point that has already stopped."""
+    with tickets.get_lock():
+        t = max(tickets.value, stopped.value * per_point)
+        tickets.value = t + 1
+    return t
 
 
-def _worker_pool(workers: int, stopped) -> ProcessPoolExecutor:
-    """Process pool whose workers run BLAS single-threaded and see ``stopped``.
+def _worker(cfg, bounds, tickets, stopped, conn):
+    """Run claimed chunks until the sweep has none left, sending
+    ``(ticket, counts)`` for each on ``conn``, or the exception that ends it.
 
-    Each worker's scans are already one of ``workers`` concurrent streams;
-    letting OpenBLAS thread them too would put several spinning threads on
-    every core.  The calling process keeps its BLAS threads.  ``stopped``
-    is a shared integer: once ``run_sim`` sets it to ``snr_idx + 1``, the
-    chunks of points up to ``snr_idx`` that are queued or running return
-    at their next block instead of simulating results nobody reads.
+    BLAS runs single-threaded: each worker's scans are already one of
+    several concurrent streams, and OpenBLAS threading them on top would
+    put several spinning threads on every core.
     """
-    return ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                               initargs=(stopped,))
+    global _stopped
+    _stopped = stopped
+    set_blas_threads(1)
+    per_point = len(bounds)
+    try:
+        while (t := _claim(tickets, stopped, per_point)) < per_point * len(cfg.snr_db):
+            snr_idx, c = divmod(t, per_point)
+            conn.send((t, _run_blocks(cfg, snr_idx, *bounds[c])))
+    except Exception as exc:
+        with contextlib.suppress(OSError):  # the caller is gone and reads nothing
+            conn.send(exc)
+    finally:
+        conn.close()
+
+
+def _start_workers(count: int, cfg: SimConfig, bounds):
+    """Fork ``count`` workers on the sweep of ``bounds`` (one (lo, hi) block
+    range per chunk of a point).  Returns the shared stop value and each
+    worker's process with the read end of its pipe."""
+    # fork, not the platform default (forkserver from Python 3.14): workers
+    # must inherit the codebook that ``prepare`` cached and checked
+    ctx = multiprocessing.get_context("fork")
+    tickets, stopped = ctx.Value("q", 0), ctx.RawValue("q", 0)
+    started = []
+    try:
+        for _ in range(count):
+            reader, writer = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_worker, args=(cfg, bounds, tickets, stopped, writer),
+                               daemon=True)
+            proc.start()
+            writer.close()
+            started.append((proc, reader))
+    except BaseException:
+        for proc, reader in started:
+            proc.terminate()
+            proc.join()
+            reader.close()
+        raise
+    return stopped, started
+
+
+class _Workers:
+    """Forked workers claiming a sweep's chunks; the caller only reduces.
+
+    Workers claim ``(point, chunk)`` tickets from one shared counter and
+    stream their counts back, so they run ahead into later points while
+    the caller adds up the current one in chunk order.
+    """
+
+    def __init__(self, cfg: SimConfig, bounds, count: int):
+        self.n_points = len(cfg.snr_db)
+        self.per_point = len(bounds)
+        self.stopped, started = _start_workers(count, cfg, bounds)
+        self.procs = {reader: proc for proc, reader in started}
+        self.readers = list(self.procs)  # pipes not yet at EOF
+        self.done = {}  # ticket -> counts received ahead of their turn
+
+    def chunks(self, snr_idx: int):
+        """Point ``snr_idx``'s chunk counts, in chunk order."""
+        first = snr_idx * self.per_point
+        for t in range(first, first + self.per_point):
+            while t not in self.done:
+                self._receive()
+            yield self.done.pop(t)
+
+    def _receive(self):
+        if not self.readers:
+            raise RuntimeError("the sim workers ended before sending every chunk")
+        for reader in wait(self.readers):
+            try:
+                msg = reader.recv()
+            except EOFError:
+                self.readers.remove(reader)
+                proc = self.procs[reader]
+                proc.join()
+                if proc.exitcode:
+                    raise RuntimeError(f"a sim worker exited with code {proc.exitcode}") \
+                        from None
+                continue
+            if isinstance(msg, BaseException):
+                raise msg
+            t, counts = msg
+            if t >= self.stopped.value * self.per_point:  # else its point has stopped
+                self.done[t] = counts
+
+    def stop(self, snr_idx: int):
+        """Stop point ``snr_idx``: claims skip its tickets, and running
+        chunks of it end at their next block."""
+        self.stopped.value = snr_idx + 1
+
+    def close(self):
+        """Stop every point, drain each pipe to EOF and join the workers."""
+        self.stopped.value = self.n_points
+        try:
+            for reader in self.readers:
+                with contextlib.suppress(EOFError):
+                    while True:
+                        reader.recv_bytes()
+        except BaseException:
+            for proc in self.procs.values():
+                proc.terminate()
+            raise
+        finally:
+            for reader, proc in self.procs.items():
+                proc.join()
+                reader.close()
 
 
 def run_sim(cfg: SimConfig) -> SimResult:
@@ -355,29 +461,30 @@ def run_sim(cfg: SimConfig) -> SimResult:
     Deterministic for a fixed config: per-block RNG streams make the
     result independent of the worker count, and early stopping (when
     ``target_errors`` is set) only happens at fixed chunk boundaries.
+    Each point runs as at most 256 chunks of whole blocks.  With more than
+    one worker and one chunk, ``cfg.workers`` processes (no more than a
+    point has chunks) are forked once for the whole sweep; each claims
+    chunks in sweep order and streams back their counts, and this process
+    adds them up in chunk order and applies the stop rule; past a point's
+    stop, each worker finishes at most the block of it that it is in.
     """
     prepare(cfg)
     decoders = cfg.decoders()
     n_blocks = math.ceil(cfg.frames / cfg.frames_per_block)
     chunk = max(1, math.ceil(n_blocks / 256))
-    starts = range(0, n_blocks, chunk)
+    bounds = [(lo, min(lo + chunk, n_blocks)) for lo in range(0, n_blocks, chunk)]
 
     points = []
-    # a worker beyond the task count would sit idle, and on Linux every one
-    # is forked at the first submit
-    workers = min(cfg.workers, len(starts))
-    stopped = pool = None
-    if workers > 1:
-        stopped = multiprocessing.RawValue("i", 0)
-        pool = _worker_pool(workers, stopped)
+    # a worker beyond a point's chunk count would find no chunk of its own
+    workers = min(cfg.workers, len(bounds))
+    pool = _Workers(cfg, bounds, workers) if workers > 1 else None
     try:
         for snr_idx, snr in enumerate(cfg.snr_db):
             t0 = time.perf_counter()
-            tasks = [(cfg, snr_idx, lo, min(lo + chunk, n_blocks)) for lo in starts]
             if pool is None:
-                results = (_run_blocks(*task) for task in tasks)
+                results = (_run_blocks(cfg, snr_idx, lo, hi) for lo, hi in bounds)
             else:
-                results = pool.map(_run_blocks, *zip(*tasks))
+                results = pool.chunks(snr_idx)
             totals = {d: Counter() for d in decoders}
             for chunk_counts in results:
                 for d in decoders:
@@ -385,9 +492,8 @@ def run_sim(cfg: SimConfig) -> SimResult:
                 if cfg.target_errors is not None and all(
                     totals[d]["frame_errors"] >= cfg.target_errors for d in decoders
                 ):
-                    if stopped is not None:
-                        stopped.value = snr_idx + 1  # workers drop this point's chunks
-                    results.close()  # cancels this point's chunks not yet queued
+                    if pool is not None:
+                        pool.stop(snr_idx)
                     break
             wall = time.perf_counter() - t0
             for d in decoders:
@@ -403,5 +509,5 @@ def run_sim(cfg: SimConfig) -> SimResult:
                 ))
     finally:
         if pool is not None:
-            pool.shutdown(cancel_futures=True)
+            pool.close()
     return SimResult(config=cfg, points=tuple(points))

@@ -4,6 +4,8 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 from gdstbc import codebook, diffcodec, sim
-from gdstbc._kernels import FactoredTable, blas_threads
+from gdstbc._kernels import FactoredTable, blas_threads, set_blas_threads
 from gdstbc.codebook import UNITARITY_TOL, Codebook, NotGroupDecodableError
 from gdstbc.design import Grouping, construct_design
 from gdstbc.diffcodec import (
@@ -38,10 +40,6 @@ def _cfg(**kw):
     base = dict(lam=2, m=16, snr_db=(6.0,), frames=400, coherence=5, seed=11)
     base.update(kw)
     return SimConfig(**base)
-
-
-def _worker_blas_threads(_):
-    return blas_threads()
 
 
 @pytest.fixture(autouse=True)
@@ -136,34 +134,110 @@ class TestRunSim:
         b = run_sim(SimConfig(**{**cfg.__dict__, "workers": 2}))
         assert a.to_csv() == b.to_csv()
 
-    def test_pool_workers_run_blas_single_threaded(self):
+    def test_pool_workers_run_blas_single_threaded(self, monkeypatch):
         if blas_threads() is None:
             pytest.skip("no loaded OpenBLAS with a thread-count entry point")
-        with sim._worker_pool(2, multiprocessing.RawValue("i", 0)) as pool:
-            assert list(pool.map(_worker_blas_threads, range(4), timeout=60)) == [1] * 4
+        chunks = multiprocessing.Value("i", 0)
+        single = multiprocessing.Value("i", 0)  # chunks run with one BLAS thread
+        run_blocks = sim._run_blocks
+
+        def recorded(*args):
+            with chunks.get_lock():
+                chunks.value += 1
+                single.value += blas_threads() == 1
+            return run_blocks(*args)
+
+        monkeypatch.setattr(sim, "_run_blocks", recorded)
+        before = blas_threads()
+        set_blas_threads(2)  # so that a worker keeping the caller's count shows
+        try:
+            run_sim(_cfg(frames=600, workers=2))  # forked workers inherit the patch
+            assert blas_threads() == 2  # the calling process keeps its threads
+        finally:
+            set_blas_threads(before)
+        assert chunks.value > 0 and single.value == chunks.value
+
+    def test_setting_blas_threads_leaves_no_pool_thread(self):
+        # setting the count starts OpenBLAS's pool, whose new threads spin
+        # for about 0.1 s of CPU: a worker on a busy core must not pay that
+        if blas_threads() is None:
+            pytest.skip("no loaded OpenBLAS with a thread-count entry point")
+        before = blas_threads()
+        try:
+            for count in (2, 1):
+                set_blas_threads(count)
+                assert len(os.listdir("/proc/self/task")) == threading.active_count()
+        finally:
+            set_blas_threads(before)
 
     def test_pool_is_no_larger_than_the_task_list(self, monkeypatch):
         sizes = []
 
-        class InProcessPool:
-            def __init__(self, workers, stopped):
-                sizes.append(workers)
+        class Started(Exception):
+            pass
 
-            def map(self, fn, *iterables):
-                return (fn(*args) for args in zip(*iterables))
+        def start_none(count, cfg, bounds):
+            sizes.append(count)
+            raise Started  # forks nothing
 
-            def shutdown(self, cancel_futures=False):
-                pass
-
-        monkeypatch.setattr(sim, "_worker_pool", InProcessPool)
-        # 600 one-frame blocks in chunks of ceil(600 / 256) = 3: 200 tasks
-        cfg = _cfg(frames=600, coherence=2)
-        serial = run_sim(cfg).to_csv()
-        assert run_sim(_cfg(frames=600, coherence=2, workers=100_000)).to_csv() == serial
+        monkeypatch.setattr(sim, "_start_workers", start_none)
+        # 600 one-frame blocks in chunks of ceil(600 / 256) = 3: 200 chunks a point
+        with pytest.raises(Started):
+            run_sim(_cfg(frames=600, coherence=2, workers=100_000))
         assert sizes == [200]
-        # a whole-burst run is a single task, so it needs no pool at all
+        # a whole-burst run is a single chunk, so it needs no workers at all
         run_sim(_cfg(frames=50, coherence=None, workers=4))
         assert sizes == [200]
+
+    def test_early_stops_across_points_are_worker_invariant(self):
+        # several points, some stopped early and some run in full: workers
+        # claim tickets across point boundaries, and the CSV cannot tell
+        cfg = _cfg(snr_db=(0.0, 6.0, 12.0, 18.0), frames=3000, target_errors=40,
+                   decoder="both")
+        serial = run_sim(cfg)
+        frames = [p.frames for p in serial.points]
+        assert min(frames) < cfg.frames and max(frames) == cfg.frames
+        assert run_sim(replace(cfg, workers=3)).to_csv() == serial.to_csv()
+
+    def test_every_chunk_runs_once_under_contention(self, monkeypatch):
+        # more workers than cores race for 768 tickets of near-empty chunks:
+        # a lost update to the shared counter would run one chunk twice and
+        # another never
+        cfg = _cfg(snr_db=(0.0, 6.0, 12.0), frames=768, coherence=2, workers=6)
+        runs = multiprocessing.Array("i", 768)  # by ticket: 256 chunks of 3 blocks a point
+
+        def counted(cfg, snr_idx, lo, hi):
+            with runs.get_lock():
+                runs[snr_idx * 256 + lo // 3] += 1
+            return {"group": Counter(frames=hi - lo)}
+
+        monkeypatch.setattr(sim, "_run_blocks", counted)
+        assert [p.frames for p in run_sim(cfg).points] == [768] * 3
+        assert list(runs) == [1] * 768
+
+    def test_early_stopped_pooled_sweep_prints_nothing(self, capfd):
+        res = run_sim(_cfg(snr_db=(0.0, 6.0), frames=20000, target_errors=50, workers=2))
+        assert res.points[0].frames < 20000
+        assert capfd.readouterr().err == ""
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch, capfd):
+        chunks = multiprocessing.Value("i", 0)  # chunks started, in every process
+        run_blocks = sim._run_blocks
+
+        def failing(cfg, snr_idx, lo, hi):
+            with chunks.get_lock():
+                chunks.value += 1
+            if (snr_idx, lo) == (0, 40):
+                raise ValueError("chunk 40 failed")
+            return run_blocks(cfg, snr_idx, lo, hi)
+
+        monkeypatch.setattr(sim, "_run_blocks", failing)
+        # 3 points of 250 chunks; the error comes in the third chunk
+        cfg = _cfg(snr_db=(0.0, 6.0, 12.0), frames=20000, workers=2)
+        with pytest.raises(ValueError, match="^chunk 40 failed$"):
+            run_sim(cfg)
+        assert chunks.value < 250  # the sweep of 750 chunks ends soon after the error
+        assert capfd.readouterr().err == ""
 
     def test_group_decoding_refuses_a_failing_grouping(self, monkeypatch):
         scrambled = Grouping(groups=((0, 3), (1, 2), (4, 6), (5, 7)))
@@ -398,14 +472,16 @@ class TestRunSim:
         # is in: no queued chunk, nor the rest of a running one, is simulated.
         cfg = _cfg(snr_db=(0.0, 6.0), frames=20000, target_errors=50, workers=2)
         late = multiprocessing.Value("i", 0)  # 0 dB blocks ending after the stop
+        ran = multiprocessing.Value("i", 0)  # 0 dB blocks simulated by the workers
         frames = sim.block_frames
 
         def recorded(cb, rng, nf, n_r, sigma):
             yield from frames(cb, rng, nf, n_r, sigma)
             snr_idx = rng.bit_generator.seed_seq.entropy[1]
-            if snr_idx == 0 and sim._stopped is not None and sim._stopped.value > 0:
+            if snr_idx == 0 and sim._stopped is not None:
                 with late.get_lock():
-                    late.value += 1
+                    ran.value += 1
+                    late.value += sim._stopped.value > 0
 
         monkeypatch.setattr(sim, "block_frames", recorded)
         serial = run_sim(replace(cfg, workers=1))
@@ -413,12 +489,19 @@ class TestRunSim:
         assert res.to_csv() == serial.to_csv()
         assert res.points[0].frames < cfg.frames
         assert late.value <= cfg.workers
+        assert ran.value < 5000 // 2  # the rest of the 0 dB point never ran
 
     def test_worker_skips_the_blocks_of_a_stopped_point(self, monkeypatch):
         monkeypatch.setattr(sim, "_stopped", multiprocessing.RawValue("i", 1))
         cfg = _cfg(snr_db=(0.0, 6.0))
         assert sim._run_blocks(cfg, 0, 0, 5)["group"]["frames"] == 0
         assert sim._run_blocks(cfg, 1, 0, 5)["group"]["frames"] == 20
+
+    def test_claims_skip_the_tickets_of_a_stopped_point(self):
+        tickets, stopped = multiprocessing.Value("q", 3), multiprocessing.RawValue("q", 0)
+        assert [sim._claim(tickets, stopped, 5) for _ in range(2)] == [3, 4]
+        stopped.value = 2  # points 0 and 1 have stopped: tickets 5 to 9 are skipped
+        assert [sim._claim(tickets, stopped, 5) for _ in range(2)] == [10, 11]
 
     def test_bler_only_mode_for_non_power_of_two_groups(self):
         res = run_sim(SimConfig(lam=2, m=6**4, snr_db=(10.0,), frames=50,
