@@ -158,7 +158,7 @@ class Codebook:
     of group k's point p to the codeword matrix; ``compose`` sums four
     partials into a codeword, or their ``group_norms`` into its scale.
     The constructor refuses (ValueError) partials that do not fit in the
-    memory available.  ``basis_taps`` tells the deciders how to read the
+    memory available.  ``basis_taps`` tells ``correlate`` how to read the
     correlation of a frame with every ``basis`` weight.  Only
     exhaustive decoding needs M-sized arrays, built lazily, and refused
     (ValueError) past the memory available: ``exhaustive_table`` (what the

@@ -10,8 +10,8 @@ taken from its own previous decision.
 ``block_frames`` runs a fading block in windows; ``draw_channel``,
 ``encoder_step`` and ``channel_step`` are its one-frame view, built on
 the same draws and chain step.  ``decide_group`` and ``decide_exhaustive``
-decide a window's frames, ``decode_group`` (``decide_group`` on one frame)
-and ``decode_exhaustive`` one.
+decide a window's frames from its correlation, ``decode_group``
+(``decide_group`` on one frame) and ``decode_exhaustive`` one.
 
 Two decoders are provided.  The exhaustive one scans all M codewords.
 The group decoder exploits the cross-group anticommutation of the weight
@@ -26,11 +26,11 @@ linear design the metric of codeword x_m at frame t is, up to terms and
 a positive factor common to all candidates, x_m . h_t + a_m, and
 h_t = -2 sqrt(a_{t-1}) g_t / ||r_{t-1}||^2 with
 g_t[v] = Re tr(r_t^H A_v r_{t-1}) (``_kernels`` docstring).
-``correlate`` forms every g_t and ||r_{t-1}||^2 of a window at once;
-frame by frame only the scalar ``fold`` with the previous decided scale
-stays sequential.  The exhaustive decider scans all M coordinate rows
-against h_t, the group decider each group's points against h_t's slice
-for that group, so the two decide from the same h_t.
+``correlate`` forms every g_t and ||r_{t-1}||^2 of a window at once, the
+input of every decider; frame by frame only the scalar ``fold`` with the
+previous decided scale stays sequential.  The exhaustive decider scans
+all M coordinate rows against h_t, the group decider each group's points
+against h_t's slice for that group, so both decide from the same h_t.
 """
 
 from __future__ import annotations
@@ -226,7 +226,7 @@ def decode_group(cb: Codebook, r_t, r_prev, a_prev_sq: float) -> DecodeResult:
     cb.require_scaled_unitary()
     r_t = _as_receive(r_t, cb.n)
     r_prev = _as_receive(r_prev, cb.n)
-    (lin,), _ = decide_group(cb, r_t[None], r_prev, a_prev_sq)
+    (lin,), _ = decide_group(cb, *correlate(cb, r_t[None], r_prev), a_prev_sq)
     idx = cb.unravel_index(lin)
     diff = r_t - (1.0 / math.sqrt(a_prev_sq)) * (cb.compose(cb.group_stacks, idx) @ r_prev)
     return DecodeResult(index=idx, metric=float(np.vdot(diff, diff).real),
@@ -258,19 +258,19 @@ def fold(g_t, energy, a):
     return g_t * (-2.0 * math.sqrt(a) / energy) if energy else None
 
 
-def decide_group(cb: Codebook, r, r_prev, a_prev_sq: float):
-    """Decide a window's frames ``r`` in turn, tracking the decided scale.
+def decide_group(cb: Codebook, g, energy, a_prev_sq: float):
+    """Decide a window's frames in turn from its ``correlate`` output
+    ``(g, energy)``, tracking the decided scale.
 
-    ``r_prev`` and ``a_prev_sq`` belong to the frame before the window.
-    Each frame makes one coordinate-form ``metric_scan`` per group, on the
-    group's points as a (P_k, 1, K/4) table with its norms and its slice
-    of the frame's h (``correlate``, ``fold``): the call structure perfbench's
-    traced run counts.  Dropping the metric's quadratic terms per group
-    is exact for a scaled-unitary codebook.  Returns the decided linear
-    indices and the scale of the last decision.
+    ``a_prev_sq`` belongs to the frame before the window.  Each frame
+    makes one coordinate-form ``metric_scan`` per group, on the group's
+    points as a (P_k, 1, K/4) table with its norms and its slice of the
+    frame's h (``fold``): the call structure perfbench's traced run
+    counts.  Dropping the metric's quadratic terms per group is exact for
+    a scaled-unitary codebook.  Returns the decided linear indices and the
+    scale of the last decision.
     """
     groups = cb.group_tables
-    g, energy = correlate(cb, r, r_prev)
     a, hats = a_prev_sq, []
     for g_t, e in zip(g.reshape(len(g), 4, -1), energy):
         h = fold(g_t, e, a)
@@ -287,7 +287,7 @@ def decide_group(cb: Codebook, r, r_prev, a_prev_sq: float):
 _TIED = (None,) * 4
 
 
-def decide_exhaustive(cb: Codebook, r, r_prev, a_prev_sq: float):
+def decide_exhaustive(cb: Codebook, g, energy, a_prev_sq: float):
     """``decide_group`` with one ``metric_scan`` of all M codewords per frame.
 
     The scan takes ``cb.exhaustive_table`` against the frame's h: the
@@ -299,14 +299,11 @@ def decide_exhaustive(cb: Codebook, r, r_prev, a_prev_sq: float):
     summed from the winner's four group norms, as in ``decide_group``.
     """
     table, *scales = cb.exhaustive_table
-    (n0, n1, n2, n3), (_, s1, s2, s3) = cb.norm_lists, cb.sizes
-    g, energy = correlate(cb, r, r_prev)
+    n0, n1, n2, n3 = cb.norm_lists
     a, hats = a_prev_sq, []
     for g_t, e in zip(g, energy):
         lin = metric_scan(table, fold(g_t, e, a), *scales)
-        rest, i3 = divmod(lin, s3)
-        rest, i2 = divmod(rest, s2)
-        i0, i1 = divmod(rest, s1)
+        i0, i1, i2, i3 = cb.unravel_index(lin)
         a = n0[i0] + n1[i1] + n2[i2] + n3[i3]
         hats.append(lin)
     return hats, a

@@ -24,6 +24,8 @@ import math
 
 import numpy as np
 
+from .codebook import check_memory
+
 #: Radius presets, keyed by name.  Each entry is (lam, radii) with the radii
 #: given before normalisation.  "paper-8ant-rate2" is the published
 #: 8-antenna, 2 bit/channel-use instance (16 points per group in R^4).
@@ -94,8 +96,6 @@ def group_radii(m: int, dim: int, radii=None) -> np.ndarray:
     linear ramp ``default_radii`` when None.  Both families take their
     radii from here, after a check that the radii and the group's (P, dim)
     points fit in the memory available (ValueError otherwise)."""
-    from .codebook import check_memory  # codebook imports this module
-
     p = fourth_root_points(m)
     check_memory(f"a group of {p} points needs its radii and points",
                  8 * (p // 2 + p * dim))

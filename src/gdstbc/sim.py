@@ -38,7 +38,7 @@ import numpy as np
 from ._kernels import BACKEND, set_blas_threads
 from .codebook import Codebook, check_memory
 from .design import MAX_LAMBDA, construct_design
-from .diffcodec import DECIDERS, block_bytes, block_frames
+from .diffcodec import DECIDERS, block_bytes, block_frames, correlate
 from .signalset import (
     PRESETS,
     construct_signal_set,
@@ -148,8 +148,8 @@ class SimPoint:
     ber: float
     metric_evals: int
     wall_time_s: float
-    #: Seconds in this decoder's frame loops, summed over chunks (so
-    #: worker-seconds when the sweep ran on several workers); not in the CSV.
+    #: Seconds in this decoder's decisions and the correlations they read,
+    #: summed over chunks (worker-seconds on several workers); not in the CSV.
     decode_time_s: float
 
 
@@ -245,11 +245,11 @@ def build_codebook(cfg: SimConfig) -> Codebook:
 def _codebook(lam, m, family, radii, preset, c) -> Codebook:
     """The signal set's codebook, cached per process.
 
-    Construction is pure, so chunk tasks reuse it and forked workers
-    inherit it.  Only the current codebook is kept: a run needs no other,
-    and a stale one would keep its M-sized arrays alive.  A group-only
-    run builds none, since encoding and group decoding sum per-group
-    parts; ``prepare`` builds those the exhaustive rows scan.
+    Construction is pure, so repeated sweeps reuse it.  Only the current
+    codebook is kept: a run needs no other, and a stale one would keep
+    its M-sized arrays alive.  A group-only run builds none, since
+    encoding and group decoding sum per-group parts; ``prepare`` builds
+    those the exhaustive rows scan.
     """
     return build_codebook(SimConfig(lam=lam, m=m, family=family, radii=radii, preset=preset,
                                     c=c))
@@ -274,21 +274,20 @@ def prepare(cfg: SimConfig) -> Codebook:
     return cb
 
 
-def _run_blocks(cfg, snr_idx, block_lo, block_hi):
-    """Simulate blocks [block_lo, block_hi) of SNR point ``snr_idx``.
+def _run_blocks(cb, cfg, snr_idx, block_lo, block_hi):
+    """Simulate blocks [block_lo, block_hi) of SNR point ``snr_idx`` on
+    ``cb``, the codebook ``prepare(cfg)`` returned.
 
     Returns one ``Counter`` per decoder: frames, frame_errors, bits,
-    bit_errors, metric_evals and decode_s, the seconds spent in that
-    decoder's decisions.  Each block draws from its own stream
-    ``default_rng([seed, snr_idx, blk])``; ``diffcodec.block_frames``
-    transmits it window by window, and each decoder's ``diffcodec``
-    decision routine decides every window, tracking its own scale.  In a
-    forked worker it is one claimed chunk, and it stops at the next block
-    once ``run_sim`` has stopped point ``snr_idx`` early (the caller drops
-    those counts).  It reads the cached codebook that ``run_sim`` prepared,
-    and that forked workers inherit.
+    bit_errors, metric_evals and decode_s (``SimPoint.decode_time_s``).
+    Each block draws from its own stream ``default_rng([seed, snr_idx,
+    blk])``; ``diffcodec.block_frames`` transmits it window by window,
+    ``correlate`` correlates each window once, and each decoder's
+    ``diffcodec`` decision routine decides it from that, tracking its own
+    scale.  In a forked worker it is one claimed chunk, and it stops at
+    the next block once ``run_sim`` has stopped point ``snr_idx`` early
+    (the caller drops those counts).
     """
-    cb = _codebook(cfg.lam, cfg.m, cfg.family, cfg.radii, cfg.preset, cfg.c)
     decoders = cfg.decoders()
     evals_per_frame = {"exhaustive": cb.M, "group": sum(cb.sizes)}
     # BER needs power-of-two group sizes (see bit_mapping); 0 means BLER only
@@ -306,11 +305,14 @@ def _run_blocks(cfg, snr_idx, block_lo, block_hi):
         rng = np.random.default_rng([cfg.seed, snr_idx, blk])
         a_dec = dict.fromkeys(decoders, 1.0)
         for sent, r_prev, r in block_frames(cb, rng, nf, cfg.n_r, sigma):
+            t0 = time.perf_counter()
+            g, energy = correlate(cb, r, r_prev)
+            t_corr = time.perf_counter() - t0
             for d in decoders:
                 t0 = time.perf_counter()
-                hats, a_dec[d] = DECIDERS[d](cb, r, r_prev, a_dec[d])
+                hats, a_dec[d] = DECIDERS[d](cb, g, energy, a_dec[d])
                 c = counts[d]
-                c["decode_s"] += time.perf_counter() - t0
+                c["decode_s"] += t_corr + time.perf_counter() - t0
                 errs = [got ^ want for got, want in zip(hats, sent) if got != want]
                 c["frame_errors"] += len(errs)
                 if bits_per_frame:
@@ -339,7 +341,7 @@ def _claim(tickets, stopped, per_point: int) -> int:
     return t
 
 
-def _worker(cfg, bounds, tickets, stopped, conn):
+def _worker(cb, cfg, bounds, tickets, stopped, conn):
     """Run claimed chunks until the sweep has none left, sending
     ``(ticket, counts)`` for each on ``conn``, or the exception that ends it.
 
@@ -354,7 +356,7 @@ def _worker(cfg, bounds, tickets, stopped, conn):
     try:
         while (t := _claim(tickets, stopped, per_point)) < per_point * len(cfg.snr_db):
             snr_idx, c = divmod(t, per_point)
-            conn.send((t, _run_blocks(cfg, snr_idx, *bounds[c])))
+            conn.send((t, _run_blocks(cb, cfg, snr_idx, *bounds[c])))
     except Exception as exc:
         with contextlib.suppress(OSError):  # the caller is gone and reads nothing
             conn.send(exc)
@@ -362,19 +364,19 @@ def _worker(cfg, bounds, tickets, stopped, conn):
         conn.close()
 
 
-def _start_workers(count: int, cfg: SimConfig, bounds):
-    """Fork ``count`` workers on the sweep of ``bounds`` (one (lo, hi) block
-    range per chunk of a point).  Returns the shared stop value and each
-    worker's process with the read end of its pipe."""
+def _start_workers(count: int, cb: Codebook, cfg: SimConfig, bounds):
+    """Fork ``count`` workers on ``cb`` and the sweep of ``bounds`` (one
+    (lo, hi) block range per chunk of a point).  Returns the shared stop
+    value and each worker's process with the read end of its pipe."""
     # fork, not the platform default (forkserver from Python 3.14): workers
-    # must inherit the codebook that ``prepare`` cached and checked
+    # take the prepared ``cb`` unpickled and inherit the caller's state
     ctx = multiprocessing.get_context("fork")
     tickets, stopped = ctx.Value("q", 0), ctx.RawValue("q", 0)
     started = []
     try:
         for _ in range(count):
             reader, writer = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_worker, args=(cfg, bounds, tickets, stopped, writer),
+            proc = ctx.Process(target=_worker, args=(cb, cfg, bounds, tickets, stopped, writer),
                                daemon=True)
             proc.start()
             writer.close()
@@ -396,10 +398,10 @@ class _Workers:
     the caller adds up the current one in chunk order.
     """
 
-    def __init__(self, cfg: SimConfig, bounds, count: int):
+    def __init__(self, cb: Codebook, cfg: SimConfig, bounds, count: int):
         self.n_points = len(cfg.snr_db)
         self.per_point = len(bounds)
-        self.stopped, started = _start_workers(count, cfg, bounds)
+        self.stopped, started = _start_workers(count, cb, cfg, bounds)
         self.procs = {reader: proc for proc, reader in started}
         self.readers = list(self.procs)  # pipes not yet at EOF
         self.done = {}  # ticket -> counts received ahead of their turn
@@ -468,7 +470,7 @@ def run_sim(cfg: SimConfig) -> SimResult:
     adds them up in chunk order and applies the stop rule; past a point's
     stop, each worker finishes at most the block of it that it is in.
     """
-    prepare(cfg)
+    cb = prepare(cfg)
     decoders = cfg.decoders()
     n_blocks = math.ceil(cfg.frames / cfg.frames_per_block)
     chunk = max(1, math.ceil(n_blocks / 256))
@@ -477,12 +479,12 @@ def run_sim(cfg: SimConfig) -> SimResult:
     points = []
     # a worker beyond a point's chunk count would find no chunk of its own
     workers = min(cfg.workers, len(bounds))
-    pool = _Workers(cfg, bounds, workers) if workers > 1 else None
+    pool = _Workers(cb, cfg, bounds, workers) if workers > 1 else None
     try:
         for snr_idx, snr in enumerate(cfg.snr_db):
             t0 = time.perf_counter()
             if pool is None:
-                results = (_run_blocks(cfg, snr_idx, lo, hi) for lo, hi in bounds)
+                results = (_run_blocks(cb, cfg, snr_idx, lo, hi) for lo, hi in bounds)
             else:
                 results = pool.chunks(snr_idx)
             totals = {d: Counter() for d in decoders}

@@ -124,7 +124,7 @@ def test_exhaustive_scans_count_one_call_of_m_candidates_per_frame(tracer, monke
     rng = np.random.default_rng(3)
     frames = 0
     for _, r_prev, r in diffcodec.block_frames(cb, rng, 12, 1, 0.3):
-        diffcodec.decide_exhaustive(cb, r, r_prev, 1.0)
+        diffcodec.decide_exhaustive(cb, *diffcodec.correlate(cb, r, r_prev), 1.0)
         frames += len(r)
     assert tracer.counters["scan_calls"] == frames == 12
     assert tracer.counters["scan_candidates"] == frames * cb.M

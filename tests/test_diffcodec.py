@@ -13,6 +13,7 @@ from gdstbc.diffcodec import (
     block_bytes,
     block_frames,
     channel_step,
+    correlate,
     decide_exhaustive,
     decide_group,
     decode_exhaustive,
@@ -203,7 +204,7 @@ class TestScaledUnitaryExhaustiveScan:
             want = decode_exhaustive(cb, r_t, r_prev, a_sq).index
             scale = cb.codeword_at(want).scale_sq
             for decide in (decide_group, decide_exhaustive):
-                hats, a = decide(cb, r_t[None], r_prev, a_sq)
+                hats, a = decide(cb, *correlate(cb, r_t[None], r_prev), a_sq)
                 assert (cb.unravel_index(hats[0]), a) == (want, scale)
             if w % 50 == 7:
                 assert want == (0, 0, 0, 0)
@@ -241,7 +242,7 @@ class TestScaledUnitaryExhaustiveScan:
                 a_ref = a = 1.0
                 for _, r_prev, r in block_frames(cb, rng, 40, n_r, sigma):
                     calls.clear()
-                    hats, a = decide_exhaustive(cb, r, r_prev, a)
+                    hats, a = decide_exhaustive(cb, *correlate(cb, r, r_prev), a)
                     assert calls == [(form, (cb.M, 4, 2))] * len(r)
                     for hat, r_t in zip(hats, r):
                         res = decode_exhaustive(cb, r_t, r_prev, a_ref)
@@ -282,16 +283,19 @@ class TestBlockBytes:
         (2, 16, 5, 1000),
     ])
     def test_bounds_a_block_and_its_decisions(self, lam, m, nf, n_r):
-        # what block_frames and both deciders hold at once, traced, stays
-        # within the count sim.prepare checks against the memory available
+        # what block_frames, a window's correlation and both deciders on it
+        # hold at once, traced, stays within the count sim.prepare checks
+        # against the memory available; sim._run_blocks correlates each
+        # window once and holds the result while every decoder runs
         cb = build_codebook(SimConfig(lam=lam, m=m))
         cb.exhaustive_table, cb.basis_taps  # noqa: B018  (built once, before the sweep)
         rng = np.random.default_rng([lam, nf])
         tracemalloc.start()
         try:
             for _, r_prev, r in block_frames(cb, rng, nf, n_r, 0.3):
-                decide_group(cb, r, r_prev, 1.0)
-                decide_exhaustive(cb, r, r_prev, 1.0)
+                g, energy = correlate(cb, r, r_prev)
+                decide_group(cb, g, energy, 1.0)
+                decide_exhaustive(cb, g, energy, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -347,15 +351,15 @@ class TestGroupDecoder:
         calls = []
         decide = diffcodec.decide_group
 
-        def counted(cb, r, r_prev, a_prev_sq):
-            calls.append(r.shape)
-            return decide(cb, r, r_prev, a_prev_sq)
+        def counted(cb, g, energy, a_prev_sq):
+            calls.append((g.shape, len(energy)))
+            return decide(cb, g, energy, a_prev_sq)
 
         monkeypatch.setattr(diffcodec, "decide_group", counted)
         cb = Codebook(construct_design(2), construct_signal_set(2, 256))
         r_t, r_prev, a_sq, _ = random_window(cb, np.random.default_rng(12))
         res = decode_group(cb, r_t, r_prev, a_sq)
-        assert calls == [(1, 4, 1)]
+        assert calls == [((1, cb.design.K), 1)]
         assert res.index == decode_exhaustive(cb, r_t, r_prev, a_sq).index
 
     def test_refuses_non_scaled_unitary_codebook(self):

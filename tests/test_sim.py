@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -176,7 +177,7 @@ class TestRunSim:
         class Started(Exception):
             pass
 
-        def start_none(count, cfg, bounds):
+        def start_none(count, cb, cfg, bounds):
             sizes.append(count)
             raise Started  # forks nothing
 
@@ -206,7 +207,7 @@ class TestRunSim:
         cfg = _cfg(snr_db=(0.0, 6.0, 12.0), frames=768, coherence=2, workers=6)
         runs = multiprocessing.Array("i", 768)  # by ticket: 256 chunks of 3 blocks a point
 
-        def counted(cfg, snr_idx, lo, hi):
+        def counted(cb, cfg, snr_idx, lo, hi):
             with runs.get_lock():
                 runs[snr_idx * 256 + lo // 3] += 1
             return {"group": Counter(frames=hi - lo)}
@@ -224,12 +225,12 @@ class TestRunSim:
         chunks = multiprocessing.Value("i", 0)  # chunks started, in every process
         run_blocks = sim._run_blocks
 
-        def failing(cfg, snr_idx, lo, hi):
+        def failing(cb, cfg, snr_idx, lo, hi):
             with chunks.get_lock():
                 chunks.value += 1
             if (snr_idx, lo) == (0, 40):
                 raise ValueError("chunk 40 failed")
-            return run_blocks(cfg, snr_idx, lo, hi)
+            return run_blocks(cb, cfg, snr_idx, lo, hi)
 
         monkeypatch.setattr(sim, "_run_blocks", failing)
         # 3 points of 250 chunks; the error comes in the third chunk
@@ -448,6 +449,28 @@ class TestRunSim:
         assert len(sizes) == frames * (4 + 1)
         assert sum(sizes) == sum(p.metric_evals for p in res.points)
 
+    def test_both_decoders_read_one_correlation_per_window(self, monkeypatch):
+        # _run_blocks correlates each window once, through the name sim
+        # imports, and both decoders decide from it; each counts its time
+        windows = []
+        corr = sim.correlate
+
+        def counted(cb, r, r_prev):
+            windows.append(len(r))
+            time.sleep(0.002)
+            return corr(cb, r, r_prev)
+
+        monkeypatch.setattr(sim, "correlate", counted)
+        res = run_sim(_cfg(frames=95, coherence=10, decoder="both"))
+        assert windows == [9] * 10 + [5]  # a block of 9 frames is one window
+        assert [p.frames for p in res.points] == [95, 95]
+        assert all(p.decode_time_s >= 11 * 0.002 for p in res.points)
+        windows.clear()
+        monkeypatch.setattr(diffcodec, "WINDOW", 7)
+        res = run_sim(_cfg(frames=50, coherence=None, decoder="both"))
+        assert windows == [7] * 7 + [1]
+        assert [p.frames for p in res.points] == [50, 50]
+
     def test_whole_burst_coherence(self):
         res = run_sim(_cfg(coherence=None, frames=200))
         assert res.points[0].frames == 200
@@ -494,8 +517,9 @@ class TestRunSim:
     def test_worker_skips_the_blocks_of_a_stopped_point(self, monkeypatch):
         monkeypatch.setattr(sim, "_stopped", multiprocessing.RawValue("i", 1))
         cfg = _cfg(snr_db=(0.0, 6.0))
-        assert sim._run_blocks(cfg, 0, 0, 5)["group"]["frames"] == 0
-        assert sim._run_blocks(cfg, 1, 0, 5)["group"]["frames"] == 20
+        cb = sim.prepare(cfg)
+        assert sim._run_blocks(cb, cfg, 0, 0, 5)["group"]["frames"] == 0
+        assert sim._run_blocks(cb, cfg, 1, 0, 5)["group"]["frames"] == 20
 
     def test_claims_skip_the_tickets_of_a_stopped_point(self):
         tickets, stopped = multiprocessing.Value("q", 3), multiprocessing.RawValue("q", 0)
