@@ -164,7 +164,6 @@ def _signal_cfg(args) -> SimConfig:
 
 def _cmd_signalset(args) -> int:
     cfg = _signal_cfg(args)
-    cfg.validate()
     # identical groups by default; the hyperbola family's quadrature groups
     # are the mirrored (x, -y) image of this list
     points = build_signal_set(cfg)[0]
@@ -173,9 +172,7 @@ def _cmd_signalset(args) -> int:
 
 
 def _cmd_codebook(args) -> int:
-    cfg = _signal_cfg(args)
-    cfg.validate()
-    cb = build_codebook(cfg)
+    cb = build_codebook(_signal_cfg(args))
     div = verify_full_diversity(cb)
     resid = cb.max_unitarity_residual()
     report = {
@@ -206,9 +203,15 @@ def _cmd_simulate(args) -> int:
                     workers=args.workers)
     # a config or memory error must exit before --out is opened, which truncates it
     prepare(cfg)
-    with _open_out(args.out) as fh:
+    with contextlib.ExitStack() as stack:
+        fh = stack.enter_context(_open_out(args.out))
         result = run_sim(cfg)
-        fh.write(result.to_json() + "\n" if args.as_json else result.to_csv())
+        try:  # a failed write or close is a configuration error, the sweep's are not
+            with stack.pop_all():
+                fh.write(result.to_json() + "\n" if args.as_json else result.to_csv())
+        except OSError as exc:
+            where = "--out file" if args.out else "stdout"
+            raise ValueError(f"cannot write {where}: {exc}") from exc
     return EXIT_OK
 
 

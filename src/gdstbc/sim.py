@@ -27,6 +27,7 @@ import io
 import json
 import math
 import multiprocessing
+import operator
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -76,13 +77,19 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
+        """Normalise and check every field, so that every config is valid."""
+        for name in ("lam", "m", "n_r", "frames", "target_errors", "coherence", "seed", "workers"):
+            value = getattr(self, name)
+            if value is not None:
+                try:
+                    object.__setattr__(self, name, operator.index(value))
+                except TypeError:
+                    raise ValueError(f"{name} must be an integer, got {value!r}") from None
         # lists from the Python API become tuples, so that the frozen config
         # and the codebook cache key built from its fields are hashable
         object.__setattr__(self, "snr_db", tuple(self.snr_db))
         if self.radii is not None:
             object.__setattr__(self, "radii", tuple(self.radii))
-
-    def validate(self):
         if self.lam < 1:
             raise ValueError("lam must be >= 1")
         if self.lam > MAX_LAMBDA:
@@ -91,13 +98,19 @@ class SimConfig:
             raise ValueError(f"unknown signal family {self.family!r}")
         if self.family == "hyperbola" and self.lam != 2:
             raise ValueError("the circle-hyperbola family is defined for lam = 2 only")
-        if self.preset is not None and self.preset not in PRESETS:
-            raise ValueError(f"unknown preset {self.preset!r}")
         if self.c is not None and self.family != "hyperbola":
             raise ValueError("c applies to the hyperbola family only")
-        if self.preset is not None and (self.radii is not None or self.family == "hyperbola"):
-            raise ValueError("a preset fixes the signal set: it takes no radii and no "
-                             "hyperbola family")
+        if self.preset is not None:
+            if self.preset not in PRESETS:
+                raise ValueError(f"unknown preset {self.preset!r}")
+            if self.radii is not None or self.family == "hyperbola":
+                raise ValueError("a preset fixes the signal set: it takes no radii and no "
+                                 "hyperbola family")
+            plam, pradii = PRESETS[self.preset]
+            pm = (2 * len(pradii)) ** 4
+            if (self.lam, self.m) != (plam, pm):
+                raise ValueError(f"preset {self.preset!r} is defined for lam={plam} and M={pm}, "
+                                 f"got lam={self.lam} and M={self.m}")
         if not self.snr_db:
             raise ValueError("need at least one SNR point")
         if any(math.isnan(v) or v == -math.inf for v in self.snr_db):
@@ -223,12 +236,6 @@ def build_signal_set(cfg: SimConfig) -> tuple[np.ndarray, ...]:
     hyperbola family or the axis family.  The constructors are called
     through this module's globals (a profiler may wrap them there)."""
     if cfg.preset is not None:
-        plam, pradii = PRESETS[cfg.preset]
-        if cfg.lam != plam:
-            raise ValueError(f"preset {cfg.preset!r} is defined for lam={plam}, got lam={cfg.lam}")
-        expected_m = (2 * len(pradii)) ** 4
-        if cfg.m != expected_m:
-            raise ValueError(f"preset {cfg.preset!r} implies M={expected_m}, got M={cfg.m}")
         return preset_signal_set(cfg.preset)
     if cfg.family == "hyperbola":
         radii = group_radii(cfg.m, 2, cfg.radii)
@@ -256,14 +263,14 @@ def _codebook(lam, m, family, radii, preset, c) -> Codebook:
 
 
 def prepare(cfg: SimConfig) -> Codebook:
-    """Validate ``cfg``, require its cached codebook to be group decodable and
+    """Require the config's cached codebook to be group decodable and
     scaled unitary (``require_scaled_unitary``; the differential chain needs
     it whatever the decoder), build what the exhaustive rows scan
     (``exhaustive_table``, after its memory check), and check that the
     sweep's largest fading block fits in the memory available
     (``block_bytes``: its group-index draw and one window's arrays), so
-    errors come before a sweep."""
-    cfg.validate()
+    errors come before a sweep.  ``cfg`` itself was checked when it was
+    constructed."""
     cb = _codebook(cfg.lam, cfg.m, cfg.family, cfg.radii, cfg.preset, cfg.c)
     cb.require_scaled_unitary()
     if "exhaustive" in cfg.decoders():
@@ -274,32 +281,28 @@ def prepare(cfg: SimConfig) -> Codebook:
     return cb
 
 
-def _run_blocks(cb, cfg, snr_idx, block_lo, block_hi):
+def _run_blocks(cb, cfg, snr_idx, block_lo, block_hi, stopped=None):
     """Simulate blocks [block_lo, block_hi) of SNR point ``snr_idx`` on
     ``cb``, the codebook ``prepare(cfg)`` returned.
 
-    Returns one ``Counter`` per decoder: frames, frame_errors, bits,
-    bit_errors, metric_evals and decode_s (``SimPoint.decode_time_s``).
-    Each block draws from its own stream ``default_rng([seed, snr_idx,
-    blk])``; ``diffcodec.block_frames`` transmits it window by window,
-    ``correlate`` correlates each window once, and each decoder's
-    ``diffcodec`` decision routine decides it from that, tracking its own
-    scale.  In a forked worker it is one claimed chunk, and it stops at
-    the next block once ``run_sim`` has stopped point ``snr_idx`` early
-    (the caller drops those counts).
+    Returns one ``Counter`` per decoder: frames, frame_errors, bit_errors
+    (differing bits of the linear indices) and decode_s
+    (``SimPoint.decode_time_s``).  Each block draws from its own stream
+    ``default_rng([seed, snr_idx, blk])``; ``diffcodec.block_frames``
+    transmits it window by window, ``correlate`` correlates each window
+    once, and each decoder's ``diffcodec`` decision routine decides it from
+    that, tracking its own scale.  ``stopped``, a forked worker's shared
+    count of stopped points, ends the chunk at its next block once
+    ``run_sim`` has stopped point ``snr_idx`` (the caller drops its counts).
     """
     decoders = cfg.decoders()
-    evals_per_frame = {"exhaustive": cb.M, "group": sum(cb.sizes)}
-    # BER needs power-of-two group sizes (see bit_mapping); 0 means BLER only
-    pow2 = all(size & (size - 1) == 0 for size in cb.sizes)
-    bits_per_frame = cb.M.bit_length() - 1 if pow2 else 0
     noise_var = noise_var_for_snr(cfg.snr_db[snr_idx], cb.n)
     sigma = math.sqrt(noise_var / 2.0) if noise_var > 0 else 0.0
     fpb = cfg.frames_per_block
 
     counts = {d: Counter() for d in decoders}
     for blk in range(block_lo, block_hi):
-        if _stopped is not None and _stopped.value > snr_idx:
+        if stopped is not None and stopped.value > snr_idx:
             break  # a point already stopped discards this chunk: skip the rest
         nf = min(fpb, cfg.frames - blk * fpb)  # >= 1: blk < ceil(frames / fpb)
         rng = np.random.default_rng([cfg.seed, snr_idx, blk])
@@ -315,21 +318,10 @@ def _run_blocks(cb, cfg, snr_idx, block_lo, block_hi):
                 c["decode_s"] += t_corr + time.perf_counter() - t0
                 errs = [got ^ want for got, want in zip(hats, sent) if got != want]
                 c["frame_errors"] += len(errs)
-                if bits_per_frame:
-                    # power-of-two group sizes: lin's binary digits are the
-                    # concatenated group-index bits of bit_mapping
-                    c["bit_errors"] += sum(e.bit_count() for e in errs)
+                c["bit_errors"] += sum(e.bit_count() for e in errs)
         for d in decoders:
-            c = counts[d]
-            c["frames"] += nf
-            c["metric_evals"] += nf * evals_per_frame[d]
-            c["bits"] += nf * bits_per_frame
+            counts[d]["frames"] += nf
     return counts
-
-
-#: In a worker, the shared count of SNR points whose sweep has stopped
-#: early (``run_sim`` sets it); None in the calling process.
-_stopped = None
 
 
 def _claim(tickets, stopped, per_point: int) -> int:
@@ -349,14 +341,12 @@ def _worker(cb, cfg, bounds, tickets, stopped, conn):
     several concurrent streams, and OpenBLAS threading them on top would
     put several spinning threads on every core.
     """
-    global _stopped
-    _stopped = stopped
     set_blas_threads(1)
     per_point = len(bounds)
     try:
         while (t := _claim(tickets, stopped, per_point)) < per_point * len(cfg.snr_db):
             snr_idx, c = divmod(t, per_point)
-            conn.send((t, _run_blocks(cb, cfg, snr_idx, *bounds[c])))
+            conn.send((t, _run_blocks(cb, cfg, snr_idx, *bounds[c], stopped)))
     except Exception as exc:
         with contextlib.suppress(OSError):  # the caller is gone and reads nothing
             conn.send(exc)
@@ -364,47 +354,39 @@ def _worker(cb, cfg, bounds, tickets, stopped, conn):
         conn.close()
 
 
-def _start_workers(count: int, cb: Codebook, cfg: SimConfig, bounds):
-    """Fork ``count`` workers on ``cb`` and the sweep of ``bounds`` (one
-    (lo, hi) block range per chunk of a point).  Returns the shared stop
-    value and each worker's process with the read end of its pipe."""
-    # fork, not the platform default (forkserver from Python 3.14): workers
-    # take the prepared ``cb`` unpickled and inherit the caller's state
-    ctx = multiprocessing.get_context("fork")
-    tickets, stopped = ctx.Value("q", 0), ctx.RawValue("q", 0)
-    started = []
-    try:
-        for _ in range(count):
-            reader, writer = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_worker, args=(cb, cfg, bounds, tickets, stopped, writer),
-                               daemon=True)
-            proc.start()
-            writer.close()
-            started.append((proc, reader))
-    except BaseException:
-        for proc, reader in started:
-            proc.terminate()
-            proc.join()
-            reader.close()
-        raise
-    return stopped, started
-
-
 class _Workers:
-    """Forked workers claiming a sweep's chunks; the caller only reduces.
+    """``count`` forked workers claiming the chunks of a sweep on ``cb``
+    (``bounds``: one (lo, hi) block range per chunk of a point); the caller
+    only reduces.
 
     Workers claim ``(point, chunk)`` tickets from one shared counter and
-    stream their counts back, so they run ahead into later points while
-    the caller adds up the current one in chunk order.
+    stream their counts back over one pipe each, so they run ahead into
+    later points while the caller adds up the current one in chunk order.
+    A failed start closes the workers already forked.
     """
 
     def __init__(self, cb: Codebook, cfg: SimConfig, bounds, count: int):
+        # fork, not the platform default (forkserver from Python 3.14): workers
+        # take the prepared ``cb`` unpickled and inherit the caller's state
+        ctx = multiprocessing.get_context("fork")
+        tickets, self.stopped = ctx.Value("q", 0), ctx.RawValue("q", 0)
         self.n_points = len(cfg.snr_db)
         self.per_point = len(bounds)
-        self.stopped, started = _start_workers(count, cb, cfg, bounds)
-        self.procs = {reader: proc for proc, reader in started}
-        self.readers = list(self.procs)  # pipes not yet at EOF
+        self.procs = {}  # the read end of each worker's pipe -> its process
+        self.readers = []  # pipes not yet at EOF
         self.done = {}  # ticket -> counts received ahead of their turn
+        try:
+            for _ in range(count):
+                reader, writer = ctx.Pipe(duplex=False)
+                proc = ctx.Process(target=_worker, daemon=True,
+                                   args=(cb, cfg, bounds, tickets, self.stopped, writer))
+                proc.start()
+                writer.close()
+                self.procs[reader] = proc
+                self.readers.append(reader)
+        except BaseException:
+            self.close()
+            raise
 
     def chunks(self, snr_idx: int):
         """Point ``snr_idx``'s chunk counts, in chunk order."""
@@ -472,6 +454,11 @@ def run_sim(cfg: SimConfig) -> SimResult:
     """
     cb = prepare(cfg)
     decoders = cfg.decoders()
+    evals_per_frame = {"exhaustive": cb.M, "group": sum(cb.sizes)}
+    # BER needs power-of-two group sizes (see bit_mapping): a linear index's
+    # binary digits are then the concatenated group-index bits; 0 means BLER only
+    pow2 = all(size & (size - 1) == 0 for size in cb.sizes)
+    bits_per_frame = cb.M.bit_length() - 1 if pow2 else 0
     n_blocks = math.ceil(cfg.frames / cfg.frames_per_block)
     chunk = max(1, math.ceil(n_blocks / 256))
     bounds = [(lo, min(lo + chunk, n_blocks)) for lo in range(0, n_blocks, chunk)]
@@ -500,13 +487,15 @@ def run_sim(cfg: SimConfig) -> SimResult:
             wall = time.perf_counter() - t0
             for d in decoders:
                 t = totals[d]
+                bits = t["frames"] * bits_per_frame
+                bit_errors = t["bit_errors"] if bits else 0
                 bler = t["frame_errors"] / t["frames"] if t["frames"] else 0.0
-                ber = t["bit_errors"] / t["bits"] if t["bits"] else float("nan")
+                ber = bit_errors / bits if bits else float("nan")
                 points.append(SimPoint(
                     snr_db=snr, decoder=d, frames=t["frames"],
-                    frame_errors=t["frame_errors"], bler=bler, bits=t["bits"],
-                    bit_errors=t["bit_errors"], ber=ber,
-                    metric_evals=t["metric_evals"], wall_time_s=wall,
+                    frame_errors=t["frame_errors"], bler=bler, bits=bits,
+                    bit_errors=bit_errors, ber=ber,
+                    metric_evals=t["frames"] * evals_per_frame[d], wall_time_s=wall,
                     decode_time_s=t["decode_s"],
                 ))
     finally:

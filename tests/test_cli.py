@@ -1,4 +1,6 @@
 import argparse
+import errno
+import io
 import json
 
 import numpy as np
@@ -218,6 +220,35 @@ class TestSimulateCommand:
         assert code == 2 and out == ""
         assert err.startswith("configuration error: cannot open --out")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fails", ["write", "close"])
+    def test_failed_out_write_is_config_error(self, capsys, monkeypatch, fails):
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                if fails == "write":
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(text)
+
+            def close(self):
+                super().close()
+                if fails == "close":
+                    raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "_open_out", lambda path: FullDisk())
+        code, out, err = run_cli(capsys, "simulate", "--lambda", "2", "--points", "16",
+                                 "--snr-db", "10", "--frames", "5", "--out", "results.csv")
+        assert code == 2 and out == ""
+        assert err == ("configuration error: cannot write --out file: [Errno 28] "
+                       "No space left on device\n")
+
+    def test_sweep_errors_are_not_write_errors(self, capsys, monkeypatch, tmp_path):
+        def fork_fails(cfg):
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(cli, "run_sim", fork_fails)
+        with pytest.raises(OSError, match="Resource temporarily unavailable"):
+            cli.main(["simulate", "--lambda", "2", "--points", "16", "--snr-db", "10",
+                      "--frames", "5", "--out", str(tmp_path / "x.csv")])
 
     @pytest.mark.parametrize("args, message", [
         (("--lambda", "2", "--points", "15"), "point count 15"),

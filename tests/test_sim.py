@@ -16,7 +16,7 @@ import pytest
 from gdstbc import codebook, diffcodec, sim
 from gdstbc._kernels import FactoredTable, blas_threads, set_blas_threads
 from gdstbc.codebook import UNITARITY_TOL, Codebook, NotGroupDecodableError
-from gdstbc.design import Grouping, construct_design
+from gdstbc.design import MAX_LAMBDA, Grouping, construct_design
 from gdstbc.diffcodec import (
     ChannelConfig,
     channel_step,
@@ -177,11 +177,11 @@ class TestRunSim:
         class Started(Exception):
             pass
 
-        def start_none(count, cb, cfg, bounds):
+        def start_none(cb, cfg, bounds, count):
             sizes.append(count)
             raise Started  # forks nothing
 
-        monkeypatch.setattr(sim, "_start_workers", start_none)
+        monkeypatch.setattr(sim, "_Workers", start_none)
         # 600 one-frame blocks in chunks of ceil(600 / 256) = 3: 200 chunks a point
         with pytest.raises(Started):
             run_sim(_cfg(frames=600, coherence=2, workers=100_000))
@@ -207,7 +207,7 @@ class TestRunSim:
         cfg = _cfg(snr_db=(0.0, 6.0, 12.0), frames=768, coherence=2, workers=6)
         runs = multiprocessing.Array("i", 768)  # by ticket: 256 chunks of 3 blocks a point
 
-        def counted(cb, cfg, snr_idx, lo, hi):
+        def counted(cb, cfg, snr_idx, lo, hi, stopped):
             with runs.get_lock():
                 runs[snr_idx * 256 + lo // 3] += 1
             return {"group": Counter(frames=hi - lo)}
@@ -225,20 +225,38 @@ class TestRunSim:
         chunks = multiprocessing.Value("i", 0)  # chunks started, in every process
         run_blocks = sim._run_blocks
 
-        def failing(cb, cfg, snr_idx, lo, hi):
+        def failing(cb, cfg, snr_idx, lo, hi, stopped):
             with chunks.get_lock():
                 chunks.value += 1
             if (snr_idx, lo) == (0, 40):
                 raise ValueError("chunk 40 failed")
-            return run_blocks(cb, cfg, snr_idx, lo, hi)
+            return run_blocks(cb, cfg, snr_idx, lo, hi, stopped)
 
         monkeypatch.setattr(sim, "_run_blocks", failing)
         # 3 points of 250 chunks; the error comes in the third chunk
         cfg = _cfg(snr_db=(0.0, 6.0, 12.0), frames=20000, workers=2)
         with pytest.raises(ValueError, match="^chunk 40 failed$"):
             run_sim(cfg)
-        assert chunks.value < 250  # the sweep of 750 chunks ends soon after the error
+        # the sweep of 750 chunks ends soon after the error
+        assert chunks.value < 250, f"{chunks.value} chunks started"
         assert capfd.readouterr().err == ""
+
+    def test_failed_start_closes_the_workers_already_forked(self, monkeypatch):
+        fork = multiprocessing.get_context("fork").Process
+        started = []
+        start = fork.start
+
+        def second_fails(proc):
+            if started:
+                raise OSError("fork failed")
+            start(proc)
+            started.append(proc)
+
+        monkeypatch.setattr(fork, "start", second_fails)
+        with pytest.raises(OSError, match="^fork failed$"):
+            run_sim(_cfg(frames=600, workers=3))
+        # the first worker saw every point stopped, ended and was joined
+        assert len(started) == 1 and started[0].exitcode == 0
 
     def test_group_decoding_refuses_a_failing_grouping(self, monkeypatch):
         scrambled = Grouping(groups=((0, 3), (1, 2), (4, 6), (5, 7)))
@@ -496,30 +514,37 @@ class TestRunSim:
         cfg = _cfg(snr_db=(0.0, 6.0), frames=20000, target_errors=50, workers=2)
         late = multiprocessing.Value("i", 0)  # 0 dB blocks ending after the stop
         ran = multiprocessing.Value("i", 0)  # 0 dB blocks simulated by the workers
-        frames = sim.block_frames
+        flag = [None]  # the stop flag of this process's current chunk
+        run_blocks, frames = sim._run_blocks, sim.block_frames
+
+        def flagged(cb, cfg, snr_idx, lo, hi, stopped=None):
+            flag[0] = stopped
+            return run_blocks(cb, cfg, snr_idx, lo, hi, stopped)
 
         def recorded(cb, rng, nf, n_r, sigma):
             yield from frames(cb, rng, nf, n_r, sigma)
             snr_idx = rng.bit_generator.seed_seq.entropy[1]
-            if snr_idx == 0 and sim._stopped is not None:
+            if snr_idx == 0 and flag[0] is not None:
                 with late.get_lock():
                     ran.value += 1
-                    late.value += sim._stopped.value > 0
+                    late.value += flag[0].value > 0
 
+        monkeypatch.setattr(sim, "_run_blocks", flagged)
         monkeypatch.setattr(sim, "block_frames", recorded)
         serial = run_sim(replace(cfg, workers=1))
         res = run_sim(cfg)  # forked workers inherit the patch and the counter
         assert res.to_csv() == serial.to_csv()
         assert res.points[0].frames < cfg.frames
-        assert late.value <= cfg.workers
-        assert ran.value < 5000 // 2  # the rest of the 0 dB point never ran
+        seen = f"{late.value} of {ran.value} 0 dB blocks in the workers ended after the stop"
+        assert late.value <= cfg.workers, seen
+        assert ran.value < 5000 // 2, seen  # the rest of the 0 dB point never ran
 
-    def test_worker_skips_the_blocks_of_a_stopped_point(self, monkeypatch):
-        monkeypatch.setattr(sim, "_stopped", multiprocessing.RawValue("i", 1))
+    def test_worker_skips_the_blocks_of_a_stopped_point(self):
+        stopped = multiprocessing.RawValue("i", 1)
         cfg = _cfg(snr_db=(0.0, 6.0))
         cb = sim.prepare(cfg)
-        assert sim._run_blocks(cb, cfg, 0, 0, 5)["group"]["frames"] == 0
-        assert sim._run_blocks(cb, cfg, 1, 0, 5)["group"]["frames"] == 20
+        assert sim._run_blocks(cb, cfg, 0, 0, 5, stopped)["group"]["frames"] == 0
+        assert sim._run_blocks(cb, cfg, 1, 0, 5, stopped)["group"]["frames"] == 20
 
     def test_claims_skip_the_tickets_of_a_stopped_point(self):
         tickets, stopped = multiprocessing.Value("q", 3), multiprocessing.RawValue("q", 0)
@@ -697,7 +722,53 @@ class TestConfigValidation:
 
     def test_hyperbola_needs_lambda_two(self):
         with pytest.raises(ValueError):
-            SimConfig(lam=3, m=16, family="hyperbola", snr_db=(0.0,)).validate()
+            SimConfig(lam=3, m=16, family="hyperbola", snr_db=(0.0,))
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(lam=0), "lam must be >= 1"),
+        (dict(lam=MAX_LAMBDA + 1), "exceeds the supported maximum"),
+        (dict(lam=2.0), "lam must be an integer"),
+        (dict(m=16.0), "m must be an integer"),
+        (dict(family="circle"), "unknown signal family"),
+        (dict(family="hyperbola", lam=3), "defined for lam = 2 only"),
+        (dict(c=0.5), "c applies to the hyperbola family only"),
+        (dict(preset="nope"), "unknown preset"),
+        (dict(preset="paper-8ant-rate2", lam=3, m=16**4, radii=(1.0,)), "a preset fixes"),
+        (dict(preset="paper-8ant-rate2", lam=2, m=16**4),
+         "defined for lam=3 and M=65536, got lam=2 and M=65536"),
+        (dict(preset="paper-8ant-rate2", lam=3, m=256), "got lam=3 and M=256"),
+        (dict(snr_db=()), "need at least one SNR point"),
+        (dict(snr_db=(math.nan,)), "finite or \\+inf"),
+        (dict(snr_db=(-math.inf,)), "finite or \\+inf"),
+        (dict(snr_db=(-4000.0,)), "outside the float range"),
+        (dict(n_r=0), "n_r must be >= 1"),
+        (dict(n_r=1.5), "n_r must be an integer"),
+        (dict(frames=0), "frames must be >= 1"),
+        (dict(frames=10.5), "frames must be an integer"),
+        (dict(target_errors=0), "target_errors must be >= 1"),
+        (dict(target_errors=2.5), "target_errors must be an integer"),
+        (dict(coherence=1), "coherence must be >= 2"),
+        (dict(coherence=2.5), "coherence must be an integer"),
+        (dict(decoder="magic"), "unknown decoder"),
+        (dict(seed=-1), "seed must be nonnegative"),
+        (dict(seed="3"), "seed must be an integer"),
+        (dict(workers=0), "workers must be >= 1"),
+        (dict(workers=2.0), "workers must be an integer"),
+    ])
+    def test_invalid_config_is_refused_when_constructed(self, change, message):
+        # also under dataclasses.replace, which constructs a new config
+        valid = dict(lam=2, m=16, snr_db=(6.0,), frames=10)
+        with pytest.raises(ValueError, match=message):
+            SimConfig(**{**valid, **change})
+        with pytest.raises(ValueError, match=message):
+            replace(SimConfig(**valid), **change)
+
+    def test_integer_fields_become_python_ints(self):
+        cfg = SimConfig(lam=np.int64(2), m=np.uint16(16), snr_db=(6.0,), frames=np.int32(10),
+                        coherence=np.int8(5), seed=np.int64(3), workers=np.int64(1))
+        assert all(type(getattr(cfg, f)) is int
+                   for f in ("lam", "m", "frames", "coherence", "seed", "workers"))
+        assert _strict_json(run_sim(cfg).to_json())["config"]["seed"] == 3
 
     def test_preset_consistency(self):
         with pytest.raises(ValueError):
