@@ -9,8 +9,11 @@ the average scale factor.
 
 The verifiers never scan codeword pairs.  Weights of different groups
 anticommute and difference vectors are real, so every Gram splits into
-four per-group terms, and each verdict follows exactly from one pass
-over the groups' partial-codeword stacks, for any M.
+four per-group terms, and each verdict follows exactly, for any M: scaled
+unitarity from one pass over the groups' partial-codeword stacks, full
+diversity in closed form from each group's within-group point
+differences, whose singular values the weights' within-group products
+(traceless Hermitian involutions) fix.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .design import (
     canonical_grouping,
     verify_doubling_blocks,
     verify_group_decodable,
+    verify_within_group_involutions,
 )
 
 #: Relative threshold of the full-rank decision rule: a matrix is full
@@ -399,9 +403,14 @@ def verify_full_diversity(cb: Codebook) -> DiversityReport:
     that differ in exactly one group, by a singular difference: a lower
     bound on the rank-deficient pairs, and zero iff there are none.
 
-    One SVD per within-group difference decides all of it: the rank rule,
-    and |det| as the product of the singular values, 0.0 for a difference
-    the rule calls singular.  So ``min_abs_det`` and the coding gain
+    Every within-group difference is read off the alphabets in closed
+    form.  Where the design passes ``verify_within_group_involutions`` and
+    a difference d lies on at most two coordinates, D = sum_a d_a A_a has
+    the singular values hi = |big| + |small| and lo = |big| - |small|, n/2
+    times each (big and small its two largest entries by magnitude, small
+    0 on one coordinate).  So the rank rule reads lo <= RANK_RTOL *
+    max(1, hi), and |det D| = (lo hi)^(n/2), 0.0 for a difference the rule
+    calls singular.  So ``min_abs_det`` and the coding gain
     ``coding_gain`` = min det(dS^H dS)^(1/n) = ``min_abs_det`` ** (2/n) are
     0.0 exactly when ``all_full_rank`` is false.
 
@@ -410,37 +419,47 @@ def verify_full_diversity(cb: Codebook) -> DiversityReport:
     det(dS^H dS) >= max(|det dA|^2, |det dB|^2)^2 for every pair.
 
     Raises NotGroupDecodableError on a codebook whose grouping fails the
-    cross-group anticommutation check, and ValueError when a group's
-    differences do not fit in the memory available.
+    cross-group anticommutation check, and ValueError on a design that
+    fails ``verify_within_group_involutions``, on a within-group difference
+    on more than two coordinates, and when a group's differences do not
+    fit in the memory available.
     """
     cb.require_group_decodable()
+    if not verify_within_group_involutions(cb.design, cb.grouping):
+        raise ValueError("verify_full_diversity needs within-group weight products that are "
+                         "traceless Hermitian involutions, but the design fails "
+                         "verify_within_group_involutions")
     n = cb.n
     num_def = 0
     first_def = None
     min_det = math.inf
-    for k, stack in enumerate(cb.group_stacks):
-        p = stack.shape[0]
-        pairs = p * (p - 1) // 2
-        if not pairs:
-            continue
-        # triu_indices' P x P mask and its complement, the pair indices, the
-        # differences with the operand they are taken from, singular values
+    for k, points in enumerate(cb.alphabets):
+        p, dim = points.shape
+        # triu_indices' P x P mask and its complement; a pair's two indices,
+        # its difference with the two operands it is taken from, and at
+        # most seven floats: small, lo, hi and the temporaries of the rank
+        # rule and of the dets
         check_memory(f"verify_full_diversity needs group {k}'s within-group differences",
-                     2 * p * p + pairs * (16 + 32 * n * n + 8 * n))
+                     2 * p * p + p * (p - 1) // 2 * (16 + 24 * dim + 56))
         i, j = np.triu_indices(p, 1)
-        d = stack[j]
-        d -= stack[i]
-        svals = np.linalg.svd(d, compute_uv=False)
-        deficient = svals[:, -1] <= RANK_RTOL * np.maximum(1.0, svals[:, 0])
+        d = np.abs(points[j] - points[i])
+        d.sort(axis=1)
+        if d[:, :-2].any():
+            t = int(np.flatnonzero(d[:, -3])[0])
+            raise ValueError(f"verify_full_diversity needs within-group differences on at most "
+                             f"two coordinates, but group {k}'s points {i[t]} and {j[t]} "
+                             f"differ on {np.count_nonzero(d[t])}")
+        # the largest |coordinate| and the only other nonzero one (or 0)
+        big, small = d[:, -1], d[:, :-1].sum(axis=1)
+        lo, hi = big - small, big + small
+        deficient = lo <= RANK_RTOL * np.maximum(1.0, hi)
         if deficient.any():
             num_def += int(deficient.sum()) * (cb.M // cb.sizes[k])
             if first_def is None:
                 t = int(np.argmax(deficient))
                 first_def = _single_group_pair(k, i[t], j[t])
-        # |det D| is the product of D's singular values; a difference the
-        # rank rule calls singular has |det D| = 0 exactly
-        dets = np.where(deficient, 0.0, np.prod(svals, axis=1))
-        min_det = min(min_det, float(dets.min()))
+        dets = np.where(deficient, 0.0, (lo * hi) ** (n // 2))
+        min_det = min(min_det, float(dets.min(initial=math.inf)))
     all_ok = num_def == 0
     claim = "full diversity verified (exhaustive)" if all_ok \
         else f"at least {num_def} rank-deficient pair(s) found (exhaustive)"

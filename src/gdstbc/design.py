@@ -22,15 +22,18 @@ at most one signed, possibly conjugated complex variable, so ``render``
 reads the symbolic matrix off the weights.
 
 A design is its weights alone, one (K, n, n) complex128 stack, which both
-(linear) rules map weight by weight.  The two exact checks (cross-group
-anticommutation, doubling-block structure) run as matrix products on it.
-They still decide with zero tolerance: every weight entry is 0, +-1 or
-+-i, so every entry of a product of two weights (or of blocks of them) is
-a Gaussian integer whose real and imaginary parts are at most n <= 64 in
-magnitude, and an anticommutator adds two such entries.  Integers that
-small, and every partial sum of them, are exact in float64, whatever order
-BLAS sums in and with or without fused multiply-add, so ``== 0`` and
-``array_equal`` on those products are exact verdicts.
+(linear) rules map weight by weight.  The three exact checks (cross-group
+anticommutation, within-group involutions, doubling-block structure) run
+as matrix products on it.  They still decide with zero tolerance: every
+weight entry is 0, +-1 or +-i, so every entry of a product of two weights
+(or of blocks of them) is a Gaussian integer whose real and imaginary
+parts are at most n <= 64 in magnitude, an anticommutator adds two such
+entries and a trace n of them.  Integers that small (below 2^24), and
+every partial sum of them, are exact even in float32, whatever order BLAS
+sums in and with or without fused multiply-add, so ``== 0`` and
+``array_equal`` on those products are exact verdicts.  The two checks
+that multiply every weight against a group's weights (``_herm_products``)
+do so on a complex64 copy of the stack, at half the cost of complex128.
 """
 
 from __future__ import annotations
@@ -208,7 +211,7 @@ def verify_group_decodable(d: LinearDesign, grp: Grouping, return_witness: bool 
     """
     if not grp.covers(d.K):
         raise ValueError("grouping does not partition the design's variable indices")
-    w = d.weight_stack
+    w = d.weight_stack.astype(np.complex64)
     for ga, gb in combinations(grp.groups, 2):
         bs = w[list(gb)]
         for i in ga:
@@ -217,6 +220,33 @@ def verify_group_decodable(d: LinearDesign, grp: Grouping, return_witness: bool 
             if bad.any():
                 return (False, (i, gb[int(np.argmax(bad))])) if return_witness else False
     return (True, None) if return_witness else True
+
+
+def verify_within_group_involutions(d: LinearDesign, grp: Grouping) -> bool:
+    """Exact check of the structure behind the closed-form difference spectra.
+
+    True iff every weight is unitary (A^H A = I) and, for two weights a != b
+    of one group, U = A_a^H A_b is Hermitian with trace 0, decided with zero
+    tolerance (see the module docstring).  U is then a Hermitian unitary,
+    so U^2 = I, with eigenvalues +1 and -1 n/2 times each; a real difference
+    on the two coordinates a and b, D = A_a (d_a I + d_b U), has the
+    singular values |d_a| + |d_b| and ||d_a| - |d_b||, n/2 times each.
+    Each weight is multiplied against itself and the later weights of its
+    group in one GEMM.
+    """
+    if not grp.covers(d.K):
+        raise ValueError("grouping does not partition the design's variable indices")
+    w = d.weight_stack.astype(np.complex64)
+    eye = np.eye(d.n)
+    for g in grp.groups:
+        for t, a in enumerate(g):
+            p = _herm_products(w[a], w[list(g[t:])])
+            if not np.array_equal(p[0], eye):
+                return False
+            u = p[1:]
+            if not np.array_equal(u, _herm(u)) or np.trace(u, axis1=1, axis2=2).any():
+                return False
+    return True
 
 
 def verify_doubling_blocks(d: LinearDesign) -> bool:

@@ -27,6 +27,7 @@ import io
 import json
 import math
 import multiprocessing
+import numbers
 import operator
 import time
 from collections import Counter
@@ -59,6 +60,18 @@ SNR_CONVENTION = (
 DECODER_ORDER = ("group", "exhaustive")
 
 
+def _real_tuple(name: str, values) -> tuple:
+    """``values`` as a tuple; ValueError naming the field ``name`` unless
+    they are an iterable of real numbers."""
+    try:
+        reals = tuple(values)
+    except TypeError:
+        reals = None
+    if reals is None or not all(isinstance(v, numbers.Real) for v in reals):
+        raise ValueError(f"{name} must be a sequence of real numbers, got {values!r}")
+    return reals
+
+
 @dataclass(frozen=True)
 class SimConfig:
     lam: int
@@ -87,9 +100,13 @@ class SimConfig:
                     raise ValueError(f"{name} must be an integer, got {value!r}") from None
         # lists from the Python API become tuples, so that the frozen config
         # and the codebook cache key built from its fields are hashable
-        object.__setattr__(self, "snr_db", tuple(self.snr_db))
+        object.__setattr__(self, "snr_db", _real_tuple("snr_db", self.snr_db))
         if self.radii is not None:
-            object.__setattr__(self, "radii", tuple(self.radii))
+            object.__setattr__(self, "radii", _real_tuple("radii", self.radii))
+        if self.c is not None and not isinstance(self.c, numbers.Real):
+            raise ValueError(f"c must be a real number, got {self.c!r}")
+        if self.preset is not None and not isinstance(self.preset, str):
+            raise ValueError(f"preset must be a string, got {self.preset!r}")
         if self.lam < 1:
             raise ValueError("lam must be >= 1")
         if self.lam > MAX_LAMBDA:

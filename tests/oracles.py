@@ -1,9 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 Deliberately naive: cofactor determinants, straight-line metric scans,
-a frame-by-frame differential chain, codeword-pair scans, int64 weight
-algebra.  Nothing here shares code with the paths under test beyond the
-full-rank threshold RANK_RTOL.
+a frame-by-frame differential chain, codeword-pair scans, one SVD per
+within-group difference, int64 weight algebra.  Nothing here shares code
+with the paths under test beyond the full-rank threshold RANK_RTOL.
 """
 
 from itertools import combinations
@@ -184,3 +184,34 @@ def pair_scan(cb):
     out["max_unitarity_residual"] = float(np.max(np.abs(gram - scales[:, None, None]
                                                         * np.eye(n))))
     return out
+
+
+def group_svd_verdict(cb):
+    """Reference full-diversity verdicts from one SVD per within-group difference.
+
+    Every difference of two points of one group, D = S_k(q) - S_k(p) read off
+    ``group_stacks``, in ``triu_indices`` order group by group: its rank by
+    the package's full-rank rule and |det D| as the product of its singular
+    values, 0.0 for a difference the rule calls singular.  Returns
+    ``all_full_rank``, ``num_rank_deficient`` (the pairs that differ in one
+    group by a singular difference), ``first_deficient_pair`` (as two index
+    tuples), ``min_abs_det`` and ``coding_gain`` = ``min_abs_det`` ** (2/n).
+    """
+    num_def, first_def, min_det = 0, None, np.inf
+    for k, stack in enumerate(cb.group_stacks):
+        i, j = np.triu_indices(stack.shape[0], 1)
+        if not len(i):
+            continue
+        svals = np.linalg.svd(stack[j] - stack[i], compute_uv=False)
+        deficient = svals[:, -1] <= RANK_RTOL * np.maximum(1.0, svals[:, 0])
+        num_def += int(deficient.sum()) * (cb.M // cb.sizes[k])
+        if first_def is None and deficient.any():
+            t = int(np.argmax(deficient))
+            a, b = [0] * 4, [0] * 4
+            a[k], b[k] = int(i[t]), int(j[t])
+            first_def = (tuple(a), tuple(b))
+        dets = np.where(deficient, 0.0, np.prod(svals, axis=1))
+        min_det = min(min_det, float(dets.min()))
+    return {"all_full_rank": num_def == 0, "num_rank_deficient": num_def,
+            "first_deficient_pair": first_def, "min_abs_det": min_det,
+            "coding_gain": min_det ** (2.0 / cb.n)}

@@ -158,14 +158,16 @@ class TestCodebookCommand:
 
     def test_differences_past_the_memory_budget_are_config_error(self, capsys,
                                                                   monkeypatch):
-        # P = 100: 4950 differences of 4 x 4 matrices with their operands,
-        # indices and singular values, and the 100 x 100 mask, take 2.8 MB
+        # P = 200: 19 900 differences of two coordinates, each with its two
+        # indices (16 B), the difference and its two operands (3 x 16 B)
+        # and seven floats (56 B), plus the 200 x 200 mask and its
+        # complement (80 000 B): 80 000 + 19 900 * 120 = 2 468 000 B, 2.5 MB
         monkeypatch.setattr(codebook, "_available_bytes", lambda: 10**6)
         code, out, err = run_cli(capsys, "codebook", "verify", "--lambda", "2",
-                                 "--points", str(100**4))
+                                 "--points", str(200**4))
         assert code == 2 and out == ""
         assert err == ("configuration error: verify_full_diversity needs group 0's "
-                       "within-group differences, 2.8 MB, but only 1.0 MB of memory is "
+                       "within-group differences, 2.5 MB, but only 1.0 MB of memory is "
                        "available\n")
 
     def test_partials_past_the_memory_budget_are_config_error(self, capsys, monkeypatch):

@@ -15,7 +15,15 @@ from gdstbc.codebook import (
     average_scale,
     verify_full_diversity,
 )
-from gdstbc.design import Grouping, construct_design, evaluate
+from gdstbc.design import (
+    Grouping,
+    LinearDesign,
+    canonical_grouping,
+    construct_design,
+    evaluate,
+    verify_group_decodable,
+    verify_within_group_involutions,
+)
 from gdstbc.signalset import (
     construct_signal_set,
     hyperbola_signal_set,
@@ -24,7 +32,7 @@ from gdstbc.signalset import (
 )
 from gdstbc.sim import SimConfig, build_codebook
 
-from oracles import assemble_real_vector, cofactor_det, pair_scan
+from oracles import assemble_real_vector, cofactor_det, group_svd_verdict, pair_scan
 
 
 @pytest.fixture(scope="module")
@@ -471,10 +479,23 @@ class TestCodebookInvariants:
             cb.unravel_index(1.0)
 
 
-def _assert_matches_pair_scan(cb):
-    """The per-group verdicts agree with the brute-force pair scan."""
-    ref = pair_scan(cb)
+def _assert_matches_group_svd(cb):
+    """The closed-form verdicts agree with one SVD per within-group difference."""
+    ref = group_svd_verdict(cb)
     rep = verify_full_diversity(cb)
+    assert rep.all_full_rank == ref["all_full_rank"]
+    assert rep.num_rank_deficient == ref["num_rank_deficient"]
+    assert rep.first_deficient_pair == ref["first_deficient_pair"]
+    assert rep.min_abs_det == pytest.approx(ref["min_abs_det"], rel=1e-12, abs=0.0)
+    assert rep.coding_gain == pytest.approx(ref["coding_gain"], rel=1e-12, abs=0.0)
+    return rep
+
+
+def _assert_matches_pair_scan(cb):
+    """The per-group verdicts agree with the brute-force pair scan, and with
+    one SVD per within-group difference."""
+    ref = pair_scan(cb)
+    rep = _assert_matches_group_svd(cb)
     assert rep.pairs_checked == ref["pairs"]
     assert rep.all_full_rank == (ref["num_rank_deficient"] == 0)
     assert rep.num_rank_deficient <= ref["num_rank_deficient"]
@@ -531,3 +552,42 @@ class TestPairScanOracle:
         c = frac * radii[0] ** 2 / 2
         _assert_matches_pair_scan(Codebook(construct_design(2),
                                            hyperbola_signal_set(radii, c, branch=branch)))
+
+
+class TestGroupSvdOracle:
+    """Codebooks past the pair scan's reach, against one SVD per difference."""
+
+    @pytest.mark.parametrize("lam,alphabets", [
+        (5, construct_signal_set(5, 16)),
+        (6, construct_signal_set(6, 16)),
+        (3, construct_signal_set(3, 256**4)),
+        (2, construct_signal_set(2, 10000)),
+        (3, preset_signal_set("paper-8ant-rate2")),
+    ], ids=["lam5-M16", "lam6-M16", "lam3-P256", "lam2-M10000", "preset"])
+    def test_unreachable_by_the_pair_scan(self, lam, alphabets):
+        rep = _assert_matches_group_svd(Codebook(construct_design(lam), alphabets))
+        assert rep.all_full_rank and rep.claim == "full diversity verified (exhaustive)"
+
+
+class TestClosedFormRefusals:
+    def test_design_failing_the_involution_check_is_refused(self):
+        # group 0's second weight repeats its first: A_0^H A_2 = I, Hermitian
+        # with trace n, so a difference on those two coordinates is no longer
+        # lo = ||d_0| - |d_2||, hi = |d_0| + |d_2| n/2 times each
+        d = construct_design(3)
+        w = d.weight_stack.copy()
+        g0 = canonical_grouping(d).groups[0]
+        w[g0[1]] = w[g0[0]]
+        bad = LinearDesign(w)
+        grouping = canonical_grouping(bad)
+        assert verify_group_decodable(bad, grouping)
+        assert not verify_within_group_involutions(bad, grouping)
+        cb = Codebook(bad, construct_signal_set(3, 16**4))
+        with pytest.raises(ValueError, match="verify_within_group_involutions"):
+            verify_full_diversity(cb)
+
+    def test_difference_on_more_than_two_coordinates_is_refused(self):
+        points = np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        cb = Codebook(construct_design(3), (points,) * 4)
+        with pytest.raises(ValueError, match="group 0's points 0 and 1 differ on 4"):
+            verify_full_diversity(cb)

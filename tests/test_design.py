@@ -7,6 +7,7 @@ import pytest
 from gdstbc.codebook import Codebook
 from gdstbc.design import (
     Grouping,
+    LinearDesign,
     _herm_products,
     abba,
     c1_design,
@@ -19,6 +20,7 @@ from gdstbc.design import (
     scalar_design,
     verify_doubling_blocks,
     verify_group_decodable,
+    verify_within_group_involutions,
 )
 from gdstbc.signalset import construct_signal_set
 
@@ -265,6 +267,48 @@ class TestGroupDecodability:
         grp = Grouping(groups=((0, 1), (2,)))
         with pytest.raises(ValueError):
             verify_group_decodable(d, grp)
+
+
+class TestWithinGroupInvolutions:
+    @pytest.mark.parametrize("lam", [1, 2, 3, 4, 5, 6])
+    def test_constructed_designs_pass(self, lam):
+        d = construct_design(lam)
+        assert verify_within_group_involutions(d, canonical_grouping(d)) is True
+
+    @pytest.mark.parametrize("lam", [1, 2, 3])
+    def test_products_are_traceless_hermitian_in_int64(self, lam):
+        d = construct_design(lam)
+        w = d.weight_stack
+        for g in canonical_grouping(d).groups:
+            for t, a in enumerate(g):
+                re, im = int_herm_product(w[a], w[a])
+                assert np.array_equal(re, np.eye(d.n)) and not im.any()
+                for b in g[t + 1:]:
+                    re, im = int_herm_product(w[a], w[b])
+                    assert np.array_equal(re, re.T) and np.array_equal(im, -im.T)
+                    assert np.trace(re) == 0
+
+    def test_non_unitary_weight_fails(self):
+        d = construct_design(2)
+        w = d.weight_stack.copy()
+        w[0] *= 2
+        assert verify_within_group_involutions(LinearDesign(w), canonical_grouping(d)) is False
+
+    def test_two_coordinate_spectrum(self):
+        # D = d_a A_a + d_b A_b has |d_a| + |d_b| and ||d_a| - |d_b|| as its
+        # singular values, n/2 times each
+        d = construct_design(3)
+        rng = np.random.default_rng(3)
+        for g in canonical_grouping(d).groups:
+            a, b = g[0], g[-1]
+            da, db = rng.standard_normal(2)
+            s = np.linalg.svd(da * d.weight_stack[a] + db * d.weight_stack[b], compute_uv=False)
+            want = [abs(da) + abs(db)] * (d.n // 2) + [abs(abs(da) - abs(db))] * (d.n // 2)
+            assert s == pytest.approx(want, rel=1e-12)
+
+    def test_grouping_must_cover_the_design(self):
+        with pytest.raises(ValueError):
+            verify_within_group_involutions(construct_design(2), Grouping(groups=((0, 1),)))
 
 
 class TestDoublingBlocks:

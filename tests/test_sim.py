@@ -754,6 +754,12 @@ class TestConfigValidation:
         (dict(seed="3"), "seed must be an integer"),
         (dict(workers=0), "workers must be >= 1"),
         (dict(workers=2.0), "workers must be an integer"),
+        (dict(family="hyperbola", c="x"), "c must be a real number, got 'x'"),
+        (dict(snr_db=("10",)), "snr_db must be a sequence of real numbers"),
+        (dict(snr_db=6.0), "snr_db must be a sequence of real numbers, got 6.0"),
+        (dict(preset=["p"]), "preset must be a string, got \\['p'\\]"),
+        (dict(radii="ab"), "radii must be a sequence of real numbers, got 'ab'"),
+        (dict(radii=1.0), "radii must be a sequence of real numbers"),
     ])
     def test_invalid_config_is_refused_when_constructed(self, change, message):
         # also under dataclasses.replace, which constructs a new config
