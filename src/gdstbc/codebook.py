@@ -163,7 +163,8 @@ class Codebook:
     partials into a codeword, or their ``group_norms`` into its scale.
     The constructor refuses (ValueError) partials that do not fit in the
     memory available.  ``basis_taps`` tells ``correlate`` how to read the
-    correlation of a frame with every ``basis`` weight.  Only
+    correlation of a frame with every ``basis`` weight, ``chain_tables``
+    the encoder how to apply a partial codeword as row gathers.  Only
     exhaustive decoding needs M-sized arrays, built lazily, and refused
     (ValueError) past the memory available: ``exhaustive_table`` (what the
     simulator's exhaustive decoder scans: every codeword's real
@@ -263,8 +264,37 @@ class Codebook:
         k = self.design.K
         parts = np.stack([self.basis.real, -self.basis.imag], axis=-1).reshape(k, -1)
         width = int(np.count_nonzero(parts, axis=1).max())
-        taps = np.argsort(parts == 0, axis=1, kind="stable")[:, :width]
+        # contiguous, or every ``np.take`` of them would copy them first
+        taps = np.ascontiguousarray(np.argsort(parts == 0, axis=1, kind="stable")[:, :width])
         return taps, np.take_along_axis(parts, taps, axis=1)
+
+    @cached_property
+    def chain_tables(self):
+        """(offsets, cols, factors): what ``diffcodec``'s Y chain gathers to
+        apply a partial codeword to an n x n_r matrix without forming it.
+        Each ``basis`` weight must have one nonzero per row (ValueError
+        otherwise), as the monomial weights of this package's designs do, so
+        S_k(p) Y = sum_j factors[o + p, j][:, None] * Y[cols[o + p, j]] with
+        o = offsets[k]: group k's points are rows o to o + P_k - 1 of the two
+        (sum P_k, T, n) tables, and term j of a point is its j-th nonzero
+        coordinate x_v, as x_v times weight v's row entries and their columns.
+        T is the most nonzero coordinates of any point (1 on the axis family,
+        2 on the hyperbola family); a point with fewer has zero factors past
+        them."""
+        basis = self.basis
+        if (np.count_nonzero(basis, axis=2) != 1).any():
+            raise ValueError("the differential chain needs design weights with one nonzero "
+                             "per row, but the design has a weight that is not monomial")
+        cols = np.argmax(basis != 0, axis=2)
+        entries = np.take_along_axis(basis, cols[..., None], axis=2)[..., 0]
+        points = np.concatenate(self.alphabets)
+        width = max(1, int(np.count_nonzero(points, axis=1).max()))
+        coord = np.argsort(points == 0, axis=1, kind="stable")[:, :width]
+        dim = self.design.K // 4
+        weight = coord + np.repeat(np.arange(4) * dim, self.sizes)[:, None]
+        factors = np.take_along_axis(points, coord, axis=1)[..., None] * entries[weight]
+        offsets = np.cumsum((0, *self.sizes[:-1]))
+        return offsets, cols[weight], factors
 
     def coordinate_table(self):
         """(table, scales): every codeword's four group points, (M, 4, K/4),

@@ -7,11 +7,18 @@ R_t = X_t H + W_t.  The receiver never learns the channel: it minimises
 || R_t - U R_{t-1} / a_{t-1} ||^2 over candidate codewords, with a_{t-1}
 taken from its own previous decision.
 
-``block_frames`` runs a fading block in windows; ``draw_channel``,
-``encoder_step`` and ``channel_step`` are its one-frame view, built on
-the same draws and chain step.  ``decide_group`` and ``decide_exhaustive``
-decide a window's frames from its correlation, ``decode_group``
-(``decide_group`` on one frame) and ``decode_exhaustive`` one.
+Only X_t H reaches the receiver, so the simulator's ``window_frames``
+never forms X_t: it steps Y_t = U_t Y_{t-1} / sqrt(a_{t-1}) = X_t H from
+Y_0 = H.  Every weight is monomial, so U_t Y is a sum of 4 T scaled row
+gathers of Y (T = 1 on the axis family, 2 on the hyperbola family), and
+one window steps many fading blocks at once: O(T n n_r) per frame and a
+few NumPy calls per step of all blocks, not an n x n codeword and an
+n^3 product per frame.  ``draw_channel``, ``encoder_step`` and
+``channel_step`` are the one-frame view on the same draws: the X chain
+with dense codewords, equal to the window pass up to rounding.
+``decide_group`` and ``decide_exhaustive`` decide a window's frames from
+its correlation, ``decode_group`` (``decide_group`` on one frame) and
+``decode_exhaustive`` one.
 
 Two decoders are provided.  The exhaustive one scans all M codewords.
 The group decoder exploits the cross-group anticommutation of the weight
@@ -43,29 +50,67 @@ import numpy as np
 from ._kernels import metric_scan
 from .codebook import Codebook, Codeword
 
-#: Most frames of a block encoded, transmitted and decided in one pass.  It
+#: Most frames one window of the window pass holds (``window_size``).  It
 #: bounds the memory of a whole-burst block; no result depends on it.
 WINDOW = 256
 
-#: Bytes per frame of the group-index draw ``block_frames`` makes for a whole
-#: fading block: the (4, nf) int64 indices and their nf raveled int64 ones.
+#: Most bytes of any one per-frame array of a window (``window_size``): it
+#: keeps a window's correlation inside the cache at large n.
+WINDOW_BYTES = 512 * 1024
+
+#: Bytes per frame of the group-index draw ``window_frames`` makes for a
+#: whole fading block: the (4, nf) int64 indices and their nf raveled int64
+#: ones.
 INDEX_BYTES_PER_FRAME = 40
+
+#: Bytes ``block_bytes`` counts for each block's generator, a NumPy
+#: ``default_rng`` (about 0.9 kB under ``tracemalloc``).
+RNG_BYTES = 1024
+
+
+def window_size(cb: Codebook, n_r: int) -> int:
+    """Frames per window of the window pass: at most ``WINDOW``, and few
+    enough that no per-frame array of the window, the n x n correlation
+    product, its K x L taps or the gather of a frame's 4 T terms
+    (``Codebook.chain_tables``), passes ``WINDOW_BYTES``; at least 1."""
+    n, (k, width) = cb.n, cb.basis_taps[0].shape
+    terms = 4 * cb.chain_tables[1].shape[1]
+    largest = max(16 * n * n, 8 * k * width, 16 * terms * n * n_r)
+    return max(1, min(WINDOW, WINDOW_BYTES // largest))
+
+
+def window_blocks(cb: Codebook, nf: int, n_r: int) -> int:
+    """Fading blocks of ``nf`` frames that one window holds: as many whole
+    blocks as fit in ``window_size`` frames, and 1 for a longer block,
+    which then runs in windows of its own."""
+    return max(1, window_size(cb, n_r) // nf)
 
 
 def block_bytes(cb: Codebook, nf: int, n_r: int) -> int:
-    """Bytes a fading block of ``nf`` frames holds at once while a window is
-    decided: the group-index draw of the whole block, the channel and the
-    reference frame's noise, and per frame of the window the composed
-    codewords, their chain and the correlation product (n x n complex
-    each; three codeword-sized arrays also bound the sum of the four group
-    parts), the noise, the received frames, the previous frames, their
-    conjugate and a transposed copy for the product (n x n_r complex each),
-    and the gathered correlation taps, their sums and the scan vectors
-    (K (L + 2) reals)."""
+    """Bytes a window of ``window_frames`` holds at once while it is
+    decided, for fading blocks of ``nf`` frames: ``window_blocks`` of
+    them, or one in windows of ``window_size`` frames.
+
+    Per block: its whole group-index draw (``INDEX_BYTES_PER_FRAME``), its
+    generator (``RNG_BYTES``), its channel as drawn and as stacked, the
+    chain's and the noise's frame before the window, and a chain step's
+    4 T gathered terms (n x n_r complex each).  Per frame of the window:
+    its gathered columns and factors (8 and 16 bytes per term and row), its
+    scale, their roots and the roots shifted by one frame (40 bytes), the
+    chain Y_t, the noise that becomes R_t, the correlation's previous
+    frames, their conjugate and a transposed copy for the product (n x n_r
+    complex each), the n x n correlation product, and its gathered taps,
+    their sums, the decisions and their comparison (K (L + 2) reals).  And
+    two NumPy ufunc buffers of ``np.getbufsize()`` complex items, which a
+    broadcast multiply on large frames allocates."""
     n, (k, width) = cb.n, cb.basis_taps[0].shape
-    square, column = 16 * n * n, 16 * n * n_r
-    per_frame = 3 * square + 5 * column + 8 * k * (width + 2)
-    return INDEX_BYTES_PER_FRAME * nf + 2 * column + min(nf, WINDOW) * per_frame
+    terms = 4 * cb.chain_tables[1].shape[1]
+    column = 16 * n * n_r
+    blocks = window_blocks(cb, nf, n_r)
+    frames = blocks * min(nf, window_size(cb, n_r))
+    per_block = INDEX_BYTES_PER_FRAME * nf + RNG_BYTES + (4 + terms) * column
+    per_frame = 24 * terms * n + 40 + 5 * column + 16 * n * n + 8 * k * (width + 2)
+    return blocks * per_block + frames * per_frame + 32 * np.getbufsize()
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,13 +157,6 @@ def _channel(rng, n: int, n_r: int) -> np.ndarray:
     return _complex_normal(rng, (n, n_r)) / math.sqrt(2.0)
 
 
-def _chain_step(u, x_prev, root_prev, out=None):
-    """X_t = U_t X_{t-1} / sqrt(a_{t-1}), with root_prev = sqrt(a_{t-1})."""
-    x_t = np.dot(u, x_prev, out=out)
-    x_t /= root_prev
-    return x_t
-
-
 def draw_channel(cfg: ChannelConfig, n: int, rng=None) -> np.ndarray:
     """n x n_r matrix with i.i.d. CN(0, 1) entries."""
     return _channel(cfg._rng if rng is None else rng, n, cfg.n_r)
@@ -139,7 +177,8 @@ def encoder_step(state: EncoderState, u: Codeword):
         raise ValueError(
             f"codeword shape {u.matrix.shape} does not match chain shape {state.x_prev.shape}"
         )
-    x_t = _chain_step(u.matrix, state.x_prev, math.sqrt(state.a_prev_sq))
+    x_t = np.dot(u.matrix, state.x_prev)
+    x_t /= math.sqrt(state.a_prev_sq)
     return EncoderState(x_prev=x_t, a_prev_sq=float(u.scale_sq)), x_t
 
 
@@ -154,46 +193,82 @@ def channel_step(cfg: ChannelConfig, x_t: np.ndarray, h: np.ndarray, rng=None) -
     return r
 
 
-def block_frames(cb: Codebook, rng, nf: int, n_r: int, sigma: float):
-    """Draw one fading block from ``rng`` and yield its frames window by window.
+def _chain(cb: Codebook, window, y_prev, root_prev):
+    """The Y chain over one window of B blocks, (B, w + 1, n, n_r): frame 0
+    is ``y_prev``, and frame t = U_t Y_{t-1} / sqrt(a_{t-1}) for t = 1 to w,
+    with U_t from column t - 1 of the window's (4, B, w) group indices and
+    sqrt(a_{t-1}) from column t - 1 of ``root_prev``.
 
-    The draws come in a fixed order: the channel, the four groups'
-    indices for all ``nf`` frames, then the noise (``sigma`` per real
-    dimension), reference frame first.  A frame's linear index is its
-    four group indices raveled row-major over ``cb.sizes``.  Each window
-    of at most ``WINDOW`` frames composes its codewords and scales from
-    the group parts, runs the chain step per frame and forms its received
-    frames with one batched product.  Yields ``(sent, r_prev, r)``: the
-    window's sent linear indices as a list, the frame received just
-    before it, and its received frames as one (w, n, n_r) array.  The
-    noise is read in draw order, so no frame depends on ``WINDOW``, which
-    only bounds the memory of a whole-burst block, and ``encoder_step``
-    and ``channel_step`` on the same ``rng`` reproduce every frame.
+    Each frame's 4 T terms (``Codebook.chain_tables``) are gathered for the
+    whole window at once: their rows in the flat view of the time-major
+    chain, and their factors over sqrt(a_{t-1}).  A step is then one row
+    gather of the blocks' previous Y, a multiply and a sum over the terms.
+    """
+    _, b, w = window.shape
+    n, n_r = y_prev.shape[-2:]
+    offsets, cols, factors = cb.chain_tables
+    point = (window + offsets[:, None, None]).transpose(2, 1, 0)
+    rows = cols[point].reshape(w, b, -1, n)
+    rows += ((np.arange(w)[:, None] * b + np.arange(b)) * n)[:, :, None, None]
+    scaled = factors[point].reshape(w, b, -1, n, 1)
+    scaled /= root_prev.T[:, :, None, None, None]
+    y = np.empty((w + 1, b, n, n_r), dtype=np.complex128)
+    y[0] = y_prev
+    flat = y.reshape(-1, n_r)
+    for rows_t, scaled_t, y_t in zip(rows, scaled, y[1:]):
+        terms = flat[rows_t]
+        terms *= scaled_t
+        np.add.reduce(terms, axis=1, out=y_t)
+    return y.swapaxes(0, 1)
+
+
+def window_frames(cb: Codebook, rngs, nf: int, n_r: int, sigma: float):
+    """Draw one fading block of ``nf`` frames from each generator of
+    ``rngs`` and yield their frames window by window.
+
+    Each block draws in a fixed order: the channel H, the four groups'
+    indices for all ``nf`` frames, then the noise Z (``sigma`` per real
+    dimension), reference frame first.  A frame's linear index is its four
+    group indices raveled row-major over ``cb.sizes``.  The B blocks run
+    together through the receiver-side chain Y_0 = H,
+    Y_t = U_t Y_{t-1} / sqrt(a_{t-1}) = X_t H (``_chain``), which applies
+    each codeword as the row gathers of its partial codewords' monomial
+    terms, so no n x n codeword is formed, and R_t = Y_t + Z_t.  A window
+    holds ``window_size`` frames of each block, all of them for the
+    ``window_blocks`` of a window.  Yields ``(sent, r_prev, r)``: the
+    window's sent linear indices as a (B, w) array, the frames received
+    just before it, (B, n, n_r), and its received frames, (B, w, n, n_r).
+    Every block's frames depend on its own draws only, whatever B or
+    ``window_size``.
     """
     n = cb.n
-    h = _channel(rng, n, n_r)
-    idx = rng.integers(0, np.array(cb.sizes)[:, None], (4, nf))
-    lin_block = np.ravel_multi_index(idx, cb.sizes)
-    r_prev = h
-    x_prev = np.eye(n, dtype=np.complex128)
-    root_prev = 1.0  # sqrt(a) of the reference frame
-    for lo in range(0, nf, WINDOW):
-        hi = min(lo + WINDOW, nf)
-        window = idx[:, lo:hi]
-        u = cb.compose(cb.group_stacks, window)
-        x = np.empty_like(u)
-        for u_t, x_t, root_t in zip(u, x, np.sqrt(cb.compose(cb.group_norms, window))):
-            x_prev = _chain_step(u_t, x_prev, root_prev, x_t)
-            root_prev = root_t
-        r = np.matmul(x, h)
+    h = np.stack([_channel(rng, n, n_r) for rng in rngs])
+    sizes = np.array(cb.sizes)[:, None]
+    idx = np.stack([rng.integers(0, sizes, (4, nf)) for rng in rngs], axis=1)
+    lin_block = np.ravel_multi_index(tuple(idx), cb.sizes)
+    y_prev, r_prev = h, None
+    root_prev = np.ones((len(rngs), 1))  # sqrt(a) of the reference frame
+    step = window_size(cb, n_r)
+    for lo in range(0, nf, step):
+        window = idx[:, :, lo:lo + step]
+        roots = np.sqrt(cb.compose(cb.group_norms, window))
+        y = _chain(cb, window, y_prev, np.concatenate((root_prev, roots[:, :-1]), axis=1))
+        # copies, so that no carried frame keeps a window's arrays alive
+        y_prev, root_prev = y[:, -1].copy(), roots[:, -1:]
         if sigma > 0.0:
-            ref = 1 if lo == 0 else 0
-            noise = _complex_normal(rng, (ref + hi - lo, n, n_r)) * sigma
+            ref = r_prev is None
+            z = np.empty((len(rngs), y.shape[1] - 1 + ref, n, n_r, 2))
+            for rng, z_b in zip(rngs, z):
+                rng.standard_normal(out=z_b)
+            z *= sigma
+            r = z.view(np.complex128)[..., 0]
+            r += y[:, 1 - ref:]
             if ref:
-                r_prev = h + noise[0]
-            r += noise[ref:]
-        yield lin_block[lo:hi].tolist(), r_prev, r
-        r_prev = r[-1]
+                r_prev, r = r[:, 0], r[:, 1:]
+        else:
+            r_prev, r = y[:, 0], y[:, 1:]
+        yield lin_block[:, lo:lo + step], r_prev, r
+        r_prev = r[:, -1].copy()
 
 
 def _as_receive(r, n: int) -> np.ndarray:
@@ -237,6 +312,8 @@ def correlate(cb: Codebook, r, r_prev):
     """A window's correlation, once for all its frames: (g, energy), with
     row t of the (w, K) array g holding g_t[v] = Re tr(r_t^H A_v r_{t-1})
     in ``Codebook.basis`` order, and energy[t] = ||r_{t-1}||^2 as a float.
+    Leading axes batch windows: r of shape (B, w, n, n_r) and r_prev of
+    (B, n, n_r) give a (B, w, K) g and B lists of energies.
 
     Frame t's scan vector is then the scalar fold
     h_t = -2 sqrt(a_{t-1}) g_t / energy[t] (``fold``): the ``metric_scan``
@@ -244,12 +321,12 @@ def correlate(cb: Codebook, r, r_prev):
     batched product gives every frame's O_t = conj(r_t) r_{t-1}^T, and
     ``Codebook.basis_taps`` reads g off it.
     """
-    w = len(r)
-    prevs = np.concatenate((r_prev[None], r[:-1]))
-    outer = np.matmul(r.conj(), prevs.transpose(0, 2, 1)).reshape(w, -1).view(np.float64)
+    prevs = np.concatenate((r_prev[..., None, :, :], r[..., :-1, :, :]), axis=-3)
+    outer = np.matmul(r.conj(), prevs.swapaxes(-1, -2))
+    outer = outer.reshape(*outer.shape[:-2], -1).view(np.float64)
     taps, coef = cb.basis_taps
-    flat = prevs.reshape(w, -1).view(np.float64)
-    return np.vecdot(np.take(outer, taps, axis=1), coef), np.vecdot(flat, flat).tolist()
+    flat = prevs.reshape(*prevs.shape[:-2], -1).view(np.float64)
+    return np.vecdot(np.take(outer, taps, axis=-1), coef), np.vecdot(flat, flat).tolist()
 
 
 def fold(g_t, energy, a):

@@ -40,7 +40,7 @@ import numpy as np
 from ._kernels import BACKEND, set_blas_threads
 from .codebook import Codebook, check_memory
 from .design import MAX_LAMBDA, construct_design
-from .diffcodec import DECIDERS, block_bytes, block_frames, correlate
+from .diffcodec import DECIDERS, block_bytes, correlate, window_blocks, window_frames
 from .signalset import (
     PRESETS,
     construct_signal_set,
@@ -181,6 +181,10 @@ class SimPoint:
     #: Seconds in this decoder's decisions and the correlations they read,
     #: summed over chunks (worker-seconds on several workers); not in the CSV.
     decode_time_s: float
+    #: Seconds in the point's draws, chain and noise (``window_frames``),
+    #: summed over chunks like ``decode_time_s``; shared by the point's rows,
+    #: not in the CSV.
+    encode_time_s: float
 
 
 @dataclass(frozen=True)
@@ -272,8 +276,8 @@ def _codebook(lam, m, family, radii, preset, c) -> Codebook:
     Construction is pure, so repeated sweeps reuse it.  Only the current
     codebook is kept: a run needs no other, and a stale one would keep
     its M-sized arrays alive.  A group-only run builds none, since
-    encoding and group decoding sum per-group parts; ``prepare`` builds
-    those the exhaustive rows scan.
+    encoding gathers per-group terms and group decoding scans per-group
+    points; ``prepare`` builds those the exhaustive rows scan.
     """
     return build_codebook(SimConfig(lam=lam, m=m, family=family, radii=radii, preset=preset,
                                     c=c))
@@ -283,11 +287,12 @@ def prepare(cfg: SimConfig) -> Codebook:
     """Require the config's cached codebook to be group decodable and
     scaled unitary (``require_scaled_unitary``; the differential chain needs
     it whatever the decoder), build what the exhaustive rows scan
-    (``exhaustive_table``, after its memory check), and check that the
-    sweep's largest fading block fits in the memory available
-    (``block_bytes``: its group-index draw and one window's arrays), so
-    errors come before a sweep.  ``cfg`` itself was checked when it was
-    constructed."""
+    (``exhaustive_table``, after its memory check), and check that a window
+    of the sweep's largest fading blocks fits in the memory available
+    (``block_bytes``: the group-index draws of its blocks and its arrays;
+    it builds what the encoder gathers, ``chain_tables``, which refuses a
+    weight that is not monomial), so errors come before a sweep.  ``cfg``
+    itself was checked when it was constructed."""
     cb = _codebook(cfg.lam, cfg.m, cfg.family, cfg.radii, cfg.preset, cfg.c)
     cb.require_scaled_unitary()
     if "exhaustive" in cfg.decoders():
@@ -303,41 +308,60 @@ def _run_blocks(cb, cfg, snr_idx, block_lo, block_hi, stopped=None):
     ``cb``, the codebook ``prepare(cfg)`` returned.
 
     Returns one ``Counter`` per decoder: frames, frame_errors, bit_errors
-    (differing bits of the linear indices) and decode_s
-    (``SimPoint.decode_time_s``).  Each block draws from its own stream
-    ``default_rng([seed, snr_idx, blk])``; ``diffcodec.block_frames``
-    transmits it window by window, ``correlate`` correlates each window
-    once, and each decoder's ``diffcodec`` decision routine decides it from
-    that, tracking its own scale.  ``stopped``, a forked worker's shared
-    count of stopped points, ends the chunk at its next block once
-    ``run_sim`` has stopped point ``snr_idx`` (the caller drops its counts).
+    (differing bits of the linear indices), decode_s
+    (``SimPoint.decode_time_s``) and encode_s (``SimPoint.encode_time_s``).
+    Each block draws from its own stream ``default_rng([seed, snr_idx,
+    blk])``.  ``diffcodec.window_frames`` encodes and transmits the blocks
+    together, ``window_blocks`` of them at a time (a partial last block
+    alone), window by window; ``correlate`` correlates each window once,
+    each decoder's ``diffcodec`` decision routine decides every block of it
+    from that, tracking the block's own scale, and one XOR of the decided
+    and sent indices counts the window's errors.  ``stopped``, a forked
+    worker's shared count of stopped points, ends the chunk at its next
+    window once ``run_sim`` has stopped point ``snr_idx`` (the caller drops
+    its counts).
     """
     decoders = cfg.decoders()
     noise_var = noise_var_for_snr(cfg.snr_db[snr_idx], cb.n)
     sigma = math.sqrt(noise_var / 2.0) if noise_var > 0 else 0.0
     fpb = cfg.frames_per_block
+    full = cfg.frames // fpb  # blocks of fpb frames; one more is partial
+    per_window = window_blocks(cb, fpb, cfg.n_r)
+    windows = [(lo, min(lo + per_window, block_hi, full), fpb)
+               for lo in range(block_lo, min(block_hi, full), per_window)]
+    if block_hi > full:
+        windows.append((full, full + 1, cfg.frames - full * fpb))
 
     counts = {d: Counter() for d in decoders}
-    for blk in range(block_lo, block_hi):
+    encode_s = 0.0
+    for lo, hi, nf in windows:
         if stopped is not None and stopped.value > snr_idx:
             break  # a point already stopped discards this chunk: skip the rest
-        nf = min(fpb, cfg.frames - blk * fpb)  # >= 1: blk < ceil(frames / fpb)
-        rng = np.random.default_rng([cfg.seed, snr_idx, blk])
-        a_dec = dict.fromkeys(decoders, 1.0)
-        for sent, r_prev, r in block_frames(cb, rng, nf, cfg.n_r, sigma):
-            t0 = time.perf_counter()
+        t0 = time.perf_counter()
+        rngs = [np.random.default_rng([cfg.seed, snr_idx, blk]) for blk in range(lo, hi)]
+        a_dec = {d: [1.0] * len(rngs) for d in decoders}
+        for sent, r_prev, r in window_frames(cb, rngs, nf, cfg.n_r, sigma):
+            t1 = time.perf_counter()
+            encode_s += t1 - t0
             g, energy = correlate(cb, r, r_prev)
-            t_corr = time.perf_counter() - t0
+            t_corr = time.perf_counter() - t1
             for d in decoders:
-                t0 = time.perf_counter()
-                hats, a_dec[d] = DECIDERS[d](cb, g, energy, a_dec[d])
+                t1 = time.perf_counter()
+                decide, a, hats = DECIDERS[d], a_dec[d], []
+                for b, (g_b, energy_b) in enumerate(zip(g, energy)):
+                    hats_b, a[b] = decide(cb, g_b, energy_b, a[b])
+                    hats += hats_b
                 c = counts[d]
-                c["decode_s"] += t_corr + time.perf_counter() - t0
-                errs = [got ^ want for got, want in zip(hats, sent) if got != want]
-                c["frame_errors"] += len(errs)
-                c["bit_errors"] += sum(e.bit_count() for e in errs)
+                c["decode_s"] += t_corr + time.perf_counter() - t1
+                errs = np.array(hats).reshape(sent.shape) ^ sent
+                c["frame_errors"] += int(np.count_nonzero(errs))
+                c["bit_errors"] += int(np.bitwise_count(errs).sum())
+            t0 = time.perf_counter()
+        encode_s += time.perf_counter() - t0
         for d in decoders:
-            counts[d]["frames"] += nf
+            counts[d]["frames"] += (hi - lo) * nf
+    for d in decoders:
+        counts[d]["encode_s"] = encode_s
     return counts
 
 
@@ -435,7 +459,7 @@ class _Workers:
 
     def stop(self, snr_idx: int):
         """Stop point ``snr_idx``: claims skip its tickets, and running
-        chunks of it end at their next block."""
+        chunks of it end at their next window."""
         self.stopped.value = snr_idx + 1
 
     def close(self):
@@ -462,12 +486,13 @@ def run_sim(cfg: SimConfig) -> SimResult:
     Deterministic for a fixed config: per-block RNG streams make the
     result independent of the worker count, and early stopping (when
     ``target_errors`` is set) only happens at fixed chunk boundaries.
-    Each point runs as at most 256 chunks of whole blocks.  With more than
-    one worker and one chunk, ``cfg.workers`` processes (no more than a
-    point has chunks) are forked once for the whole sweep; each claims
-    chunks in sweep order and streams back their counts, and this process
-    adds them up in chunk order and applies the stop rule; past a point's
-    stop, each worker finishes at most the block of it that it is in.
+    Each point runs as at most 256 chunks of whole blocks, each at least
+    a window of them (``diffcodec.window_blocks``).  With more than one
+    worker and one chunk, ``cfg.workers`` processes (no more than a point
+    has chunks) are forked once for the whole sweep; each claims chunks in
+    sweep order and streams back their counts, and this process adds them
+    up in chunk order and applies the stop rule; past a point's stop, each
+    worker finishes at most the window of it that it is in.
     """
     cb = prepare(cfg)
     decoders = cfg.decoders()
@@ -477,7 +502,8 @@ def run_sim(cfg: SimConfig) -> SimResult:
     pow2 = all(size & (size - 1) == 0 for size in cb.sizes)
     bits_per_frame = cb.M.bit_length() - 1 if pow2 else 0
     n_blocks = math.ceil(cfg.frames / cfg.frames_per_block)
-    chunk = max(1, math.ceil(n_blocks / 256))
+    # whole windows, and at most 256 chunks a point
+    chunk = max(window_blocks(cb, cfg.frames_per_block, cfg.n_r), math.ceil(n_blocks / 256))
     bounds = [(lo, min(lo + chunk, n_blocks)) for lo in range(0, n_blocks, chunk)]
 
     points = []
@@ -513,7 +539,7 @@ def run_sim(cfg: SimConfig) -> SimResult:
                     frame_errors=t["frame_errors"], bler=bler, bits=bits,
                     bit_errors=bit_errors, ber=ber,
                     metric_evals=t["frames"] * evals_per_frame[d], wall_time_s=wall,
-                    decode_time_s=t["decode_s"],
+                    decode_time_s=t["decode_s"], encode_time_s=t["encode_s"],
                 ))
     finally:
         if pool is not None:

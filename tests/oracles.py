@@ -123,30 +123,37 @@ def noisy_window(cb, rng, sigma, n_r=1):
     return r_t, r_prev, a_prev_sq
 
 
-def replay_block(cb, seed, nf, n_r, sigma):
-    """One fading block's sent linear indices and received frames, frame by frame.
+def replay_y_chain(cb, seed, nf, n_r, sigma):
+    """One fading block's sent linear indices, received frames and decisions,
+    frame by frame.
 
     The simulator's draw order on ``default_rng(seed)``: the channel, the
     four groups' indices for all ``nf`` frames, then the noise (``sigma``
     per real dimension, none when 0), reference frame first.  The chain is
-    the literal X_t = (U_t @ X_{t-1}) / sqrt(a_{t-1}) from ``codeword_at``.
+    the receiver-side one, Y_0 = H and Y_t = (U_t @ Y_{t-1}) / sqrt(a_{t-1})
+    = X_t H with U_t the dense matrix from ``codeword_at``, and frame t is
+    Y_t plus its noise.  Each frame is decided by ``brute_force_decode``
+    over ``cb.matrices``, with the scale of the previous decision.
     """
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((cb.n, n_r, 2))
-    h = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+    y = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
     idx = np.stack([rng.integers(0, size, nf) for size in cb.sizes])
-    noise = None
+    noise = np.zeros((nf + 1, cb.n, n_r), dtype=complex)
     if sigma > 0:
         zw = rng.standard_normal((nf + 1, cb.n, n_r, 2))
         noise = (zw[..., 0] + 1j * zw[..., 1]) * sigma
-    x_prev, a_prev = np.eye(cb.n, dtype=np.complex128), 1.0
-    frames = [x_prev @ h if noise is None else x_prev @ h + noise[0]]
+    a_prev, a_hat = 1.0, 1.0
+    frames, decided = [y + noise[0]], []
     for t in range(nf):
         cw = cb.codeword_at(idx[:, t])
-        x_prev, a_prev = (cw.matrix @ x_prev) / np.sqrt(a_prev), cw.scale_sq
-        frames.append(x_prev @ h if noise is None else x_prev @ h + noise[t + 1])
+        y, a_prev = (cw.matrix @ y) / np.sqrt(a_prev), cw.scale_sq
+        frames.append(y + noise[t + 1])
+        best, _ = brute_force_decode(cb.matrices, frames[-1], frames[-2], a_hat)
+        decided.append(best)
+        a_hat = cb.codeword_at(cb.unravel_index(best)).scale_sq
     sent = [cb.linear_index(idx[:, t]) for t in range(nf)]
-    return sent, frames
+    return sent, frames, decided
 
 
 def pair_scan(cb):

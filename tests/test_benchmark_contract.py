@@ -123,7 +123,7 @@ def test_exhaustive_scans_count_one_call_of_m_candidates_per_frame(tracer, monke
     assert cb.exhaustive_table[0].shape == (cb.M, 4, cb.design.K // 4)
     rng = np.random.default_rng(3)
     frames = 0
-    for _, r_prev, r in diffcodec.block_frames(cb, rng, 12, 1, 0.3):
+    for _, (r_prev,), (r,) in diffcodec.window_frames(cb, [rng], 12, 1, 0.3):
         diffcodec.decide_exhaustive(cb, *diffcodec.correlate(cb, r, r_prev), 1.0)
         frames += len(r)
     assert tracer.counters["scan_calls"] == frames == 12

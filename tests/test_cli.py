@@ -315,15 +315,16 @@ class TestSimulateCommand:
         assert code == 2 and stdout == ""
         assert err.startswith("configuration error: a fading block of 10000000000000 "
                               "frames needs its group-index draw and one window's arrays, "
-                              "400000000.4 MB, but only ")
+                              "400000000.6 MB, but only ")
         assert not out.exists()
 
     def test_receive_antennas_past_the_memory_budget_leave_out_untouched(self, capsys,
                                                                           monkeypatch,
                                                                           tmp_path):
-        # 10^8 receive antennas: each frame's (2, 10^8) complex arrays (the
-        # channel, the noise, the received frames, the correlation's copies)
-        # take 3.2 GB each
+        # 10^8 receive antennas: windows of one frame, whose (2, 10^8) complex
+        # arrays take 3.2 GB each: 8 for the block (the channel twice, the
+        # frames before the window, a chain step's 4 terms) and 5 for the
+        # frame (its chain, its noise, the correlation's copies)
         monkeypatch.setattr(codebook, "_available_bytes", lambda: 10**9)
         kept = tmp_path / "results.csv"
         kept.write_bytes(b"earlier results\n")
@@ -332,7 +333,7 @@ class TestSimulateCommand:
                                     "--out", str(kept))
         assert code == 2 and stdout == ""
         assert err == ("configuration error: a fading block of 20 frames needs its "
-                       "group-index draw and one window's arrays, 326400.0 MB, but only "
+                       "group-index draw and one window's arrays, 41600.3 MB, but only "
                        "1000.0 MB of memory is available\n")
         assert kept.read_bytes() == b"earlier results\n"
 

@@ -93,6 +93,30 @@ class TestCodewordAssembly:
             assert np.shares_memory(table, points) and not table.flags.writeable
             assert norms is cb16.group_norms[k] and norm_list == norms.tolist()
 
+    @pytest.mark.parametrize("cfg, terms", [
+        (dict(lam=1, m=16), 1), (dict(lam=2, m=256), 1), (dict(lam=4, m=16), 1),
+        (dict(lam=6, m=16), 1), (dict(lam=2, m=256, family="hyperbola"), 2),
+        (dict(lam=3, m=16**4, preset="paper-8ant-rate2"), 1),
+    ])
+    def test_chain_tables_apply_every_partial_codeword(self, cfg, terms):
+        # the encoder's row gathers give S_k(p) Y for every group point
+        cb = build_codebook(SimConfig(**cfg))
+        offsets, cols, factors = cb.chain_tables
+        assert cols.shape == factors.shape == (sum(cb.sizes), terms, cb.n)
+        y = np.random.default_rng(cb.n).standard_normal((cb.n, 3, 2)).view(complex)[..., 0]
+        for k, stack in enumerate(cb.group_stacks):
+            rows = slice(offsets[k], offsets[k] + cb.sizes[k])
+            gathered = (factors[rows, ..., None] * y[cols[rows]]).sum(axis=1)
+            assert np.allclose(gathered, stack @ y, rtol=0, atol=1e-12)
+
+    def test_chain_tables_refuse_a_weight_that_is_not_monomial(self):
+        cb = Codebook(construct_design(2), construct_signal_set(2, 16))
+        basis = cb.basis.copy()
+        basis[3, 1] = 1.0  # a row with four nonzeros
+        cb.__dict__["basis"] = basis
+        with pytest.raises(ValueError, match="not monomial"):
+            cb.chain_tables  # noqa: B018
+
     def test_no_zero_codeword(self, cb16):
         assert float(cb16.coordinate_table()[1].min()) > 0
 

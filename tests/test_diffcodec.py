@@ -11,7 +11,6 @@ from gdstbc.design import Grouping, construct_design
 from gdstbc.diffcodec import (
     ChannelConfig,
     block_bytes,
-    block_frames,
     channel_step,
     correlate,
     decide_exhaustive,
@@ -22,6 +21,9 @@ from gdstbc.diffcodec import (
     encoder_init,
     encoder_step,
     estimate_scale,
+    window_blocks,
+    window_frames,
+    window_size,
 )
 from gdstbc.signalset import construct_signal_set
 from gdstbc.sim import SimConfig, build_codebook
@@ -240,7 +242,7 @@ class TestScaledUnitaryExhaustiveScan:
                 sigma = math.sqrt(cb.n / 10 ** (snr_db / 10) / 2)
                 rng = np.random.default_rng([n_r, int(min(snr_db, 99))])
                 a_ref = a = 1.0
-                for _, r_prev, r in block_frames(cb, rng, 40, n_r, sigma):
+                for _, (r_prev,), (r,) in window_frames(cb, [rng], 40, n_r, sigma):
                     calls.clear()
                     hats, a = decide_exhaustive(cb, *correlate(cb, r, r_prev), a)
                     assert calls == [(form, (cb.M, 4, 2))] * len(r)
@@ -278,28 +280,50 @@ class TestCorrelate:
 
 
 class TestBlockBytes:
-    @pytest.mark.parametrize("lam, m, nf, n_r", [
-        (2, 16, 300, 3), (1, 16, 20, 50), (4, 256, 40, 1), (3, 4096, 600, 2),
-        (2, 16, 5, 1000),
+    @pytest.mark.parametrize("cfg, nf, n_r, blocks", [
+        (dict(lam=2, m=16), 300, 3, 1), (dict(lam=1, m=16), 20, 50, 4),
+        (dict(lam=4, m=256), 40, 1, 3), (dict(lam=3, m=4096), 600, 2, 1),
+        (dict(lam=2, m=16), 5, 1000, 1), (dict(lam=2, m=16), 9, 1, 28),
+        (dict(lam=4, m=256), 9, 1, 14), (dict(lam=2, m=256, family="hyperbola"), 4, 2, 64),
+        (dict(lam=1, m=16), 1, 1, 256), (dict(lam=6, m=16), 9, 1, 1),
+        (dict(lam=5, m=16), 3, 2, 10),
     ])
-    def test_bounds_a_block_and_its_decisions(self, lam, m, nf, n_r):
-        # what block_frames, a window's correlation and both deciders on it
-        # hold at once, traced, stays within the count sim.prepare checks
-        # against the memory available; sim._run_blocks correlates each
-        # window once and holds the result while every decoder runs
-        cb = build_codebook(SimConfig(lam=lam, m=m))
-        cb.exhaustive_table, cb.basis_taps  # noqa: B018  (built once, before the sweep)
-        rng = np.random.default_rng([lam, nf])
+    def test_bounds_a_window_and_its_decisions(self, cfg, nf, n_r, blocks):
+        # what the window pass over window_blocks generators, a window's
+        # correlation and both deciders on every block of it hold at once,
+        # traced, stays within the count sim.prepare checks against the
+        # memory available; sim._run_blocks correlates each window once, holds
+        # the result while every decoder runs and compares the decisions
+        cb = build_codebook(SimConfig(**cfg))
+        assert window_blocks(cb, nf, n_r) == blocks
+        assert blocks == 1 or blocks * nf <= window_size(cb, n_r) < (blocks + 1) * nf
+        cb.exhaustive_table, cb.basis_taps, cb.chain_tables  # noqa: B018  (built before the sweep)
+        np.random.default_rng([0])  # the first one imports numpy.random's pickling helpers
         tracemalloc.start()
         try:
-            for _, r_prev, r in block_frames(cb, rng, nf, n_r, 0.3):
+            rngs = [np.random.default_rng([nf, n_r, b]) for b in range(blocks)]
+            for sent, r_prev, r in window_frames(cb, rngs, nf, n_r, 0.3):
                 g, energy = correlate(cb, r, r_prev)
-                decide_group(cb, g, energy, 1.0)
-                decide_exhaustive(cb, g, energy, 1.0)
+                for decide in (decide_group, decide_exhaustive):
+                    hats = []
+                    for g_b, energy_b in zip(g, energy):
+                        hats += decide(cb, g_b, energy_b, 1.0)[0]
+                    errs = np.array(hats).reshape(sent.shape) ^ sent
+                    np.bitwise_count(errs).sum()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= block_bytes(cb, nf, n_r)
+
+    def test_windows_stay_under_the_byte_cap(self):
+        # no per-frame array of a window passes WINDOW_BYTES: the n x n
+        # correlation product sets 8 frames at lam 6 and 32 at lam 5, the
+        # gather of 4 terms of n x n_r a frame 2 at lam 2 with 1000 antennas
+        for lam, n_r, frames in ((6, 1, 8), (5, 1, 32), (4, 1, 128), (3, 1, 256),
+                                 (2, 1000, 2), (6, 10**6, 1)):
+            cb = build_codebook(SimConfig(lam=lam, m=16))
+            assert window_size(cb, n_r) == frames
+            assert window_blocks(cb, 9, n_r) == max(1, frames // 9)
 
 
 class TestGroupDecoder:

@@ -20,9 +20,11 @@ from gdstbc.design import MAX_LAMBDA, Grouping, construct_design
 from gdstbc.diffcodec import (
     ChannelConfig,
     channel_step,
+    decode_exhaustive,
     draw_channel,
     encoder_init,
     encoder_step,
+    estimate_scale,
 )
 from gdstbc.signalset import construct_signal_set
 from gdstbc.sim import (
@@ -34,7 +36,7 @@ from gdstbc.sim import (
     run_sim,
 )
 
-from oracles import replay_block
+from oracles import replay_y_chain
 
 
 def _cfg(**kw):
@@ -182,13 +184,15 @@ class TestRunSim:
             raise Started  # forks nothing
 
         monkeypatch.setattr(sim, "_Workers", start_none)
-        # 600 one-frame blocks in chunks of ceil(600 / 256) = 3: 200 chunks a point
-        with pytest.raises(Started):
-            run_sim(_cfg(frames=600, coherence=2, workers=100_000))
-        assert sizes == [200]
+        # 600 one-frame blocks in chunks of one window, 256 blocks: 3 chunks a
+        # point; 256 * 600 of them in chunks of ceil(153600 / 256) = 600: 256
+        for frames, chunks in ((600, 3), (256 * 600, 256)):
+            with pytest.raises(Started):
+                run_sim(_cfg(frames=frames, coherence=2, workers=100_000))
+            assert sizes.pop() == chunks
         # a whole-burst run is a single chunk, so it needs no workers at all
         run_sim(_cfg(frames=50, coherence=None, workers=4))
-        assert sizes == [200]
+        assert sizes == []
 
     def test_early_stops_across_points_are_worker_invariant(self):
         # several points, some stopped early and some run in full: workers
@@ -204,16 +208,16 @@ class TestRunSim:
         # more workers than cores race for 768 tickets of near-empty chunks:
         # a lost update to the shared counter would run one chunk twice and
         # another never
-        cfg = _cfg(snr_db=(0.0, 6.0, 12.0), frames=768, coherence=2, workers=6)
-        runs = multiprocessing.Array("i", 768)  # by ticket: 256 chunks of 3 blocks a point
+        cfg = _cfg(snr_db=(0.0, 6.0, 12.0), frames=256 * 256, coherence=2, workers=6)
+        runs = multiprocessing.Array("i", 768)  # by ticket: 256 chunks of 256 blocks a point
 
         def counted(cb, cfg, snr_idx, lo, hi, stopped):
             with runs.get_lock():
-                runs[snr_idx * 256 + lo // 3] += 1
+                runs[snr_idx * 256 + lo // 256] += 1
             return {"group": Counter(frames=hi - lo)}
 
         monkeypatch.setattr(sim, "_run_blocks", counted)
-        assert [p.frames for p in run_sim(cfg).points] == [768] * 3
+        assert [p.frames for p in run_sim(cfg).points] == [256 * 256] * 3
         assert list(runs) == [1] * 768
 
     def test_early_stopped_pooled_sweep_prints_nothing(self, capfd):
@@ -228,14 +232,15 @@ class TestRunSim:
         def failing(cb, cfg, snr_idx, lo, hi, stopped):
             with chunks.get_lock():
                 chunks.value += 1
-            if (snr_idx, lo) == (0, 40):
-                raise ValueError("chunk 40 failed")
+            if (snr_idx, lo) == (0, 128):
+                raise ValueError("chunk 128 failed")
             return run_blocks(cb, cfg, snr_idx, lo, hi, stopped)
 
         monkeypatch.setattr(sim, "_run_blocks", failing)
-        # 3 points of 250 chunks; the error comes in the third chunk
-        cfg = _cfg(snr_db=(0.0, 6.0, 12.0), frames=20000, workers=2)
-        with pytest.raises(ValueError, match="^chunk 40 failed$"):
+        # 3 points of 16 000 4-frame blocks in 250 chunks of one window, 64
+        # blocks; the error comes in the third chunk
+        cfg = _cfg(snr_db=(0.0, 6.0, 12.0), frames=64_000, workers=2)
+        with pytest.raises(ValueError, match="^chunk 128 failed$"):
             run_sim(cfg)
         # the sweep of 750 chunks ends soon after the error
         assert chunks.value < 250, f"{chunks.value} chunks started"
@@ -293,20 +298,22 @@ class TestRunSim:
         assert isinstance(factored, FactoredTable) and factored.points == cb.alphabets
 
     def test_group_only_run_needs_no_memory_budget(self, monkeypatch):
-        # lam 2, M 256: room for the group radii and points (80 bytes), the
-        # partial codewords (4 kB, 8 kB while they are joined) and a 4-frame
-        # block's index draw (160 bytes), not for the exhaustive rows' 18 kB table
-        monkeypatch.setattr(codebook, "_available_bytes", lambda: 10_000)
-        assert run_sim(_cfg(m=256, frames=50)).points[0].frames == 50
+        # lam 2, M 64^4: room for the group radii and points (2 kB), the
+        # partial codewords (66 kB, 131 kB while they are joined) and a window
+        # of 64 4-frame blocks (0.7 MB), not for the exhaustive rows' 136 MB
+        # factored scan
+        monkeypatch.setattr(codebook, "_available_bytes", lambda: 1_000_000)
+        assert run_sim(_cfg(m=64**4, frames=50)).points[0].frames == 50
         with pytest.raises(ValueError,
                            match=r"decide_exhaustive needs Codebook\.exhaustive_table"):
-            run_sim(_cfg(m=256, frames=50, decoder="both"))
+            run_sim(_cfg(m=64**4, frames=50, decoder="both"))
 
     def test_refuses_a_block_past_the_memory_budget(self, monkeypatch):
         # the cached codebook; its partials take 4 kB at most
         cb = sim.prepare(_cfg(frames=1))
         # 40 bytes a frame of index draw, and the arrays of a window of at most
-        # 256 frames: 250 frames in one block fit, 251 do not
+        # 256 frames: 250 frames in one block fit, as do two blocks of 100 in
+        # one window, and 251 do not
         budget = diffcodec.block_bytes(cb, 250, 1)
         probes = []
 
@@ -315,7 +322,7 @@ class TestRunSim:
             return budget
 
         monkeypatch.setattr(codebook, "_available_bytes", available)
-        for frames, coherence in ((250, None), (251, 251), (10**4, 11)):
+        for frames, coherence in ((250, None), (251, 251), (10**4, 101)):
             probes.clear()
             assert run_sim(_cfg(frames=frames, coherence=coherence)).points[0].frames == frames
             assert len(probes) == 1  # once per sweep, not per chunk
@@ -329,16 +336,18 @@ class TestRunSim:
                                       f"{budget / 1e6:.1f} MB of memory is available")
 
     def test_window_memory_grows_with_the_receive_antennas(self, monkeypatch):
-        # one window's frames take 16 n n_r bytes per array: 100 receive
-        # antennas need more than twice the room of one
+        # a window's frames take 16 n n_r bytes per array; windows shrink to
+        # keep each array under WINDOW_BYTES, but hold one frame at least:
+        # 10^4 receive antennas need more than twice the room of one
         cb = sim.prepare(_cfg(frames=1))
         budget = 2 * diffcodec.block_bytes(cb, 20, 1)
-        assert diffcodec.block_bytes(cb, 4, 100) > budget
+        assert diffcodec.window_size(cb, 10**4) == 1
+        assert diffcodec.block_bytes(cb, 4, 10**4) > budget
         monkeypatch.setattr(codebook, "_available_bytes", lambda: budget)
         for coherence in (5, None):
             assert run_sim(_cfg(frames=20, coherence=coherence)).points[0].frames == 20
             with pytest.raises(ValueError, match="a fading block of (4|20) frames needs"):
-                run_sim(_cfg(frames=20, coherence=coherence, n_r=100))
+                run_sim(_cfg(frames=20, coherence=coherence, n_r=10**4))
 
     def test_large_group_only_run_builds_no_m_sized_array(self):
         # lam 2, M 64^4: the exhaustive rows' factored scan would hold 136 MB
@@ -474,19 +483,21 @@ class TestRunSim:
         corr = sim.correlate
 
         def counted(cb, r, r_prev):
-            windows.append(len(r))
+            windows.append(r.shape[:2])  # (blocks, frames)
             time.sleep(0.002)
             return corr(cb, r, r_prev)
 
         monkeypatch.setattr(sim, "correlate", counted)
-        res = run_sim(_cfg(frames=95, coherence=10, decoder="both"))
-        assert windows == [9] * 10 + [5]  # a block of 9 frames is one window
-        assert [p.frames for p in res.points] == [95, 95]
-        assert all(p.decode_time_s >= 11 * 0.002 for p in res.points)
+        # 33 blocks of 9 frames and one of 3: chunks of one window, 28
+        # blocks, the last block alone
+        res = run_sim(_cfg(frames=300, coherence=10, decoder="both"))
+        assert windows == [(28, 9), (5, 9), (1, 3)]
+        assert [p.frames for p in res.points] == [300, 300]
+        assert all(p.decode_time_s >= 3 * 0.002 for p in res.points)
         windows.clear()
         monkeypatch.setattr(diffcodec, "WINDOW", 7)
         res = run_sim(_cfg(frames=50, coherence=None, decoder="both"))
-        assert windows == [7] * 7 + [1]
+        assert windows == [(1, 7)] * 7 + [(1, 1)]
         assert [p.frames for p in res.points] == [50, 50]
 
     def test_whole_burst_coherence(self):
@@ -506,36 +517,39 @@ class TestRunSim:
         assert a.points[0].frame_errors >= 50
         assert a.points[0].frames < 20000
 
-    def test_stopped_point_leaves_at_most_one_block_per_worker(self, monkeypatch):
-        # 5 000 blocks of 4 information frames in chunks of 20 blocks; 50 errors
-        # come within the first chunks at both SNRs.  Once the parent has
-        # stopped the 0 dB point, each worker finishes at most the block it
-        # is in: no queued chunk, nor the rest of a running one, is simulated.
+    def test_stopped_point_leaves_at_most_one_window_per_worker(self, monkeypatch):
+        # 5 000 blocks of 4 information frames in chunks of one window, 64
+        # blocks; 50 errors come within the first chunks at both SNRs.  Once
+        # the parent has stopped the 0 dB point, each worker finishes at most
+        # the window it is in: no queued chunk, nor the rest of a running
+        # one, is simulated.
         cfg = _cfg(snr_db=(0.0, 6.0), frames=20000, target_errors=50, workers=2)
-        late = multiprocessing.Value("i", 0)  # 0 dB blocks ending after the stop
+        late = multiprocessing.Value("i", 0)  # 0 dB windows ending after the stop
         ran = multiprocessing.Value("i", 0)  # 0 dB blocks simulated by the workers
         flag = [None]  # the stop flag of this process's current chunk
-        run_blocks, frames = sim._run_blocks, sim.block_frames
+        run_blocks, frames = sim._run_blocks, sim.window_frames
 
         def flagged(cb, cfg, snr_idx, lo, hi, stopped=None):
             flag[0] = stopped
             return run_blocks(cb, cfg, snr_idx, lo, hi, stopped)
 
-        def recorded(cb, rng, nf, n_r, sigma):
-            yield from frames(cb, rng, nf, n_r, sigma)
-            snr_idx = rng.bit_generator.seed_seq.entropy[1]
+        def recorded(cb, rngs, nf, n_r, sigma):
+            yield from frames(cb, rngs, nf, n_r, sigma)
+            snr_idx = rngs[0].bit_generator.seed_seq.entropy[1]
             if snr_idx == 0 and flag[0] is not None:
                 with late.get_lock():
-                    ran.value += 1
+                    ran.value += len(rngs)
                     late.value += flag[0].value > 0
 
         monkeypatch.setattr(sim, "_run_blocks", flagged)
-        monkeypatch.setattr(sim, "block_frames", recorded)
+        monkeypatch.setattr(sim, "window_frames", recorded)
         serial = run_sim(replace(cfg, workers=1))
         res = run_sim(cfg)  # forked workers inherit the patch and the counter
         assert res.to_csv() == serial.to_csv()
         assert res.points[0].frames < cfg.frames
-        seen = f"{late.value} of {ran.value} 0 dB blocks in the workers ended after the stop"
+        seen = f"{late.value} windows of {ran.value} 0 dB blocks in the workers ended " \
+               "after the stop"
+        assert ran.value > 0, seen  # the workers ran 0 dB blocks through the patch
         assert late.value <= cfg.workers, seen
         assert ran.value < 5000 // 2, seen  # the rest of the 0 dB point never ran
 
@@ -605,9 +619,10 @@ class TestRunSim:
             bad.to_json()
 
 
-#: CSVs of three small configs, produced before the block pass was batched.
-#: They pin the RNG layout: one stream per block, drawing the channel, all
-#: the group indices, then the noise.  A change of layout must update them.
+#: CSVs of small configs, all produced by the per-block X chain before the
+#: window pass and its Y chain.  They pin the RNG layout: one stream per
+#: block, drawing the channel, all the group indices, then the noise.  A
+#: change of layout must update them.
 GOLDEN_CSV = [
     (dict(lam=2, m=256, snr_db=(0.0, 6.0), frames=300, coherence=10, seed=7),
      "0,group,300,290,0.966667,2400,931,0.387917,4800,7\n"
@@ -620,62 +635,123 @@ GOLDEN_CSV = [
      "-2,exhaustive,200,126,0.63,800,187,0.23375,3200,9\n"
      "4,group,200,26,0.13,800,29,0.03625,1600,9\n"
      "4,exhaustive,200,26,0.13,800,29,0.03625,3200,9\n"),
+    # 278 blocks of 9 frames, in windows of 28, and a last block of 1 frame alone
+    (dict(lam=2, m=16, coherence=10, frames=2503, snr_db=(2.0, 8.0), decoder="both", seed=3),
+     "2,group,2503,1248,0.498602,10012,1660,0.165801,20024,3\n"
+     "2,exhaustive,2503,1248,0.498602,10012,1660,0.165801,40048,3\n"
+     "8,group,2503,208,0.0831003,10012,223,0.0222733,20024,3\n"
+     "8,exhaustive,2503,208,0.0831003,10012,223,0.0222733,40048,3\n"),
+    (dict(lam=2, m=256, family="hyperbola", n_r=2, coherence=10, frames=600,
+          snr_db=(6.0, 12.0), decoder="both", seed=4),
+     "6,group,600,529,0.881667,4800,1036,0.215833,9600,4\n"
+     "6,exhaustive,600,529,0.881667,4800,1036,0.215833,153600,4\n"
+     "12,group,600,238,0.396667,4800,335,0.0697917,9600,4\n"
+     "12,exhaustive,600,238,0.396667,4800,335,0.0697917,153600,4\n"),
+    (dict(lam=5, m=16, coherence=10, frames=300, snr_db=(4.0, 10.0), decoder="both", seed=5),
+     "4,group,300,149,0.496667,1200,190,0.158333,2400,5\n"
+     "4,exhaustive,300,149,0.496667,1200,190,0.158333,4800,5\n"
+     "10,group,300,15,0.05,1200,16,0.0133333,2400,5\n"
+     "10,exhaustive,300,15,0.05,1200,16,0.0133333,4800,5\n"),
 ]
 
 
 def _per_frame_block(cb, seed, nf, n_r, sigma):
-    """The same block through diffcodec's per-frame API, on one shared rng."""
+    """The same block through diffcodec's per-frame API, on one shared rng:
+    the X chain, X_t H plus noise, and ``decode_exhaustive``'s decisions."""
     rng = np.random.default_rng(seed)
     ch = ChannelConfig(n_r=n_r, noise_var=2.0 * sigma**2)  # sqrt(noise_var / 2) is sigma again
     h = draw_channel(ch, cb.n, rng)
     idx = np.stack([rng.integers(0, size, nf) for size in cb.sizes])
     state = encoder_init(cb.n)
     frames = [channel_step(ch, state.x_prev, h, rng)]
+    decided, a_hat = [], 1.0
     for t in range(nf):
         state, x_t = encoder_step(state, cb.codeword_at(idx[:, t]))
         frames.append(channel_step(ch, x_t, h, rng))
-    return [cb.linear_index(idx[:, t]) for t in range(nf)], frames
+        res = decode_exhaustive(cb, frames[-1], frames[-2], a_hat)
+        decided.append(cb.linear_index(res.index))
+        a_hat = estimate_scale(cb.codeword_at(res.index))
+    return [cb.linear_index(idx[:, t]) for t in range(nf)], frames, decided
+
+
+def _window_pass(cb, seeds, nf, n_r, sigma):
+    """Per block of one ``window_frames`` pass over the blocks seeded by
+    ``seeds``: its sent indices, its received frames, reference first, and
+    ``decide_group``'s decisions on each window's correlation."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    sent, frames, decided = ([[] for _ in seeds] for _ in range(3))
+    a = [1.0] * len(seeds)
+    for lin, r_prev, r in diffcodec.window_frames(cb, rngs, nf, n_r, sigma):
+        assert lin.shape == r.shape[:2] and r_prev.shape == (len(seeds), cb.n, n_r)
+        g, energy = diffcodec.correlate(cb, r, r_prev)
+        for b in range(len(seeds)):
+            if not frames[b]:
+                frames[b].append(r_prev[b])
+            assert r_prev[b].tobytes() == frames[b][-1].tobytes()
+            sent[b] += lin[b].tolist()
+            frames[b] += list(r[b])
+            hats, a[b] = diffcodec.decide_group(cb, g[b], energy[b], a[b])
+            decided[b] += hats
+    return sent, frames, decided
 
 
 class TestBlockPass:
-    # the per-frame API is the window pass's B = 1 view: driven with the
-    # same rng, it must reproduce the windows bit for bit too
-    @pytest.mark.parametrize("replay", [replay_block, _per_frame_block],
+    # three blocks of 17 frames in one pass, in windows of 7, 7 and 3 frames:
+    # each block matches a naive per-frame replay of its own draws
+    @pytest.mark.parametrize("replay", [replay_y_chain, _per_frame_block],
                              ids=["oracle", "per-frame-api"])
     @pytest.mark.parametrize("sigma", [0.0, 0.4])
     @pytest.mark.parametrize("n_r", [1, 2, 3])
     @pytest.mark.parametrize("lam", [1, 2, 3, 4])
-    def test_windows_replay_the_per_frame_chain_bit_for_bit(self, monkeypatch, lam, n_r,
-                                                             sigma, replay):
+    def test_windows_replay_the_per_frame_chain(self, monkeypatch, lam, n_r, sigma, replay):
         monkeypatch.setattr(diffcodec, "WINDOW", 7)
         cb = sim.prepare(SimConfig(lam=lam, m=256))
-        nf = 17  # windows of 7, 7 and 3 frames
-        rng = np.random.default_rng([lam, n_r])
-        windows = list(diffcodec.block_frames(cb, rng, nf, n_r, sigma))
-        sent, frames = replay(cb, [lam, n_r], nf, n_r, sigma)
-        assert [len(w[0]) for w in windows] == [7, 7, 3]
-        assert [lin for w in windows for lin in w[0]] == sent
-        got = [windows[0][1]] + [r_t for _, _, r in windows for r_t in r]
-        assert len(got) == len(frames)
-        for r_got, r_want in zip(got, frames):
-            assert r_got.shape == r_want.shape
-            assert r_got.tobytes() == r_want.tobytes()
-        for (_, _, r), (_, r_prev, _) in zip(windows, windows[1:]):
-            assert r_prev.tobytes() == r[-1].tobytes()
+        nf, seeds = 17, [[lam, n_r, b] for b in range(3)]
+        sent, frames, decided = _window_pass(cb, seeds, nf, n_r, sigma)
+        for b, seed in enumerate(seeds):
+            want_sent, want_frames, want_decided = replay(cb, seed, nf, n_r, sigma)
+            assert sent[b] == want_sent
+            assert decided[b] == want_decided
+            assert len(frames[b]) == len(want_frames) == nf + 1
+            for r_got, r_want in zip(frames[b], want_frames):
+                assert r_got.shape == r_want.shape
+                # Y_t = X_t H is rounded differently from X_t, then X_t H
+                assert np.abs(r_got - r_want).max() <= 1e-12 * np.abs(r_want).max()
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.4])
+    @pytest.mark.parametrize("n_r", [1, 2])
+    @pytest.mark.parametrize("cfg", [dict(lam=2, m=16), dict(lam=3, m=256),
+                                     dict(lam=2, m=256, family="hyperbola")],
+                             ids=["axis", "lam3", "hyperbola"])
+    def test_blocks_run_alike_alone_and_together(self, monkeypatch, cfg, n_r, sigma):
+        # five blocks of 9 frames in one window, and each alone in windows of
+        # 4, 4 and 1 frames, give the same frames bit for bit
+        cb = sim.prepare(SimConfig(**cfg))
+        seeds = [[n_r, b] for b in range(5)]
+        together = _window_pass(cb, seeds, 9, n_r, sigma)
+        monkeypatch.setattr(diffcodec, "WINDOW", 4)
+        for b, seed in enumerate(seeds):
+            sent, frames, decided = (part[0] for part in _window_pass(cb, [seed], 9, n_r, sigma))
+            assert sent == together[0][b] and decided == together[2][b]
+            assert [r.tobytes() for r in frames] == [r.tobytes() for r in together[1][b]]
 
     @pytest.mark.parametrize("cfg", [
         dict(coherence=None, frames=40, n_r=2, decoder="both"),
         dict(coherence=20, frames=100, decoder="both"),
         dict(coherence=None, frames=30, snr_db=(math.inf,)),
+        # 28 blocks a window by default, a last block of 1 frame alone
+        dict(coherence=10, frames=703, decoder="both"),
+        dict(family="hyperbola", m=256, n_r=2, coherence=6, frames=403, decoder="both"),
     ])
     def test_results_do_not_depend_on_the_window(self, monkeypatch, cfg):
         want = run_sim(_cfg(**cfg)).to_csv()
-        for window in (1, 7):
+        for window in (1, 7, 20):
             monkeypatch.setattr(diffcodec, "WINDOW", window)
             assert run_sim(_cfg(**cfg)).to_csv() == want
 
     @pytest.mark.parametrize("cfg, rows", GOLDEN_CSV,
-                             ids=["coherence", "whole-burst", "both-decoders-nr2"])
+                             ids=["coherence", "whole-burst", "both-decoders-nr2",
+                                  "partial-last-block", "hyperbola-nr2", "lam5"])
     def test_golden_csv_pins_the_rng_layout(self, cfg, rows):
         assert run_sim(SimConfig(**cfg)).to_csv() == CSV_HEADER + "\n" + rows
 
@@ -688,6 +764,9 @@ class TestBlockPass:
         assert group.wall_time_s == exhaustive.wall_time_s
         rows = json.loads(res.to_json())["results"]
         assert [r["decode_time_s"] for r in rows] == [p.decode_time_s for p in res.points]
+        # the draws, chain and noise are timed once for the point's rows
+        assert 0.0 < group.encode_time_s == exhaustive.encode_time_s
+        assert [r["encode_time_s"] for r in rows] == [group.encode_time_s] * 2
 
 
 class TestConfigValidation:
