@@ -7,10 +7,10 @@ direct scan over the codeword stack (where the stack takes at most
 ``DIRECT_MAX_BYTES``), and the two forms of the coordinate scan the
 simulator's exhaustive decoder uses against the frame's h: one GEMV over
 the codewords' float64 real coordinates (``Codebook.coordinate_table``),
-and the ``FactoredTable`` sum of the four groups' scores.  h is formed
-once per frame outside the timed scan (``diffcodec.correlate``, which the
-simulator runs once per window).  For each size it prints which
-coordinate form is faster; that comparison sets
+and the ``FactoredTable`` scan of the four groups' scores and the points
+near their minima.  h is formed once per frame outside the timed scan
+(``diffcodec.correlate``, which the simulator runs once per window).  For
+each size it prints which coordinate form is faster; that comparison sets
 ``codebook.TABLE_SCAN_BYTES``, the table size above which
 ``Codebook.exhaustive_table`` switches from the table to the factored
 form.  Then the coordinate scan of single groups, the (M^(1/4), 1, K/4)
@@ -18,6 +18,11 @@ point tables the simulator's group decoder scans four times per frame,
 where per-call overhead, not arithmetic, sets the cost.  Then the
 per-frame cost of the two decoders through the public API on the largest
 codebook.
+
+BLAS runs on one thread, as in the simulator's workers
+(``set_blas_threads(1)``): a threaded GEMV in a process whose OpenBLAS
+keeps its threads sometimes takes about 8 ms a call for a whole run, which
+would decide the comparison above.
 
 Run from the repository root:
 
@@ -35,7 +40,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from gdstbc._kernels import FactoredTable, metric_scan  # noqa: E402
+from gdstbc._kernels import FactoredTable, metric_scan, set_blas_threads  # noqa: E402
 from gdstbc.codebook import Codebook  # noqa: E402
 from gdstbc.design import construct_design  # noqa: E402
 from gdstbc.diffcodec import (  # noqa: E402
@@ -100,9 +105,11 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--repeats", type=int, default=9)
     args = ap.parse_args()
+    set_blas_threads(1)
 
     rng = np.random.default_rng(0)
-    cases = [(1, 16), (2, 256), (3, 4096), (2, 10000), (4, 4096), (3, 10000), (2, 20736),
+    cases = [(1, 16), (2, 256), (4, 256), (2, 1296), (1, 4096), (3, 1296), (2, 4096),
+             (4, 1296), (3, 4096), (2, 10000), (4, 4096), (3, 10000), (2, 20736),
              (2, 38416), (4, 10000), (3, 20736), (2, 16**4), (3, 16**4), (4, 16**4)]
 
     print(f"{'case':>16} {'M':>6} {'table MB':>9}", *(f"{name:>12}" for name, _ in SCANS),

@@ -34,18 +34,22 @@ the same h.
 A ``FactoredTable`` stands for the (M, 4, K/4) table of a product
 codebook without building it: the codewords are every choice of one
 point per group, row-major over the four index ranges, and a group's
-share of x_m . h + a_m is p_k[i] = x_k(i) . h_k + |x_k(i)|^2.  The scan
-forms the four P_k-sized p_k and sums them by broadcasting in
-``Codebook.compose`` order, ((p0 + p1) + p2) + p3: the float64
-arithmetic of ``Codebook.coordinate_metrics`` over all M, bit for bit
-(the last add is commutative).  The sums are laid out with i3 first, so
-that no loop runs along the short P_3 axis, and the first minimum in the
-codewords' row-major order is found in two steps: the first (i0, i1, i2)
-whose column holds the smallest sum, then the first i3 in that column.
-It reads the four alphabets instead of 8 K bytes per codeword and holds
-the M sums and the partial sums of groups 0-1 and 0-2.  Its dozen NumPy
-calls cost more than one GEMV on small tables and far less than
-streaming a large one (``codebook.TABLE_SCAN_BYTES``).
+share of x_m . h + a_m is p_k[i] = x_k(i) . h_k + |x_k(i)|^2.  Its scan
+returns the first minimum, in row-major order, of the compose sums
+((p0 + p1) + p2) + p3 that ``Codebook.coordinate_metrics`` forms, bit for
+bit, without forming the M sums.  Rounded addition is monotone, so the
+smallest sum is the sum of the four group minima m_k, and only points
+within tau = 4 eps sum_k |m_k| of their group's minimum can tie it
+(``FactoredTable.first_min`` gives the proof).  When each group has one
+such point, the answer is the four argmins; otherwise the sums are
+formed over the product of these near sets only, and with a non-finite
+minimum over all M.  A frame costs a dozen NumPy calls on the four
+P_k-sized score vectors, so the scan reads the four alphabets instead of
+8 K bytes per codeword and is faster than a GEMV on all but small
+tables (``codebook.TABLE_SCAN_BYTES``).  Its worst case, every point of
+every group tied (h = 0 on groups of equal norms), still holds the M
+sums and the partial sums of groups 0-1 and 0-2, as
+``Codebook.exhaustive_table`` counts.
 
 OpenBLAS threads that GEMV once the stack is large enough.  Simulator
 workers that scan side by side would then oversubscribe the cores, so
@@ -101,24 +105,95 @@ def metric_scan(stack, *frame):
         metrics = np.dot(stack.reshape(len(stack), -1), h)
         metrics += frame[1]
         return int(metrics.argmin())
-    p0, p1, p2, p3 = (np.dot(points, h_k) + norms for points, h_k, norms
-                      in zip(stack.points, h.reshape(4, -1), stack.norms))
-    # row i3, column (i0, i1, i2): the compose sums, transposed so that each
-    # add and min runs along a row of M / P_3 values
+    return stack.first_min(h)
+
+
+#: tau / sum_k |m_k|: 4 eps, 8 units in the last place.
+_NEAR = 4 * np.finfo(np.float64).eps
+
+
+def _first_in(scores, ids):
+    """The group indices of the first minimum, row-major, of the compose
+    sums of the (4, P) ``scores`` over the product of the four ascending
+    index arrays ``ids``.  The sums are laid out with the last group's
+    index first, so that each add and min runs along a row of the other
+    three groups' product, and found in two steps: the first (j0, j1, j2)
+    column holding the smallest sum, then the first j3 in that column."""
+    p0, p1, p2, p3 = (row[i] for row, i in zip(scores, ids))
     sums = np.add.outer(p3, np.add.outer(np.add.outer(p0, p1), p2).ravel())
     col = int(sums.min(axis=0).argmin())
-    return col * len(p3) + int(sums[:, col].argmin())
+    rest, j2 = divmod(col, len(p2))
+    j0, j1 = divmod(rest, len(p1))
+    return [int(i[j]) for i, j in zip(ids, (j0, j1, j2, int(sums[:, col].argmin())))]
 
 
 class FactoredTable:
     """A product codebook's coordinate table and scales, held as its four
     groups' (P_k, K/4) ``points`` and (P_k,) ``norms``; ``shape`` is the
-    (M, 4, K/4) of the table it stands for (module docstring)."""
+    (M, 4, K/4) of the table it stands for (module docstring).  The norms
+    are also kept as one (4, max P_k) array, padded with +inf."""
 
     def __init__(self, points, norms):
         self.points, self.norms = tuple(points), tuple(norms)
-        self.shape = (math.prod(map(len, self.points)), 4, self.points[0].shape[1])
+        self.sizes = tuple(map(len, self.points))
+        self.shape = (math.prod(self.sizes), 4, self.points[0].shape[1])
+        self.padded_norms = np.full((4, max(self.sizes)), np.inf)
+        for row, norms_k in zip(self.padded_norms, self.norms):
+            row[:len(norms_k)] = norms_k
 
+    def first_min(self, h):
+        """The first index, row-major, of the smallest compose sum
+        ((p0 + p1) + p2) + p3 of the group scores p_k = points_k . h_k +
+        norms_k, h in four equal slices.
+
+        Each group is scored by its own ``np.dot``, the call
+        ``Codebook.coordinate_metrics`` makes: one stacked product over the
+        padded groups would round some scores differently, as the GEMV
+        kernel splits rows by the padded count.
+
+        With m_k the group minima, A = sum_k |m_k| and u = eps / 2, the
+        near set of group k is every i with p_k[i] <= fl(m_k + tau),
+        tau = 4 eps A.  No tuple outside the product of the near sets is a
+        minimum.  Let S(i) be its rounded sum, S* that of the minima and
+        sigma the exact sums.  Rounded addition is monotone, so if
+        p_j[i_j] is past the cut, S(i) >= T, the rounded sum of the minima
+        with m_j replaced by q, the least float past the cut (q <= p_j[i_j]).
+        Addition has no underflow error, so recursive summation of four
+        terms is off by at most gamma_3 = 3u / (1 - 3u) times the sum of
+        their magnitudes, and T - S* >= (q - m_j)(1 - gamma_3) - 2 gamma_3 A
+        (a T that overflows is +inf, past S*).  Rounding A, tau and
+        m_j + tau loses at most (u + 32 u^2) A plus half the smallest
+        subnormal, and q lies at least one smallest subnormal past the cut,
+        so q - m_j > (7 - 32u) u A > 2 gamma_3 A / (1 - gamma_3), and
+        T > S*.  So S(i) > S*; and every sum is at least S*, by
+        monotonicity.
+
+        Then, when every near set is a single point, the answer is the four
+        argmins raveled.  Otherwise the compose sums and the two-step
+        argmin run over the product of the near sets, each in ascending
+        index order, so the product's row-major order is the codewords'
+        and its first minimum theirs.  With a non-finite minimum, or a
+        non-finite S* + tau, the product is every point of every group,
+        the arithmetic of the all-M scan.
+        """
+        scores = np.zeros(self.padded_norms.shape)
+        for points, h_k, row in zip(self.points, h.reshape(4, -1), scores):
+            np.dot(points, h_k, out=row[:len(points)])
+        scores += self.padded_norms
+        mins = scores.min(axis=1)
+        m0, m1, m2, m3 = mins.tolist()
+        tau = _NEAR * (abs(m0) + abs(m1) + abs(m2) + abs(m3))
+        if not math.isfinite(((m0 + m1) + m2) + m3 + tau):
+            best = _first_in(scores, [np.arange(size) for size in self.sizes])
+        else:
+            near = scores <= (mins + tau)[:, None]
+            if np.count_nonzero(near) == 4:
+                best = scores.argmin(axis=1).tolist()
+            else:
+                best = _first_in(scores, [np.flatnonzero(row) for row in near])
+        _, s1, s2, s3 = self.sizes
+        i0, i1, i2, i3 = best
+        return ((i0 * s1 + i1) * s2 + i2) * s3 + i3
 
 
 class _DlPhdrInfo(ctypes.Structure):

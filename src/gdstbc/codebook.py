@@ -50,17 +50,21 @@ UNITARITY_TOL = 1e-9
 
 #: Largest float64 coordinate table (8 M K bytes) the simulator's
 #: exhaustive rows scan; above it they scan a ``FactoredTable``
-#: (``exhaustive_table``).  benchmarks/bench_kernels.py, us per scan against
-#: a given h (table: one GEMV and an add; factored: the four group scores,
-#: their broadcast sum and the two-step argmin), three runs on a 2-core
-#: x86-64 host: the table is faster in every run up to 0.64 MB (lam 2 M
-#: 10000: 25/30/32 against 36/51/37) and at 1.33 MB (lam 2 M 20736:
-#: 63/72/72 against 80/78/77), the factored scan in every run from
-#: 2.46 MB (lam 2 M 38416: 189/205/179 against 65/66/61; the preset,
-#: 8.4 MB: 337/378/354 against 65/93/87).  At 1.05 MB (lam 4 M 4096) and
-#: 1.28 MB (lam 3 M 10000) the runs split by a few us, so the threshold
-#: sits between 1.33 and 2.46 MB.
-TABLE_SCAN_BYTES = 2_000_000
+#: (``exhaustive_table``).  benchmarks/bench_kernels.py (BLAS on one
+#: thread), us per scan against a given h (table: one GEMV and an add;
+#: factored: the four group scores, their minima and near sets), three runs
+#: on a 2-core x86-64 host: the table is faster in every run up to 0.33 MB
+#: (lam 2 M 256, 0.02 MB: 2.1/2.0/2.0 against 9.6/9.2/9.1; lam 4 M 1296:
+#: 5.4/5.4/5.6 against 9.7/9.1/9.0), the factored scan in every run from
+#: 0.64 MB (lam 2 M 10000: 17.4/17.9/16.6 against 9.9/9.6/9.9; the preset,
+#: 8.4 MB: 381/375/383 against 9.9/10.7/9.8).  At 0.52 MB (lam 3 M 4096)
+#: the runs split (9.5/10.6/10.1 against 10.0/9.0/12.3), so the threshold
+#: sits between 0.52 and 0.64 MB.
+TABLE_SCAN_BYTES = 600_000
+
+#: Most bytes ``verify_full_diversity`` holds for one block of a group's
+#: within-group pairs (one row of the pair grid at least).
+DIFF_BLOCK_BYTES = 2**20
 
 
 def _read(path: str):
@@ -169,7 +173,8 @@ class Codebook:
     (ValueError) past the memory available: ``exhaustive_table`` (what the
     simulator's exhaustive decoder scans: every codeword's real
     coordinates against ``basis`` and its scale from ``coordinate_table``,
-    or on large codebooks a ``FactoredTable``, whose scans make M sums)
+    or on large codebooks a ``FactoredTable``, which sums its groups'
+    scores only over their points near each group's minimum)
     and the full (M, n, n) ``matrices`` stack (for ``decode_exhaustive``).
     """
 
@@ -320,9 +325,11 @@ class Codebook:
         """What the simulator's exhaustive decoder scans, as ``metric_scan``'s
         arguments after h: ``coordinate_table`` up to ``TABLE_SCAN_BYTES`` of
         coordinates, a one-element tuple of a ``FactoredTable`` above.  The
-        factored scan's memory is checked here, once: the M sums and the
-        partial sums of groups 0-1 and 0-2 it holds, and the four groups'
-        scores."""
+        factored scan's memory is checked here, once, for its worst case,
+        where every point of every group ties its group's minimum: the M
+        sums and the partial sums of groups 0-1 and 0-2 it then holds, and
+        the four groups' scores.  A frame with one near point per group
+        holds no M-sized array."""
         if self.M * self.design.K * 8 <= TABLE_SCAN_BYTES:
             return self.coordinate_table()
         s0, s1, s2, _ = self.sizes
@@ -448,11 +455,15 @@ def verify_full_diversity(cb: Codebook) -> DiversityReport:
     design, which proves the block lower bound
     det(dS^H dS) >= max(|det dA|^2, |det dB|^2)^2 for every pair.
 
+    Each group's pairs are taken in blocks of rows of its pair grid, at
+    most ``DIFF_BLOCK_BYTES`` a block, with a running count, minimum and
+    first deficient pair, so the memory does not grow with P^2.
+
     Raises NotGroupDecodableError on a codebook whose grouping fails the
     cross-group anticommutation check, and ValueError on a design that
     fails ``verify_within_group_involutions``, on a within-group difference
-    on more than two coordinates, and when a group's differences do not
-    fit in the memory available.
+    on more than two coordinates, and when a block of a group's differences
+    does not fit in the memory available.
     """
     cb.require_group_decodable()
     if not verify_within_group_involutions(cb.design, cb.grouping):
@@ -465,31 +476,37 @@ def verify_full_diversity(cb: Codebook) -> DiversityReport:
     min_det = math.inf
     for k, points in enumerate(cb.alphabets):
         p, dim = points.shape
-        # triu_indices' P x P mask and its complement; a pair's two indices,
-        # its difference with the two operands it is taken from, and at
-        # most seven floats: small, lo, hi and the temporaries of the rank
-        # rule and of the dets
+        # per pair: its two indices, its difference with the two operands it
+        # is taken from, and at most seven floats: small, lo, hi and the
+        # temporaries of the rank rule and of the dets; per cell of a block's
+        # rows, a byte of the upper-triangle mask.  The first block has the
+        # most pairs.
+        pair_bytes = 16 + 24 * dim + 56
+        rows = max(1, min(p, DIFF_BLOCK_BYTES // (p * (1 + pair_bytes))))
         check_memory(f"verify_full_diversity needs group {k}'s within-group differences",
-                     2 * p * p + p * (p - 1) // 2 * (16 + 24 * dim + 56))
-        i, j = np.triu_indices(p, 1)
-        d = np.abs(points[j] - points[i])
-        d.sort(axis=1)
-        if d[:, :-2].any():
-            t = int(np.flatnonzero(d[:, -3])[0])
-            raise ValueError(f"verify_full_diversity needs within-group differences on at most "
-                             f"two coordinates, but group {k}'s points {i[t]} and {j[t]} "
-                             f"differ on {np.count_nonzero(d[t])}")
-        # the largest |coordinate| and the only other nonzero one (or 0)
-        big, small = d[:, -1], d[:, :-1].sum(axis=1)
-        lo, hi = big - small, big + small
-        deficient = lo <= RANK_RTOL * np.maximum(1.0, hi)
-        if deficient.any():
-            num_def += int(deficient.sum()) * (cb.M // cb.sizes[k])
-            if first_def is None:
-                t = int(np.argmax(deficient))
-                first_def = _single_group_pair(k, i[t], j[t])
-        dets = np.where(deficient, 0.0, (lo * hi) ** (n // 2))
-        min_det = min(min_det, float(dets.min(initial=math.inf)))
+                     rows * p + (rows * (p - 1) - rows * (rows - 1) // 2) * pair_bytes)
+        for first in range(0, p, rows):
+            # the block's pairs (i, j > i), in triu_indices order
+            i, j = np.nonzero(np.arange(p) > np.arange(first, min(first + rows, p))[:, None])
+            i += first
+            d = np.abs(points[j] - points[i])
+            d.sort(axis=1)
+            if d[:, :-2].any():
+                t = int(np.flatnonzero(d[:, -3])[0])
+                raise ValueError(f"verify_full_diversity needs within-group differences on at "
+                                 f"most two coordinates, but group {k}'s points {i[t]} and "
+                                 f"{j[t]} differ on {np.count_nonzero(d[t])}")
+            # the largest |coordinate| and the only other nonzero one (or 0)
+            big, small = d[:, -1], d[:, :-1].sum(axis=1)
+            lo, hi = big - small, big + small
+            deficient = lo <= RANK_RTOL * np.maximum(1.0, hi)
+            if deficient.any():
+                num_def += int(deficient.sum()) * (cb.M // cb.sizes[k])
+                if first_def is None:
+                    t = int(np.argmax(deficient))
+                    first_def = _single_group_pair(k, i[t], j[t])
+            dets = np.where(deficient, 0.0, (lo * hi) ** (n // 2))
+            min_det = min(min_det, float(dets.min(initial=math.inf)))
     all_ok = num_def == 0
     claim = "full diversity verified (exhaustive)" if all_ok \
         else f"at least {num_def} rank-deficient pair(s) found (exhaustive)"

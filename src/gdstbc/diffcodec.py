@@ -243,7 +243,9 @@ def window_frames(cb: Codebook, rngs, nf: int, n_r: int, sigma: float):
     """
     n = cb.n
     h = np.stack([_channel(rng, n, n_r) for rng in rngs])
-    sizes = np.array(cb.sizes)[:, None]
+    # equal sizes as one scalar bound: the same draws, without NumPy's slower
+    # broadcast-bound path
+    sizes = cb.sizes[0] if len(set(cb.sizes)) == 1 else np.array(cb.sizes)[:, None]
     idx = np.stack([rng.integers(0, sizes, (4, nf)) for rng in rngs], axis=1)
     lin_block = np.ravel_multi_index(tuple(idx), cb.sizes)
     y_prev, r_prev = h, None

@@ -75,6 +75,20 @@ def brute_force_decode(matrices, r_t, r_prev, a_prev_sq):
     return best_idx, best_metric
 
 
+def factored_scan(points, norms, h):
+    """Reference exhaustive scan of a product codebook given as its four
+    groups' points and norms: all M compose sums ((p0 + p1) + p2) + p3 of
+    the group scores p_k = points_k . h_k + norms_k, formed by broadcasting
+    with i3 first, and their first minimum in row-major order, found as the
+    first (i0, i1, i2) column holding the smallest sum, then the first i3
+    in it."""
+    p0, p1, p2, p3 = (np.dot(pts, h_k) + nk for pts, h_k, nk
+                      in zip(points, np.reshape(h, (4, -1)), norms))
+    sums = np.add.outer(p3, np.add.outer(np.add.outer(p0, p1), p2).ravel())
+    col = int(sums.min(axis=0).argmin())
+    return col * len(p3) + int(sums[:, col].argmin())
+
+
 def assemble_real_vector(grouping, points_by_group, idx):
     """Place the four chosen group points into the full real variable vector."""
     k_total = sum(len(g) for g in grouping.groups)

@@ -593,6 +593,59 @@ class TestGroupSvdOracle:
         assert rep.all_full_rank and rep.claim == "full diversity verified (exhaustive)"
 
 
+class TestDiversityBlocks:
+    """verify_full_diversity walks each group's pairs in blocks of rows of
+    its pair grid; the block size changes no field of the report."""
+
+    @pytest.mark.parametrize("name", ["hyperbola-AB", "repeated", "lam2-M10000", "lam3-P17"])
+    def test_block_size_changes_no_field(self, name, monkeypatch):
+        rng = np.random.default_rng(52)
+        d2, d3 = construct_design(2), construct_design(3)
+        # rank-deficient pairs scattered through the grid: points on two
+        # radii in one axis direction, some of them repeated
+        scattered = np.zeros((17, 4))
+        scattered[:, 1] = rng.choice([-2.0, -1.0, 1.0, 2.0], 17)
+        cb = {"hyperbola-AB": lambda: Codebook(d2, hyperbola_signal_set([1.0], 0.25,
+                                                                        branch="AB")),
+              "repeated": lambda: Codebook(d2, (np.array([[1.0, 0.0], [-1.0, 0.0],
+                                                          [1.0, 0.0], [0.0, 2.0],
+                                                          [0.0, 2.0]]),) * 4),
+              "lam2-M10000": lambda: Codebook(d2, construct_signal_set(2, 10000)),
+              "lam3-P17": lambda: Codebook(d3, (scattered,) * 4)}[name]()
+        reports = []
+        for limit in (1, 500, 3000, 2**40):
+            monkeypatch.setattr(codebook, "DIFF_BLOCK_BYTES", limit)
+            reports.append(_assert_matches_group_svd(cb))
+        assert len({repr(rep) for rep in reports}) == 1, reports
+
+    def test_refusal_names_the_first_wide_difference_in_any_block(self, monkeypatch):
+        # points 1 and 2 differ on three coordinates, the first such pair in
+        # triu_indices order: row 1 of the pair grid, the second block at one
+        # row a block
+        points = np.zeros((6, 4))
+        points[:, 0] = np.arange(6)
+        points[1, 1] = points[2, 2] = 1.0
+        cb = Codebook(construct_design(3), (points,) * 4)
+        for limit in (1, 200, 2**40):
+            monkeypatch.setattr(codebook, "DIFF_BLOCK_BYTES", limit)
+            with pytest.raises(ValueError, match="group 0's points 1 and 2 differ on 3"):
+                verify_full_diversity(cb)
+
+    def test_memory_is_checked_per_block(self, monkeypatch):
+        # lam 2, P = 2048: the whole group's 2 096 128 differences would take
+        # 260 MB; one block of four rows of the grid (1 MiB at 121 B a cell)
+        # takes 8 192 + 8 186 * 120 B
+        counted = []
+        monkeypatch.setattr(codebook, "check_memory",
+                            lambda need, nbytes: counted.append((need, nbytes)))
+        cb = Codebook(construct_design(2), construct_signal_set(2, 2048**4))
+        counted.clear()
+        verify_full_diversity(cb)
+        block = 4 * 2048 + (4 * 2047 - 6) * 120
+        assert counted == [(f"verify_full_diversity needs group {k}'s within-group "
+                            f"differences", block) for k in range(4)]
+
+
 class TestClosedFormRefusals:
     def test_design_failing_the_involution_check_is_refused(self):
         # group 0's second weight repeats its first: A_0^H A_2 = I, Hermitian

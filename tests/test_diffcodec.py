@@ -326,6 +326,34 @@ class TestBlockBytes:
             assert window_blocks(cb, 9, n_r) == max(1, frames // 9)
 
 
+class TestIndexDraw:
+    """A block's four group-index rows: one scalar bound when the groups'
+    sizes are equal, one bound per row otherwise."""
+
+    @pytest.mark.parametrize("size", [2, 3, 10, 16, 1000, 65536, 2**31 + 1, 2**40])
+    @pytest.mark.parametrize("nf", [1, 9, 100, 256])
+    def test_one_bound_draws_as_four(self, size, nf):
+        # same values, same dtype, same generator state after the draw
+        one, four = (np.random.default_rng([size, nf]) for _ in range(2))
+        got = one.integers(0, size, (4, nf))
+        want = four.integers(0, np.full((4, 1), size), (4, nf))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert one.bit_generator.state == four.bit_generator.state
+
+    @pytest.mark.parametrize("sizes", [(4, 4, 4, 4), (2, 4, 6, 3)])
+    def test_sent_indices_are_each_groups_draws(self, sizes):
+        # after the channel, group k's nf indices in turn, raveled row-major
+        # over the sizes: the per-group draws the oracle replays
+        axis = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        cb = Codebook(construct_design(2), [axis[np.arange(p) % 2] for p in sizes])
+        nf = 12
+        (sent, _, _), = window_frames(cb, [np.random.default_rng(51)], nf, 1, 0.0)
+        rng = np.random.default_rng(51)
+        rng.standard_normal((cb.n, 1, 2))
+        idx = [rng.integers(0, p, nf) for p in sizes]
+        assert sent[0].tolist() == np.ravel_multi_index(idx, sizes).tolist()
+
+
 class TestGroupDecoder:
     def test_noiseless_roundtrip(self, cb16):
         rng = np.random.default_rng(6)

@@ -16,7 +16,7 @@ from gdstbc.diffcodec import decode_exhaustive
 from gdstbc.signalset import construct_signal_set
 from gdstbc.sim import SimConfig, build_codebook
 
-from oracles import noisy_window
+from oracles import factored_scan, noisy_window
 
 
 def _random_problem(rng, m=32, n=4, nr=2):
@@ -363,27 +363,144 @@ class TestFactoredScan:
             assert metric_scan(factored, h) == _scan_table(cb, h)
 
     def test_holds_what_exhaustive_table_counts(self, monkeypatch):
-        # the scan's arrays are the bytes exhaustive_table checks against the
-        # memory available; NumPy's broadcasting add also keeps up to two
-        # 64 KiB iterator buffers, whatever M, which no check counts
+        # exhaustive_table checks the worst case against the memory available:
+        # every point of every group tied, so that the sums run over all M,
+        # with the partial sums of groups 0-1 and 0-2 and the scores.  NumPy's
+        # broadcasting add also keeps up to two 64 KiB iterator buffers,
+        # whatever M, which no check counts.  lam 3, the eight points +-e_i in
+        # each group: every norm is 1, so h = 0 ties all M = 4096 codewords
         monkeypatch.setattr(codebook, "TABLE_SCAN_BYTES", 0)
         counted = []
         monkeypatch.setattr(codebook, "check_memory", lambda need, nbytes: counted.append(nbytes))
-        cb = build_codebook(SimConfig(lam=3, m=4096))
+        unit = np.concatenate((np.eye(4), -np.eye(4)))
+        cb = Codebook(construct_design(3), [unit] * 4, check_decodable=False)
         counted.clear()
         (factored,) = cb.exhaustive_table
         s0, s1, s2, _ = cb.sizes
         assert counted == [8 * (cb.M + s0 * s1 * s2 + s0 * s1 + sum(cb.sizes))]
-        r_t, r_prev, _ = noisy_window(cb, np.random.default_rng(32), 0.1, 2)
-        h = _scaled_h(cb, r_prev, r_t, 0.7)
-        metric_scan(factored, h)
-        tracemalloc.start()
-        try:
-            metric_scan(factored, h)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert 8 * cb.M <= peak <= counted[0] + 2 * 2**16
+        tied = np.zeros(cb.design.K)
+        h = np.random.default_rng(32).standard_normal(cb.design.K)
+        peaks = {}
+        for name, frame_h in (("tied", tied), ("random", h)):
+            metric_scan(factored, frame_h)
+            tracemalloc.start()
+            try:
+                metric_scan(factored, frame_h)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert 8 * cb.M <= peaks["tied"] <= counted[0] + 2 * 2**16, peaks
+        # one near point per group: no M-sized array at all
+        assert peaks["random"] < cb.M, peaks
+
+
+def _hand_codebook(lam, points):
+    """A codebook of the lam design over hand-made alphabets, any sizes."""
+    return Codebook(construct_design(lam), [np.array(p, dtype=float) for p in points],
+                    check_decodable=False)
+
+
+class TestFactoredTieSet:
+    """The factored scan decides from the group minima and the points near
+    them; it must return the all-M scan's index (``oracles.factored_scan``)
+    and ``coordinate_metrics``' first argmin on exact ties, near ties and
+    extreme or non-finite h."""
+
+    @pytest.fixture
+    def tie_calls(self, monkeypatch):
+        # counts the scans that sum over a product of near sets (or all M)
+        calls = []
+        inner = _kernels._first_in
+
+        def spy(scores, ids):
+            calls.append(math.prod(map(len, ids)))
+            return inner(scores, ids)
+
+        monkeypatch.setattr(_kernels, "_first_in", spy)
+        return calls
+
+    @staticmethod
+    def _check(cb, h):
+        want = factored_scan(cb.alphabets, cb.group_norms, h)
+        assert metric_scan(_factored(cb), h) == want == int(cb.coordinate_metrics(h).argmin())
+
+    @staticmethod
+    def _integer_codebooks(rng, count):
+        # lam 2 (two coordinates a group): small integer points, repeated
+        # within a group and across groups, 2 to 6 points a group
+        for _ in range(count):
+            pool = rng.integers(-2, 3, (4, 2))
+            yield _hand_codebook(2, [pool[rng.integers(0, 4, rng.integers(2, 7))]
+                                     for _ in range(4)])
+
+    def test_integer_ties_within_and_across_groups(self, tie_calls):
+        rng = np.random.default_rng(46)
+        for cb in self._integer_codebooks(rng, 60):
+            for _ in range(10):
+                self._check(cb, rng.integers(-2, 3, 8).astype(float))
+        assert tie_calls and max(tie_calls) > 1
+
+    def test_one_ulp_near_ties(self, tie_calls):
+        # integer h moved by one unit in the last place, each way, on one
+        # coordinate at a time: ties split by a single rounding
+        rng = np.random.default_rng(47)
+        for cb in self._integer_codebooks(rng, 30):
+            base = rng.integers(-2, 3, 8).astype(float)
+            for v in range(8):
+                for toward in (-np.inf, np.inf):
+                    h = base.copy()
+                    h[v] = np.nextafter(h[v], toward)
+                    self._check(cb, h)
+        assert tie_calls
+
+    @pytest.mark.parametrize("scale", [5e-324, 1e-310, 1e-12, 1.0, 1e12])
+    def test_subnormal_and_scaled_h(self, scale):
+        # random h scaled down to subnormals and up by 1e12, on the preset,
+        # a lam 2 hyperbola set and integer tables (where the scores of tiny h
+        # round to the norms and tie)
+        rng = np.random.default_rng(48)
+        cbs = [build_codebook(SimConfig(lam=3, m=16**4, preset="paper-8ant-rate2")),
+               build_codebook(SimConfig(lam=2, m=256, family="hyperbola"))]
+        cbs += list(self._integer_codebooks(rng, 10))
+        for cb in cbs:
+            for _ in range(10):
+                self._check(cb, rng.standard_normal(cb.design.K) * scale)
+                self._check(cb, rng.integers(-3, 4, cb.design.K) * scale)
+
+    @pytest.mark.parametrize("lam", [1, 2, 3, 4])
+    def test_zero_h_on_equal_norms_ties_everything(self, lam, tie_calls):
+        # M 16: every group is +-e1, so h = 0 ties all M codewords and the
+        # scan sums the full product; index 0 wins
+        cb = build_codebook(SimConfig(lam=lam, m=16))
+        h = np.zeros(cb.design.K)
+        assert metric_scan(_factored(cb), h) == factored_scan(cb.alphabets, cb.group_norms,
+                                                               h) == 0
+        assert tie_calls == [cb.M]
+
+    def test_unequal_group_sizes(self, tie_calls):
+        # the padded norms (+inf) never win, tie or no tie
+        rng = np.random.default_rng(49)
+        for sizes in ((1, 2, 3, 4), (5, 1, 1, 2), (2, 7, 3, 1), (3, 3, 3, 9)):
+            points = [rng.integers(-1, 2, (p, 2)) for p in sizes]
+            cb = _hand_codebook(2, points)
+            assert _factored(cb).padded_norms.shape == (4, max(sizes))
+            for _ in range(20):
+                self._check(cb, rng.integers(-2, 3, 8).astype(float))
+                self._check(cb, rng.standard_normal(8))
+        assert tie_calls
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e308])
+    def test_non_finite_scores_scan_all_m(self, bad, tie_calls):
+        # a non-finite (or overflowing) minimum: the full product, the
+        # arithmetic of the all-M scan, NaN and infinities included
+        rng = np.random.default_rng(50)
+        cb = _hand_codebook(2, [rng.integers(-1, 2, (p, 2)) for p in (3, 2, 4, 3)])
+        with np.errstate(all="ignore"):
+            for v in range(8):
+                h = rng.standard_normal(8)
+                h[v] = bad
+                self._check(cb, h)
+        assert tie_calls.count(cb.M) >= 1
 
 
 def _load_bench_kernels():
