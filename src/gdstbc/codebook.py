@@ -9,11 +9,11 @@ the average scale factor.
 
 The verifiers never scan codeword pairs.  Weights of different groups
 anticommute and difference vectors are real, so every Gram splits into
-four per-group terms, and each verdict follows exactly, for any M: scaled
-unitarity from one pass over the groups' partial-codeword stacks, full
-diversity in closed form from each group's within-group point
-differences, whose singular values the weights' within-group products
-(traceless Hermitian involutions) fix.
+four per-group terms, and each verdict follows exactly, for any M, from
+the alphabets and the weights' within-group products (traceless Hermitian
+involutions): scaled unitarity from each group point's monomial excess,
+full diversity in closed form from each group's within-group point
+differences, whose singular values those products fix.
 """
 
 from __future__ import annotations
@@ -156,19 +156,20 @@ class DiversityReport:
 
 
 class Codebook:
-    """design x signal set, with per-group partial-codeword stacks.
+    """design x signal set: the weights and the four groups' alphabets.
 
     The signal set is ``alphabets``: four 2-D arrays of K/4 columns, group
     k's P_k points in R^(K/4), as the ``signalset`` constructors return
     them.  The constructor refuses (ValueError) any other shape, and keeps
     its own read-only float64 copies as ``alphabets``; ``group_norms[k][p]``
-    is |x_k(p)|^2.  ``group_stacks[k][p]`` holds S_k(p), the contribution
-    of group k's point p to the codeword matrix; ``compose`` sums four
-    partials into a codeword, or their ``group_norms`` into its scale.
-    The constructor refuses (ValueError) partials that do not fit in the
-    memory available.  ``basis_taps`` tells ``correlate`` how to read the
-    correlation of a frame with every ``basis`` weight, ``chain_tables``
-    the encoder how to apply a partial codeword as row gathers.  Only
+    is |x_k(p)|^2.  A codebook holds nothing else per point: ``partials``
+    forms S_k(p), the contribution of group k's point p to the codeword
+    matrix, on demand, and ``compose`` sums four group parts at an index
+    tuple (a codeword's ``group_norms`` into its scale).  ``basis_taps``
+    tells ``correlate`` how to read the correlation of a frame with every
+    ``basis`` weight, ``chain_tables`` the encoder how to apply a partial
+    codeword as row gathers, and ``max_unitarity_residual`` each partial's
+    excess over scaled unitarity.  Only
     exhaustive decoding needs M-sized arrays, built lazily, and refused
     (ValueError) past the memory available: ``exhaustive_table`` (what the
     simulator's exhaustive decoder scans: every codeword's real
@@ -200,18 +201,13 @@ class Codebook:
         self.grouping = grouping
         self.sizes = tuple(len(a) for a in alphabets)
         self.M = math.prod(self.sizes)
-        check_memory("Codebook needs its partial codewords",
-                     sum(self.sizes) * design.n * design.n * 16)
-        self.group_stacks = [
-            np.tensordot(points,
-                         design.weight_stack[np.asarray(grouping.groups[k], dtype=np.intp)],
-                         axes=(1, 0))
-            for k, points in enumerate(alphabets)
-        ]
         self.group_norms = [np.einsum("pd,pd->p", points, points) for points in alphabets]
         self.group_decodable = (
             verify_group_decodable(design, grouping) if check_decodable else None
         )
+        #: ``verify_within_group_involutions``' verdict, once
+        #: ``require_within_group_involutions`` ran.
+        self.within_group_involutions = None
         #: ``max_unitarity_residual()``, once ``require_scaled_unitary`` ran.
         self.unitarity_residual = None
 
@@ -240,14 +236,29 @@ class Codebook:
     @staticmethod
     def compose(parts, idx):
         """Group ``parts`` summed at index tuples ``idx``, shape (4, ...), left
-        to right: codewords from ``group_stacks``, scales from ``group_norms``."""
+        to right: scales from ``group_norms``, or anything indexed by group
+        point, such as the four groups' scores."""
         return parts[0][idx[0]] + parts[1][idx[1]] + parts[2][idx[2]] + parts[3][idx[3]]
+
+    def partials(self, k: int, idx=slice(None)) -> np.ndarray:
+        """S_k(p) = sum_v x_v A_v for group k's points p at ``idx`` (an index,
+        a slice or an index array; all P_k points by default), formed from
+        the alphabet and group k's slice of ``basis``: shape
+        (*the points' shape, n, n)."""
+        dim = self.design.K // 4
+        return np.tensordot(self.alphabets[k][idx], self.basis[k * dim:(k + 1) * dim], 1)
+
+    def _codewords(self, idx):
+        """The codewords at index tuples ``idx``, shape (4, ...): their four
+        ``partials`` summed left to right, like ``compose``."""
+        s0, s1, s2, s3 = (self.partials(k, i) for k, i in enumerate(idx))
+        return s0 + s1 + s2 + s3
 
     @cached_property
     def matrices(self) -> np.ndarray:
         """All M codeword matrices, row-major over the index tuples."""
         check_memory("decode_exhaustive needs Codebook.matrices", self.M * self.n * self.n * 16)
-        full = self.compose(self.group_stacks, np.ogrid[tuple(map(slice, self.sizes))])
+        full = self._codewords(np.ogrid[tuple(map(slice, self.sizes))])
         return np.ascontiguousarray(full.reshape(self.M, self.n, self.n))
 
     @cached_property
@@ -285,15 +296,19 @@ class Codebook:
         coordinate x_v, as x_v times weight v's row entries and their columns.
         T is the most nonzero coordinates of any point (1 on the axis family,
         2 on the hyperbola family); a point with fewer has zero factors past
-        them."""
+        them.  The tables are refused (ValueError) past the memory available,
+        counted with the (sum P_k, n) column and value arrays that
+        ``max_unitarity_residual`` derives from them."""
         basis = self.basis
         if (np.count_nonzero(basis, axis=2) != 1).any():
             raise ValueError("the differential chain needs design weights with one nonzero "
                              "per row, but the design has a weight that is not monomial")
-        cols = np.argmax(basis != 0, axis=2)
-        entries = np.take_along_axis(basis, cols[..., None], axis=2)[..., 0]
         points = np.concatenate(self.alphabets)
         width = max(1, int(np.count_nonzero(points, axis=1).max()))
+        check_memory("Codebook.chain_tables needs its monomial tables",
+                     len(points) * self.n * 24 * (width + 1))
+        cols = np.argmax(basis != 0, axis=2)
+        entries = np.take_along_axis(basis, cols[..., None], axis=2)[..., 0]
         coord = np.argsort(points == 0, axis=1, kind="stable")[:, :width]
         dim = self.design.K // 4
         weight = coord + np.repeat(np.arange(4) * dim, self.sizes)[:, None]
@@ -365,7 +380,7 @@ class Codebook:
         for k, i in enumerate(idx):
             if not 0 <= i < self.sizes[k]:
                 raise IndexError(f"group {k} index {i} out of range [0, {self.sizes[k]})")
-        return Codeword(matrix=self.compose(self.group_stacks, idx),
+        return Codeword(matrix=self._codewords(idx),
                         scale_sq=float(self.compose(self.group_norms, idx)), index=idx)
 
     def require_group_decodable(self):
@@ -377,6 +392,18 @@ class Codebook:
             raise NotGroupDecodableError(
                 "codebook's grouping failed the cross-group anticommutation check"
             )
+
+    def require_within_group_involutions(self):
+        """Run ``verify_within_group_involutions`` once; raise ValueError
+        unless it passed.  The closed forms of ``max_unitarity_residual``
+        and ``verify_full_diversity`` rest on it."""
+        if self.within_group_involutions is None:
+            self.within_group_involutions = verify_within_group_involutions(self.design,
+                                                                            self.grouping)
+        if not self.within_group_involutions:
+            raise ValueError("the codebook's closed-form checks need within-group weight "
+                             "products that are traceless Hermitian involutions, but the "
+                             "design fails verify_within_group_involutions")
 
     def require_scaled_unitary(self):
         """Compute ``max_unitarity_residual`` once; raise ValueError unless
@@ -408,15 +435,42 @@ class Codebook:
         zero iff each E_k is the same for every point and the four sum to
         zero, i.e. iff every codeword is scaled unitary (the hyperbola
         family's +c and -c excesses cancel this way).
+
+        Each excess is read off ``chain_tables``.  With unitary weights whose
+        within-group products U = A_a^H A_b are Hermitian
+        (``require_within_group_involutions``), a point on the coordinates
+        a and b has E = 2 x_a x_b U, monomial like its weights: row
+        cols[p, 0, r] holds 2 conj(factors[p, 0, r]) factors[p, 1, r] in
+        column cols[p, 1, r], and a point on one coordinate has E = 0.  So
+        the bound costs O(P_k n) per group, not P_k products of n x n
+        matrices.  Raises NotGroupDecodableError first, then ValueError on a
+        design that fails the involution check and on a point on more than
+        two coordinates.
         """
         self.require_group_decodable()
-        eye = np.eye(self.n)
+        self.require_within_group_involutions()
+        offsets, cols, factors = self.chain_tables
+        terms = cols.shape[1]
+        if terms > 2:
+            raise ValueError(f"max_unitarity_residual needs group points on at most two "
+                             f"coordinates, but a point lies on {terms}")
+        if terms == 1:
+            return 0.0
+        n = self.n
+        where = np.empty((len(cols), n), dtype=np.intp)
+        np.put_along_axis(where, cols[:, 0], cols[:, 1], axis=1)
+        values = np.empty((len(cols), n), dtype=np.complex128)
+        np.put_along_axis(values, cols[:, 0], 2 * factors[:, 0].conj() * factors[:, 1], axis=1)
         bound = 0.0
-        base = np.zeros((self.n, self.n), dtype=np.complex128)
-        for stack, norms in zip(self.group_stacks, self.group_norms):
-            excess = np.einsum("pji,pjk->pik", stack.conj(), stack) - norms[:, None, None] * eye
-            bound += float(np.max(np.abs(excess - excess[0])))
-            base += excess[0]
+        base = np.zeros((n, n), dtype=np.complex128)
+        for lo, size in zip(offsets, self.sizes):
+            w, v = where[lo:lo + size], values[lo:lo + size]
+            # a row of E_k(p) - E_k(0) holds one difference where both excesses
+            # share its column, and both of them where they do not
+            same = w == w[0]
+            bound += float(np.where(same, np.abs(v - v[0]),
+                                    np.maximum(np.abs(v), np.abs(v[0]))).max())
+            base[np.arange(n), w[0]] += v[0]
         return bound + float(np.max(np.abs(base)))
 
 
@@ -461,15 +515,12 @@ def verify_full_diversity(cb: Codebook) -> DiversityReport:
 
     Raises NotGroupDecodableError on a codebook whose grouping fails the
     cross-group anticommutation check, and ValueError on a design that
-    fails ``verify_within_group_involutions``, on a within-group difference
-    on more than two coordinates, and when a block of a group's differences
-    does not fit in the memory available.
+    fails ``Codebook.require_within_group_involutions``, on a within-group
+    difference on more than two coordinates, and when a block of a group's
+    differences does not fit in the memory available.
     """
     cb.require_group_decodable()
-    if not verify_within_group_involutions(cb.design, cb.grouping):
-        raise ValueError("verify_full_diversity needs within-group weight products that are "
-                         "traceless Hermitian involutions, but the design fails "
-                         "verify_within_group_involutions")
+    cb.require_within_group_involutions()
     n = cb.n
     num_def = 0
     first_def = None

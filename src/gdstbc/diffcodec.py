@@ -296,18 +296,24 @@ def decode_group(cb: Codebook, r_t, r_prev, a_prev_sq: float) -> DecodeResult:
     It needs a group-decodable, scaled-unitary codebook: a failing
     grouping raises NotGroupDecodableError, then a codebook that is not
     scaled unitary ValueError (``Codebook.require_scaled_unitary``).  The
-    reported metric is the full differential metric re-evaluated at the
-    assembled decision, so it is directly comparable with the exhaustive
-    decoder's.
+    reported metric is the full differential metric
+    || r_t - S_m r_prev / sqrt(a) ||^2 at the assembled decision m, so it is
+    directly comparable with the exhaustive decoder's.  It is read off the
+    correlation the decision used, in the coordinate form
+    ||r_t||^2 + energy / a * a_m - 2 / sqrt(a) * (x_m . g) (``correlate``),
+    with a = ``a_prev_sq`` and x_m the decision's four group points in
+    ``Codebook.basis`` order.
     """
     cb.require_scaled_unitary()
     r_t = _as_receive(r_t, cb.n)
     r_prev = _as_receive(r_prev, cb.n)
-    (lin,), _ = decide_group(cb, *correlate(cb, r_t[None], r_prev), a_prev_sq)
+    g, energy = correlate(cb, r_t[None], r_prev)
+    (lin,), a_m = decide_group(cb, g, energy, a_prev_sq)
     idx = cb.unravel_index(lin)
-    diff = r_t - (1.0 / math.sqrt(a_prev_sq)) * (cb.compose(cb.group_stacks, idx) @ r_prev)
-    return DecodeResult(index=idx, metric=float(np.vdot(diff, diff).real),
-                        evaluations=sum(cb.sizes))
+    x = np.concatenate([points[i] for points, i in zip(cb.alphabets, idx)])
+    metric = (np.vdot(r_t, r_t).real + energy[0] / a_prev_sq * a_m
+              - 2.0 / math.sqrt(a_prev_sq) * float(np.dot(x, g[0])))
+    return DecodeResult(index=idx, metric=float(metric), evaluations=sum(cb.sizes))
 
 
 def correlate(cb: Codebook, r, r_prev):

@@ -286,13 +286,19 @@ def _codebook(lam, m, family, radii, preset, c) -> Codebook:
 def prepare(cfg: SimConfig) -> Codebook:
     """Require the config's cached codebook to be group decodable and
     scaled unitary (``require_scaled_unitary``; the differential chain needs
-    it whatever the decoder), build what the exhaustive rows scan
+    it whatever the decoder; its bound builds what the encoder gathers,
+    ``chain_tables``, which refuses a weight that is not monomial and
+    tables past the memory available), build what the exhaustive rows scan
     (``exhaustive_table``, after its memory check), and check that a window
     of the sweep's largest fading blocks fits in the memory available
-    (``block_bytes``: the group-index draws of its blocks and its arrays;
-    it builds what the encoder gathers, ``chain_tables``, which refuses a
-    weight that is not monomial), so errors come before a sweep.  ``cfg``
-    itself was checked when it was constructed."""
+    (``block_bytes``: the group-index draws of its blocks and its arrays),
+    so errors come before a sweep.  ``cfg`` itself was checked when it was
+    constructed.  A signal set of 2^63 or more codewords is refused
+    (ValueError) before its codebook is built: a frame's linear index
+    (``window_frames``) is an int64."""
+    if cfg.m >= 2**63:
+        raise ValueError(f"the simulator indexes codewords as int64, so it needs fewer than "
+                         f"2^63 codewords, but the signal set has {cfg.m}")
     cb = _codebook(cfg.lam, cfg.m, cfg.family, cfg.radii, cfg.preset, cfg.c)
     cb.require_scaled_unitary()
     if "exhaustive" in cfg.decoders():

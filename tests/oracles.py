@@ -2,8 +2,10 @@
 
 Deliberately naive: cofactor determinants, straight-line metric scans,
 a frame-by-frame differential chain, codeword-pair scans, one SVD per
-within-group difference, int64 weight algebra.  Nothing here shares code
-with the paths under test beyond the full-rank threshold RANK_RTOL.
+within-group difference, dense n x n excesses, int64 weight algebra.
+Nothing here shares code with the paths under test beyond the full-rank
+threshold RANK_RTOL and the partial codewords ``Codebook.partials`` forms
+(checked against the weights directly in test_codebook).
 """
 
 from itertools import combinations
@@ -210,8 +212,8 @@ def pair_scan(cb):
 def group_svd_verdict(cb):
     """Reference full-diversity verdicts from one SVD per within-group difference.
 
-    Every difference of two points of one group, D = S_k(q) - S_k(p) read off
-    ``group_stacks``, in ``triu_indices`` order group by group: its rank by
+    Every difference of two points of one group, D = S_k(q) - S_k(p) from
+    ``Codebook.partials``, in ``triu_indices`` order group by group: its rank by
     the package's full-rank rule and |det D| as the product of its singular
     values, 0.0 for a difference the rule calls singular.  Returns
     ``all_full_rank``, ``num_rank_deficient`` (the pairs that differ in one
@@ -219,7 +221,8 @@ def group_svd_verdict(cb):
     tuples), ``min_abs_det`` and ``coding_gain`` = ``min_abs_det`` ** (2/n).
     """
     num_def, first_def, min_det = 0, None, np.inf
-    for k, stack in enumerate(cb.group_stacks):
+    for k in range(4):
+        stack = cb.partials(k)
         i, j = np.triu_indices(stack.shape[0], 1)
         if not len(i):
             continue
@@ -236,3 +239,20 @@ def group_svd_verdict(cb):
     return {"all_full_rank": num_def == 0, "num_rank_deficient": num_def,
             "first_deficient_pair": first_def, "min_abs_det": min_det,
             "coding_gain": min_det ** (2.0 / cb.n)}
+
+
+def dense_unitarity_residual(cb):
+    """Reference ``Codebook.max_unitarity_residual``: the same bound,
+    sum_k max_p ||E_k(p) - E_k(0)|| + ||sum_k E_k(0)|| (largest |entry|),
+    from every group point's dense excess
+    E_k(p) = S_k(p)^H S_k(p) - |x_k(p)|^2 I, one einsum per group over its
+    partial codewords."""
+    eye = np.eye(cb.n)
+    bound = 0.0
+    base = np.zeros((cb.n, cb.n), dtype=np.complex128)
+    for k, norms in enumerate(cb.group_norms):
+        stack = cb.partials(k)
+        excess = np.einsum("pji,pjk->pik", stack.conj(), stack) - norms[:, None, None] * eye
+        bound += float(np.max(np.abs(excess - excess[0])))
+        base += excess[0]
+    return bound + float(np.max(np.abs(base)))

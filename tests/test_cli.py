@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from gdstbc import cli, codebook, signalset
+from gdstbc import cli, codebook, signalset, sim
 from gdstbc.codebook import Codebook, NotGroupDecodableError
 from gdstbc.sim import CSV_HEADER, build_codebook
 
@@ -185,15 +185,15 @@ class TestCodebookCommand:
         assert reports[0] == reports[1]
         assert json.loads(reports[0])["full_diversity"] == "full diversity verified (exhaustive)"
 
-    def test_partials_past_the_memory_budget_are_config_error(self, capsys, monkeypatch):
-        # lam 6, P = 20 000: 80 000 partial codewords of 64 x 64, 5.2 GB, kept as
-        # four group stacks
-        monkeypatch.setattr(codebook, "_available_bytes", lambda: 10**9)
+    def test_chain_tables_past_the_memory_budget_are_config_error(self, capsys, monkeypatch):
+        # lam 6, P = 20 000: 80 000 one-coordinate points, each with 64 table
+        # columns and factors and 64 residual columns and values, 245.8 MB
+        monkeypatch.setattr(codebook, "_available_bytes", lambda: 10**8)
         code, out, err = run_cli(capsys, "codebook", "verify", "--lambda", "6",
                                  "--points", str(20_000**4))
         assert code == 2 and out == ""
-        assert err == ("configuration error: Codebook needs its partial codewords, "
-                       "5242.9 MB, but only 1000.0 MB of memory is available\n")
+        assert err == ("configuration error: Codebook.chain_tables needs its monomial "
+                       "tables, 245.8 MB, but only 100.0 MB of memory is available\n")
 
     def test_bad_mode(self, capsys):
         # every verdict is exhaustive, so codebook verify takes no --mode
@@ -304,10 +304,10 @@ class TestSimulateCommand:
         assert kept.read_bytes() == b"earlier results\n"
 
     @pytest.mark.parametrize("budget, args, need", [
-        (10**9, ("--lambda", "6", "--points", str(20_000**4)),
-         "Codebook needs its partial codewords, 5242.9 MB, but only 1000.0 MB"),
-        (10**6, ("--lambda", "2", "--points", str((2 * 10**6) ** 4)),
-         "a group of 2000000 points needs its radii and points, 40.0 MB, but only 1.0 MB"),
+        (10**8, ("--lambda", "6", "--points", str(20_000**4)),
+         "Codebook.chain_tables needs its monomial tables, 245.8 MB, but only 100.0 MB"),
+        (10**5, ("--lambda", "2", "--points", str(50_000**4)),
+         "a group of 50000 points needs its radii and points, 1.0 MB, but only 0.1 MB"),
     ])
     def test_group_only_refusal_leaves_out_untouched(self, capsys, monkeypatch, tmp_path,
                                                       budget, args, need):
@@ -319,6 +319,19 @@ class TestSimulateCommand:
         assert code == 2 and stdout == ""
         assert err == f"configuration error: {need} of memory is available\n"
         assert kept.read_bytes() == b"earlier results\n"
+
+    def test_int64_index_range_is_refused_before_the_codebook(self, capsys, monkeypatch):
+        # M = 2^64 linear indices do not fit an int64
+        def unbuilt(*args):
+            raise AssertionError("the codebook was built")
+
+        monkeypatch.setattr(sim, "_codebook", unbuilt)
+        code, stdout, err = run_cli(capsys, "simulate", "--lambda", "2", "--points",
+                                    str(2**64), "--snr-db", "0", "--frames", "10")
+        assert code == 2 and stdout == ""
+        assert err == ("configuration error: the simulator indexes codewords as int64, so "
+                       "it needs fewer than 2^63 codewords, but the signal set has "
+                       "18446744073709551616\n")
 
     def test_whole_burst_past_the_memory_budget_leaves_out_untouched(self, capsys,
                                                                       tmp_path):

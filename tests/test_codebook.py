@@ -30,9 +30,15 @@ from gdstbc.signalset import (
     normalize_radii,
     preset_signal_set,
 )
-from gdstbc.sim import SimConfig, build_codebook
+from gdstbc.sim import SimConfig, build_codebook, build_signal_set
 
-from oracles import assemble_real_vector, cofactor_det, group_svd_verdict, pair_scan
+from oracles import (
+    assemble_real_vector,
+    cofactor_det,
+    dense_unitarity_residual,
+    group_svd_verdict,
+    pair_scan,
+)
 
 
 @pytest.fixture(scope="module")
@@ -74,15 +80,21 @@ class TestCodewordAssembly:
             assert np.array_equal(cb16.matrices[lin], cb16.codeword_at(idx).matrix)
             assert scales[lin] == cb16.codeword_at(idx).scale_sq
 
-    def test_group_stacks_hold_each_group_once(self, cb16):
-        # four separate arrays, one partial codeword per group point
-        assert not hasattr(cb16, "partials")
-        for k, (stack, size) in enumerate(zip(cb16.group_stacks, cb16.sizes)):
+    def test_partials_are_formed_on_demand(self, cb16):
+        # a codebook keeps no per-point n x n array; S_k(p) is formed from the
+        # alphabet and group k's weights, for all points or any of them
+        cb = Codebook(cb16.design, cb16.alphabets)
+        held = [a for v in vars(cb).values() for a in (v if isinstance(v, (list, tuple))
+                                                        else (v,))]
+        assert not any(isinstance(a, np.ndarray) and a.shape[-2:] == (cb.n, cb.n)
+                       for a in held)
+        for k, size in enumerate(cb16.sizes):
+            stack = cb16.partials(k)
             assert stack.shape == (size, cb16.n, cb16.n) and stack.flags.c_contiguous
-            assert not any(np.shares_memory(stack, other)
-                           for other in cb16.group_stacks[k + 1:])
             weights = cb16.design.weight_stack[list(cb16.grouping.groups[k])]
             assert np.array_equal(stack, np.tensordot(cb16.alphabets[k], weights, 1))
+            for p in range(size):
+                assert np.array_equal(cb16.partials(k, p), stack[p])
 
     def test_group_tables_view_the_alphabets(self, cb16):
         # what decide_group scans per group, built once: read-only views
@@ -104,10 +116,10 @@ class TestCodewordAssembly:
         offsets, cols, factors = cb.chain_tables
         assert cols.shape == factors.shape == (sum(cb.sizes), terms, cb.n)
         y = np.random.default_rng(cb.n).standard_normal((cb.n, 3, 2)).view(complex)[..., 0]
-        for k, stack in enumerate(cb.group_stacks):
+        for k in range(4):
             rows = slice(offsets[k], offsets[k] + cb.sizes[k])
             gathered = (factors[rows, ..., None] * y[cols[rows]]).sum(axis=1)
-            assert np.allclose(gathered, stack @ y, rtol=0, atol=1e-12)
+            assert np.allclose(gathered, cb.partials(k) @ y, rtol=0, atol=1e-12)
 
     def test_chain_tables_refuse_a_weight_that_is_not_monomial(self):
         cb = Codebook(construct_design(2), construct_signal_set(2, 16))
@@ -322,6 +334,101 @@ class TestScaledUnitarity:
         assert calls == [1, 1]
 
 
+def _perturbed_hyperbola():
+    good = hyperbola_signal_set([1.0], 0.25)
+    pts = good[0].copy()
+    pts[0, 0] += 0.1  # one point off the hyperbola x*y = c
+    return (pts, *good[1:])
+
+
+@st.composite
+def _two_coordinate_alphabets(draw):
+    """lam 1-5 and four alphabets of 1-4 points, each point on 0-2 random
+    coordinates of K/4 with random values."""
+    lam = draw(st.integers(1, 5))
+    dim = construct_design(lam).K // 4
+    value = st.floats(-2.0, 2.0, allow_nan=False, width=32)
+    alphabets = []
+    for _ in range(4):
+        points = np.zeros((draw(st.integers(1, 4)), dim))
+        for row in points:
+            coords = draw(st.lists(st.integers(0, dim - 1), max_size=2, unique=True))
+            row[coords] = [draw(value) for _ in coords]
+        alphabets.append(points)
+    return lam, alphabets
+
+
+class TestMonomialResidual:
+    """``max_unitarity_residual`` reads each group point's excess off
+    ``chain_tables``; it equals the dense bound over S_k(p)^H S_k(p) exactly."""
+
+    @pytest.mark.parametrize("lam, sset", [
+        *((lam, construct_signal_set(lam, 16)) for lam in range(1, 7)),
+        (2, construct_signal_set(2, 10000)),
+        (3, preset_signal_set("paper-8ant-rate2")),
+        *((2, hyperbola_signal_set([1.0], 0.25, branch=b)) for b in ("A", "B", "AB")),
+        (2, build_signal_set(SimConfig(lam=2, m=256, family="hyperbola"))),
+        (2, _perturbed_hyperbola()),
+        (2, (np.array([[1.0, 1.0], [-1.0, -1.0]]),) * 4),
+        (2, (np.array([[1.0, 0.0], [1.0, 0.0]]),) * 4),
+    ], ids=[*(f"lam{lam}" for lam in range(1, 7)), "lam2-M10000", "preset",
+            "hyperbola-A", "hyperbola-B", "hyperbola-AB", "hyperbola-M256",
+            "perturbed-hyperbola", "same-sign", "repeated"])
+    def test_equals_the_dense_bound(self, lam, sset):
+        cb = Codebook(construct_design(lam), sset)
+        assert cb.max_unitarity_residual() == dense_unitarity_residual(cb)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=_two_coordinate_alphabets())
+    def test_random_two_coordinate_alphabets(self, case):
+        lam, alphabets = case
+        cb = Codebook(construct_design(lam), alphabets)
+        assert cb.max_unitarity_residual() == dense_unitarity_residual(cb)
+
+    def test_point_on_three_coordinates_is_refused(self):
+        points = np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        cb = Codebook(construct_design(3), (points,) * 4)
+        with pytest.raises(ValueError, match="at most two coordinates, but a point lies on 3"):
+            cb.max_unitarity_residual()
+
+    def test_design_failing_the_involution_check_is_refused(self):
+        d = construct_design(3)
+        w = d.weight_stack.copy()
+        g0 = canonical_grouping(d).groups[0]
+        w[g0[1]] = w[g0[0]]
+        cb = Codebook(LinearDesign(w), construct_signal_set(3, 16))
+        with pytest.raises(ValueError, match="verify_within_group_involutions"):
+            cb.max_unitarity_residual()
+        assert cb.within_group_involutions is False
+
+    def test_one_involution_verdict_per_codebook(self, monkeypatch):
+        calls = []
+        verdict = codebook.verify_within_group_involutions
+
+        def counted(d, grp):
+            calls.append(1)
+            return verdict(d, grp)
+
+        monkeypatch.setattr(codebook, "verify_within_group_involutions", counted)
+        cb = Codebook(construct_design(3), construct_signal_set(3, 256))
+        cb.max_unitarity_residual()
+        verify_full_diversity(cb)
+        cb.max_unitarity_residual()
+        assert calls == [1] and cb.within_group_involutions is True
+
+    def test_chain_tables_past_the_memory_budget_are_refused(self, monkeypatch):
+        # lam 2, 4 x 16 one-coordinate points: (64, 1, 4) columns and factors
+        # and the residual's (64, 4) columns and values, 24 bytes an entry
+        monkeypatch.setattr(codebook, "_available_bytes", lambda: 12_287)
+        cb = Codebook(construct_design(2), construct_signal_set(2, 16**4))
+        with pytest.raises(ValueError, match=r"Codebook\.chain_tables needs its monomial "
+                                             r"tables, 0\.0 MB"):
+            cb.max_unitarity_residual()
+        assert "chain_tables" not in cb.__dict__
+        monkeypatch.setattr(codebook, "_available_bytes", lambda: 12_288)
+        assert cb.max_unitarity_residual() == 0.0
+
+
 class TestFullDiversity:
     def test_lambda2_exhaustive(self, cb16):
         rep = verify_full_diversity(cb16)
@@ -373,6 +480,7 @@ class TestFullDiversity:
             verify_full_diversity(cb)
         with pytest.raises(NotGroupDecodableError):
             cb.max_unitarity_residual()
+        assert cb.within_group_involutions is None  # the grouping is refused first
 
     def test_unchecked_codebook_is_checked_on_demand(self):
         cb = Codebook(construct_design(2), construct_signal_set(2, 16), check_decodable=False)
@@ -528,6 +636,7 @@ def _assert_matches_pair_scan(cb):
     assert (rep.coding_gain == 0.0) == (not rep.all_full_rank)
     assert rep.bound_holds == (ref["min_rel_bound_margin"] >= -1e-9)
     resid = cb.max_unitarity_residual()
+    assert resid == dense_unitarity_residual(cb)
     assert (resid <= 1e-9) == (ref["max_unitarity_residual"] <= 1e-9)
     assert resid >= ref["max_unitarity_residual"] - 1e-12
     return rep
@@ -589,8 +698,10 @@ class TestGroupSvdOracle:
         (3, preset_signal_set("paper-8ant-rate2")),
     ], ids=["lam5-M16", "lam6-M16", "lam3-P256", "lam2-M10000", "preset"])
     def test_unreachable_by_the_pair_scan(self, lam, alphabets):
-        rep = _assert_matches_group_svd(Codebook(construct_design(lam), alphabets))
+        cb = Codebook(construct_design(lam), alphabets)
+        rep = _assert_matches_group_svd(cb)
         assert rep.all_full_rank and rep.claim == "full diversity verified (exhaustive)"
+        assert cb.max_unitarity_residual() == dense_unitarity_residual(cb)
 
 
 class TestDiversityBlocks:

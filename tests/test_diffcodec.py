@@ -390,13 +390,14 @@ class TestGroupDecoder:
 
     def test_matches_direct_per_group_scans(self):
         # each group's winner minimises || r_t - inv_a S_k(p) r_prev ||^2 over
-        # its partial codewords, as the direct scan of the group stack finds it
+        # its partial codewords, as the direct scan of all of them finds it
         cb = Codebook(construct_design(3), construct_signal_set(3, 256))
         rng = np.random.default_rng(11)
         for _ in range(200):
             r_t, r_prev, a_sq, _ = random_window(cb, rng)
             inv_a = 1.0 / math.sqrt(a_sq)
-            per_group = tuple(metric_scan(s, r_prev, r_t, inv_a)[0] for s in cb.group_stacks)
+            per_group = tuple(metric_scan(cb.partials(k), r_prev, r_t, inv_a)[0]
+                              for k in range(4))
             assert decode_group(cb, r_t, r_prev, a_sq).index == per_group
 
     def test_is_decide_group_on_one_frame(self, monkeypatch):
@@ -464,8 +465,8 @@ class TestMetricDecomposition:
             inv_a = 1.0 / math.sqrt(a_sq)
             u = cb16.codeword_at(idx).matrix
             full = float(np.linalg.norm(r_t - inv_a * (u @ r_prev)) ** 2)
-            parts = [float(np.linalg.norm(r_t - inv_a * (stack[i] @ r_prev)) ** 2)
-                     for stack, i in zip(cb16.group_stacks, idx)]
+            parts = [float(np.linalg.norm(r_t - inv_a * (cb16.partials(k, i) @ r_prev)) ** 2)
+                     for k, i in enumerate(idx)]
             recombined = sum(parts) - 3 * float(np.linalg.norm(r_t) ** 2)
             assert recombined == pytest.approx(full, rel=1e-6)
 

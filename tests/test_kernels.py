@@ -16,7 +16,7 @@ from gdstbc.diffcodec import decode_exhaustive
 from gdstbc.signalset import construct_signal_set
 from gdstbc.sim import SimConfig, build_codebook
 
-from oracles import factored_scan, noisy_window
+from oracles import dense_unitarity_residual, factored_scan, noisy_window
 
 
 def _random_problem(rng, m=32, n=4, nr=2):
@@ -139,7 +139,7 @@ SCALED_CONFIGS = {
 @pytest.fixture(scope="module", params=sorted(SCALED_CONFIGS))
 def scaled_cb(request):
     cb = build_codebook(SimConfig(**SCALED_CONFIGS[request.param]))
-    assert cb.max_unitarity_residual() <= 1e-9
+    assert cb.max_unitarity_residual() == dense_unitarity_residual(cb) <= 1e-9
     return cb
 
 

@@ -18,6 +18,8 @@ from gdstbc.signalset import (
 )
 from gdstbc.sim import SimConfig, build_signal_set
 
+from oracles import dense_unitarity_residual
+
 # the published 8-antenna radii, as given (before normalisation)
 R1 = 0.3235
 PAPER_RADII = (
@@ -266,11 +268,15 @@ class TestFullDiversity:
 
 class TestScaledUnitarity:
     """Every codeword a set induces is scaled unitary, as the codebook built on
-    it decides (``Codebook.max_unitarity_residual``, exact for every M)."""
+    it decides (``Codebook.max_unitarity_residual``, exact for every M, and
+    equal to the dense bound)."""
 
     @staticmethod
     def residual(sset, lam):
-        return Codebook(construct_design(lam), sset).max_unitarity_residual()
+        cb = Codebook(construct_design(lam), sset)
+        resid = cb.max_unitarity_residual()
+        assert resid == dense_unitarity_residual(cb)
+        return resid
 
     @pytest.mark.parametrize("lam,m", [(1, 16), (2, 16), (2, 256), (3, 4096)])
     def test_axis_family(self, lam, m):
