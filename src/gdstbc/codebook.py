@@ -33,6 +33,7 @@ from .design import (
     verify_doubling_blocks,
     verify_group_decodable,
     verify_within_group_involutions,
+    weight_products,
 )
 
 #: Relative threshold of the full-rank decision rule: a matrix is full
@@ -160,10 +161,11 @@ class Codebook:
 
     The signal set is ``alphabets``: four 2-D arrays of K/4 columns, group
     k's P_k points in R^(K/4), as the ``signalset`` constructors return
-    them.  The constructor refuses (ValueError) any other shape, and keeps
-    its own read-only float64 copies as ``alphabets``; ``group_norms[k][p]``
-    is |x_k(p)|^2.  A codebook holds nothing else per point: ``partials``
-    forms S_k(p), the contribution of group k's point p to the codeword
+    them.  The constructor refuses (ValueError) any other shape, and a
+    design that is not monomial (``LinearDesign.monomial``), and keeps its
+    own read-only float64 copies as ``alphabets``; ``group_norms[k][p]`` is
+    |x_k(p)|^2.  A codebook holds nothing else per point: ``partials`` forms
+    S_k(p), the contribution of group k's point p to the codeword
     matrix, on demand, and ``compose`` sums four group parts at an index
     tuple (a codeword's ``group_norms`` into its scale).  ``basis_taps``
     tells ``correlate`` how to read the correlation of a frame with every
@@ -196,6 +198,7 @@ class Codebook:
                              f"with K/4 = {dim}")
         for a in alphabets:
             a.setflags(write=False)
+        design.monomial  # noqa: B018  (refuses a design that is not monomial)
         self.design = design
         self.alphabets = alphabets
         self.grouping = grouping
@@ -268,53 +271,51 @@ class Codebook:
         return self.design.weight_stack[self.grouping.permutation()]
 
     @cached_property
+    def basis_monomial(self):
+        """(cols, units): ``LinearDesign.monomial`` in ``basis`` order."""
+        return tuple(t[self.grouping.permutation()] for t in self.design.monomial)
+
+    @cached_property
     def basis_taps(self):
-        """(taps, coef), each (K, L): g_v = Re tr(r_t^H A_v r_prev) for every
+        """(taps, coef), each (K, n): g_v = Re tr(r_t^H A_v r_prev) for every
         ``basis`` weight A_v, read off O = conj(r_t) r_prev^T (summed over the
-        receive antennas) as sum_l coef[v, l] * o[taps[v, l]], with o the
+        receive antennas) as sum_r coef[v, r] * o[taps[v, r]], with o the
         float64 view of O raveled.  Re(A O) at a cell is Re A Re O - Im A Im O,
-        so each nonzero real or imaginary weight part is one tap; L is the
-        most taps of any weight (n for this package's designs, whose weight
-        entries are 0, +-1 or +-i, one per row), shorter rows padded with
-        zero coefficients.  So g costs K L products instead of K n^2."""
-        k = self.design.K
-        parts = np.stack([self.basis.real, -self.basis.imag], axis=-1).reshape(k, -1)
-        width = int(np.count_nonzero(parts, axis=1).max())
-        # contiguous, or every ``np.take`` of them would copy them first
-        taps = np.ascontiguousarray(np.argsort(parts == 0, axis=1, kind="stable")[:, :width])
-        return taps, np.take_along_axis(parts, taps, axis=1)
+        and row r of A_v holds one entry e (``basis_monomial``), real or
+        imaginary (ValueError otherwise), so its tap is Re or Im O at
+        (r, cols[v, r]) with the coefficient Re e or -Im e: K n products."""
+        cols, units = self.basis_monomial
+        if ((units.real != 0) & (units.imag != 0)).any():
+            raise ValueError("correlate needs weight entries that are real or imaginary, but "
+                             "the design has an entry that is neither")
+        return 2 * (np.arange(self.n) * self.n + cols) + (units.real == 0), units.real - units.imag
 
     @cached_property
     def chain_tables(self):
-        """(offsets, cols, factors): what ``diffcodec``'s Y chain gathers to
+        """(offsets, ids, coords): what ``diffcodec``'s Y chain gathers to
         apply a partial codeword to an n x n_r matrix without forming it.
-        Each ``basis`` weight must have one nonzero per row (ValueError
-        otherwise), as the monomial weights of this package's designs do, so
-        S_k(p) Y = sum_j factors[o + p, j][:, None] * Y[cols[o + p, j]] with
-        o = offsets[k]: group k's points are rows o to o + P_k - 1 of the two
-        (sum P_k, T, n) tables, and term j of a point is its j-th nonzero
-        coordinate x_v, as x_v times weight v's row entries and their columns.
-        T is the most nonzero coordinates of any point (1 on the axis family,
-        2 on the hyperbola family); a point with fewer has zero factors past
-        them.  The tables are refused (ValueError) past the memory available,
-        counted with the (sum P_k, n) column and value arrays that
-        ``max_unitarity_residual`` derives from them."""
-        basis = self.basis
-        if (np.count_nonzero(basis, axis=2) != 1).any():
-            raise ValueError("the differential chain needs design weights with one nonzero "
-                             "per row, but the design has a weight that is not monomial")
-        points = np.concatenate(self.alphabets)
-        width = max(1, int(np.count_nonzero(points, axis=1).max()))
-        check_memory("Codebook.chain_tables needs its monomial tables",
-                     len(points) * self.n * 24 * (width + 1))
-        cols = np.argmax(basis != 0, axis=2)
-        entries = np.take_along_axis(basis, cols[..., None], axis=2)[..., 0]
-        coord = np.argsort(points == 0, axis=1, kind="stable")[:, :width]
+        Group k's points are rows o = offsets[k] to o + P_k - 1 of the two
+        (sum P_k, T) tables, and term j of a point is its j-th nonzero
+        coordinate, coords[o + p, j] on ``basis`` weight v = ids[o + p, j]:
+        S_k(p) Y = sum_j coords[o + p, j] units[v][:, None] Y[cols[v]] with
+        ``basis_monomial``'s (cols, units).  T is the most nonzero coordinates
+        of any point (1 on the axis family, 2 on the hyperbola family); a point
+        with fewer has zero coordinates past them.  The tables are refused
+        (ValueError) past the memory available, counted with the zero mask
+        and its sort that find a group's nonzero coordinates."""
         dim = self.design.K // 4
-        weight = coord + np.repeat(np.arange(4) * dim, self.sizes)[:, None]
-        factors = np.take_along_axis(points, coord, axis=1)[..., None] * entries[weight]
+        width = max(1, *(int(np.count_nonzero(points, axis=1).max(initial=0))
+                         for points in self.alphabets))
+        check_memory("Codebook.chain_tables needs its monomial tables",
+                     16 * width * sum(self.sizes) + 9 * dim * max(self.sizes))
+        ids = np.empty((sum(self.sizes), width), dtype=np.intp)
+        coords = np.empty((sum(self.sizes), width))
         offsets = np.cumsum((0, *self.sizes[:-1]))
-        return offsets, cols[weight], factors
+        for k, (points, lo) in enumerate(zip(self.alphabets, offsets)):
+            coord = np.argsort(points == 0, axis=1, kind="stable")[:, :width]
+            ids[lo:lo + len(points)] = coord + k * dim
+            coords[lo:lo + len(points)] = np.take_along_axis(points, coord, axis=1)
+        return offsets, ids, coords
 
     def coordinate_table(self):
         """(table, scales): every codeword's four group points, (M, 4, K/4),
@@ -439,32 +440,32 @@ class Codebook:
         Each excess is read off ``chain_tables``.  With unitary weights whose
         within-group products U = A_a^H A_b are Hermitian
         (``require_within_group_involutions``), a point on the coordinates
-        a and b has E = 2 x_a x_b U, monomial like its weights: row
-        cols[p, 0, r] holds 2 conj(factors[p, 0, r]) factors[p, 1, r] in
-        column cols[p, 1, r], and a point on one coordinate has E = 0.  So
+        a and b has E = 2 x_a x_b U, monomial like its weights
+        (``weight_products``), and a point on one coordinate has E = 0.  So
         the bound costs O(P_k n) per group, not P_k products of n x n
         matrices.  Raises NotGroupDecodableError first, then ValueError on a
-        design that fails the involution check and on a point on more than
-        two coordinates.
+        design that fails the involution check, on a point on more than two
+        coordinates, and past the memory available.
         """
         self.require_group_decodable()
         self.require_within_group_involutions()
-        offsets, cols, factors = self.chain_tables
-        terms = cols.shape[1]
+        offsets, ids, coords = self.chain_tables
+        terms = ids.shape[1]
         if terms > 2:
             raise ValueError(f"max_unitarity_residual needs group points on at most two "
                              f"coordinates, but a point lies on {terms}")
         if terms == 1:
             return 0.0
         n = self.n
-        where = np.empty((len(cols), n), dtype=np.intp)
-        np.put_along_axis(where, cols[:, 0], cols[:, 1], axis=1)
-        values = np.empty((len(cols), n), dtype=np.complex128)
-        np.put_along_axis(values, cols[:, 0], 2 * factors[:, 0].conj() * factors[:, 1], axis=1)
+        # per point and row: the excess's columns and entries, their
+        # gathers and the bound's temporaries
+        check_memory("max_unitarity_residual needs a group's excesses", 128 * n * max(self.sizes))
         bound = 0.0
         base = np.zeros((n, n), dtype=np.complex128)
-        for lo, size in zip(offsets, self.sizes):
-            w, v = where[lo:lo + size], values[lo:lo + size]
+        for k, (group, lo, size) in enumerate(zip(self.grouping.groups, offsets, self.sizes)):
+            to, f = weight_products(self.design, group, group)
+            (a, b), (x_a, x_b) = ids[lo:lo + size].T - k * len(group), coords[lo:lo + size].T
+            w, v = to[a, b], (2 * x_a * x_b)[:, None] * f[a, b]
             # a row of E_k(p) - E_k(0) holds one difference where both excesses
             # share its column, and both of them where they do not
             same = w == w[0]

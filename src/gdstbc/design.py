@@ -22,23 +22,19 @@ at most one signed, possibly conjugated complex variable, so ``render``
 reads the symbolic matrix off the weights.
 
 A design is its weights alone, one (K, n, n) complex128 stack, which both
-(linear) rules map weight by weight.  The three exact checks (cross-group
-anticommutation, within-group involutions, doubling-block structure) run
-as matrix products on it.  They still decide with zero tolerance: every
-weight entry is 0, +-1 or +-i, so every entry of a product of two weights
-(or of blocks of them) is a Gaussian integer whose real and imaginary
-parts are at most n <= 64 in magnitude, an anticommutator adds two such
-entries and a trace n of them.  Integers that small (below 2^24), and
-every partial sum of them, are exact even in float32, whatever order BLAS
-sums in and with or without fused multiply-add, so ``== 0`` and
-``array_equal`` on those products are exact verdicts.  The two checks
-that multiply every weight against a group's weights (``_herm_products``)
-do so on a complex64 copy of the stack, at half the cost of complex128.
+(linear) rules map weight by weight.  Each weight they build is monomial,
+one entry from +-1 and +-i in each row and column, which
+``LinearDesign.monomial`` holds as two (K, n) tables.  The three exact
+checks (cross-group anticommutation, within-group involutions,
+doubling-block structure) compose products of weights as permutations of
+those tables and compare columns and entries, exact in float64 for
+Gaussian-integer entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -75,6 +71,23 @@ class LinearDesign:
     @property
     def num_complex(self) -> int:
         return self.K // 2
+
+    @cached_property
+    def monomial(self):
+        """(cols, units), read-only (K, n): row r of weight v holds its one
+        nonzero entry units[v, r] in column cols[v, r].  ValueError unless
+        every weight has one nonzero entry in each row and each column."""
+        nonzero = self.weight_stack != 0
+        for axis, line in ((2, "row"), (1, "column")):
+            counts = np.count_nonzero(nonzero, axis=axis)
+            for v, r in np.argwhere(counts != 1)[:1]:
+                raise ValueError(f"weight {v} of the design is not monomial: its {line} {r} "
+                                 f"holds {counts[v, r]} nonzero entries, not one")
+        cols = np.argmax(nonzero, axis=2)
+        units = np.take_along_axis(self.weight_stack, cols[..., None], axis=2)[..., 0]
+        for table in (cols, units):
+            table.setflags(write=False)
+        return cols, units
 
     def __repr__(self):
         return f"LinearDesign(lam={self.lam}, n={self.n}, K={self.K})"
@@ -138,7 +151,7 @@ def doubling(d: LinearDesign) -> LinearDesign:
     becomes [[W, 0], [0, W^H]], and its copy in B [[0, -W^H], [W, 0]].
     """
     w, K, n = d.weight_stack, d.K, d.n
-    wh = _herm(w) + 0.0  # conj leaves -0.0 zeros; + 0.0 and 0.0 - wh store them as +0.0
+    wh = w.conj().swapaxes(1, 2) + 0.0  # + 0.0 and 0.0 - wh store conj's -0.0 zeros as +0.0
     out = np.zeros((2 * K, 2 * n, 2 * n), np.complex128)
     out[:K, :n, :n] = out[K:, n:, :n] = w
     out[:K, n:, n:] = wh
@@ -186,39 +199,48 @@ def canonical_grouping(d: LinearDesign) -> Grouping:
     return Grouping(groups=(g1, g2, g3, g4))
 
 
-def _herm(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of a matrix or of each matrix in a stack."""
-    return a.conj().swapaxes(-1, -2)
+def _herm(cols, units):
+    """Conjugate transposes of monomials (cols, units): cols inverted."""
+    inv = np.argsort(cols, axis=-1)
+    return inv, np.take_along_axis(units, inv, axis=-1).conj()
 
 
-def _herm_products(a: np.ndarray, bs: np.ndarray) -> np.ndarray:
-    """The (k, n, n) stack of a^H b_j over the (k, n, n) stack ``bs``, as one
-    GEMM of a^H against [b_1 ... b_k]."""
-    n = a.shape[0]
-    p = _herm(a) @ bs.transpose(1, 0, 2).reshape(n, -1)
-    return p.reshape(n, -1, n).transpose(1, 0, 2)
+def _mul(x, y):
+    """Products x y of monomials (cols, units), broadcast: row r of x y is
+    units_x[r] times row cols_x[r] of y, also where x or y is partial, with
+    unit 0 on a row without an entry."""
+    (cx, ux), (cy, uy) = x, y
+    return np.take_along_axis(cy, cx, axis=-1), ux * np.take_along_axis(uy, cx, axis=-1)
+
+
+def weight_products(d: LinearDesign, ga, gb):
+    """A_i^H A_j for every weight i of ``ga`` and j of ``gb``, as monomials
+    (to, f) of shape (len(ga), len(gb), n): row c holds f[..., c] in column
+    to[..., c]."""
+    cols, units = d.monomial
+    return _mul(_herm(cols[list(ga), None], units[list(ga), None]),
+                (cols[None, list(gb)], units[None, list(gb)]))
 
 
 def verify_group_decodable(d: LinearDesign, grp: Grouping, return_witness: bool = False):
     """Exact cross-group anticommutation check on the weight matrices.
 
     True iff A_i^H A_j + A_j^H A_i = 0 for every pair (i, j) drawn from
-    two different groups, decided with zero tolerance (see the module
-    docstring).  Each weight i of a group is multiplied against all
-    weights of a later group in one GEMM.  With ``return_witness`` the
-    first violating pair (or None) is returned alongside the verdict, in
-    the order group pair, then i, then j.
+    two different groups, i.e. iff p = A_i^H A_j and its conjugate
+    transpose hold opposite entries in the same columns (see the module
+    docstring).  With ``return_witness`` the first violating pair (or None)
+    is returned alongside the verdict, in the order group pair, then i,
+    then j.
     """
     if not grp.covers(d.K):
         raise ValueError("grouping does not partition the design's variable indices")
-    w = d.weight_stack.astype(np.complex64)
     for ga, gb in combinations(grp.groups, 2):
-        bs = w[list(gb)]
-        for i in ga:
-            p = _herm_products(w[i], bs)
-            bad = (p + _herm(p)).any(axis=(1, 2))
-            if bad.any():
-                return (False, (i, gb[int(np.argmax(bad))])) if return_witness else False
+        to, f = weight_products(d, ga, gb)
+        to_h, f_h = _herm(to, f)
+        bad = ((to != to_h) | (f != -f_h)).any(axis=2)
+        if bad.any():
+            i, j = np.unravel_index(np.argmax(bad), bad.shape)
+            return (False, (ga[i], gb[j])) if return_witness else False
     return (True, None) if return_witness else True
 
 
@@ -226,27 +248,36 @@ def verify_within_group_involutions(d: LinearDesign, grp: Grouping) -> bool:
     """Exact check of the structure behind the closed-form difference spectra.
 
     True iff every weight is unitary (A^H A = I) and, for two weights a != b
-    of one group, U = A_a^H A_b is Hermitian with trace 0, decided with zero
-    tolerance (see the module docstring).  U is then a Hermitian unitary,
-    so U^2 = I, with eigenvalues +1 and -1 n/2 times each; a real difference
-    on the two coordinates a and b, D = A_a (d_a I + d_b U), has the
-    singular values |d_a| + |d_b| and ||d_a| - |d_b||, n/2 times each.
-    Each weight is multiplied against itself and the later weights of its
-    group in one GEMM.
+    of one group, U = A_a^H A_b is Hermitian with trace 0 (see the module
+    docstring).  U is then a Hermitian unitary, so U^2 = I, with eigenvalues
+    +1 and -1 n/2 times each; a real difference on the two coordinates a
+    and b, D = A_a (d_a I + d_b U), has the singular values |d_a| + |d_b|
+    and ||d_a| - |d_b||, n/2 times each.
     """
     if not grp.covers(d.K):
         raise ValueError("grouping does not partition the design's variable indices")
-    w = d.weight_stack.astype(np.complex64)
-    eye = np.eye(d.n)
     for g in grp.groups:
-        for t, a in enumerate(g):
-            p = _herm_products(w[a], w[list(g[t:])])
-            if not np.array_equal(p[0], eye):
-                return False
-            u = p[1:]
-            if not np.array_equal(u, _herm(u)) or np.trace(u, axis1=1, axis2=2).any():
-                return False
+        to, f = weight_products(d, g, g)
+        to_h, f_h = _herm(to, f)
+        ok = ((to == to_h) & (f == f_h)).all(axis=2)
+        ok &= np.where(to == np.arange(d.n), f, 0).sum(axis=2) == 0
+        np.fill_diagonal(ok, (np.diagonal(f) == 1).all(axis=0))  # A_a^H A_a = I
+        if not ok.all():
+            return False
     return True
+
+
+def _blocks(cols, units):
+    """The n/2 x n/2 blocks TL, TR, BL, BR of monomials, as partial ones."""
+    h = cols.shape[1] // 2
+    halves = ((cols[:, :h], units[:, :h]), (cols[:, h:], units[:, h:]))
+    return [(np.where(inside, c % h, 0), np.where(inside, u, 0))
+            for c, u in halves for inside in (c < h, c >= h)]
+
+
+def _same(x, y) -> bool:
+    """Whether partial monomials have equal units, and columns where set."""
+    return bool((x[1] == y[1]).all() and (x[0] == y[0])[x[1] != 0].all())
 
 
 def verify_doubling_blocks(d: LinearDesign) -> bool:
@@ -254,27 +285,28 @@ def verify_doubling_blocks(d: LinearDesign) -> bool:
 
     True iff every weight has the layout [[A, -B^H], [B, A^H]] and its
     top-left and bottom-left blocks, over all weights, are normal and
-    commute pairwise, decided with zero tolerance (see the module
-    docstring).  Commuting normal matrices are unitarily diagonalisable
-    together, so every real difference dS = [[dA, -dB^H], [dB, dA^H]] then
-    has det dS = det(dA dA^H + dB^H dB) = prod_j (|a_j|^2 + |b_j|^2) over
-    the shared eigenvalues, and det(dS^H dS) >= max(|det dA|^2, |det dB|^2)^2.
+    commute pairwise, i.e. (Fuglede's theorem) iff those blocks and their
+    conjugate transposes commute pairwise; a weight of that layout has the
+    conjugate transpose [[A^H, B^H], [-B, A]] (see the module docstring).
+    Commuting normal matrices are unitarily diagonalisable together, so
+    every real difference dS = [[dA, -dB^H], [dB, dA^H]] then has
+    det dS = det(dA dA^H + dB^H dB) = prod_j (|a_j|^2 + |b_j|^2) over the
+    shared eigenvalues, and det(dS^H dS) >= max(|det dA|^2, |det dB|^2)^2.
     """
     if d.n % 2:
         return False
-    h = d.n // 2
-    w = d.weight_stack
-    a, b = w[:, :h, :h], w[:, h:, :h]
-    if not (np.array_equal(w[:, :h, h:], -_herm(b)) and np.array_equal(w[:, h:, h:], _herm(a))):
+    a, top_right, b, bottom_right = _blocks(*d.monomial)
+    a_h, b_h, _, _ = _blocks(*_herm(*d.monomial))
+    if not (_same(top_right, (b_h[0], -b_h[1])) and _same(bottom_right, a_h)):
         return False
     # a repeated block needs checking once; in the constructed designs every
-    # B block repeats an A block
-    blocks = np.unique(np.concatenate([a, b]), axis=0)
-    if not np.array_equal(blocks @ _herm(blocks), _herm(blocks) @ blocks):
-        return False
-    for t in range(len(blocks) - 1):
-        x, rest = blocks[t], blocks[t + 1:]
-        if not np.array_equal(x @ rest, rest @ x):
+    # B block repeats an A block, and half of the blocks are 0
+    to, f = (np.concatenate(p) for p in zip(a, b, a_h, b_h))
+    _, first = np.unique(np.column_stack((to, f.real, f.imag)), axis=0, return_index=True)
+    to, f = to[first], f[first]
+    for t in range(len(to) - 1):
+        one, rest = (to[t:t + 1], f[t:t + 1]), (to[t + 1:], f[t + 1:])
+        if not _same(_mul(one, rest), _mul(rest, one)):
             return False
     return True
 

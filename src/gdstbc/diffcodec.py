@@ -71,8 +71,9 @@ RNG_BYTES = 1024
 def window_size(cb: Codebook, n_r: int) -> int:
     """Frames per window of the window pass: at most ``WINDOW``, and few
     enough that no per-frame array of the window, the n x n correlation
-    product, its K x L taps or the gather of a frame's 4 T terms
-    (``Codebook.chain_tables``), passes ``WINDOW_BYTES``; at least 1."""
+    product, its K x n taps or the gather of a frame's 4 T terms
+    (``Codebook.chain_tables``; their ids, columns and units are smaller),
+    passes ``WINDOW_BYTES``; at least 1."""
     n, (k, width) = cb.n, cb.basis_taps[0].shape
     terms = 4 * cb.chain_tables[1].shape[1]
     largest = max(16 * n * n, 8 * k * width, 16 * terms * n * n_r)
@@ -95,8 +96,9 @@ def block_bytes(cb: Codebook, nf: int, n_r: int) -> int:
     generator (``RNG_BYTES``), its channel as drawn and as stacked, the
     chain's and the noise's frame before the window, and a chain step's
     4 T gathered terms (n x n_r complex each).  Per frame of the window:
-    its gathered columns and factors (8 and 16 bytes per term and row), its
-    scale, their roots and the roots shifted by one frame (40 bytes), the
+    per term its gathered weight and coordinate (16 bytes), and per term and
+    row the weight's gathered column and unit (24 bytes), its scale, their
+    roots and the roots shifted by one frame (40 bytes), the
     chain Y_t, the noise that becomes R_t, the correlation's previous
     frames, their conjugate and a transposed copy for the product (n x n_r
     complex each), the n x n correlation product, and its gathered taps,
@@ -109,7 +111,7 @@ def block_bytes(cb: Codebook, nf: int, n_r: int) -> int:
     blocks = window_blocks(cb, nf, n_r)
     frames = blocks * min(nf, window_size(cb, n_r))
     per_block = INDEX_BYTES_PER_FRAME * nf + RNG_BYTES + (4 + terms) * column
-    per_frame = 24 * terms * n + 40 + 5 * column + 16 * n * n + 8 * k * (width + 2)
+    per_frame = terms * (16 + 24 * n) + 40 + 5 * column + 16 * n * n + 8 * k * (width + 2)
     return blocks * per_block + frames * per_frame + 32 * np.getbufsize()
 
 
@@ -200,17 +202,21 @@ def _chain(cb: Codebook, window, y_prev, root_prev):
     sqrt(a_{t-1}) from column t - 1 of ``root_prev``.
 
     Each frame's 4 T terms (``Codebook.chain_tables``) are gathered for the
-    whole window at once: their rows in the flat view of the time-major
-    chain, and their factors over sqrt(a_{t-1}).  A step is then one row
-    gather of the blocks' previous Y, a multiply and a sum over the terms.
+    whole window at once: their weights, those weights' rows in the flat
+    view of the time-major chain, and their factors, coordinate times unit,
+    over sqrt(a_{t-1}).  A step is then one row gather of the blocks'
+    previous Y, a multiply and a sum over the terms.
     """
     _, b, w = window.shape
     n, n_r = y_prev.shape[-2:]
-    offsets, cols, factors = cb.chain_tables
+    offsets, ids, coords = cb.chain_tables
+    cols, units = cb.basis_monomial
     point = (window + offsets[:, None, None]).transpose(2, 1, 0)
-    rows = cols[point].reshape(w, b, -1, n)
+    weight = ids[point]
+    rows = cols[weight].reshape(w, b, -1, n)
     rows += ((np.arange(w)[:, None] * b + np.arange(b)) * n)[:, :, None, None]
-    scaled = factors[point].reshape(w, b, -1, n, 1)
+    scaled = units[weight].reshape(w, b, -1, n, 1)
+    scaled *= coords[point].reshape(w, b, -1, 1, 1)
     scaled /= root_prev.T[:, :, None, None, None]
     y = np.empty((w + 1, b, n, n_r), dtype=np.complex128)
     y[0] = y_prev

@@ -287,8 +287,9 @@ def prepare(cfg: SimConfig) -> Codebook:
     """Require the config's cached codebook to be group decodable and
     scaled unitary (``require_scaled_unitary``; the differential chain needs
     it whatever the decoder; its bound builds what the encoder gathers,
-    ``chain_tables``, which refuses a weight that is not monomial and
-    tables past the memory available), build what the exhaustive rows scan
+    ``chain_tables``, which refuses tables past the memory available; a
+    design that is not monomial was refused by ``LinearDesign.monomial``
+    when the codebook was built), build what the exhaustive rows scan
     (``exhaustive_table``, after its memory check), and check that a window
     of the sweep's largest fading blocks fits in the memory available
     (``block_bytes``: the group-index draws of its blocks and its arrays),

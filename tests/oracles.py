@@ -25,23 +25,79 @@ def gaussian_int(a):
     return re, im
 
 
+def _parts(a):
+    """``gaussian_int(a)``, or ``a`` itself when it already is such a pair."""
+    return a if isinstance(a, tuple) else gaussian_int(a)
+
+
 def int_herm_product(a, b):
-    """a^H b in int64 arithmetic, as (re, im)."""
-    ar, ai = gaussian_int(a)
-    br, bi = gaussian_int(b)
+    """a^H b in int64 arithmetic, as (re, im); a and b may also be given as
+    their ``gaussian_int`` parts."""
+    (ar, ai), (br, bi) = _parts(a), _parts(b)
     # (ar^T - j ai^T)(br + j bi)
     return ar.T @ br + ai.T @ bi, ar.T @ bi - ai.T @ br
 
 
+def int_product(a, b):
+    """a b in int64 arithmetic, as (re, im); a and b as in ``int_herm_product``."""
+    (ar, ai), (br, bi) = _parts(a), _parts(b)
+    return ar @ br - ai @ bi, ar @ bi + ai @ br
+
+
+def int_within_group_involutions(weights, groups):
+    """Whether every weight is unitary and, for a != b of one group,
+    A_a^H A_b is Hermitian with trace 0, decided in int64 arithmetic."""
+    n = weights.shape[1]
+    for g in groups:
+        for t, a in enumerate(g):
+            re, im = int_herm_product(weights[a], weights[a])
+            if not np.array_equal(re, np.eye(n)) or im.any():
+                return False
+            for b in g[t + 1:]:
+                re, im = int_herm_product(weights[a], weights[b])
+                if not (np.array_equal(re, re.T) and np.array_equal(im, -im.T)) \
+                        or np.trace(re) or np.trace(im):
+                    return False
+    return True
+
+
+def int_doubling_blocks(weights):
+    """Whether every weight has the layout [[A, -B^H], [B, A^H]] and all
+    top-left and bottom-left blocks are normal and commute pairwise,
+    decided in int64 arithmetic."""
+    n = weights.shape[1]
+    if n % 2:
+        return False
+    h = n // 2
+    blocks = []
+    for w in weights:
+        a, b = gaussian_int(w[:h, :h]), gaussian_int(w[h:, :h])
+        tr, br = gaussian_int(w[:h, h:]), gaussian_int(w[h:, h:])
+        if not (np.array_equal(tr[0], -b[0].T) and np.array_equal(tr[1], b[1].T)
+                and np.array_equal(br[0], a[0].T) and np.array_equal(br[1], -a[1].T)):
+            return False
+        blocks += [a, b]
+    for t, x in enumerate(blocks):
+        xh = x[0].T, -x[1].T
+        if not all(np.array_equal(p, q) for p, q in zip(int_product(x, xh), int_product(xh, x))):
+            return False
+        for y in blocks[t + 1:]:
+            if not all(np.array_equal(p, q) for p, q in zip(int_product(x, y), int_product(y, x))):
+                return False
+    return True
+
+
 def int_anticommutes(a, b):
-    """Whether a^H b + b^H a = 0, decided in int64 arithmetic."""
-    (pr, pi), (qr, qi) = int_herm_product(a, b), int_herm_product(b, a)
-    return not ((pr + qr).any() or (pi + qi).any())
+    """Whether a^H b + b^H a = 0, decided in int64 arithmetic: b^H a is the
+    conjugate transpose of p = a^H b."""
+    pr, pi = int_herm_product(a, b)
+    return not ((pr + pr.T).any() or (pi - pi.T).any())
 
 
 def int_group_witness(weights, groups):
     """First cross-group pair (i, j) whose weights do not anticommute, in the
     order group pair, then i, then j; None when every such pair does."""
+    weights = [gaussian_int(w) for w in weights]
     for ga, gb in combinations(groups, 2):
         for i in ga:
             for j in gb:

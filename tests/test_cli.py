@@ -186,14 +186,16 @@ class TestCodebookCommand:
         assert json.loads(reports[0])["full_diversity"] == "full diversity verified (exhaustive)"
 
     def test_chain_tables_past_the_memory_budget_are_config_error(self, capsys, monkeypatch):
-        # lam 6, P = 20 000: 80 000 one-coordinate points, each with 64 table
-        # columns and factors and 64 residual columns and values, 245.8 MB
-        monkeypatch.setattr(codebook, "_available_bytes", lambda: 10**8)
+        # lam 6, P = 20 000: 80 000 one-coordinate points, each with a weight
+        # id and a coordinate (1.3 MB), and one group's 20 000 x 32 zero mask
+        # and its sort (5.8 MB), past a budget that the group's 5.2 MB of
+        # radii and points fit in
+        monkeypatch.setattr(codebook, "_available_bytes", lambda: 6 * 10**6)
         code, out, err = run_cli(capsys, "codebook", "verify", "--lambda", "6",
                                  "--points", str(20_000**4))
         assert code == 2 and out == ""
         assert err == ("configuration error: Codebook.chain_tables needs its monomial "
-                       "tables, 245.8 MB, but only 100.0 MB of memory is available\n")
+                       "tables, 7.0 MB, but only 6.0 MB of memory is available\n")
 
     def test_bad_mode(self, capsys):
         # every verdict is exhaustive, so codebook verify takes no --mode
@@ -304,8 +306,8 @@ class TestSimulateCommand:
         assert kept.read_bytes() == b"earlier results\n"
 
     @pytest.mark.parametrize("budget, args, need", [
-        (10**8, ("--lambda", "6", "--points", str(20_000**4)),
-         "Codebook.chain_tables needs its monomial tables, 245.8 MB, but only 100.0 MB"),
+        (6 * 10**6, ("--lambda", "6", "--points", str(20_000**4)),
+         "Codebook.chain_tables needs its monomial tables, 7.0 MB, but only 6.0 MB"),
         (10**5, ("--lambda", "2", "--points", str(50_000**4)),
          "a group of 50000 points needs its radii and points, 1.0 MB, but only 0.1 MB"),
     ])

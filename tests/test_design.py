@@ -8,7 +8,6 @@ from gdstbc.codebook import Codebook
 from gdstbc.design import (
     Grouping,
     LinearDesign,
-    _herm_products,
     abba,
     c1_design,
     canonical_grouping,
@@ -24,7 +23,13 @@ from gdstbc.design import (
 )
 from gdstbc.signalset import construct_signal_set
 
-from oracles import int_anticommutes, int_group_witness, int_herm_product
+from oracles import (
+    int_anticommutes,
+    int_doubling_blocks,
+    int_group_witness,
+    int_herm_product,
+    int_within_group_involutions,
+)
 
 ALAMOUTI = [["x1", "-x2*"], ["x2", "x1*"]]
 
@@ -210,6 +215,80 @@ class TestGrouping:
             Codebook(construct_design(2), construct_signal_set(2, 16), grp)
 
 
+def _perturbed(lam, t, rng):
+    """construct_design(lam) with one seeded change, monomial still, of kind
+    t % 4: an entry's sign flipped, an entry conjugated, two weights
+    swapped across groups, or two rows of a weight swapped so that its
+    product with a weight of its own group gets a fixed point."""
+    d = construct_design(lam)
+    w = d.weight_stack.copy()
+    groups = canonical_grouping(d).groups
+    v, r = rng.integers(d.K), rng.integers(d.n)
+    c = int(np.flatnonzero(w[v, r])[0])
+    if t % 4 == 0:
+        w[v, r, c] = -w[v, r, c]
+    elif t % 4 == 1:
+        w[v, r, c] = np.conj(w[v, r, c])
+    elif t % 4 == 2:
+        ga, gb = rng.choice(4, 2, replace=False)
+        i, j = rng.choice(groups[ga]), rng.choice(groups[gb])
+        w[[i, j]] = w[[j, i]]
+    else:
+        g = groups[rng.integers(4)]
+        if len(g) > 1:
+            a, b = rng.choice(g, 2, replace=False)
+            # row r of b moves to the column a has in row r
+            s = int(np.flatnonzero(w[b, :, int(np.flatnonzero(w[a, r])[0])])[0])
+            w[b, [r, s]] = w[b, [s, r]]
+    return LinearDesign(w + 0.0), canonical_grouping(d)
+
+
+class TestMonomialForm:
+    @pytest.mark.parametrize("lam", [1, 2, 3, 4, 5, 6])
+    def test_rebuilds_the_weights(self, lam):
+        d = construct_design(lam)
+        cols, units = d.monomial
+        assert cols.shape == units.shape == (d.K, d.n)
+        assert not (cols.flags.writeable or units.flags.writeable)
+        assert set(np.unique(units).tolist()) <= {1, -1, 1j, -1j}
+        w = np.zeros_like(d.weight_stack)
+        np.put_along_axis(w, cols[..., None], units[..., None], axis=2)
+        assert w.tobytes() == d.weight_stack.tobytes()
+        assert d.monomial is d.monomial
+
+    @pytest.mark.parametrize("row, what", [
+        ([1j, 1j, 0, 0], "its row 1 holds 2 nonzero entries"),
+        # row 0 holds its entry in column 1 too, and column 0 is left empty
+        ([0, 1j, 0, 0], "its column 0 holds 0 nonzero entries"),
+    ], ids=["two-in-a-row", "two-in-a-column"])
+    def test_a_weight_that_is_not_monomial_is_refused(self, row, what):
+        d = construct_design(2)
+        w = d.weight_stack.copy()
+        assert w[3, 1].tolist() == [1j, 0, 0, 0] and w[3, 0, 1] == 1j
+        w[3, 1] = row
+        bad, grp = LinearDesign(w), canonical_grouping(d)
+        refused = f"weight 3 of the design is not monomial: {what}"
+        for check in (lambda: verify_group_decodable(bad, grp),
+                      lambda: verify_within_group_involutions(bad, grp),
+                      lambda: verify_doubling_blocks(bad),
+                      lambda: Codebook(bad, construct_signal_set(2, 16), check_decodable=False)):
+            with pytest.raises(ValueError, match=refused):
+                check()
+
+    @pytest.mark.parametrize("lam", [1, 2, 3, 4])
+    def test_verdicts_match_int64_oracles_on_perturbed_designs(self, lam):
+        rng = np.random.default_rng(lam)
+        for t in range(24):
+            d, grp = _perturbed(lam, t, rng)
+            w = d.weight_stack
+            witness = int_group_witness(w, grp.groups)
+            assert verify_group_decodable(d, grp, return_witness=True) == (witness is None,
+                                                                          witness)
+            assert verify_within_group_involutions(d, grp) is \
+                int_within_group_involutions(w, grp.groups)
+            assert verify_doubling_blocks(d) is int_doubling_blocks(w)
+
+
 class TestGroupDecodability:
     @pytest.mark.parametrize("lam", [1, 2, 3, 4, 5, 6])
     def test_canonical_grouping_verifies(self, lam):
@@ -234,17 +313,7 @@ class TestGroupDecodability:
         i, j = grp.groups[0][0], grp.groups[0][1]  # x1I and x2I
         assert not int_anticommutes(d.weight_stack[i], d.weight_stack[j])
 
-    @pytest.mark.parametrize("lam", [1, 2, 3, 4])
-    def test_float_products_equal_int64_oracle(self, lam):
-        # entries are tiny Gaussian integers, so the BLAS products are exact
-        w = construct_design(lam).weight_stack
-        for i in range(len(w)):
-            p = _herm_products(w[i], w)
-            for j in range(len(w)):
-                re, im = int_herm_product(w[i], w[j])
-                assert np.array_equal(p[j].real, re) and np.array_equal(p[j].imag, im)
-
-    @pytest.mark.parametrize("lam", [2, 3, 4])
+    @pytest.mark.parametrize("lam", [2, 3, 4, 5])
     def test_verdict_and_witness_match_oracle_on_random_partitions(self, lam):
         d = construct_design(lam)
         canon = canonical_grouping(d).groups
