@@ -222,11 +222,9 @@ class Codebook:
     def rate_bits_per_use(self) -> float:
         return math.log2(self.M) / self.n
 
-    def linear_index(self, idx) -> int:
-        return int(np.ravel_multi_index(idx, self.sizes))
-
     def unravel_index(self, lin: int) -> tuple[int, int, int, int]:
-        """The group indices of linear index ``lin``, row-major over ``sizes``."""
+        """The group indices of row ``lin`` of a table row-major over
+        ``sizes``, such as ``matrices`` or ``coordinate_table``."""
         lin = operator.index(lin)
         if not 0 <= lin < self.M:
             raise ValueError(f"index {lin} is out of bounds for {self.M} codewords")
@@ -356,10 +354,10 @@ class Codebook:
     @cached_property
     def group_tables(self):
         """What the group decoder scans, per group: its points as a
-        (P_k, 1, K/4) coordinate table, their norms as an array and as a
-        list, and P_k."""
+        (P_k, 1, K/4) coordinate table and their norms as an array and as
+        a list."""
         return tuple(zip((points[:, None] for points in self.alphabets), self.group_norms,
-                         self.norm_lists, self.sizes))
+                         self.norm_lists))
 
     @cached_property
     def norm_lists(self) -> list[list[float]]:

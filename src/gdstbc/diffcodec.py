@@ -59,9 +59,9 @@ WINDOW = 256
 WINDOW_BYTES = 512 * 1024
 
 #: Bytes per frame of the group-index draw ``window_frames`` makes for a
-#: whole fading block: the (4, nf) int64 indices and their nf raveled int64
-#: ones.
-INDEX_BYTES_PER_FRAME = 40
+#: whole fading block: each generator's (4, nf) int64 draw and its copy in
+#: the stacked (4, B, nf) array, both alive while the stack is made.
+INDEX_BYTES_PER_FRAME = 64
 
 #: Bytes ``block_bytes`` counts for each block's generator, a NumPy
 #: ``default_rng`` (about 0.9 kB under ``tracemalloc``).
@@ -92,10 +92,11 @@ def block_bytes(cb: Codebook, nf: int, n_r: int) -> int:
     decided, for fading blocks of ``nf`` frames: ``window_blocks`` of
     them, or one in windows of ``window_size`` frames.
 
-    Per block: its whole group-index draw (``INDEX_BYTES_PER_FRAME``), its
-    generator (``RNG_BYTES``), its channel as drawn and as stacked, the
-    chain's and the noise's frame before the window, and a chain step's
-    4 T gathered terms (n x n_r complex each).  Per frame of the window:
+    Per block: its whole group-index draw, twice while the blocks' draws
+    are stacked (``INDEX_BYTES_PER_FRAME``), its generator (``RNG_BYTES``),
+    its channel as drawn and as stacked, the chain's and the noise's frame
+    before the window, and a chain step's 4 T gathered terms (n x n_r
+    complex each).  Per frame of the window:
     per term its gathered weight and coordinate (16 bytes), and per term and
     row the weight's gathered column and unit (24 bytes), its scale, their
     roots and the roots shifted by one frame (40 bytes), the
@@ -234,15 +235,14 @@ def window_frames(cb: Codebook, rngs, nf: int, n_r: int, sigma: float):
 
     Each block draws in a fixed order: the channel H, the four groups'
     indices for all ``nf`` frames, then the noise Z (``sigma`` per real
-    dimension), reference frame first.  A frame's linear index is its four
-    group indices raveled row-major over ``cb.sizes``.  The B blocks run
+    dimension), reference frame first.  The B blocks run
     together through the receiver-side chain Y_0 = H,
     Y_t = U_t Y_{t-1} / sqrt(a_{t-1}) = X_t H (``_chain``), which applies
     each codeword as the row gathers of its partial codewords' monomial
     terms, so no n x n codeword is formed, and R_t = Y_t + Z_t.  A window
     holds ``window_size`` frames of each block, all of them for the
     ``window_blocks`` of a window.  Yields ``(sent, r_prev, r)``: the
-    window's sent linear indices as a (B, w) array, the frames received
+    window's sent group indices as a (4, B, w) array, the frames received
     just before it, (B, n, n_r), and its received frames, (B, w, n, n_r).
     Every block's frames depend on its own draws only, whatever B or
     ``window_size``.
@@ -253,7 +253,6 @@ def window_frames(cb: Codebook, rngs, nf: int, n_r: int, sigma: float):
     # broadcast-bound path
     sizes = cb.sizes[0] if len(set(cb.sizes)) == 1 else np.array(cb.sizes)[:, None]
     idx = np.stack([rng.integers(0, sizes, (4, nf)) for rng in rngs], axis=1)
-    lin_block = np.ravel_multi_index(tuple(idx), cb.sizes)
     y_prev, r_prev = h, None
     root_prev = np.ones((len(rngs), 1))  # sqrt(a) of the reference frame
     step = window_size(cb, n_r)
@@ -275,7 +274,7 @@ def window_frames(cb: Codebook, rngs, nf: int, n_r: int, sigma: float):
                 r_prev, r = r[:, 0], r[:, 1:]
         else:
             r_prev, r = y[:, 0], y[:, 1:]
-        yield lin_block[:, lo:lo + step], r_prev, r
+        yield window, r_prev, r
         r_prev = r[:, -1].copy()
 
 
@@ -314,8 +313,8 @@ def decode_group(cb: Codebook, r_t, r_prev, a_prev_sq: float) -> DecodeResult:
     r_t = _as_receive(r_t, cb.n)
     r_prev = _as_receive(r_prev, cb.n)
     g, energy = correlate(cb, r_t[None], r_prev)
-    (lin,), a_m = decide_group(cb, g, energy, a_prev_sq)
-    idx = cb.unravel_index(lin)
+    hats, a_m = decide_group(cb, g, energy, a_prev_sq)
+    idx = tuple(hats)
     x = np.concatenate([points[i] for points, i in zip(cb.alphabets, idx)])
     metric = (np.vdot(r_t, r_t).real + energy[0] / a_prev_sq * a_m
               - 2.0 / math.sqrt(a_prev_sq) * float(np.dot(x, g[0])))
@@ -358,19 +357,19 @@ def decide_group(cb: Codebook, g, energy, a_prev_sq: float):
     points as a (P_k, 1, K/4) table with its norms and its slice of the
     frame's h (``fold``): the call structure perfbench's traced run
     counts.  Dropping the metric's quadratic terms per group is exact for
-    a scaled-unitary codebook.  Returns the decided linear indices and the
-    scale of the last decision.
+    a scaled-unitary codebook.  Returns the decided group indices, frame
+    t's four at 4 t to 4 t + 3 of one list, and the scale of the last
+    decision, its four winners' norms summed in group order.
     """
     groups = cb.group_tables
     a, hats = a_prev_sq, []
     for g_t, e in zip(g.reshape(len(g), 4, -1), energy):
         h = fold(g_t, e, a)
-        lin, a = 0, 0.0
-        for h_k, (table, norms, norm_list, size) in zip(_TIED if h is None else h, groups):
-            # ravels the winners row-major, sums their norms
+        a = 0.0
+        for h_k, (table, norms, norm_list) in zip(_TIED if h is None else h, groups):
             best = metric_scan(table, h_k, norms)
-            lin, a = lin * size + best, a + norm_list[best]
-        hats.append(lin)
+            hats.append(best)
+            a += norm_list[best]
     return hats, a
 
 
@@ -386,17 +385,18 @@ def decide_exhaustive(cb: Codebook, g, energy, a_prev_sq: float):
     codebook a ``FactoredTable`` that sums the four groups' scores
     (``_kernels``), so the (M, n, n) stack is never built and the
     decisions are exact float64 ML either way; it needs a scaled-unitary
-    codebook (``Codebook.require_scaled_unitary``).  The decided scale is
-    summed from the winner's four group norms, as in ``decide_group``.
+    codebook (``Codebook.require_scaled_unitary``).  The scan returns the
+    winner's row of the table, unravelled at once into its four group
+    indices, which are returned as in ``decide_group``, and the decided
+    scale is summed from the winner's four group norms.
     """
     table, *scales = cb.exhaustive_table
     n0, n1, n2, n3 = cb.norm_lists
     a, hats = a_prev_sq, []
     for g_t, e in zip(g, energy):
-        lin = metric_scan(table, fold(g_t, e, a), *scales)
-        i0, i1, i2, i3 = cb.unravel_index(lin)
+        i0, i1, i2, i3 = cb.unravel_index(metric_scan(table, fold(g_t, e, a), *scales))
         a = n0[i0] + n1[i1] + n2[i2] + n3[i3]
-        hats.append(lin)
+        hats += i0, i1, i2, i3
     return hats, a
 
 

@@ -294,12 +294,7 @@ def prepare(cfg: SimConfig) -> Codebook:
     of the sweep's largest fading blocks fits in the memory available
     (``block_bytes``: the group-index draws of its blocks and its arrays),
     so errors come before a sweep.  ``cfg`` itself was checked when it was
-    constructed.  A signal set of 2^63 or more codewords is refused
-    (ValueError) before its codebook is built: a frame's linear index
-    (``window_frames``) is an int64."""
-    if cfg.m >= 2**63:
-        raise ValueError(f"the simulator indexes codewords as int64, so it needs fewer than "
-                         f"2^63 codewords, but the signal set has {cfg.m}")
+    constructed."""
     cb = _codebook(cfg.lam, cfg.m, cfg.family, cfg.radii, cfg.preset, cfg.c)
     cb.require_scaled_unitary()
     if "exhaustive" in cfg.decoders():
@@ -314,8 +309,9 @@ def _run_blocks(cb, cfg, snr_idx, block_lo, block_hi, stopped=None):
     """Simulate blocks [block_lo, block_hi) of SNR point ``snr_idx`` on
     ``cb``, the codebook ``prepare(cfg)`` returned.
 
-    Returns one ``Counter`` per decoder: frames, frame_errors, bit_errors
-    (differing bits of the linear indices), decode_s
+    Returns one ``Counter`` per decoder: frames, frame_errors (frames whose
+    decided group indices differ from the sent ones in any group),
+    bit_errors (differing bits of the group indices), decode_s
     (``SimPoint.decode_time_s``) and encode_s (``SimPoint.encode_time_s``).
     Each block draws from its own stream ``default_rng([seed, snr_idx,
     blk])``.  ``diffcodec.window_frames`` encodes and transmits the blocks
@@ -323,7 +319,7 @@ def _run_blocks(cb, cfg, snr_idx, block_lo, block_hi, stopped=None):
     alone), window by window; ``correlate`` correlates each window once,
     each decoder's ``diffcodec`` decision routine decides every block of it
     from that, tracking the block's own scale, and one XOR of the decided
-    and sent indices counts the window's errors.  ``stopped``, a forked
+    and sent group indices counts the window's errors.  ``stopped``, a forked
     worker's shared count of stopped points, ends the chunk at its next
     window once ``run_sim`` has stopped point ``snr_idx`` (the caller drops
     its counts).
@@ -360,8 +356,8 @@ def _run_blocks(cb, cfg, snr_idx, block_lo, block_hi, stopped=None):
                     hats += hats_b
                 c = counts[d]
                 c["decode_s"] += t_corr + time.perf_counter() - t1
-                errs = np.array(hats).reshape(sent.shape) ^ sent
-                c["frame_errors"] += int(np.count_nonzero(errs))
+                errs = np.reshape(hats, (*sent.shape[1:], 4)).transpose(2, 0, 1) ^ sent
+                c["frame_errors"] += int(np.count_nonzero(errs.any(axis=0)))
                 c["bit_errors"] += int(np.bitwise_count(errs).sum())
             t0 = time.perf_counter()
         encode_s += time.perf_counter() - t0
@@ -504,8 +500,8 @@ def run_sim(cfg: SimConfig) -> SimResult:
     cb = prepare(cfg)
     decoders = cfg.decoders()
     evals_per_frame = {"exhaustive": cb.M, "group": sum(cb.sizes)}
-    # BER needs power-of-two group sizes (see bit_mapping): a linear index's
-    # binary digits are then the concatenated group-index bits; 0 means BLER only
+    # BER needs power-of-two group sizes (see bit_mapping): a frame then
+    # carries log2 M bits, its group indices' bits concatenated; 0 means BLER only
     pow2 = all(size & (size - 1) == 0 for size in cb.sizes)
     bits_per_frame = cb.M.bit_length() - 1 if pow2 else 0
     n_blocks = math.ceil(cfg.frames / cfg.frames_per_block)

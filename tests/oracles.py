@@ -196,8 +196,8 @@ def noisy_window(cb, rng, sigma, n_r=1):
 
 
 def replay_y_chain(cb, seed, nf, n_r, sigma):
-    """One fading block's sent linear indices, received frames and decisions,
-    frame by frame.
+    """One fading block's sent group indices, received frames and decisions,
+    frame by frame, each index a tuple of four.
 
     The simulator's draw order on ``default_rng(seed)``: the channel, the
     four groups' indices for all ``nf`` frames, then the noise (``sigma``
@@ -222,9 +222,9 @@ def replay_y_chain(cb, seed, nf, n_r, sigma):
         y, a_prev = (cw.matrix @ y) / np.sqrt(a_prev), cw.scale_sq
         frames.append(y + noise[t + 1])
         best, _ = brute_force_decode(cb.matrices, frames[-1], frames[-2], a_hat)
-        decided.append(best)
-        a_hat = cb.codeword_at(cb.unravel_index(best)).scale_sq
-    sent = [cb.linear_index(idx[:, t]) for t in range(nf)]
+        decided.append(cb.unravel_index(best))
+        a_hat = cb.codeword_at(decided[-1]).scale_sq
+    sent = [tuple(idx[:, t].tolist()) for t in range(nf)]
     return sent, frames, decided
 
 

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from gdstbc import cli, codebook, signalset, sim
+from gdstbc import cli, codebook, signalset
 from gdstbc.codebook import Codebook, NotGroupDecodableError
 from gdstbc.sim import CSV_HEADER, build_codebook
 
@@ -322,22 +322,31 @@ class TestSimulateCommand:
         assert err == f"configuration error: {need} of memory is available\n"
         assert kept.read_bytes() == b"earlier results\n"
 
-    def test_int64_index_range_is_refused_before_the_codebook(self, capsys, monkeypatch):
-        # M = 2^64 linear indices do not fit an int64
-        def unbuilt(*args):
-            raise AssertionError("the codebook was built")
-
-        monkeypatch.setattr(sim, "_codebook", unbuilt)
-        code, stdout, err = run_cli(capsys, "simulate", "--lambda", "2", "--points",
-                                    str(2**64), "--snr-db", "0", "--frames", "10")
-        assert code == 2 and stdout == ""
-        assert err == ("configuration error: the simulator indexes codewords as int64, so "
-                       "it needs fewer than 2^63 codewords, but the signal set has "
-                       "18446744073709551616\n")
+    def test_two_to_the_64_codewords_run_on_their_group_indices(self, capsys, tmp_path):
+        # lam 2, M = 2^64: four groups of 2^16 points, 64 bits a frame; 300
+        # blocks of 2 frames make 3 chunks, so two workers both run
+        args = ("simulate", "--lambda", "2", "--points", str(2**64), "--snr-db", "inf",
+                "--frames", "600", "--coherence", "3")
+        csvs = []
+        for workers in ("1", "2"):
+            code, stdout, _ = run_cli(capsys, *args, "--workers", workers)
+            assert code == 0
+            csvs.append(stdout)
+        assert csvs[1] == csvs[0]
+        assert csvs[0].splitlines()[1].split(",")[:7] == [
+            "inf", "group", "600", "0", "0", str(64 * 600), "0"]
+        # the exhaustive rows would scan 2^64 codewords
+        out = tmp_path / "new.csv"
+        for decoder in ("exhaustive", "both"):
+            code, stdout, err = run_cli(capsys, *args, "--decoder", decoder, "--out", str(out))
+            assert code == 2 and stdout == ""
+            assert err.startswith("configuration error: decide_exhaustive needs "
+                                  "Codebook.exhaustive_table, ")
+            assert not out.exists()
 
     def test_whole_burst_past_the_memory_budget_leaves_out_untouched(self, capsys,
                                                                       tmp_path):
-        # 10^13 frames in one block: a 400 TB group-index draw
+        # 10^13 frames in one block: a 320 TB group-index draw, held twice
         out = tmp_path / "new.csv"
         code, stdout, err = run_cli(capsys, "simulate", "--lambda", "2", "--points", "16",
                                     "--snr-db", "0", "--frames", str(10**13),
@@ -345,7 +354,7 @@ class TestSimulateCommand:
         assert code == 2 and stdout == ""
         assert err.startswith("configuration error: a fading block of 10000000000000 "
                               "frames needs its group-index draw and one window's arrays, "
-                              "400000000.6 MB, but only ")
+                              "640000000.6 MB, but only ")
         assert not out.exists()
 
     def test_receive_antennas_past_the_memory_budget_leave_out_untouched(self, capsys,

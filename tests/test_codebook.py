@@ -99,9 +99,9 @@ class TestCodewordAssembly:
     def test_group_tables_view_the_alphabets(self, cb16):
         # what decide_group scans per group, built once: read-only views
         assert cb16.group_tables is cb16.group_tables
-        for k, (table, norms, norm_list, size) in enumerate(cb16.group_tables):
+        for k, (table, norms, norm_list) in enumerate(cb16.group_tables):
             points = cb16.alphabets[k]
-            assert table.shape == (size, 1, points.shape[1]) and size == cb16.sizes[k]
+            assert table.shape == (cb16.sizes[k], 1, points.shape[1])
             assert np.shares_memory(table, points) and not table.flags.writeable
             assert norms is cb16.group_norms[k] and norm_list == norms.tolist()
 
@@ -591,7 +591,7 @@ class TestCodebookInvariants:
 
     def test_linear_index_roundtrip(self, cb16):
         for lin in range(cb16.M):
-            assert cb16.linear_index(cb16.unravel_index(lin)) == lin
+            assert np.ravel_multi_index(cb16.unravel_index(lin), cb16.sizes) == lin
 
     def test_unravel_index_is_row_major_over_unequal_sizes(self):
         sizes = (2, 3, 4, 5)

@@ -153,7 +153,7 @@ class TestExhaustiveDecoder:
             r_t, r_prev, a_sq, _ = random_window(cb16, rng)
             res = decode_exhaustive(cb16, r_t, r_prev, a_sq)
             oi, om = brute_force_decode(cb16.matrices, r_t, r_prev, a_sq)
-            assert cb16.linear_index(res.index) == oi
+            assert res.index == cb16.unravel_index(oi)
             assert res.metric == pytest.approx(om, rel=1e-10)
 
     def test_refuses_a_stack_past_the_memory_budget(self, monkeypatch):
@@ -207,7 +207,7 @@ class TestScaledUnitaryExhaustiveScan:
             scale = cb.codeword_at(want).scale_sq
             for decide in (decide_group, decide_exhaustive):
                 hats, a = decide(cb, *correlate(cb, r_t[None], r_prev), a_sq)
-                assert (cb.unravel_index(hats[0]), a) == (want, scale)
+                assert (tuple(hats), a) == (want, scale)
             if w % 50 == 7:
                 assert want == (0, 0, 0, 0)
         factored = isinstance(cb.__dict__["exhaustive_table"][0], FactoredTable)
@@ -246,9 +246,9 @@ class TestScaledUnitaryExhaustiveScan:
                     calls.clear()
                     hats, a = decide_exhaustive(cb, *correlate(cb, r, r_prev), a)
                     assert calls == [(form, (cb.M, 4, 2))] * len(r)
-                    for hat, r_t in zip(hats, r):
+                    for t, r_t in enumerate(r):
                         res = decode_exhaustive(cb, r_t, r_prev, a_ref)
-                        assert hat == cb.linear_index(res.index)
+                        assert tuple(hats[4 * t:4 * t + 4]) == res.index
                         a_ref, r_prev = cb.codeword_at(res.index).scale_sq, r_t
                     assert a == a_ref
             # what the scan reads is cached once, in the form the table's size selects
@@ -308,12 +308,27 @@ class TestBlockBytes:
                     hats = []
                     for g_b, energy_b in zip(g, energy):
                         hats += decide(cb, g_b, energy_b, 1.0)[0]
-                    errs = np.array(hats).reshape(sent.shape) ^ sent
-                    np.bitwise_count(errs).sum()
+                    errs = np.reshape(hats, (*sent.shape[1:], 4)).transpose(2, 0, 1) ^ sent
+                    np.count_nonzero(errs.any(axis=0)), np.bitwise_count(errs).sum()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= block_bytes(cb, nf, n_r)
+
+    def test_bounds_the_index_draw_of_a_whole_burst(self):
+        # a whole-burst block draws all its group indices before its first
+        # window, and holds each generator's draw and their stacked copy at once
+        cb = build_codebook(SimConfig(lam=2, m=16))
+        nf = 10**5
+        cb.basis_taps, cb.chain_tables  # noqa: B018  (built before the sweep)
+        np.random.default_rng([0])  # the first one imports numpy.random's pickling helpers
+        tracemalloc.start()
+        try:
+            next(window_frames(cb, [np.random.default_rng(nf)], nf, 1, 0.3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= block_bytes(cb, nf, 1)
 
     def test_windows_stay_under_the_byte_cap(self):
         # no per-frame array of a window passes WINDOW_BYTES: the n x n
@@ -342,8 +357,8 @@ class TestIndexDraw:
 
     @pytest.mark.parametrize("sizes", [(4, 4, 4, 4), (2, 4, 6, 3)])
     def test_sent_indices_are_each_groups_draws(self, sizes):
-        # after the channel, group k's nf indices in turn, raveled row-major
-        # over the sizes: the per-group draws the oracle replays
+        # after the channel, group k's nf indices in turn, as row k of the
+        # window's (4, 1, nf) indices: the per-group draws the oracle replays
         axis = np.array([[1.0, 0.0], [-1.0, 0.0]])
         cb = Codebook(construct_design(2), [axis[np.arange(p) % 2] for p in sizes])
         nf = 12
@@ -351,7 +366,8 @@ class TestIndexDraw:
         rng = np.random.default_rng(51)
         rng.standard_normal((cb.n, 1, 2))
         idx = [rng.integers(0, p, nf) for p in sizes]
-        assert sent[0].tolist() == np.ravel_multi_index(idx, sizes).tolist()
+        assert sent.shape == (4, 1, nf)
+        assert sent[:, 0].tolist() == [i.tolist() for i in idx]
 
 
 class TestGroupDecoder:

@@ -321,15 +321,15 @@ class TestFactoredScan:
             hi[k] = 1
             pred_lo, pred_hi = (cb.codeword_at(i).matrix @ e1 for i in (lo, hi))
             mid = (pred_lo + pred_hi) / 2
-            first = cb.linear_index(lo)
-            assert metric_scan(factored, _scaled_h(cb, e1, mid, 1.0)) == first
-            assert cb.linear_index(decode_exhaustive(cb, mid, e1, 1.0).index) == first
+            assert cb.unravel_index(metric_scan(factored, _scaled_h(cb, e1, mid, 1.0))) \
+                == decode_exhaustive(cb, mid, e1, 1.0).index == tuple(lo)
             # about 1e-10 relative toward the higher index
             for toward, want in ((pred_hi, hi), (pred_lo, lo)):
                 r_t = mid + 1e-10 * (toward - mid)
                 assert decode_exhaustive(cb, r_t, e1, 1.0).index == tuple(want)
                 h = _scaled_h(cb, e1, r_t, 1.0)
-                assert metric_scan(factored, h) == _scan_table(cb, h) == cb.linear_index(want)
+                assert metric_scan(factored, h) == _scan_table(cb, h)
+                assert cb.unravel_index(_scan_table(cb, h)) == tuple(want)
 
     def test_near_tie_in_group_3(self):
         # lam 2 M 256: two codewords that differ in group 3, 1e-8 apart
@@ -339,7 +339,7 @@ class TestFactoredScan:
         pred_win, pred_lose = (cb.codeword_at(i).matrix @ e1 for i in (win, lose))
         r_t = (pred_win + pred_lose) / 2 + 1e-8 * (pred_win - pred_lose) / 2
         assert decode_exhaustive(cb, r_t, e1, 1.0).index == win
-        assert metric_scan(_factored(cb), _scaled_h(cb, e1, r_t, 1.0)) == cb.linear_index(win)
+        assert cb.unravel_index(metric_scan(_factored(cb), _scaled_h(cb, e1, r_t, 1.0))) == win
 
     def test_no_h_ties_to_first_index(self, scaled_cb):
         assert metric_scan(_factored(scaled_cb), None) == 0

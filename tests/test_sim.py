@@ -94,14 +94,14 @@ class TestBitMapping:
             bit_mapping((0, 0, 0, 0), (6, 6, 6, 6))
 
     @pytest.mark.parametrize("sizes", [(2, 2, 2, 2), (16, 16, 16, 16), (2, 4, 8, 16)])
-    def test_xor_of_linear_indices_counts_bit_errors(self, sizes):
-        # the simulator counts bit errors as (lin ^ lin_hat).bit_count()
+    def test_xor_of_group_indices_counts_bit_errors(self, sizes):
+        # the simulator counts bit errors as the sum over the four groups of
+        # bitwise_count(tx_k ^ rx_k)
         rng = np.random.default_rng(sum(sizes))
         for _ in range(500):
             tx, rx = (tuple(int(rng.integers(0, s)) for s in sizes) for _ in range(2))
-            lin, lin_hat = (int(np.ravel_multi_index(i, sizes)) for i in (tx, rx))
             hamming = sum(a != b for a, b in zip(bit_mapping(tx, sizes), bit_mapping(rx, sizes)))
-            assert (lin ^ lin_hat).bit_count() == hamming
+            assert np.bitwise_count(np.array(tx) ^ np.array(rx)).sum() == hamming
 
 
 class TestNoiseVar:
@@ -311,7 +311,7 @@ class TestRunSim:
     def test_refuses_a_block_past_the_memory_budget(self, monkeypatch):
         # the cached codebook; its partials take 4 kB at most
         cb = sim.prepare(_cfg(frames=1))
-        # 40 bytes a frame of index draw, and the arrays of a window of at most
+        # 64 bytes a frame of index draw, and the arrays of a window of at most
         # 256 frames: 250 frames in one block fit, as do two blocks of 100 in
         # one window, and 251 do not
         budget = diffcodec.block_bytes(cb, 250, 1)
@@ -619,10 +619,11 @@ class TestRunSim:
             bad.to_json()
 
 
-#: CSVs of small configs, all produced by the per-block X chain before the
-#: window pass and its Y chain.  They pin the RNG layout: one stream per
-#: block, drawing the channel, all the group indices, then the noise.  A
-#: change of layout must update them.
+#: CSVs of small configs, the first six produced by the per-block X chain
+#: before the window pass and its Y chain, the last by the window pass while
+#: it still counted errors on raveled linear indices.  They pin the RNG
+#: layout: one stream per block, drawing the channel, all the group indices,
+#: then the noise.  A change of layout must update them.
 GOLDEN_CSV = [
     (dict(lam=2, m=256, snr_db=(0.0, 6.0), frames=300, coherence=10, seed=7),
      "0,group,300,290,0.966667,2400,931,0.387917,4800,7\n"
@@ -652,6 +653,12 @@ GOLDEN_CSV = [
      "4,exhaustive,300,149,0.496667,1200,190,0.158333,4800,5\n"
      "10,group,300,15,0.05,1200,16,0.0133333,2400,5\n"
      "10,exhaustive,300,15,0.05,1200,16,0.0133333,4800,5\n"),
+    # six-point groups have no bit mapping: frame errors only
+    (dict(lam=2, m=1296, coherence=7, frames=600, snr_db=(4.0, 10.0), decoder="both", seed=6),
+     "4,group,600,577,0.961667,0,0,nan,14400,6\n"
+     "4,exhaustive,600,577,0.961667,0,0,nan,777600,6\n"
+     "10,group,600,415,0.691667,0,0,nan,14400,6\n"
+     "10,exhaustive,600,415,0.691667,0,0,nan,777600,6\n"),
 ]
 
 
@@ -669,29 +676,29 @@ def _per_frame_block(cb, seed, nf, n_r, sigma):
         state, x_t = encoder_step(state, cb.codeword_at(idx[:, t]))
         frames.append(channel_step(ch, x_t, h, rng))
         res = decode_exhaustive(cb, frames[-1], frames[-2], a_hat)
-        decided.append(cb.linear_index(res.index))
+        decided.append(res.index)
         a_hat = estimate_scale(cb.codeword_at(res.index))
-    return [cb.linear_index(idx[:, t]) for t in range(nf)], frames, decided
+    return [tuple(idx[:, t].tolist()) for t in range(nf)], frames, decided
 
 
 def _window_pass(cb, seeds, nf, n_r, sigma):
     """Per block of one ``window_frames`` pass over the blocks seeded by
-    ``seeds``: its sent indices, its received frames, reference first, and
-    ``decide_group``'s decisions on each window's correlation."""
+    ``seeds``: its sent group-index tuples, its received frames, reference
+    first, and ``decide_group``'s decisions on each window's correlation."""
     rngs = [np.random.default_rng(seed) for seed in seeds]
     sent, frames, decided = ([[] for _ in seeds] for _ in range(3))
     a = [1.0] * len(seeds)
-    for lin, r_prev, r in diffcodec.window_frames(cb, rngs, nf, n_r, sigma):
-        assert lin.shape == r.shape[:2] and r_prev.shape == (len(seeds), cb.n, n_r)
+    for idx, r_prev, r in diffcodec.window_frames(cb, rngs, nf, n_r, sigma):
+        assert idx.shape == (4, *r.shape[:2]) and r_prev.shape == (len(seeds), cb.n, n_r)
         g, energy = diffcodec.correlate(cb, r, r_prev)
         for b in range(len(seeds)):
             if not frames[b]:
                 frames[b].append(r_prev[b])
             assert r_prev[b].tobytes() == frames[b][-1].tobytes()
-            sent[b] += lin[b].tolist()
+            sent[b] += zip(*idx[:, b].tolist())
             frames[b] += list(r[b])
             hats, a[b] = diffcodec.decide_group(cb, g[b], energy[b], a[b])
-            decided[b] += hats
+            decided[b] += [tuple(hats[t:t + 4]) for t in range(0, len(hats), 4)]
     return sent, frames, decided
 
 
@@ -751,7 +758,8 @@ class TestBlockPass:
 
     @pytest.mark.parametrize("cfg, rows", GOLDEN_CSV,
                              ids=["coherence", "whole-burst", "both-decoders-nr2",
-                                  "partial-last-block", "hyperbola-nr2", "lam5"])
+                                  "partial-last-block", "hyperbola-nr2", "lam5",
+                                  "bler-only"])
     def test_golden_csv_pins_the_rng_layout(self, cfg, rows):
         assert run_sim(SimConfig(**cfg)).to_csv() == CSV_HEADER + "\n" + rows
 
