@@ -26,10 +26,11 @@ design, K = 2n), and no M-sized array is made but the metrics.  An h of
 None stands for c == 0 (r_prev == 0): every candidate then ties and
 index 0 wins.  The caller vouches for the scaled unitarity; on a
 codebook that breaks it the result is a different metric.  The
-simulator's exhaustive decoder scans all M codewords this way, its group
-decoder each group's points (a group's share of the metric is
-x_k . h_k + |x_k|^2, on the group's slice of h), so both decoders scan
-the same h.
+simulator's exhaustive decoder scans all M codewords this way up to
+``codebook.TABLE_SCAN_BYTES`` of coordinates and a ``FactoredTable``
+above, its group decoder each group's points (a group's share of the
+metric is x_k . h_k + |x_k|^2, on the group's slice of h), so both
+decoders scan the same h.
 
 A ``FactoredTable`` stands for the (M, 4, K/4) table of a product
 codebook without building it: the codewords are every choice of one

@@ -174,7 +174,7 @@ def _cmd_signalset(args) -> int:
 def _cmd_codebook(args) -> int:
     cb = build_codebook(_signal_cfg(args))
     # the residual first: its memory check comes before the diversity scan
-    resid = cb.max_unitarity_residual()
+    resid = cb.unitarity_residual
     div = verify_full_diversity(cb)
     report = {
         "scaled_unitary": bool(resid <= UNITARITY_TOL),

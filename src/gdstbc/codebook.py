@@ -27,7 +27,6 @@ import numpy as np
 
 from ._kernels import FactoredTable
 from .design import (
-    Grouping,
     LinearDesign,
     canonical_grouping,
     verify_doubling_blocks,
@@ -62,10 +61,6 @@ UNITARITY_TOL = 1e-9
 #: the runs split (9.5/10.6/10.1 against 10.0/9.0/12.3), so the threshold
 #: sits between 0.52 and 0.64 MB.
 TABLE_SCAN_BYTES = 600_000
-
-#: Most bytes ``verify_full_diversity`` holds for one block of a group's
-#: within-group pairs (one row of the pair grid at least).
-DIFF_BLOCK_BYTES = 2**20
 
 
 def _read(path: str):
@@ -161,10 +156,16 @@ class Codebook:
 
     The signal set is ``alphabets``: four 2-D arrays of K/4 columns, group
     k's P_k points in R^(K/4), as the ``signalset`` constructors return
-    them.  The constructor refuses (ValueError) any other shape, and a
-    design that is not monomial (``LinearDesign.monomial``), and keeps its
-    own read-only float64 copies as ``alphabets``; ``group_norms[k][p]`` is
-    |x_k(p)|^2.  A codebook holds nothing else per point: ``partials`` forms
+    them, split by the design's ``canonical_grouping``.  The constructor
+    refuses (ValueError) a design whose K is not a positive multiple of 4,
+    any other shape, an empty group, and a design that is not monomial
+    (``LinearDesign.monomial``), and keeps one read-only float64 copy per
+    distinct input array as ``alphabets``, so groups given one array share
+    one copy; ``group_norms[k][p]`` is |x_k(p)|^2.  The design's verdicts
+    ``group_decodable`` (read here unless ``check_decodable`` is false),
+    ``within_group_involutions`` and ``unitarity_residual`` are computed
+    once, on first use, and the ``require_*`` methods raise on them.
+    A codebook holds nothing else per point: ``partials`` forms
     S_k(p), the contribution of group k's point p to the codeword
     matrix, on demand, and ``compose`` sums four group parts at an index
     tuple (a codeword's ``group_norms`` into its scale).  ``basis_taps``
@@ -181,38 +182,32 @@ class Codebook:
     and the full (M, n, n) ``matrices`` stack (for ``decode_exhaustive``).
     """
 
-    def __init__(self, design: LinearDesign, alphabets,
-                 grouping: Grouping | None = None, check_decodable: bool = True):
-        if grouping is None:
-            grouping = canonical_grouping(design)
-        if grouping.g != 4:
-            raise ValueError("codebooks are built on four-group partitions")
-        if not grouping.covers(design.K):
-            raise ValueError("grouping does not partition the design's variables")
+    def __init__(self, design: LinearDesign, alphabets, check_decodable: bool = True):
+        if design.K <= 0 or design.K % 4:
+            raise ValueError(f"codebooks need a design whose K is a positive multiple of 4, "
+                             f"not {design.K}")
         dim = design.K // 4
-        if any(len(g) != dim for g in grouping.groups):
-            raise ValueError("groups must all have K/4 variables")
-        alphabets = tuple(np.array(a, dtype=np.float64, order="C") for a in alphabets)
-        if len(alphabets) != 4 or any(a.ndim != 2 or a.shape[1] != dim for a in alphabets):
-            raise ValueError(f"a signal set is four (P_k, {dim}) point arrays for a design "
-                             f"with K/4 = {dim}")
+        # the inputs stay alive while they are matched, so no id is reused
+        alphabets = list(alphabets)
+        copies = {}
         for a in alphabets:
-            a.setflags(write=False)
+            if id(a) not in copies:
+                copies[id(a)] = np.array(a, dtype=np.float64, order="C")
+                copies[id(a)].setflags(write=False)
+        alphabets = tuple(copies[id(a)] for a in alphabets)
+        if len(alphabets) != 4 or any(a.ndim != 2 or a.shape[1] != dim or not len(a)
+                                      for a in alphabets):
+            raise ValueError(f"a signal set is four non-empty (P_k, {dim}) point arrays for a "
+                             f"design with K/4 = {dim}")
         design.monomial  # noqa: B018  (refuses a design that is not monomial)
         self.design = design
         self.alphabets = alphabets
-        self.grouping = grouping
+        self.grouping = canonical_grouping(design)
         self.sizes = tuple(len(a) for a in alphabets)
         self.M = math.prod(self.sizes)
         self.group_norms = [np.einsum("pd,pd->p", points, points) for points in alphabets]
-        self.group_decodable = (
-            verify_group_decodable(design, grouping) if check_decodable else None
-        )
-        #: ``verify_within_group_involutions``' verdict, once
-        #: ``require_within_group_involutions`` ran.
-        self.within_group_involutions = None
-        #: ``max_unitarity_residual()``, once ``require_scaled_unitary`` ran.
-        self.unitarity_residual = None
+        if check_decodable:
+            self.group_decodable  # noqa: B018
 
     @property
     def n(self) -> int:
@@ -382,32 +377,42 @@ class Codebook:
         return Codeword(matrix=self._codewords(idx),
                         scale_sq=float(self.compose(self.group_norms, idx)), index=idx)
 
+    @cached_property
+    def group_decodable(self) -> bool:
+        """``verify_group_decodable``'s verdict on the canonical grouping."""
+        return verify_group_decodable(self.design, self.grouping)
+
+    @cached_property
+    def within_group_involutions(self) -> bool:
+        """``verify_within_group_involutions``' verdict on the canonical
+        grouping."""
+        return verify_within_group_involutions(self.design, self.grouping)
+
+    @cached_property
+    def unitarity_residual(self) -> float:
+        """``max_unitarity_residual()``."""
+        return self.max_unitarity_residual()
+
     def require_group_decodable(self):
-        """Run the exact cross-group anticommutation check if construction
-        skipped it; raise NotGroupDecodableError unless it passed."""
-        if self.group_decodable is None:
-            self.group_decodable = verify_group_decodable(self.design, self.grouping)
+        """Raise NotGroupDecodableError unless ``group_decodable``."""
         if not self.group_decodable:
             raise NotGroupDecodableError(
                 "codebook's grouping failed the cross-group anticommutation check"
             )
 
     def require_within_group_involutions(self):
-        """Run ``verify_within_group_involutions`` once; raise ValueError
-        unless it passed.  The closed forms of ``max_unitarity_residual``
-        and ``verify_full_diversity`` rest on it."""
-        if self.within_group_involutions is None:
-            self.within_group_involutions = verify_within_group_involutions(self.design,
-                                                                            self.grouping)
+        """Raise ValueError unless ``within_group_involutions``.  The closed
+        forms of ``max_unitarity_residual`` and ``verify_full_diversity``
+        rest on it."""
         if not self.within_group_involutions:
             raise ValueError("the codebook's closed-form checks need within-group weight "
                              "products that are traceless Hermitian involutions, but the "
                              "design fails verify_within_group_involutions")
 
     def require_scaled_unitary(self):
-        """Compute ``max_unitarity_residual`` once; raise ValueError unless
-        every codeword is scaled unitary within ``UNITARITY_TOL``
-        (NotGroupDecodableError first, from ``require_group_decodable``).
+        """Raise ValueError unless every codeword is scaled unitary within
+        ``UNITARITY_TOL`` by ``unitarity_residual`` (NotGroupDecodableError
+        first, from ``require_group_decodable``).
 
         The simulator requires it for every sweep, and ``decode_group`` for
         every call: the differential chain keeps X_t^H X_t = a_t I only for
@@ -415,8 +420,6 @@ class Codebook:
         metric in real coordinates (``_kernels.metric_scan``'s coordinate
         form) is exact only when S^H S = a(S) I for every codeword.
         """
-        if self.unitarity_residual is None:
-            self.unitarity_residual = self.max_unitarity_residual()
         if not self.unitarity_residual <= UNITARITY_TOL:
             raise ValueError(
                 f"the differential chain needs scaled-unitary codewords, but the codebook's "
@@ -508,14 +511,16 @@ def verify_full_diversity(cb: Codebook) -> DiversityReport:
     design, which proves the block lower bound
     det(dS^H dS) >= max(|det dA|^2, |det dB|^2)^2 for every pair.
 
-    Each group's pairs are taken in blocks of rows of its pair grid, at
-    most ``DIFF_BLOCK_BYTES`` a block, with a running count, minimum and
-    first deficient pair, so the memory does not grow with P^2.
+    Each alphabet is walked once, one row of its pair grid at a time:
+    row i holds the pairs (i, j > i), in ``triu_indices`` order, with a
+    running count, minimum and first deficient pair, so the memory does
+    not grow with P^2.  A group whose alphabet an earlier group holds
+    repeats that group's verdicts and adds its share of the count.
 
-    Raises NotGroupDecodableError on a codebook whose grouping fails the
+    Raises NotGroupDecodableError on a codebook whose design fails the
     cross-group anticommutation check, and ValueError on a design that
     fails ``Codebook.require_within_group_involutions``, on a within-group
-    difference on more than two coordinates, and when a block of a group's
+    difference on more than two coordinates, and when a row of a group's
     differences does not fit in the memory available.
     """
     cb.require_group_decodable()
@@ -525,38 +530,35 @@ def verify_full_diversity(cb: Codebook) -> DiversityReport:
     first_def = None
     min_det = math.inf
     for k, points in enumerate(cb.alphabets):
+        if any(points is a for a in cb.alphabets[:k]):
+            continue
         p, dim = points.shape
-        # per pair: its two indices, its difference with the two operands it
-        # is taken from, and at most seven floats: small, lo, hi and the
-        # temporaries of the rank rule and of the dets; per cell of a block's
-        # rows, a byte of the upper-triangle mask.  The first block has the
-        # most pairs.
-        pair_bytes = 16 + 24 * dim + 56
-        rows = max(1, min(p, DIFF_BLOCK_BYTES // (p * (1 + pair_bytes))))
-        check_memory(f"verify_full_diversity needs group {k}'s within-group differences",
-                     rows * p + (rows * (p - 1) - rows * (rows - 1) // 2) * pair_bytes)
-        for first in range(0, p, rows):
-            # the block's pairs (i, j > i), in triu_indices order
-            i, j = np.nonzero(np.arange(p) > np.arange(first, min(first + rows, p))[:, None])
-            i += first
-            d = np.abs(points[j] - points[i])
+        # per pair of the first row: its difference and the operand it is
+        # taken from, and at most seven floats: small, lo, hi and the
+        # temporaries of the rank rule and of the dets
+        check_memory(f"verify_full_diversity needs a row of group {k}'s within-group "
+                     f"differences", (p - 1) * (16 * dim + 56))
+        deficient_pairs = 0
+        for i in range(p - 1):
+            d = np.abs(points[i + 1:] - points[i])
             d.sort(axis=1)
             if d[:, :-2].any():
                 t = int(np.flatnonzero(d[:, -3])[0])
                 raise ValueError(f"verify_full_diversity needs within-group differences on at "
-                                 f"most two coordinates, but group {k}'s points {i[t]} and "
-                                 f"{j[t]} differ on {np.count_nonzero(d[t])}")
+                                 f"most two coordinates, but group {k}'s points {i} and "
+                                 f"{i + 1 + t} differ on {np.count_nonzero(d[t])}")
             # the largest |coordinate| and the only other nonzero one (or 0)
             big, small = d[:, -1], d[:, :-1].sum(axis=1)
             lo, hi = big - small, big + small
             deficient = lo <= RANK_RTOL * np.maximum(1.0, hi)
             if deficient.any():
-                num_def += int(deficient.sum()) * (cb.M // cb.sizes[k])
+                deficient_pairs += int(deficient.sum())
                 if first_def is None:
-                    t = int(np.argmax(deficient))
-                    first_def = _single_group_pair(k, i[t], j[t])
+                    first_def = _single_group_pair(k, i, i + 1 + int(np.argmax(deficient)))
             dets = np.where(deficient, 0.0, (lo * hi) ** (n // 2))
-            min_det = min(min_det, float(dets.min(initial=math.inf)))
+            min_det = min(min_det, float(dets.min()))
+        num_def += deficient_pairs * sum(cb.M // size for a, size in zip(cb.alphabets, cb.sizes)
+                                         if a is points)
     all_ok = num_def == 0
     claim = "full diversity verified (exhaustive)" if all_ok \
         else f"at least {num_def} rank-deficient pair(s) found (exhaustive)"

@@ -104,14 +104,6 @@ class Grouping:
         if len(flat) != len(set(flat)):
             raise ValueError("groups are not disjoint")
 
-    @property
-    def g(self) -> int:
-        return len(self.groups)
-
-    @property
-    def K(self) -> int:
-        return sum(len(grp) for grp in self.groups)
-
     def permutation(self) -> np.ndarray:
         """Concatenated group indices: position p of the stacked group
         coordinates maps to real variable index permutation()[p]."""

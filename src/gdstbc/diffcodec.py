@@ -36,8 +36,10 @@ g_t[v] = Re tr(r_t^H A_v r_{t-1}) (``_kernels`` docstring).
 ``correlate`` forms every g_t and ||r_{t-1}||^2 of a window at once, the
 input of every decider; frame by frame only the scalar ``fold`` with the
 previous decided scale stays sequential.  The exhaustive decider scans
-all M coordinate rows against h_t, the group decider each group's points
-against h_t's slice for that group, so both decide from the same h_t.
+``Codebook.exhaustive_table`` against h_t (all M coordinate rows on small
+codebooks; on large ones the four groups' scores and the points near
+their minima), the group decider each group's points against h_t's slice
+for that group, so both decide from the same h_t.
 """
 
 from __future__ import annotations
@@ -298,9 +300,10 @@ def decode_exhaustive(cb: Codebook, r_t, r_prev, a_prev_sq: float) -> DecodeResu
 def decode_group(cb: Codebook, r_t, r_prev, a_prev_sq: float) -> DecodeResult:
     """``decide_group`` on a one-frame window.
 
-    It needs a group-decodable, scaled-unitary codebook: a failing
-    grouping raises NotGroupDecodableError, then a codebook that is not
-    scaled unitary ValueError (``Codebook.require_scaled_unitary``).  The
+    It needs a group-decodable, scaled-unitary codebook: a design that
+    fails the cross-group anticommutation check raises
+    NotGroupDecodableError, then a codebook that is not scaled unitary
+    ValueError (``Codebook.require_scaled_unitary``).  The
     reported metric is the full differential metric
     || r_t - S_m r_prev / sqrt(a) ||^2 at the assembled decision m, so it is
     directly comparable with the exhaustive decoder's.  It is read off the

@@ -4,7 +4,8 @@ perfbench/spans.py times a layer by rebinding a module global to a wrapper,
 and skips a name it cannot find, so a renamed or bypassed name would read
 as zero seconds in the traced per-layer metrics rather than fail.  The
 names below are those of spans.py's ``_patch`` calls and of
-perfbench/child.py's imports.
+perfbench/child.py's imports; ``test_micro_calls_keep_their_shapes``
+makes child.py's per-frame calls with the arguments it passes.
 """
 
 import contextlib
@@ -128,3 +129,36 @@ def test_exhaustive_scans_count_one_call_of_m_candidates_per_frame(tracer, monke
         frames += len(r)
     assert tracer.counters["scan_calls"] == frames == 12
     assert tracer.counters["scan_candidates"] == frames * cb.M
+
+
+def test_micro_calls_keep_their_shapes():
+    """perfbench/child.py's ``mode_micro`` calls, with the arguments it
+    passes, on a lam 1 M 16 codebook: a changed signature fails here, not
+    only in a perfbench run."""
+    import gdstbc as g
+    from gdstbc import _kernels
+    from gdstbc.diffcodec import draw_channel
+    from gdstbc.sim import noise_var_for_snr
+
+    cb = g.Codebook(g.construct_design(1), g.construct_signal_set(1, 16), check_decodable=False)
+    rng = np.random.default_rng(5)
+    r_prev, r_t = (np.ascontiguousarray(rng.standard_normal((cb.n, 1))
+                                        + 1j * rng.standard_normal((cb.n, 1)))
+                   for _ in range(2))
+    best, val = _kernels.metric_scan(cb.matrices, r_prev, r_t, 1.0)
+    ref = np.sum(np.abs(r_t[None] - cb.matrices @ r_prev) ** 2, axis=(1, 2))
+    assert best == int(np.argmin(ref)) and val == pytest.approx(ref.min(), rel=1e-9)
+
+    # one frame of the per-frame replay
+    ch = g.ChannelConfig(n_r=1, noise_var=noise_var_for_snr(20.0, cb.n), seed=5)
+    h = draw_channel(ch, cb.n)
+    state = g.encoder_init(cb.n)
+    r_prev = g.channel_step(ch, state.x_prev, h)
+    u = cb.codeword_at(tuple(int(rng.integers(0, s)) for s in cb.sizes))
+    state, x = g.encoder_step(state, u)
+    r = g.channel_step(ch, x, h)
+    dg = g.decode_group(cb, r, r_prev, 1.0)
+    de = g.decode_exhaustive(cb, r, r_prev, 1.0)
+    assert de.index == dg.index
+    assert de.evaluations == cb.M == 16 and dg.evaluations == sum(cb.sizes) == 8
+    assert g.estimate_scale(cb.codeword_at(dg.index)) > 0

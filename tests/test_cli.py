@@ -158,23 +158,23 @@ class TestCodebookCommand:
 
     def test_differences_past_the_memory_budget_are_config_error(self, capsys,
                                                                   monkeypatch):
-        # P = 200, differences of two coordinates: blocks of 43 rows of the
-        # 200 x 200 pair grid (1 MiB at 121 B a cell), the first holding its
-        # 43 x 200 mask (8 600 B) and 7 654 pairs, each with its two indices
-        # (16 B), the difference and its two operands (3 x 16 B) and seven
-        # floats (56 B): 8 600 + 7 654 * 120 = 927 080 B, 0.9 MB
-        monkeypatch.setattr(codebook, "_available_bytes", lambda: 5 * 10**5)
+        # P = 20 000, differences of two coordinates: a row of the pair grid
+        # holds 19 999 pairs, each with its difference and the operand it is
+        # taken from (2 x 16 B) and seven floats (56 B): 1 759 912 B, 1.8 MB,
+        # past a budget that chain_tables' 1.64 MB fit in
+        monkeypatch.setattr(codebook, "_available_bytes", lambda: 17 * 10**5)
         code, out, err = run_cli(capsys, "codebook", "verify", "--lambda", "2",
-                                 "--points", str(200**4))
+                                 "--points", str(20_000**4))
         assert code == 2 and out == ""
-        assert err == ("configuration error: verify_full_diversity needs group 0's "
-                       "within-group differences, 0.9 MB, but only 0.5 MB of memory is "
+        assert err == ("configuration error: verify_full_diversity needs a row of group 0's "
+                       "within-group differences, 1.8 MB, but only 1.7 MB of memory is "
                        "available\n")
 
     def test_differences_run_in_blocks_within_the_memory_budget(self, capsys, monkeypatch):
         # P = 200: all 19 900 differences of a group at once would take
-        # 80 000 + 19 900 * 120 B = 2.5 MB, past a 1 MB budget; a block takes
-        # 0.9 MB, and the report is the one without a budget
+        # 19 900 * 88 B = 1.8 MB, past a 1 MB budget; a row of the pair grid
+        # takes 199 * 88 B = 17.5 kB, and the report is the one without a
+        # budget
         reports = []
         for budget in (10**6, 10**9):
             monkeypatch.setattr(codebook, "_available_bytes", lambda: budget)

@@ -16,7 +16,6 @@ from gdstbc.codebook import (
     verify_full_diversity,
 )
 from gdstbc.design import (
-    Grouping,
     LinearDesign,
     canonical_grouping,
     construct_design,
@@ -470,19 +469,22 @@ class TestFullDiversity:
         assert "matrices" not in cb.__dict__  # the full stack is never built
 
     def test_non_decodable_grouping_refused(self):
-        bad = Grouping(groups=((0, 3), (1, 2), (4, 6), (5, 7)))
-        cb = Codebook(construct_design(2), construct_signal_set(2, 16), grouping=bad)
+        # weights 2 and 3 swapped: the canonical grouping's groups 0 and 1
+        # then hold x1I with x2Q and x1Q with x2I, which do not anticommute
+        bad = LinearDesign(construct_design(2).weight_stack[[0, 1, 3, 2, 4, 5, 6, 7]])
+        cb = Codebook(bad, construct_signal_set(2, 16))
+        assert cb.group_decodable is False
         with pytest.raises(NotGroupDecodableError):
             verify_full_diversity(cb)
         with pytest.raises(NotGroupDecodableError):
             cb.max_unitarity_residual()
-        assert cb.within_group_involutions is None  # the grouping is refused first
+        assert "within_group_involutions" not in cb.__dict__  # the grouping is refused first
 
     def test_unchecked_codebook_is_checked_on_demand(self):
         cb = Codebook(construct_design(2), construct_signal_set(2, 16), check_decodable=False)
-        assert cb.group_decodable is None
+        assert "group_decodable" not in cb.__dict__
         assert verify_full_diversity(cb).all_full_rank
-        assert cb.group_decodable is True
+        assert cb.__dict__["group_decodable"] is True
 
     def test_full_rank_rule(self):
         # the rule documented on RANK_RTOL, as the verifiers apply it
@@ -701,11 +703,11 @@ class TestGroupSvdOracle:
 
 
 class TestDiversityBlocks:
-    """verify_full_diversity walks each group's pairs in blocks of rows of
-    its pair grid; the block size changes no field of the report."""
+    """verify_full_diversity walks each group's pairs one row of its pair
+    grid at a time."""
 
     @pytest.mark.parametrize("name", ["hyperbola-AB", "repeated", "lam2-M10000", "lam3-P17"])
-    def test_block_size_changes_no_field(self, name, monkeypatch):
+    def test_block_size_changes_no_field(self, name):
         rng = np.random.default_rng(52)
         d2, d3 = construct_design(2), construct_design(3)
         # rank-deficient pairs scattered through the grid: points on two
@@ -719,38 +721,72 @@ class TestDiversityBlocks:
                                                           [0.0, 2.0]]),) * 4),
               "lam2-M10000": lambda: Codebook(d2, construct_signal_set(2, 10000)),
               "lam3-P17": lambda: Codebook(d3, (scattered,) * 4)}[name]()
-        reports = []
-        for limit in (1, 500, 3000, 2**40):
-            monkeypatch.setattr(codebook, "DIFF_BLOCK_BYTES", limit)
-            reports.append(_assert_matches_group_svd(cb))
-        assert len({repr(rep) for rep in reports}) == 1, reports
+        _assert_matches_group_svd(cb)
 
-    def test_refusal_names_the_first_wide_difference_in_any_block(self, monkeypatch):
+    def test_refusal_names_the_first_wide_difference_in_any_block(self):
         # points 1 and 2 differ on three coordinates, the first such pair in
-        # triu_indices order: row 1 of the pair grid, the second block at one
-        # row a block
+        # triu_indices order: row 1 of the pair grid
         points = np.zeros((6, 4))
         points[:, 0] = np.arange(6)
         points[1, 1] = points[2, 2] = 1.0
         cb = Codebook(construct_design(3), (points,) * 4)
-        for limit in (1, 200, 2**40):
-            monkeypatch.setattr(codebook, "DIFF_BLOCK_BYTES", limit)
-            with pytest.raises(ValueError, match="group 0's points 1 and 2 differ on 3"):
-                verify_full_diversity(cb)
+        with pytest.raises(ValueError, match="group 0's points 1 and 2 differ on 3"):
+            verify_full_diversity(cb)
 
     def test_memory_is_checked_per_block(self, monkeypatch):
         # lam 2, P = 2048: the whole group's 2 096 128 differences would take
-        # 260 MB; one block of four rows of the grid (1 MiB at 121 B a cell)
-        # takes 8 192 + 8 186 * 120 B
+        # 184 MB; the first row of the grid, 2 047 pairs at 88 B a pair, is
+        # checked once, for the one alphabet the four groups share
         counted = []
         monkeypatch.setattr(codebook, "check_memory",
                             lambda need, nbytes: counted.append((need, nbytes)))
         cb = Codebook(construct_design(2), construct_signal_set(2, 2048**4))
         counted.clear()
         verify_full_diversity(cb)
-        block = 4 * 2048 + (4 * 2047 - 6) * 120
-        assert counted == [(f"verify_full_diversity needs group {k}'s within-group "
-                            f"differences", block) for k in range(4)]
+        assert counted == [("verify_full_diversity needs a row of group 0's within-group "
+                            "differences", 2047 * 88)]
+
+
+class TestSharedAlphabets:
+    """A codebook keeps one copy per distinct input array, and
+    verify_full_diversity walks each copy once; the verdicts are those of
+    four distinct copies and of one SVD per within-group difference."""
+
+    @pytest.mark.parametrize("lam, points", [
+        (2, construct_signal_set(2, 256)[0]),
+        (3, construct_signal_set(3, 256)[0]),
+        (2, hyperbola_signal_set([1.0], 0.25, branch="AB")[0]),
+        (2, np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [0.0, 2.0], [0.0, 2.0]])),
+    ], ids=["lam2-P4", "lam3-P4", "hyperbola-AB", "repeated"])
+    def test_one_object_and_four_copies_agree(self, lam, points):
+        shared = Codebook(construct_design(lam), (points,) * 4)
+        copies = Codebook(construct_design(lam), [points.copy() for _ in range(4)])
+        assert len({id(a) for a in shared.alphabets}) == 1
+        assert len({id(a) for a in copies.alphabets}) == 4
+        assert vars(_assert_matches_group_svd(shared)) == vars(_assert_matches_group_svd(copies))
+
+    @pytest.mark.parametrize("order", ["AB-A-AB-A", "A-AB-A-AB"])
+    def test_mixed_hyperbola_set_counts_both_deficient_groups(self, order):
+        # the AB branch has 4 singular point pairs; the A branch has none
+        ab = hyperbola_signal_set([1.0], 0.25, branch="AB")[0]
+        a = hyperbola_signal_set([1.0], 0.25)[0]
+        first = 0 if order == "AB-A-AB-A" else 1
+        cb = Codebook(construct_design(2), (ab, a, ab, a) if first == 0 else (a, ab, a, ab))
+        assert len({id(x) for x in cb.alphabets}) == 2
+        rep = _assert_matches_group_svd(cb)
+        assert rep.num_rank_deficient == 4 * (cb.M // 4) * 2 == 128
+        i, j = rep.first_deficient_pair
+        assert [k for k in range(4) if i[k] != j[k]] == [first]
+
+    def test_signal_sets_share_their_alphabets(self):
+        for lam, sset, distinct in ((2, construct_signal_set(2, 256), 1),
+                                    (3, preset_signal_set("paper-8ant-rate2"), 1),
+                                    (2, hyperbola_signal_set([1.0], 0.25), 2),
+                                    (2, hyperbola_signal_set([1.0], 0.25, branch="AB"), 2)):
+            cb = Codebook(construct_design(lam), sset)
+            assert len({id(a) for a in cb.alphabets}) == distinct
+        cfg = SimConfig(lam=2, m=256, family="hyperbola", frames=1)
+        assert len({id(a) for a in build_codebook(cfg).alphabets}) == 2
 
 
 class TestClosedFormRefusals:

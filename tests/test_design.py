@@ -208,11 +208,12 @@ class TestGrouping:
             Grouping(groups=((0, 1), (1, 2)))
 
     def test_rejects_wrong_count(self):
-        # g is the number of groups; codebooks take four-group partitions only
-        grp = Grouping(groups=((0, 1, 2, 3), (4, 5, 6, 7)))
-        assert grp.g == 2 and canonical_grouping(construct_design(2)).g == 4
-        with pytest.raises(ValueError, match="four-group partitions"):
-            Codebook(construct_design(2), construct_signal_set(2, 16), grp)
+        # codebooks split K into four groups of K/4: the seed's K = 2 and an
+        # empty design's K = 0 have no such split
+        assert len(canonical_grouping(construct_design(2)).groups) == 4
+        for d in (scalar_design(), LinearDesign(np.zeros((0, 2, 2), dtype=complex))):
+            with pytest.raises(ValueError, match=f"positive multiple of 4, not {d.K}"):
+                Codebook(d, construct_signal_set(1, 16))
 
 
 def _perturbed(lam, t, rng):

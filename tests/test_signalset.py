@@ -321,6 +321,14 @@ class TestAlphabetValidation:
         with pytest.raises(ValueError, match="four"):
             Codebook(construct_design(2), (g, g, g, np.array([1.0, -1.0])))
 
+    def test_empty_group_rejected(self):
+        # an empty group would leave M = 0: no rate, no pair and no decision
+        g = construct_signal_set(2, 16)[0]
+        with pytest.raises(ValueError, match="four non-empty"):
+            Codebook(construct_design(2), [np.empty((0, 2))] * 4)
+        with pytest.raises(ValueError, match="four non-empty"):
+            Codebook(construct_design(2), (g, g, np.empty((0, 2)), g))
+
     @pytest.mark.parametrize("sset", [
         construct_signal_set(2, 256),
         preset_signal_set("paper-8ant-rate2"),

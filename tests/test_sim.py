@@ -16,7 +16,7 @@ import pytest
 from gdstbc import codebook, diffcodec, sim
 from gdstbc._kernels import FactoredTable, blas_threads, set_blas_threads
 from gdstbc.codebook import UNITARITY_TOL, Codebook, NotGroupDecodableError
-from gdstbc.design import MAX_LAMBDA, Grouping, construct_design
+from gdstbc.design import MAX_LAMBDA, LinearDesign, construct_design
 from gdstbc.diffcodec import (
     ChannelConfig,
     channel_step,
@@ -264,9 +264,11 @@ class TestRunSim:
         assert len(started) == 1 and started[0].exitcode == 0
 
     def test_group_decoding_refuses_a_failing_grouping(self, monkeypatch):
-        scrambled = Grouping(groups=((0, 3), (1, 2), (4, 6), (5, 7)))
+        # weights 2 and 3 swapped: the canonical grouping's first two groups
+        # pair x1I with x2Q and x1Q with x2I, which do not anticommute
+        scrambled = LinearDesign(construct_design(2).weight_stack[[0, 1, 3, 2, 4, 5, 6, 7]])
         monkeypatch.setattr(sim, "build_codebook", lambda cfg: Codebook(
-            construct_design(2), construct_signal_set(2, 16), scrambled))
+            scrambled, construct_signal_set(2, 16)))
         # the grouping is checked before scaled unitarity, for every decoder
         for decoder in ("group", "exhaustive"):
             with pytest.raises(NotGroupDecodableError):
