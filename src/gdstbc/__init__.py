@@ -18,11 +18,9 @@ from .design import (
     Grouping,
     LinearDesign,
     abba,
-    c1_design,
     canonical_grouping,
     construct_design,
     doubling,
-    evaluate,
     render,
     render_text,
     scalar_design,
@@ -47,6 +45,6 @@ from .signalset import (
     hyperbola_signal_set,
     preset_signal_set,
 )
-from .sim import SimConfig, SimResult, bit_mapping, run_sim
+from .sim import SimConfig, SimResult, run_sim
 
 __version__ = "0.1.0"

@@ -37,8 +37,9 @@ codebook without building it: the codewords are every choice of one
 point per group, row-major over the four index ranges, and a group's
 share of x_m . h + a_m is p_k[i] = x_k(i) . h_k + |x_k(i)|^2.  Its scan
 returns the first minimum, in row-major order, of the compose sums
-((p0 + p1) + p2) + p3 that ``Codebook.coordinate_metrics`` forms, bit for
-bit, without forming the M sums.  Rounded addition is monotone, so the
+((p0 + p1) + p2) + p3 of the four group scores, each scored by its own
+``np.dot``, bit for bit, without forming the M sums (the tests' oracle
+``compose_sums`` forms them all).  Rounded addition is monotone, so the
 smallest sum is the sum of the four group minima m_k, and only points
 within tau = 4 eps sum_k |m_k| of their group's minimum can tie it
 (``FactoredTable.first_min`` gives the proof).  When each group has one
@@ -147,10 +148,10 @@ class FactoredTable:
         ((p0 + p1) + p2) + p3 of the group scores p_k = points_k . h_k +
         norms_k, h in four equal slices.
 
-        Each group is scored by its own ``np.dot``, the call
-        ``Codebook.coordinate_metrics`` makes: one stacked product over the
-        padded groups would round some scores differently, as the GEMV
-        kernel splits rows by the padded count.
+        Each group is scored by its own ``np.dot``, as the compose sums
+        are defined: one stacked product over the padded groups would round
+        some scores differently, as the GEMV kernel splits rows by the
+        padded count.
 
         With m_k the group minima, A = sum_k |m_k| and u = eps / 2, the
         near set of group k is every i with p_k[i] <= fl(m_k + tau),
@@ -250,12 +251,3 @@ def set_blas_threads(count: int) -> None:
             shutdown = getattr(lib, "blas_thread_shutdown_", None)
             if shutdown is not None:
                 shutdown()
-
-
-def blas_threads():
-    """Thread count of the first loaded OpenBLAS, or None if there is none."""
-    for lib in _openblas_libs():
-        fn = _entry(lib, "get")
-        if fn is not None:
-            return int(fn())
-    return None

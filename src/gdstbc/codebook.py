@@ -125,6 +125,23 @@ def check_memory(need: str, nbytes: int):
         )
 
 
+def _shared(items, f) -> list:
+    """``[f(x) for x in items]`` with f called once per distinct object of
+    ``items``, matched by identity while ``items`` holds them (so no id is
+    reused): items that are one object share one result."""
+    done = {}
+    for x in items:
+        if id(x) not in done:
+            done[id(x)] = f(x)
+    return [done[id(x)] for x in items]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only: groups may share it."""
+    a.setflags(write=False)
+    return a
+
+
 class NotGroupDecodableError(ValueError):
     """Raised when group decoding is requested on a codebook that failed
     the cross-group anticommutation check."""
@@ -161,10 +178,12 @@ class Codebook:
     any other shape, an empty group, and a design that is not monomial
     (``LinearDesign.monomial``), and keeps one read-only float64 copy per
     distinct input array as ``alphabets``, so groups given one array share
-    one copy; ``group_norms[k][p]`` is |x_k(p)|^2.  The design's verdicts
-    ``group_decodable`` (read here unless ``check_decodable`` is false),
-    ``within_group_involutions`` and ``unitarity_residual`` are computed
-    once, on first use, and the ``require_*`` methods raise on them.
+    one copy; ``group_norms[k][p]`` is |x_k(p)|^2, one read-only array per
+    distinct alphabet, like ``norm_lists`` and ``group_tables``' views.  The
+    design's verdicts ``group_decodable`` (read here unless
+    ``check_decodable`` is false), ``within_group_involutions`` and
+    ``unitarity_residual`` are computed once, on first use, and the
+    ``require_*`` methods raise on them.
     A codebook holds nothing else per point: ``partials`` forms
     S_k(p), the contribution of group k's point p to the codeword
     matrix, on demand, and ``compose`` sums four group parts at an index
@@ -187,14 +206,8 @@ class Codebook:
             raise ValueError(f"codebooks need a design whose K is a positive multiple of 4, "
                              f"not {design.K}")
         dim = design.K // 4
-        # the inputs stay alive while they are matched, so no id is reused
-        alphabets = list(alphabets)
-        copies = {}
-        for a in alphabets:
-            if id(a) not in copies:
-                copies[id(a)] = np.array(a, dtype=np.float64, order="C")
-                copies[id(a)].setflags(write=False)
-        alphabets = tuple(copies[id(a)] for a in alphabets)
+        alphabets = tuple(_shared(list(alphabets), lambda a: _read_only(
+            np.array(a, dtype=np.float64, order="C"))))
         if len(alphabets) != 4 or any(a.ndim != 2 or a.shape[1] != dim or not len(a)
                                       for a in alphabets):
             raise ValueError(f"a signal set is four non-empty (P_k, {dim}) point arrays for a "
@@ -205,7 +218,8 @@ class Codebook:
         self.grouping = canonical_grouping(design)
         self.sizes = tuple(len(a) for a in alphabets)
         self.M = math.prod(self.sizes)
-        self.group_norms = [np.einsum("pd,pd->p", points, points) for points in alphabets]
+        self.group_norms = _shared(alphabets,
+                                   lambda p: _read_only(np.einsum("pd,pd->p", p, p)))
         if check_decodable:
             self.group_decodable  # noqa: B018
 
@@ -350,22 +364,15 @@ class Codebook:
     def group_tables(self):
         """What the group decoder scans, per group: its points as a
         (P_k, 1, K/4) coordinate table and their norms as an array and as
-        a list."""
-        return tuple(zip((points[:, None] for points in self.alphabets), self.group_norms,
-                         self.norm_lists))
+        a list, one of each per distinct alphabet."""
+        return tuple(zip(_shared(self.alphabets, lambda points: points[:, None]),
+                         self.group_norms, self.norm_lists))
 
     @cached_property
     def norm_lists(self) -> list[list[float]]:
-        """``group_norms`` as Python floats, for per-frame scale sums."""
-        return [nk.tolist() for nk in self.group_norms]
-
-    def coordinate_metrics(self, h) -> np.ndarray:
-        """x_m . h + a_m in float64 for every codeword, h in ``basis`` order:
-        every group point's dot product with its group's slice of h plus its
-        norm, summed by ``compose`` over the index tuples, row-major."""
-        parts = [np.dot(points, h_k) + norms for points, h_k, norms
-                 in zip(self.alphabets, h.reshape(4, -1), self.group_norms)]
-        return self.compose(parts, np.ogrid[tuple(map(slice, self.sizes))]).ravel()
+        """``group_norms`` as Python floats, for per-frame scale sums, one
+        list per distinct alphabet."""
+        return _shared(self.group_norms, np.ndarray.tolist)
 
     def codeword_at(self, idx) -> Codeword:
         idx = tuple(int(i) for i in idx)

@@ -118,11 +118,6 @@ def scalar_design() -> LinearDesign:
     return LinearDesign(np.array([[[1]], [[1j]]]))
 
 
-def c1_design() -> LinearDesign:
-    """The 2x2 design C1(x1, x2) = [[x1, x2], [x2, x1]]."""
-    return abba(scalar_design())
-
-
 def abba(d: LinearDesign) -> LinearDesign:
     """[[A, B], [B, A]] with B a fresh-variable copy of A.
 
@@ -165,14 +160,6 @@ def construct_design(lam: int) -> LinearDesign:
     for _ in range(lam - 1):
         d = abba(d)
     return doubling(d)
-
-
-def evaluate(d: LinearDesign, x) -> np.ndarray:
-    """S(x) = sum_i x_i A_i as a floating complex matrix."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (d.K,):
-        raise ValueError(f"expected a real vector of length {d.K}, got shape {x.shape}")
-    return np.tensordot(x, d.weight_stack, axes=(0, 0))
 
 
 def canonical_grouping(d: LinearDesign) -> Grouping:

@@ -231,21 +231,6 @@ def _json_snr(snr_db: float):
     return "inf" if snr_db == math.inf else snr_db
 
 
-def bit_mapping(idx, group_sizes):
-    """Concatenated fixed-width binary encodings of the group indices.
-
-    Widths are log2 of each group size; sizes that are not powers of two
-    have no bit interpretation (the simulator then reports BLER only).
-    """
-    bits = []
-    for i, size in zip(idx, group_sizes):
-        w = int(size).bit_length() - 1
-        if (1 << w) != size:
-            raise ValueError(f"group size {size} is not a power of two; BER undefined")
-        bits.extend(((int(i) >> (w - 1 - b)) & 1) for b in range(w))
-    return bits
-
-
 def noise_var_for_snr(snr_db: float, n: int) -> float:
     if math.isinf(snr_db) and snr_db > 0:
         return 0.0
@@ -283,6 +268,17 @@ def _codebook(lam, m, family, radii, preset, c) -> Codebook:
                                     c=c))
 
 
+def _chunks(cb: Codebook, cfg: SimConfig):
+    """(bounds, workers): each point's chunks as (lo, hi) block ranges, of
+    whole windows (``diffcodec.window_blocks``) and at most 256 of them,
+    and the processes that run blocks, ``cfg.workers`` but no more than
+    there are chunks (a worker beyond them would find none)."""
+    n_blocks = math.ceil(cfg.frames / cfg.frames_per_block)
+    chunk = max(window_blocks(cb, cfg.frames_per_block, cfg.n_r), math.ceil(n_blocks / 256))
+    bounds = [(lo, min(lo + chunk, n_blocks)) for lo in range(0, n_blocks, chunk)]
+    return bounds, min(cfg.workers, len(bounds))
+
+
 def prepare(cfg: SimConfig) -> Codebook:
     """Require the config's cached codebook to be group decodable and
     scaled unitary (``require_scaled_unitary``; the differential chain needs
@@ -291,17 +287,19 @@ def prepare(cfg: SimConfig) -> Codebook:
     design that is not monomial was refused by ``LinearDesign.monomial``
     when the codebook was built), build what the exhaustive rows scan
     (``exhaustive_table``, after its memory check), and check that a window
-    of the sweep's largest fading blocks fits in the memory available
-    (``block_bytes``: the group-index draws of its blocks and its arrays),
-    so errors come before a sweep.  ``cfg`` itself was checked when it was
-    constructed."""
+    of the sweep's largest fading blocks fits in the memory available once
+    in each process that runs blocks (``block_bytes``: the group-index
+    draws of its blocks and its arrays), so errors come before a sweep.
+    ``cfg`` itself was checked when it was constructed."""
     cb = _codebook(cfg.lam, cfg.m, cfg.family, cfg.radii, cfg.preset, cfg.c)
     cb.require_scaled_unitary()
     if "exhaustive" in cfg.decoders():
         cb.exhaustive_table  # noqa: B018
     nf = min(cfg.frames, cfg.frames_per_block)
+    workers = _chunks(cb, cfg)[1]
+    each = f" in each of {workers} workers" if workers > 1 else ""
     check_memory(f"a fading block of {nf} frames needs its group-index draw and one "
-                 f"window's arrays", block_bytes(cb, nf, cfg.n_r))
+                 f"window's arrays{each}", workers * block_bytes(cb, nf, cfg.n_r))
     return cb
 
 
@@ -500,18 +498,14 @@ def run_sim(cfg: SimConfig) -> SimResult:
     cb = prepare(cfg)
     decoders = cfg.decoders()
     evals_per_frame = {"exhaustive": cb.M, "group": sum(cb.sizes)}
-    # BER needs power-of-two group sizes (see bit_mapping): a frame then
-    # carries log2 M bits, its group indices' bits concatenated; 0 means BLER only
+    # BER needs power-of-two group sizes: a frame then carries log2 M bits,
+    # each group index written in log2 P_k bits and the four concatenated,
+    # and a bit error is a differing bit of a group index; 0 means BLER only
     pow2 = all(size & (size - 1) == 0 for size in cb.sizes)
     bits_per_frame = cb.M.bit_length() - 1 if pow2 else 0
-    n_blocks = math.ceil(cfg.frames / cfg.frames_per_block)
-    # whole windows, and at most 256 chunks a point
-    chunk = max(window_blocks(cb, cfg.frames_per_block, cfg.n_r), math.ceil(n_blocks / 256))
-    bounds = [(lo, min(lo + chunk, n_blocks)) for lo in range(0, n_blocks, chunk)]
+    bounds, workers = _chunks(cb, cfg)
 
     points = []
-    # a worker beyond a point's chunk count would find no chunk of its own
-    workers = min(cfg.workers, len(bounds))
     pool = _Workers(cb, cfg, bounds, workers) if workers > 1 else None
     try:
         for snr_idx, snr in enumerate(cfg.snr_db):

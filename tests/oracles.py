@@ -5,14 +5,20 @@ a frame-by-frame differential chain, codeword-pair scans, one SVD per
 within-group difference, dense n x n excesses, int64 weight algebra.
 Nothing here shares code with the paths under test beyond the full-rank
 threshold RANK_RTOL and the partial codewords ``Codebook.partials`` forms
-(checked against the weights directly in test_codebook).
+(checked against the weights directly in test_codebook).  Also here: the
+package's test-only helpers, which nothing in the package calls:
+``evaluate`` (a design at a real vector), ``bit_mapping`` (the bits the
+simulator's BER counts) and ``blas_threads`` (reads OpenBLAS's thread
+count through the loader walk ``_kernels`` uses to set it).
 """
 
 from itertools import combinations
 
 import numpy as np
 
+from gdstbc._kernels import _entry, _openblas_libs
 from gdstbc.codebook import RANK_RTOL
+from gdstbc.design import LinearDesign
 
 
 def gaussian_int(a):
@@ -133,18 +139,53 @@ def brute_force_decode(matrices, r_t, r_prev, a_prev_sq):
     return best_idx, best_metric
 
 
-def factored_scan(points, norms, h):
-    """Reference exhaustive scan of a product codebook given as its four
-    groups' points and norms: all M compose sums ((p0 + p1) + p2) + p3 of
-    the group scores p_k = points_k . h_k + norms_k, formed by broadcasting
-    with i3 first, and their first minimum in row-major order, found as the
-    first (i0, i1, i2) column holding the smallest sum, then the first i3
-    in it."""
+def compose_sums(points, norms, h):
+    """Reference coordinate metrics x_m . h + a_m of a product codebook
+    given as its four groups' points and norms, h in four equal slices:
+    the M compose sums ((p0 + p1) + p2) + p3 of the group scores
+    p_k = points_k . h_k + norms_k, each group scored by its own ``np.dot``,
+    row-major over the four index ranges."""
     p0, p1, p2, p3 = (np.dot(pts, h_k) + nk for pts, h_k, nk
                       in zip(points, np.reshape(h, (4, -1)), norms))
-    sums = np.add.outer(p3, np.add.outer(np.add.outer(p0, p1), p2).ravel())
-    col = int(sums.min(axis=0).argmin())
-    return col * len(p3) + int(sums[:, col].argmin())
+    return np.add.outer(np.add.outer(np.add.outer(p0, p1), p2), p3).ravel()
+
+
+def factored_scan(points, norms, h):
+    """Reference exhaustive scan of a product codebook: the first minimum,
+    row-major, of its ``compose_sums``."""
+    return int(compose_sums(points, norms, h).argmin())
+
+
+def evaluate(d: LinearDesign, x) -> np.ndarray:
+    """S(x) = sum_i x_i A_i as a floating complex matrix."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (d.K,):
+        raise ValueError(f"expected a real vector of length {d.K}, got shape {x.shape}")
+    return np.tensordot(x, d.weight_stack, axes=(0, 0))
+
+
+def bit_mapping(idx, group_sizes):
+    """Concatenated fixed-width binary encodings of the group indices.
+
+    Widths are log2 of each group size; sizes that are not powers of two
+    have no bit interpretation (the simulator then reports BLER only).
+    """
+    bits = []
+    for i, size in zip(idx, group_sizes):
+        w = int(size).bit_length() - 1
+        if (1 << w) != size:
+            raise ValueError(f"group size {size} is not a power of two; BER undefined")
+        bits.extend(((int(i) >> (w - 1 - b)) & 1) for b in range(w))
+    return bits
+
+
+def blas_threads():
+    """Thread count of the first loaded OpenBLAS, or None if there is none."""
+    for lib in _openblas_libs():
+        fn = _entry(lib, "get")
+        if fn is not None:
+            return int(fn())
+    return None
 
 
 def assemble_real_vector(grouping, points_by_group, idx):

@@ -1,14 +1,20 @@
 import argparse
+import contextlib
 import errno
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gdstbc import cli, codebook, signalset
 from gdstbc.codebook import Codebook, NotGroupDecodableError
-from gdstbc.sim import CSV_HEADER, build_codebook
+from gdstbc.diffcodec import block_bytes
+from gdstbc.sim import CSV_HEADER, SimConfig, build_codebook
 
 
 def run_cli(capsys, *argv):
@@ -376,6 +382,25 @@ class TestSimulateCommand:
                        "1000.0 MB of memory is available\n")
         assert kept.read_bytes() == b"earlier results\n"
 
+    def test_memory_check_counts_a_window_per_worker(self, capsys, monkeypatch, tmp_path):
+        # 223 blocks of at most 9 frames, in chunks of 28 blocks (a window):
+        # two workers hold a window each, 2 x block_bytes past a budget of 1.5
+        budget = 1.5 * block_bytes(build_codebook(SimConfig(lam=2, m=16)), 9, 1)
+        monkeypatch.setattr(codebook, "_available_bytes", lambda: budget)
+        kept = tmp_path / "results.csv"
+        kept.write_bytes(b"earlier results\n")
+        args = ("simulate", "--lambda", "2", "--points", "16", "--snr-db", "10",
+                "--coherence", "10", "--frames", "2000", "--out", str(kept))
+        code, stdout, err = run_cli(capsys, *args, "--workers", "2")
+        assert code == 2 and stdout == ""
+        assert err.startswith("configuration error: a fading block of 9 frames needs its "
+                              "group-index draw and one window's arrays in each of 2 "
+                              "workers, ")
+        assert kept.read_bytes() == b"earlier results\n"
+        code, stdout, _ = run_cli(capsys, *args, "--workers", "1")
+        assert code == 0 and stdout == ""
+        assert kept.read_text().startswith(CSV_HEADER + "\n10,group,2000,")
+
     def test_json_is_strict(self, capsys):
         def refuse(name):
             raise ValueError(f"non-standard JSON constant {name}")
@@ -503,3 +528,111 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             cli.main(["--version"])
         assert exc.value.code == 0
+
+
+#: Values that no option takes as they stand, or takes only at an edge: zero,
+#: negatives, non-finite and extreme floats, and integers past 2^64.
+EDGE_VALUES = ("0", "-1", "-16", "nan", "inf", "-inf", "1e308", "1e-320", str(2**64),
+               str(2**64 + 1), str(3 * 2**70))
+
+
+def _value(*usual):
+    """One of the ``usual`` values of an option, or, about one time in eight,
+    one of ``EDGE_VALUES``."""
+    return st.tuples(st.sampled_from([False] * 7 + [True]), st.sampled_from(usual),
+                     st.sampled_from(EDGE_VALUES)).map(lambda t: t[2] if t[0] else t[1])
+
+
+def _option(flag, values):
+    """The option with a value from ``values``, or no option at all."""
+    return st.none() | values.map(lambda v: [flag, v])
+
+
+#: The signal options of each kind of signal set, before any edge value: the
+#: lambda, the M and the options that pick the set.  81 = 3^4 is a fourth
+#: power of an odd integer, and 16^4 is the preset's M.  On the hyperbola
+#: family, M 16 has one radius, 1, so c = 0.5 is the tangent r^2/2 and 0.75
+#: lies past it; M 256 has radii 0.63 and 1.26, so 0.25 lies past the tangent.
+SIGNAL_KINDS = {
+    "axis": (("1", "2", "3", "4", "5", "6", "7"), ("16", "256", "1296", "4096", "15", "81"),
+             st.just([])),
+    "radii": (("1", "2", "3"), ("16", "256", "1296"),
+              st.lists(_value("0.5", "1", "2", "3"), min_size=1, max_size=4)
+              .map(lambda r: ["--radii", ",".join(r)])),
+    "preset": (("3", "2"), ("65536", "16"),
+               st.sampled_from([["--preset", "paper-8ant-rate2"],
+                                ["--preset", "no-such-preset"]])),
+    "hyperbola": (("2",), ("16", "256"),
+                  _option("--c", _value("0.1", "0.25", "0.5", "0.75", "1"))
+                  .map(lambda c: ["--family", "hyperbola"] + (c or []))),
+}
+
+
+@st.composite
+def _argv(draw):
+    """An argument vector for one of the four subcommands.  Sizes stay small
+    where the value is valid: at most 16 points a group (no large axis-family
+    ``codebook verify``), at most 20 frames and at most 2 workers; frames and
+    workers get no large integers, which are valid and would run that long or
+    fork that many processes."""
+    command = draw(st.sampled_from(["design", "signalset", "codebook", "simulate"]))
+    argv = [command] + (["verify"] if command == "codebook" else [])
+    kind = draw(st.sampled_from(sorted(SIGNAL_KINDS)))
+    lams, points, picks = SIGNAL_KINDS[kind]
+    options = [_value(*lams).map(lambda v: ["--lambda", v])]
+    if command == "design":
+        options += [st.sampled_from([None, ["--print"]]),
+                    st.sampled_from([None, ["--verify-groups"]])]
+    else:
+        # a kind's own options come last, so that they win over these
+        options += [_value(*points).map(lambda v: ["--points", v]),
+                    st.sampled_from([None] * 5 + [["--family", "square"], ["--c", "0.25"]]),
+                    picks]
+    if command == "codebook":
+        options.append(_option("--seed", _value("0", "7")))
+    if command == "simulate":
+        options += [
+            _value("10", "10", "inf", "0,inf", "-5:5:5", "4:10:3", "0:10:0", "5:0:1",
+                   "0:1e308:1", "1:2", "x").map(lambda v: ["--snr-db", v]),
+            # always given: the default is 10 000 frames
+            st.sampled_from(["1", "7", "20", "20", "20", "0", "-1", "nan"]).map(
+                lambda v: ["--frames", v]),
+            _option("--target-errors", _value("1", "3")),
+            _option("--nr", _value("1", "2")),
+            _option("--coherence", _value("2", "3", "5")),
+            _option("--decoder", st.sampled_from(["group", "exhaustive", "both", "fast"])),
+            _option("--seed", _value("0", "7")),
+            _option("--workers", st.sampled_from(["1", "2", "2", "2", "0", "-1", "nan"])),
+            st.sampled_from([None, ["--json"]]),
+        ]
+    for option in options:
+        argv += draw(option) or []
+    return argv
+
+
+class TestCliContract:
+    """Any argument vector exits 0, 2 or 3 without a traceback; an exit 2
+    prints argparse's usage error or one "configuration error:" line, and
+    leaves ``--out`` untouched."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(argv=_argv())
+    def test_every_input_works_or_exits_with_its_code(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            kept = Path(tmp) / "results.csv"
+            kept.write_bytes(b"earlier results\n")
+            if argv[0] == "simulate":
+                argv = [*argv, "--out", str(kept)]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            err = err.getvalue()
+            assert code in (0, 2, 3), (code, err)
+            if code == 2:
+                usage = err.startswith("usage: gdstbc") and "error:" in err
+                assert usage or (err.startswith("configuration error:")
+                                 and err.count("\n") == 1), err
+                assert kept.read_bytes() == b"earlier results\n"

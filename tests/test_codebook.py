@@ -19,7 +19,6 @@ from gdstbc.design import (
     LinearDesign,
     canonical_grouping,
     construct_design,
-    evaluate,
     verify_group_decodable,
     verify_within_group_involutions,
 )
@@ -34,7 +33,9 @@ from gdstbc.sim import SimConfig, build_codebook, build_signal_set
 from oracles import (
     assemble_real_vector,
     cofactor_det,
+    compose_sums,
     dense_unitarity_residual,
+    evaluate,
     group_svd_verdict,
     pair_scan,
 )
@@ -195,7 +196,7 @@ class TestCoordinates:
         h = np.random.default_rng(7).standard_normal(cb.design.K)
         want = points.reshape(cb.M, -1) @ h + scales
         tol = 1e-12 * (np.sqrt(scales.max()) * np.linalg.norm(h) + scales.max())
-        assert np.abs(cb.coordinate_metrics(h) - want).max() <= tol
+        assert np.abs(compose_sums(cb.alphabets, cb.group_norms, h) - want).max() <= tol
 
     def test_factored_table_takes_over_above_the_threshold(self, cb, monkeypatch):
         table_bytes = 8 * cb.M * cb.design.K
@@ -779,12 +780,25 @@ class TestSharedAlphabets:
         assert [k for k in range(4) if i[k] != j[k]] == [first]
 
     def test_signal_sets_share_their_alphabets(self):
+        # and the norms, their lists and the group decoder's table views, one
+        # of each per distinct alphabet, with the values of four copies
         for lam, sset, distinct in ((2, construct_signal_set(2, 256), 1),
                                     (3, preset_signal_set("paper-8ant-rate2"), 1),
                                     (2, hyperbola_signal_set([1.0], 0.25), 2),
                                     (2, hyperbola_signal_set([1.0], 0.25, branch="AB"), 2)):
             cb = Codebook(construct_design(lam), sset)
-            assert len({id(a) for a in cb.alphabets}) == distinct
+            copies = Codebook(construct_design(lam), [np.array(a) for a in sset])
+            tables = [t[0] for t in cb.group_tables]
+            for held in (cb.alphabets, cb.group_norms, cb.norm_lists, tables):
+                assert len({id(x) for x in held}) == distinct
+            for held in (copies.alphabets, copies.group_norms, copies.norm_lists):
+                assert len({id(x) for x in held}) == 4
+            for k, points in enumerate(cb.alphabets):
+                assert np.array_equal(cb.group_norms[k], copies.group_norms[k])
+                assert not cb.group_norms[k].flags.writeable
+                assert cb.norm_lists[k] == copies.norm_lists[k] == cb.group_norms[k].tolist()
+                assert tables[k].base is points
+                assert tables[k].shape == (len(points), 1, points.shape[1])
         cfg = SimConfig(lam=2, m=256, family="hyperbola", frames=1)
         assert len({id(a) for a in build_codebook(cfg).alphabets}) == 2
 

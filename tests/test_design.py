@@ -9,11 +9,9 @@ from gdstbc.design import (
     Grouping,
     LinearDesign,
     abba,
-    c1_design,
     canonical_grouping,
     construct_design,
     doubling,
-    evaluate,
     render,
     render_text,
     scalar_design,
@@ -24,6 +22,7 @@ from gdstbc.design import (
 from gdstbc.signalset import construct_signal_set
 
 from oracles import (
+    evaluate,
     int_anticommutes,
     int_doubling_blocks,
     int_group_witness,
@@ -64,7 +63,7 @@ def symbolic_value(entry: str, z: np.ndarray) -> complex:
 
 class TestBlockConstructions:
     def test_abba_of_c1(self):
-        d = abba(c1_design())
+        d = abba(abba(scalar_design()))
         assert render(d) == [
             ["x1", "x2", "x3", "x4"],
             ["x2", "x1", "x4", "x3"],
@@ -73,12 +72,15 @@ class TestBlockConstructions:
         ]
 
     def test_abba_of_scalar_is_c1(self):
-        assert render(abba(scalar_design())) == render(c1_design())
+        d = abba(scalar_design())
+        assert render(d) == [["x1", "x2"], ["x2", "x1"]]
+        assert np.array_equal(d.weight_stack, [[[1, 0], [0, 1]], [[1j, 0], [0, 1j]],
+                                               [[0, 1], [1, 0]], [[0, 1j], [1j, 0]]])
 
     def test_abba_weight_blocks(self):
         # weights of the doubled design are block-diagonal copies for the
         # original variables and block-antidiagonal for the fresh ones
-        base = c1_design()
+        base = abba(scalar_design())
         d = abba(base)
         n = base.n
         zero = np.zeros((n, n))
@@ -93,10 +95,10 @@ class TestBlockConstructions:
         assert render(doubling(scalar_design())) == ALAMOUTI
 
     def test_doubling_of_c1(self):
-        assert render(doubling(c1_design())) == FOUR_ANTENNA
+        assert render(doubling(abba(scalar_design()))) == FOUR_ANTENNA
 
     def test_doubling_doubles_size_and_variables(self):
-        base = c1_design()
+        base = abba(scalar_design())
         d = doubling(base)
         assert d.n == 2 * base.n
         assert d.K == 2 * base.K
@@ -388,8 +390,8 @@ class TestDoublingBlocks:
 
     def test_non_doubling_designs_fail(self):
         # abba layout [[A, B], [B, A]] is not [[A, -B^H], [B, A^H]]
-        assert verify_doubling_blocks(abba(c1_design())) is False
-        assert verify_doubling_blocks(c1_design()) is False
+        assert verify_doubling_blocks(abba(abba(scalar_design()))) is False
+        assert verify_doubling_blocks(abba(scalar_design())) is False
         assert verify_doubling_blocks(scalar_design()) is False
 
     def test_non_commuting_blocks_fail(self):

@@ -16,7 +16,7 @@ from gdstbc.diffcodec import decode_exhaustive
 from gdstbc.signalset import construct_signal_set
 from gdstbc.sim import SimConfig, build_codebook
 
-from oracles import dense_unitarity_residual, factored_scan, noisy_window
+from oracles import compose_sums, dense_unitarity_residual, factored_scan, noisy_window
 
 
 def _random_problem(rng, m=32, n=4, nr=2):
@@ -178,7 +178,8 @@ class TestScaledUnitaryScan:
             idx = _scan_table(cb, h)
             # the metric is ||r_t||^2 + c (x_m . h + a_m)
             c = inv_a ** 2 * np.vdot(r_prev, r_prev).real
-            metric = np.vdot(r_t, r_t).real + c * cb.coordinate_metrics(h)[idx]
+            metrics = compose_sums(cb.alphabets, cb.group_norms, h)
+            metric = np.vdot(r_t, r_t).real + c * metrics[idx]
             size = np.vdot(r_t, r_t).real + c * _table(cb)[1].max()
             assert idx == int(ref.argmin())
             assert abs(metric - ref.min()) <= 1e-12 * size
@@ -244,12 +245,12 @@ def _e1(n):
 
 class TestFactoredScan:
     """metric_scan on a ``FactoredTable``: the four groups' scores summed in
-    ``compose`` order, bit for bit ``coordinate_metrics``."""
+    ``compose`` order, bit for bit ``oracles.compose_sums``."""
 
     @pytest.mark.parametrize("limit", [0, math.inf])
     def test_equals_the_coordinate_metrics_argmin(self, scaled_cb, limit, monkeypatch):
         # both sides of the threshold: the scan of exhaustive_table picks
-        # coordinate_metrics' first argmin on random and on received h
+        # the compose sums' first argmin on random and on received h
         monkeypatch.setattr(codebook, "TABLE_SCAN_BYTES", limit)
         cb = Codebook(scaled_cb.design, scaled_cb.alphabets, check_decodable=False)
         table, *scales = cb.exhaustive_table
@@ -261,7 +262,8 @@ class TestFactoredScan:
                 h = _scaled_h(cb, r_prev, r_t, 1.0 / math.sqrt(a_sq))
             else:
                 h = rng.standard_normal(cb.design.K) * 10.0 ** rng.integers(-3, 4)
-            assert metric_scan(table, h, *scales) == int(cb.coordinate_metrics(h).argmin())
+            assert metric_scan(table, h, *scales) == factored_scan(cb.alphabets,
+                                                                   cb.group_norms, h)
 
     def test_stands_for_the_coordinate_table(self, scaled_cb):
         # the four groups' points, one per codeword row-major, are the
@@ -288,7 +290,7 @@ class TestFactoredScan:
             r_t, r_prev, a_sq = noisy_window(cb, rng, 0.3, 1 + w % 3)
             h = _scaled_h(cb, r_prev * prev_scale, r_t * t_scale, 1.0 / math.sqrt(a_sq))
             assert np.all(np.isfinite(h))
-            assert metric_scan(factored, h) == int(cb.coordinate_metrics(h).argmin())
+            assert metric_scan(factored, h) == factored_scan(cb.alphabets, cb.group_norms, h)
 
     def test_exact_tie_in_group_3_goes_to_the_first_index(self):
         # small integers make every score exact: codewords (1, 0, 2, 1) and
@@ -402,8 +404,8 @@ def _hand_codebook(lam, points):
 
 class TestFactoredTieSet:
     """The factored scan decides from the group minima and the points near
-    them; it must return the all-M scan's index (``oracles.factored_scan``)
-    and ``coordinate_metrics``' first argmin on exact ties, near ties and
+    them; it must return the all-M scan's index, the first argmin of the
+    compose sums (``oracles.factored_scan``), on exact ties, near ties and
     extreme or non-finite h."""
 
     @pytest.fixture
@@ -421,8 +423,7 @@ class TestFactoredTieSet:
 
     @staticmethod
     def _check(cb, h):
-        want = factored_scan(cb.alphabets, cb.group_norms, h)
-        assert metric_scan(_factored(cb), h) == want == int(cb.coordinate_metrics(h).argmin())
+        assert metric_scan(_factored(cb), h) == factored_scan(cb.alphabets, cb.group_norms, h)
 
     @staticmethod
     def _integer_codebooks(rng, count):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from gdstbc import codebook, diffcodec, sim
-from gdstbc._kernels import FactoredTable, blas_threads, set_blas_threads
+from gdstbc._kernels import FactoredTable, set_blas_threads
 from gdstbc.codebook import UNITARITY_TOL, Codebook, NotGroupDecodableError
 from gdstbc.design import MAX_LAMBDA, LinearDesign, construct_design
 from gdstbc.diffcodec import (
@@ -30,13 +30,12 @@ from gdstbc.signalset import construct_signal_set
 from gdstbc.sim import (
     CSV_HEADER,
     SimConfig,
-    bit_mapping,
     build_codebook,
     noise_var_for_snr,
     run_sim,
 )
 
-from oracles import replay_y_chain
+from oracles import bit_mapping, blas_threads, replay_y_chain
 
 
 def _cfg(**kw):
